@@ -13,7 +13,6 @@ import argparse
 import os
 import random
 import sys
-from fractions import Fraction
 
 from . import groups as g
 from .decomp import (
@@ -413,7 +412,7 @@ def main(argv=None):
     out = []
     try:
         code = args.func(args, out)
-    except OrdalgError as err:
+    except (OrdalgError, OSError) as err:
         out.append(f"error: {err}")
         out.append(f"#! verdict=error message={str(err).replace(' ', '_')}")
         code = 2

@@ -52,9 +52,6 @@ class FiniteDecomposition:
     slices: tuple  # ((t, frozenset), ...) sorted by t
     proper: bool  # False: the flagged variant where some slices stay empty
 
-    def slice_items(self):
-        return self.slices
-
     def slice_of(self, x):
         for t, members in self.slices:
             if x in members:
@@ -73,9 +70,6 @@ class LexDecomposition:
 
     def slice_of(self, x):
         return x[0]
-
-    def contains_in_slice(self, t, x):
-        return compare(x[0], t) is Ordering.EQ and self.pea.contains(x)
 
     def sample_slice(self, t, rng, bound=6):
         E = self.pea

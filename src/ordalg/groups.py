@@ -1,6 +1,6 @@
 """Descriptor-driven partially ordered groups.
 
-A :class:`GroupDescriptor` is a composition tree built from four primitives
+A :class:`GroupDescriptor` is a composition tree built from three primitives
 and two combinators:
 
 * ``Scalar(H)``        -- a linearly ordered scalar subgroup of the reals,
@@ -15,18 +15,27 @@ Elements are plain Python values mirroring the tree: Fractions or quadratic
 numbers for scalars, int tuples for ``IntVector``, pairs of Fractions for
 ``AffineQ`` and 2-tuples for the combinators.  All groups are written
 additively, including the non-commutative ``AffineQ``.
+
+Each descriptor class is the one place that knows its element format: shape
+checks, arithmetic, order, sampling, interval enumeration and formatting
+are its methods.  ``Lex`` and ``Product`` share the componentwise rules
+through a private pair base, which reads the two factors from ``parts``;
+``Lex`` overrides only the rules that depend on the order.  The module
+functions (``add(desc, x, y)``, ``leq(desc, x, y)``, ...) are the entry
+points the rest of the package calls; each one calls the method.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .errors import PreconditionError, ShapeError, UnsupportedError
+from .errors import ParseError, PreconditionError, ShapeError, UnsupportedError
+from .sampling import _sample_scalar_between, sample_scalar
 from .scalars import (
     Ordering,
-    QuadraticNumber,
     ScalarSubgroup,
     SubgroupKind,
     compare,
@@ -36,15 +45,201 @@ from .scalars import (
 
 
 class GroupDescriptor:
-    """Base class; concrete descriptors below."""
+    """Base class; the defaults are the rules most primitives share."""
 
-    def __str__(self):
-        return describe(self)
+    # -- structural predicates ----------------------------------------------
+    # Every primitive is a torsion-free lattice, and so is every product and
+    # every lex product of them (a linear head over a lattice bottom), so
+    # only commutativity and linearity vary between descriptors.
+
+    def is_abelian(self) -> bool:
+        return True
+
+    def is_linearly_ordered(self) -> bool:
+        return True
+
+    def is_lattice(self) -> bool:
+        return True
+
+    def is_directed(self) -> bool:
+        return True
+
+    def is_torsion_free(self) -> bool:
+        return True
+
+    # -- elements -------------------------------------------------------------
+
+    def from_parsed(self, value):
+        """Fit a parsed value tree (see ``parsing.parse_value``) to this group."""
+        return self.check_element(value)
+
+    def center_member(self, x) -> bool:
+        """Structural membership in the commutative center."""
+        return True
+
+    # -- order ----------------------------------------------------------------
+
+    def _linear_compare(self, x, y) -> Ordering:
+        """Total-order comparison; only valid on linearly ordered descriptors."""
+        if x == y:
+            return Ordering.EQ
+        return Ordering.LT if self.leq(x, y) else Ordering.GT
+
+    def meet(self, x, y):
+        """Lattice meet (this default is the one of a total order)."""
+        return x if self.leq(x, y) else y
+
+    def a_positive_element(self):
+        """A fixed strictly positive element of a linearly ordered descriptor."""
+        raise UnsupportedError(f"{self} is not linearly ordered")
+
+    def lower_bound(self, xs):
+        """Deterministic lower bound of checked elements; lattices take the meet."""
+        out = xs[0]
+        for x in xs[1:]:
+            out = self.meet(out, x)
+        return out
+
+    # -- sampling -------------------------------------------------------------
+
+    def sample_positive(self, rng, bound: int = 10):
+        """A random element of the positive cone (a total order flips negatives)."""
+        x = self.sample_element(rng, bound)
+        return x if self.leq(self.zero(), x) else self.neg(x)
+
+    def sample_interval(self, hi, rng, bound: int = 10):
+        """A random element x with 0 <= x <= hi."""
+        zero = self.zero()
+        if hi == zero:
+            return zero
+        return self._sample_interval(hi, rng, bound)
+
+    def _sample_head(self, hi, rng, bound):
+        """A lex head in [0, hi] for hi > 0: one of the two endpoints."""
+        return rng.choice([self.zero(), hi])
+
+    # -- exhaustive enumeration (the refinement oracle) -----------------------
+
+    def iter_bounded(self, uppers, nonneg: bool, box: int):
+        """Elements with data in [-box, box], below all uppers, >= 0 if asked."""
+        raise UnsupportedError(f"oracle enumeration unsupported on {self}")
+
+    def _iter_heads(self, uppers, nonneg: bool, box: int, lex):
+        """The heads the oracle enumerates for ``lex``, in ascending order."""
+        raise UnsupportedError(f"oracle enumeration unsupported on {lex}")
+
+
+def _iter_signed(limit_lo: int, limit_hi: int):
+    """0, 1, -1, 2, -2, ... clipped to [limit_lo, limit_hi]."""
+    if limit_lo > limit_hi:
+        return
+    start = 0 if limit_lo <= 0 <= limit_hi else (limit_lo if limit_lo > 0 else limit_hi)
+    yield start
+    k = 1
+    while True:
+        emitted = False
+        for cand in (start + k, start - k):
+            if limit_lo <= cand <= limit_hi:
+                yield cand
+                emitted = True
+        if not emitted and (start + k > limit_hi and start - k < limit_lo):
+            return
+        k += 1
 
 
 @dataclass(frozen=True)
 class Scalar(GroupDescriptor):
     H: ScalarSubgroup
+
+    def __str__(self):
+        H = self.H
+        if H.kind is SubgroupKind.CYCLIC:
+            return "Z" if H.n == 1 else f"Z/{H.n}"
+        return str(H)
+
+    def check_element(self, x):
+        H = self.H
+        try:
+            x = H.coerce(x)
+        except (TypeError, ValueError):
+            raise ShapeError(f"{x!r} is not a scalar of {self}")
+        if H.kind is SubgroupKind.CYCLIC and H.n % x.denominator:
+            raise ShapeError(f"{x} is not an element of {self}")
+        return x
+
+    def zero(self):
+        return self.H.zero()
+
+    def add(self, x, y):
+        return x + y
+
+    def neg(self, x):
+        return -x
+
+    def divide(self, x, n):
+        y = x * Fraction(1, n)
+        return y if self.H.contains(y) else None
+
+    def leq(self, x, y) -> bool:
+        return compare(x, y) is not Ordering.GT
+
+    def _linear_compare(self, x, y) -> Ordering:
+        return compare(x, y)
+
+    def a_positive_element(self):
+        H = self.H
+        if H.is_dense:
+            return pick_strictly_between(H, H.zero(), H.one())
+        return Fraction(1)
+
+    def interval_is_finite(self, hi) -> bool:
+        """Whether the order interval [0, hi] has finitely many elements."""
+        return not self.H.is_dense or compare(hi, self.H.zero()) is Ordering.EQ
+
+    def enumerate_interval(self, hi):
+        """All elements of [0, hi]; only valid when interval_is_finite holds."""
+        H = self.H
+        if compare(hi, H.zero()) is Ordering.EQ:
+            return [H.zero()]
+        if H.is_dense:
+            raise UnsupportedError(f"infinite interval in {self}")
+        top = Fraction(hi) * H.n
+        return [Fraction(k, H.n) for k in range(int(top) + 1)]
+
+    def is_strong_unit(self, u) -> bool:
+        """Whether u is positive and bounds every element up to a multiple."""
+        return compare(u, self.H.zero()) is Ordering.GT
+
+    def format_element(self, x) -> str:
+        return format_scalar(x)
+
+    def sample_element(self, rng, bound: int = 10):
+        """A random element of the group, integer data bounded by ``bound``."""
+        return sample_scalar(self.H, rng, bound)
+
+    def _sample_interval(self, hi, rng, bound):
+        return _sample_scalar_between(self.H, self.H.zero(), hi, rng)
+
+    # a scalar lex head is drawn like any scalar of [0, hi]
+    _sample_head = _sample_interval
+
+    def _grid_range(self, uppers, nonneg, box, what):
+        if self.H.is_dense:
+            raise UnsupportedError(f"oracle enumeration needs a discrete {what}")
+        hi = box
+        for u in uppers:
+            hi = min(hi, int(Fraction(u) * self.H.n))
+        return (0 if nonneg else -box), hi
+
+    def iter_bounded(self, uppers, nonneg, box):
+        lo, hi = self._grid_range(uppers, nonneg, box, "scalar")
+        for k in _iter_signed(lo, hi):
+            yield Fraction(k, self.H.n)
+
+    def _iter_heads(self, uppers, nonneg, box, lex):
+        lo, hi = self._grid_range(uppers, nonneg, box, "scalar head")
+        for k in range(lo, hi + 1):
+            yield Fraction(k, self.H.n)
 
 
 @dataclass(frozen=True)
@@ -53,28 +248,405 @@ class IntVector(GroupDescriptor):
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError("IntVector needs k >= 1")
+            raise PreconditionError("IntVector needs k >= 1")
+
+    def __str__(self):
+        return f"Z^{self.k}"
+
+    def is_linearly_ordered(self) -> bool:
+        return self.k == 1
+
+    def check_element(self, x):
+        if isinstance(x, int):
+            x = (x,)
+        if not (isinstance(x, tuple) and len(x) == self.k and all(isinstance(v, int) for v in x)):
+            raise ShapeError(f"{x!r} is not an integer {self.k}-vector")
+        return x
+
+    def from_parsed(self, value):
+        if isinstance(value, Fraction):
+            value = (value,)
+        if not isinstance(value, tuple):
+            raise ParseError(f"expected an integer vector, got {value!r}")
+        out = []
+        for v in value:
+            if not isinstance(v, Fraction) or v.denominator != 1:
+                raise ParseError(f"expected integers in a vector, got {v!r}")
+            out.append(int(v))
+        return self.check_element(tuple(out))
+
+    def zero(self):
+        return (0,) * self.k
+
+    def add(self, x, y):
+        return tuple(u + v for u, v in zip(x, y))
+
+    def neg(self, x):
+        return tuple(-v for v in x)
+
+    def divide(self, x, n):
+        if all(v % n == 0 for v in x):
+            return tuple(v // n for v in x)
+        return None
+
+    def leq(self, x, y) -> bool:
+        return all(u <= v for u, v in zip(x, y))
+
+    def meet(self, x, y):
+        return tuple(min(u, v) for u, v in zip(x, y))
+
+    def a_positive_element(self):
+        if self.k == 1:
+            return (1,)
+        return super().a_positive_element()
+
+    def interval_is_finite(self, hi) -> bool:
+        return True
+
+    def enumerate_interval(self, hi):
+        out = [()]
+        for v in hi:
+            if v < 0:
+                return []
+            out = [t + (w,) for t in out for w in range(v + 1)]
+        return out
+
+    def is_strong_unit(self, u) -> bool:
+        return all(v >= 1 for v in u)
+
+    def format_element(self, x) -> str:
+        return "(" + ", ".join(str(v) for v in x) + ")"
+
+    def sample_element(self, rng, bound: int = 10):
+        return tuple(rng.randint(-bound, bound) for _ in range(self.k))
+
+    def sample_positive(self, rng, bound: int = 10):
+        return tuple(rng.randint(0, bound) for _ in range(self.k))
+
+    def _sample_interval(self, hi, rng, bound):
+        return tuple(rng.randint(0, v) for v in hi)
+
+    def iter_bounded(self, uppers, nonneg, box):
+        ranges = []
+        for i in range(self.k):
+            hi = min([box] + [u[i] for u in uppers])
+            ranges.append((0 if nonneg else -box, hi))
+
+        def rec(i):
+            if i == self.k:
+                yield ()
+                return
+            lo, hi = ranges[i]
+            for v in _iter_signed(lo, hi):
+                for rest in rec(i + 1):
+                    yield (v,) + rest
+
+        yield from rec(0)
 
 
 @dataclass(frozen=True)
 class AffineQ(GroupDescriptor):
-    pass
+    def __str__(self):
+        return "Aff"
+
+    def is_abelian(self) -> bool:
+        return False
+
+    def check_element(self, x):
+        if not (isinstance(x, tuple) and len(x) == 2):
+            raise ShapeError(f"{x!r} is not an affine pair")
+        a, b = Fraction(x[0]), Fraction(x[1])
+        if a <= 0:
+            raise ShapeError(f"affine pair needs a positive first component, got {a}")
+        return (a, b)
+
+    def zero(self):
+        return (Fraction(1), Fraction(0))
+
+    def add(self, x, y):
+        (a, b), (c, e) = x, y
+        return (a * c, a * e + b)
+
+    def neg(self, x):
+        a, b = x
+        return (1 / a, -b / a)
+
+    def divide(self, x, n):
+        a, b = x
+        c = _rational_nth_root(a, n)
+        if c is None:
+            return None
+        s = sum(c**i for i in range(n))  # 1 + c + ... + c^(n-1)
+        return (c, b / s)
+
+    def leq(self, x, y) -> bool:
+        a, b = self.add(y, self.neg(x))  # y - x in the positive cone?
+        return a > 1 or (a == 1 and b >= 0)
+
+    def center_member(self, x) -> bool:
+        return x == self.zero()
+
+    def a_positive_element(self):
+        return (Fraction(2), Fraction(0))
+
+    def interval_is_finite(self, hi) -> bool:
+        return hi == self.zero()
+
+    def enumerate_interval(self, hi):
+        if hi == self.zero():
+            return [self.zero()]
+        raise UnsupportedError("infinite interval in Aff")
+
+    def is_strong_unit(self, u) -> bool:
+        return u[0] > 1
+
+    def format_element(self, x) -> str:
+        return f"({x[0]}, {x[1]})"
+
+    def sample_element(self, rng, bound: int = 10):
+        a = Fraction(rng.randint(1, bound), rng.randint(1, bound))
+        b = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+        return (a, b)
+
+    def _sample_interval(self, hi, rng, bound):
+        a1, b1 = hi
+        if a1 == 1:  # [0, (1,b1)] = {(1, e): 0 <= e <= b1}
+            return (Fraction(1), b1 * Fraction(rng.randint(0, 16), 16))
+        choice = rng.randint(0, 3)
+        if choice == 0:
+            return self.zero()
+        if choice == 1:
+            return hi
+        if choice == 2:  # boundary heads
+            if rng.random() < 0.5:
+                return (Fraction(1), Fraction(rng.randint(0, bound)))
+            return (a1, b1 - Fraction(rng.randint(0, bound)))
+        # interior head: any tail is allowed
+        c = Fraction(1) + (a1 - 1) * Fraction(rng.randint(1, 15), 16)
+        e = Fraction(rng.randint(-bound, bound), rng.randint(1, 4))
+        return (c, e)
+
+
+def _rational_nth_root(q: Fraction, n: int):
+    """Exact positive n-th root of a positive rational, or None."""
+    q = Fraction(q)
+    if q <= 0:
+        return None
+    p, d = _int_nth_root(q.numerator, n), _int_nth_root(q.denominator, n)
+    if p is None or d is None:
+        return None
+    return Fraction(p, d)
+
+
+def _int_nth_root(m: int, n: int):
+    """The integer r with r**n == m (m >= 1), or None; exact at every size."""
+    if n == 2:
+        r = math.isqrt(m)
+    else:
+        # integer Newton iteration from above converges to floor(m ** (1/n))
+        r = 1 << -(-m.bit_length() // n)
+        while True:
+            s = ((n - 1) * r + m // r ** (n - 1)) // n
+            if s >= r:
+                break
+            r = s
+    return r if r**n == m else None
+
+
+class _Pair(GroupDescriptor):
+    """Componentwise rules of a two-factor descriptor; ``parts`` holds the factors."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "parts", tuple(getattr(self, f.name) for f in fields(self)))
+
+    def __str__(self):
+        a, b = self.parts
+        return f"{self.syntax}({a}, {b})"
+
+    def is_abelian(self) -> bool:
+        a, b = self.parts
+        return a.is_abelian() and b.is_abelian()
+
+    def is_linearly_ordered(self) -> bool:
+        return False
+
+    def check_element(self, x):
+        if not (isinstance(x, tuple) and len(x) == 2):
+            raise ShapeError(f"{x!r} is not a {self.noun} pair")
+        a, b = self.parts
+        return (a.check_element(x[0]), b.check_element(x[1]))
+
+    def from_parsed(self, value):
+        if not (isinstance(value, tuple) and len(value) == 2):
+            raise ParseError(f"expected a pair for {self}")
+        a, b = self.parts
+        return (a.from_parsed(value[0]), b.from_parsed(value[1]))
+
+    def zero(self):
+        a, b = self.parts
+        return (a.zero(), b.zero())
+
+    def add(self, x, y):
+        a, b = self.parts
+        return (a.add(x[0], y[0]), b.add(x[1], y[1]))
+
+    def neg(self, x):
+        a, b = self.parts
+        return (a.neg(x[0]), b.neg(x[1]))
+
+    def divide(self, x, n):
+        a, b = self.parts
+        left, right = a.divide(x[0], n), b.divide(x[1], n)
+        return None if left is None or right is None else (left, right)
+
+    def leq(self, x, y) -> bool:
+        a, b = self.parts
+        return a.leq(x[0], y[0]) and b.leq(x[1], y[1])
+
+    def meet(self, x, y):
+        a, b = self.parts
+        return (a.meet(x[0], y[0]), b.meet(x[1], y[1]))
+
+    def center_member(self, x) -> bool:
+        a, b = self.parts
+        return a.center_member(x[0]) and b.center_member(x[1])
+
+    def interval_is_finite(self, hi) -> bool:
+        a, b = self.parts
+        return a.interval_is_finite(hi[0]) and b.interval_is_finite(hi[1])
+
+    def enumerate_interval(self, hi):
+        a, b = self.parts
+        return [(l, r) for l in a.enumerate_interval(hi[0]) for r in b.enumerate_interval(hi[1])]
+
+    def is_strong_unit(self, u) -> bool:
+        a, b = self.parts
+        return a.is_strong_unit(u[0]) and b.is_strong_unit(u[1])
+
+    def format_element(self, x) -> str:
+        a, b = self.parts
+        return f"({a.format_element(x[0])}, {b.format_element(x[1])})"
+
+    def sample_element(self, rng, bound: int = 10):
+        a, b = self.parts
+        return (a.sample_element(rng, bound), b.sample_element(rng, bound))
+
+    def sample_positive(self, rng, bound: int = 10):
+        a, b = self.parts
+        return (a.sample_positive(rng, bound), b.sample_positive(rng, bound))
+
+    def _sample_interval(self, hi, rng, bound):
+        a, b = self.parts
+        return (a.sample_interval(hi[0], rng, bound), b.sample_interval(hi[1], rng, bound))
+
+    def iter_bounded(self, uppers, nonneg, box):
+        a, b = self.parts
+        for left in a.iter_bounded([u[0] for u in uppers], nonneg, box):
+            for right in b.iter_bounded([u[1] for u in uppers], nonneg, box):
+                yield (left, right)
 
 
 @dataclass(frozen=True)
-class Lex(GroupDescriptor):
+class Lex(_Pair):
     top: GroupDescriptor
     bottom: GroupDescriptor
 
+    syntax = noun = "lex"
+
     def __post_init__(self):
-        if not is_linearly_ordered(self.top):
+        if not self.top.is_linearly_ordered():
             raise PreconditionError("lex head must be linearly ordered")
+        super().__post_init__()
+
+    def is_linearly_ordered(self) -> bool:
+        return self.bottom.is_linearly_ordered()  # the head is linear already
+
+    def leq(self, x, y) -> bool:
+        top, bottom = self.parts
+        c = top._linear_compare(x[0], y[0])
+        if c is Ordering.EQ:
+            return bottom.leq(x[1], y[1])
+        return c is Ordering.LT
+
+    def meet(self, x, y):
+        top, bottom = self.parts
+        c = top._linear_compare(x[0], y[0])
+        if c is Ordering.EQ:
+            return (x[0], bottom.meet(x[1], y[1]))
+        return x if c is Ordering.LT else y
+
+    def a_positive_element(self):
+        top, bottom = self.parts
+        return (top.a_positive_element(), bottom.zero())
+
+    def lower_bound(self, xs):
+        """The bottom's bound under one shared head, else (min head - delta, 0).
+
+        delta is a fixed positive element of the head: 1 on discrete scalars.
+        """
+        top, bottom = self.parts
+        head_min = xs[0][0]
+        for x in xs[1:]:
+            if top._linear_compare(x[0], head_min) is Ordering.LT:
+                head_min = x[0]
+        if all(x[0] == head_min for x in xs):
+            return (head_min, bottom.lower_bound([x[1] for x in xs]))
+        delta = top.a_positive_element()
+        return (top.add(head_min, top.neg(delta)), bottom.zero())
+
+    def interval_is_finite(self, hi) -> bool:
+        top, bottom = self.parts
+        if hi[0] == top.zero():
+            return bottom.interval_is_finite(hi[1])
+        return False  # a strictly positive head lets all of {0} x bottom+ below
+
+    def enumerate_interval(self, hi):
+        top, bottom = self.parts
+        if hi[0] != top.zero():
+            raise UnsupportedError("infinite lex interval")
+        return [(hi[0], t) for t in bottom.enumerate_interval(hi[1])]
+
+    def is_strong_unit(self, u) -> bool:
+        # multiples of a head strong unit eventually strictly dominate any head
+        return self.top.is_strong_unit(u[0])
+
+    def sample_positive(self, rng, bound: int = 10):
+        top, bottom = self.parts
+        head = top.sample_element(rng, bound)
+        if not top.leq(top.zero(), head):
+            head = top.neg(head)
+        if head == top.zero():
+            return (head, bottom.sample_positive(rng, bound))
+        return (head, bottom.sample_element(rng, bound))
+
+    def _sample_interval(self, hi, rng, bound):
+        top, bottom = self.parts
+        h_hi, t_hi = hi
+        if h_hi == top.zero():
+            return (h_hi, bottom.sample_interval(t_hi, rng, bound))
+        s = top._sample_head(h_hi, rng, bound)
+        if s == top.zero():
+            return (s, bottom.sample_positive(rng, bound))
+        if s == h_hi:
+            # tail must be <= hi tail: hi_tail - positive
+            delta = bottom.sample_positive(rng, bound)
+            return (s, bottom.add(t_hi, bottom.neg(delta)))
+        return (s, bottom.sample_element(rng, bound))
+
+    def iter_bounded(self, uppers, nonneg, box):
+        top, bottom = self.parts
+        for h in top._iter_heads([u[0] for u in uppers], nonneg, box, self):
+            tail_uppers = [u[1] for u in uppers if u[0] == h]
+            for t in bottom.iter_bounded(tail_uppers, nonneg and h == 0, box):
+                yield (h, t)
 
 
 @dataclass(frozen=True)
-class Product(GroupDescriptor):
+class Product(_Pair):
     left: GroupDescriptor
     right: GroupDescriptor
+
+    syntax, noun = "prod", "product"
 
 
 ZZ = Scalar(ScalarSubgroup.cyclic(1))
@@ -82,20 +654,7 @@ QQ = Scalar(ScalarSubgroup.rationals())
 
 
 def describe(desc: GroupDescriptor) -> str:
-    if isinstance(desc, Scalar):
-        H = desc.H
-        if H.kind is SubgroupKind.CYCLIC:
-            return "Z" if H.n == 1 else f"Z/{H.n}"
-        return str(H)
-    if isinstance(desc, IntVector):
-        return f"Z^{desc.k}"
-    if isinstance(desc, AffineQ):
-        return "Aff"
-    if isinstance(desc, Lex):
-        return f"lex({describe(desc.top)}, {describe(desc.bottom)})"
-    if isinstance(desc, Product):
-        return f"prod({describe(desc.left)}, {describe(desc.right)})"
-    raise ShapeError(f"unknown descriptor {desc!r}")
+    return str(desc)
 
 
 # ---------------------------------------------------------------------------
@@ -103,61 +662,23 @@ def describe(desc: GroupDescriptor) -> str:
 
 
 def is_abelian(desc) -> bool:
-    if isinstance(desc, (Scalar, IntVector)):
-        return True
-    if isinstance(desc, AffineQ):
-        return False
-    if isinstance(desc, Lex):
-        return is_abelian(desc.top) and is_abelian(desc.bottom)
-    if isinstance(desc, Product):
-        return is_abelian(desc.left) and is_abelian(desc.right)
-    raise ShapeError(f"unknown descriptor {desc!r}")
+    return desc.is_abelian()
 
 
 def is_linearly_ordered(desc) -> bool:
-    if isinstance(desc, Scalar) or isinstance(desc, AffineQ):
-        return True
-    if isinstance(desc, IntVector):
-        return desc.k == 1
-    if isinstance(desc, Lex):
-        return is_linearly_ordered(desc.bottom)  # the head is linear already
-    if isinstance(desc, Product):
-        return False
-    raise ShapeError(f"unknown descriptor {desc!r}")
+    return desc.is_linearly_ordered()
 
 
 def is_lattice(desc) -> bool:
-    if isinstance(desc, (Scalar, IntVector, AffineQ)):
-        return True
-    if isinstance(desc, Lex):
-        return is_lattice(desc.bottom)
-    if isinstance(desc, Product):
-        return is_lattice(desc.left) and is_lattice(desc.right)
-    raise ShapeError(f"unknown descriptor {desc!r}")
+    return desc.is_lattice()
 
 
 def is_directed(desc) -> bool:
-    if isinstance(desc, (Scalar, IntVector, AffineQ)):
-        return True
-    if isinstance(desc, Lex):
-        return True  # linear head: (min head - delta, 0) bounds any pair below
-    if isinstance(desc, Product):
-        return is_directed(desc.left) and is_directed(desc.right)
-    raise ShapeError(f"unknown descriptor {desc!r}")
+    return desc.is_directed()
 
 
 def is_torsion_free(desc) -> bool:
-    if isinstance(desc, (Scalar, IntVector, AffineQ)):
-        return True
-    if isinstance(desc, Lex):
-        return is_torsion_free(desc.top) and is_torsion_free(desc.bottom)
-    if isinstance(desc, Product):
-        return is_torsion_free(desc.left) and is_torsion_free(desc.right)
-    raise ShapeError(f"unknown descriptor {desc!r}")
-
-
-def is_scalar_discrete(desc) -> bool:
-    return isinstance(desc, Scalar) and not desc.H.is_dense
+    return desc.is_torsion_free()
 
 
 # ---------------------------------------------------------------------------
@@ -166,108 +687,38 @@ def is_scalar_discrete(desc) -> bool:
 
 def check_element(desc, x):
     """Validate that x is shaped per desc; returns the canonical value."""
-    if isinstance(desc, Scalar):
-        try:
-            return desc.H.coerce(x)
-        except (TypeError, ValueError):
-            raise ShapeError(f"{x!r} is not a scalar of {desc}")
-    if isinstance(desc, IntVector):
-        if isinstance(x, int):
-            x = (x,)
-        if not (isinstance(x, tuple) and len(x) == desc.k and all(isinstance(v, int) for v in x)):
-            raise ShapeError(f"{x!r} is not an integer {desc.k}-vector")
-        return x
-    if isinstance(desc, AffineQ):
-        if not (isinstance(x, tuple) and len(x) == 2):
-            raise ShapeError(f"{x!r} is not an affine pair")
-        a, b = Fraction(x[0]), Fraction(x[1])
-        if a <= 0:
-            raise ShapeError(f"affine pair needs a positive first component, got {a}")
-        return (a, b)
-    if isinstance(desc, Lex):
-        if not (isinstance(x, tuple) and len(x) == 2):
-            raise ShapeError(f"{x!r} is not a lex pair")
-        return (check_element(desc.top, x[0]), check_element(desc.bottom, x[1]))
-    if isinstance(desc, Product):
-        if not (isinstance(x, tuple) and len(x) == 2):
-            raise ShapeError(f"{x!r} is not a product pair")
-        return (check_element(desc.left, x[0]), check_element(desc.right, x[1]))
-    raise ShapeError(f"unknown descriptor {desc!r}")
+    return desc.check_element(x)
 
 
 def zero(desc):
-    if isinstance(desc, Scalar):
-        return desc.H.zero()
-    if isinstance(desc, IntVector):
-        return (0,) * desc.k
-    if isinstance(desc, AffineQ):
-        return (Fraction(1), Fraction(0))
-    if isinstance(desc, Lex):
-        return (zero(desc.top), zero(desc.bottom))
-    if isinstance(desc, Product):
-        return (zero(desc.left), zero(desc.right))
-    raise ShapeError(f"unknown descriptor {desc!r}")
+    return desc.zero()
 
 
 def add(desc, x, y):
-    if isinstance(desc, Scalar):
-        return x + y
-    if isinstance(desc, IntVector):
-        return tuple(u + v for u, v in zip(x, y))
-    if isinstance(desc, AffineQ):
-        (a, b), (c, e) = x, y
-        return (a * c, a * e + b)
-    if isinstance(desc, Lex):
-        return (add(desc.top, x[0], y[0]), add(desc.bottom, x[1], y[1]))
-    if isinstance(desc, Product):
-        return (add(desc.left, x[0], y[0]), add(desc.right, x[1], y[1]))
-    raise ShapeError(f"unknown descriptor {desc!r}")
+    return desc.add(x, y)
 
 
 def neg(desc, x):
-    if isinstance(desc, Scalar):
-        return -x
-    if isinstance(desc, IntVector):
-        return tuple(-v for v in x)
-    if isinstance(desc, AffineQ):
-        a, b = x
-        return (1 / a, -b / a)
-    if isinstance(desc, Lex):
-        return (neg(desc.top, x[0]), neg(desc.bottom, x[1]))
-    if isinstance(desc, Product):
-        return (neg(desc.left, x[0]), neg(desc.right, x[1]))
-    raise ShapeError(f"unknown descriptor {desc!r}")
+    return desc.neg(x)
 
 
 def sub_right(desc, x, y):
     """x - y, i.e. x + (-y)."""
-    return add(desc, x, neg(desc, y))
+    return desc.add(x, desc.neg(y))
 
 
 def sub_left(desc, y, x):
     """-y + x."""
-    return add(desc, neg(desc, y), x)
-
-
-def g_op(desc, op: str, *args):
-    """Thin dispatcher used by the CLI: op in {add, neg, zero}."""
-    args = [check_element(desc, a) for a in args]
-    if op == "add":
-        return add(desc, *args)
-    if op == "neg":
-        return neg(desc, *args)
-    if op == "zero":
-        return zero(desc)
-    raise UnsupportedError(f"unknown group op {op!r}")
+    return desc.add(desc.neg(y), x)
 
 
 def scale(desc, x, n: int):
     """n-fold sum of x (n may be negative)."""
     if n < 0:
-        return neg(desc, scale(desc, x, -n))
-    acc = zero(desc)
+        return desc.neg(scale(desc, x, -n))
+    acc = desc.zero()
     for _ in range(n):
-        acc = add(desc, acc, x)
+        acc = desc.add(acc, x)
     return acc
 
 
@@ -277,53 +728,7 @@ def divide(desc, x, n: int):
         raise PreconditionError("divisor must be >= 1")
     if n == 1:
         return x
-    if isinstance(desc, Scalar):
-        if isinstance(x, QuadraticNumber):
-            y = QuadraticNumber(x.a / n, x.b / n, x.d)
-        else:
-            y = Fraction(x) / n
-        return y if desc.H.contains(y) else None
-    if isinstance(desc, IntVector):
-        if all(v % n == 0 for v in x):
-            return tuple(v // n for v in x)
-        return None
-    if isinstance(desc, AffineQ):
-        a, b = x
-        c = _rational_nth_root(a, n)
-        if c is None:
-            return None
-        s = sum(c**i for i in range(n))  # 1 + c + ... + c^(n-1)
-        return (c, b / s)
-    if isinstance(desc, Lex):
-        t = divide(desc.top, x[0], n)
-        g = divide(desc.bottom, x[1], n)
-        return None if t is None or g is None else (t, g)
-    if isinstance(desc, Product):
-        left = divide(desc.left, x[0], n)
-        right = divide(desc.right, x[1], n)
-        return None if left is None or right is None else (left, right)
-    raise ShapeError(f"unknown descriptor {desc!r}")
-
-
-def _rational_nth_root(q: Fraction, n: int):
-    """Exact positive n-th root of a positive rational, or None."""
-    q = Fraction(q)
-    if q <= 0:
-        return None
-
-    def iroot(m: int):
-        if m == 0:
-            return 0
-        r = round(m ** (1.0 / n))
-        for c in (r - 1, r, r + 1):
-            if c >= 0 and c**n == m:
-                return c
-        return None
-
-    p, d = iroot(q.numerator), iroot(q.denominator)
-    if p is None or d is None:
-        return None
-    return Fraction(p, d)
+    return desc.divide(x, n)
 
 
 # ---------------------------------------------------------------------------
@@ -331,116 +736,39 @@ def _rational_nth_root(q: Fraction, n: int):
 
 
 def leq(desc, x, y) -> bool:
-    if isinstance(desc, Scalar):
-        return compare(x, y) is not Ordering.GT
-    if isinstance(desc, IntVector):
-        return all(u <= v for u, v in zip(x, y))
-    if isinstance(desc, AffineQ):
-        a, b = add(desc, y, neg(desc, x))  # y - x in the positive cone?
-        return a > 1 or (a == 1 and b >= 0)
-    if isinstance(desc, Lex):
-        c = _linear_compare(desc.top, x[0], y[0])
-        if c is Ordering.LT:
-            return True
-        if c is Ordering.GT:
-            return False
-        return leq(desc.bottom, x[1], y[1])
-    if isinstance(desc, Product):
-        return leq(desc.left, x[0], y[0]) and leq(desc.right, x[1], y[1])
-    raise ShapeError(f"unknown descriptor {desc!r}")
-
-
-def _linear_compare(desc, x, y) -> Ordering:
-    """Total-order comparison; only valid on linearly ordered descriptors."""
-    if isinstance(desc, Scalar):
-        return compare(x, y)
-    if x == y:
-        return Ordering.EQ
-    return Ordering.LT if leq(desc, x, y) else Ordering.GT
+    return desc.leq(x, y)
 
 
 def lt(desc, x, y) -> bool:
-    return x != y and leq(desc, x, y)
+    return x != y and desc.leq(x, y)
 
 
 def positive_cone_member(desc, x) -> bool:
-    return leq(desc, zero(desc), x)
+    return desc.leq(desc.zero(), x)
 
 
 def meet(desc, x, y):
     """Lattice meet; every supported descriptor is a lattice."""
-    if is_linearly_ordered(desc):
-        return x if leq(desc, x, y) else y
-    if isinstance(desc, IntVector):
-        return tuple(min(u, v) for u, v in zip(x, y))
-    if isinstance(desc, Lex):
-        c = _linear_compare(desc.top, x[0], y[0])
-        if c is Ordering.LT:
-            return x
-        if c is Ordering.GT:
-            return y
-        return (x[0], meet(desc.bottom, x[1], y[1]))
-    if isinstance(desc, Product):
-        return (meet(desc.left, x[0], y[0]), meet(desc.right, x[1], y[1]))
-    raise UnsupportedError(f"no meet on {desc}")
+    return desc.meet(x, y)
 
 
 def join(desc, x, y):
-    return neg(desc, meet(desc, neg(desc, x), neg(desc, y)))
-
-
-def a_positive_element(desc):
-    """A fixed strictly positive element of a linearly ordered descriptor."""
-    if isinstance(desc, Scalar):
-        H = desc.H
-        if H.is_dense:
-            return pick_strictly_between(H, H.zero(), H.one())
-        return Fraction(1)
-    if isinstance(desc, AffineQ):
-        return (Fraction(2), Fraction(0))
-    if isinstance(desc, IntVector) and desc.k == 1:
-        return (1,)
-    if isinstance(desc, Lex):
-        return (a_positive_element(desc.top), zero(desc.bottom))
-    raise UnsupportedError(f"{desc} is not linearly ordered")
+    return desc.neg(desc.meet(desc.neg(x), desc.neg(y)))
 
 
 def lower_bound(desc, xs):
     """A deterministic element below every member of xs (desc must be directed).
 
-    Lattices return the meet.  For lex pairs whose heads differ (or whose
-    bottom is not directed) the bound is (min head - delta, 0) with delta = 1
-    for discrete scalar heads and a fixed positive element otherwise.
+    Lattices return the meet.  For lex pairs whose heads differ the bound is
+    (min head - delta, 0) with delta = 1 for discrete scalar heads and a fixed
+    positive element otherwise.
     """
     if not xs:
         raise PreconditionError("lower_bound of an empty list")
-    xs = [check_element(desc, x) for x in xs]
-    if not is_directed(desc):
+    xs = [desc.check_element(x) for x in xs]
+    if not desc.is_directed():
         raise UnsupportedError(f"{desc} is not directed")
-    if isinstance(desc, Lex):
-        heads = [x[0] for x in xs]
-        head_min = heads[0]
-        for h in heads[1:]:
-            if _linear_compare(desc.top, h, head_min) is Ordering.LT:
-                head_min = h
-        if all(h == head_min for h in heads) and is_directed(desc.bottom):
-            return (head_min, lower_bound(desc.bottom, [x[1] for x in xs]))
-        if is_scalar_discrete(desc.top):
-            delta = Fraction(1)
-        else:
-            delta = a_positive_element(desc.top)
-        return (add(desc.top, head_min, neg(desc.top, delta)), zero(desc.bottom))
-    if is_lattice(desc):
-        out = xs[0]
-        for x in xs[1:]:
-            out = meet(desc, out, x)
-        return out
-    if isinstance(desc, Product):
-        return (
-            lower_bound(desc.left, [x[0] for x in xs]),
-            lower_bound(desc.right, [x[1] for x in xs]),
-        )
-    raise UnsupportedError(f"no lower_bound rule for {desc}")
+    return desc.lower_bound(xs)
 
 
 def upper_bound(desc, xs):
@@ -453,70 +781,7 @@ def upper_bound(desc, xs):
 
 def center_member(desc, x) -> bool:
     """Structural membership in the commutative center."""
-    if is_abelian(desc):
-        return True
-    if isinstance(desc, AffineQ):
-        return x == (Fraction(1), Fraction(0))
-    if isinstance(desc, Lex):
-        return center_member(desc.top, x[0]) and center_member(desc.bottom, x[1])
-    if isinstance(desc, Product):
-        return center_member(desc.left, x[0]) and center_member(desc.right, x[1])
-    raise ShapeError(f"unknown descriptor {desc!r}")
-
-
-def interval_is_finite(desc, hi) -> bool:
-    """Whether the order interval [0, hi] has finitely many elements."""
-    if isinstance(desc, Scalar):
-        return not desc.H.is_dense or compare(hi, desc.H.zero()) is Ordering.EQ
-    if isinstance(desc, IntVector):
-        return True
-    if isinstance(desc, AffineQ):
-        return hi == zero(desc)
-    if isinstance(desc, Lex):
-        if compare_is_zero(desc.top, hi[0]):
-            return interval_is_finite(desc.bottom, hi[1])
-        return False  # a strictly positive head lets all of {0} x bottom+ below
-    if isinstance(desc, Product):
-        return interval_is_finite(desc.left, hi[0]) and interval_is_finite(desc.right, hi[1])
-    raise ShapeError(f"unknown descriptor {desc!r}")
-
-
-def compare_is_zero(desc, x) -> bool:
-    return x == zero(desc)
-
-
-def enumerate_interval(desc, hi):
-    """All elements of [0, hi]; only valid when interval_is_finite holds."""
-    if isinstance(desc, Scalar):
-        H = desc.H
-        if compare(hi, H.zero()) is Ordering.EQ:
-            return [H.zero()]
-        if H.is_dense:
-            raise UnsupportedError(f"infinite interval in {desc}")
-        top = Fraction(hi) * H.n
-        return [Fraction(k, H.n) for k in range(int(top) + 1)]
-    if isinstance(desc, IntVector):
-        out = [()]
-        for v in hi:
-            if v < 0:
-                return []
-            out = [t + (w,) for t in out for w in range(v + 1)]
-        return out
-    if isinstance(desc, AffineQ):
-        if hi == zero(desc):
-            return [zero(desc)]
-        raise UnsupportedError("infinite interval in Aff")
-    if isinstance(desc, Lex):
-        if not compare_is_zero(desc.top, hi[0]):
-            raise UnsupportedError("infinite lex interval")
-        return [(hi[0], g) for g in enumerate_interval(desc.bottom, hi[1])]
-    if isinstance(desc, Product):
-        return [
-            (l, r)
-            for l in enumerate_interval(desc.left, hi[0])
-            for r in enumerate_interval(desc.right, hi[1])
-        ]
-    raise ShapeError(f"unknown descriptor {desc!r}")
+    return desc.center_member(x)
 
 
 @dataclass(frozen=True)
@@ -537,29 +802,27 @@ def com_check(desc, a, b, budget: int = 200, rng=None) -> ComResult:
     intervals are enumerated exhaustively; otherwise pairs are sampled up to
     the budget and the answer is a witness or "inconclusive".
     """
-    a = check_element(desc, a)
-    b = check_element(desc, b)
+    a = desc.check_element(a)
+    b = desc.check_element(b)
     if not positive_cone_member(desc, a) or not positive_cone_member(desc, b):
         raise PreconditionError("com_check needs positive endpoints")
-    if is_abelian(desc):
+    if desc.is_abelian():
         return ComResult("holds", exhaustive=True)
-    if a == zero(desc) or b == zero(desc):
+    if a == desc.zero() or b == desc.zero():
         return ComResult("holds", exhaustive=True)
-    if interval_is_finite(desc, a) and interval_is_finite(desc, b):
-        for x in enumerate_interval(desc, a):
-            for y in enumerate_interval(desc, b):
-                if add(desc, x, y) != add(desc, y, x):
+    if desc.interval_is_finite(a) and desc.interval_is_finite(b):
+        for x in desc.enumerate_interval(a):
+            for y in desc.enumerate_interval(b):
+                if desc.add(x, y) != desc.add(y, x):
                     return ComResult("fails", witness=(x, y), exhaustive=True)
         return ComResult("holds", exhaustive=True)
-    from .sampling import sample_interval  # local import to avoid a cycle
-
     rng = rng or random.Random(0)
-    if add(desc, a, b) != add(desc, b, a):
+    if desc.add(a, b) != desc.add(b, a):
         return ComResult("fails", witness=(a, b))
     for _ in range(budget):
-        x = sample_interval(desc, a, rng)
-        y = sample_interval(desc, b, rng)
-        if add(desc, x, y) != add(desc, y, x):
+        x = desc.sample_interval(a, rng)
+        y = desc.sample_interval(b, rng)
+        if desc.add(x, y) != desc.add(y, x):
             return ComResult("fails", witness=(x, y))
     return ComResult("inconclusive")
 
@@ -570,20 +833,7 @@ def com_check(desc, a, b, budget: int = 200, rng=None) -> ComResult:
 
 def is_strong_unit(desc, u) -> bool:
     """Whether positive u bounds every element up to a multiple."""
-    if not positive_cone_member(desc, u):
-        return False
-    if isinstance(desc, Scalar):
-        return compare(u, desc.H.zero()) is Ordering.GT
-    if isinstance(desc, IntVector):
-        return all(v >= 1 for v in u)
-    if isinstance(desc, AffineQ):
-        return u[0] > 1
-    if isinstance(desc, Lex):
-        # multiples of a head strong unit eventually strictly dominate any head
-        return is_strong_unit(desc.top, u[0])
-    if isinstance(desc, Product):
-        return is_strong_unit(desc.left, u[0]) and is_strong_unit(desc.right, u[1])
-    raise ShapeError(f"unknown descriptor {desc!r}")
+    return desc.is_strong_unit(u)
 
 
 @dataclass(frozen=True)
@@ -599,14 +849,4 @@ class UnitalPoGroup:
 
 
 def format_element(desc, x) -> str:
-    if isinstance(desc, Scalar):
-        return format_scalar(x)
-    if isinstance(desc, IntVector):
-        return "(" + ", ".join(str(v) for v in x) + ")"
-    if isinstance(desc, AffineQ):
-        return f"({x[0]}, {x[1]})"
-    if isinstance(desc, Lex):
-        return f"({format_element(desc.top, x[0])}, {format_element(desc.bottom, x[1])})"
-    if isinstance(desc, Product):
-        return f"({format_element(desc.left, x[0])}, {format_element(desc.right, x[1])})"
-    raise ShapeError(f"unknown descriptor {desc!r}")
+    return desc.format_element(x)

@@ -148,7 +148,7 @@ def _descriptor(toks: _Tokens) -> g.GroupDescriptor:
                 toks.error("lex head must be linearly ordered")
             return g.Lex(left, right)
         return g.Product(left, right)
-    toks.error(f"unknown descriptor {name!r}")
+    toks.error(f"{name!r} is not a descriptor name (Z, Q, Aff, lex, prod)")
 
 
 def parse_interval_pea(text: str) -> IntervalPea:
@@ -163,7 +163,7 @@ def parse_interval_pea(text: str) -> IntervalPea:
     value = _value(toks)
     toks.take_symbol(")")
     toks.expect_end()
-    return IntervalPea(desc, coerce_element(desc, value))
+    return IntervalPea(desc, desc.from_parsed(value))
 
 
 # ---------------------------------------------------------------------------
@@ -241,30 +241,8 @@ def parse_value(text: str):
     return value
 
 
-def coerce_element(desc, value):
-    """Fit a parsed value tree to a descriptor (ints for vectors, etc.)."""
-    if isinstance(desc, g.IntVector):
-        if isinstance(value, Fraction):
-            value = (value,)
-        if not isinstance(value, tuple):
-            raise ParseError(f"expected an integer vector, got {value!r}")
-        out = []
-        for v in value:
-            if not isinstance(v, Fraction) or v.denominator != 1:
-                raise ParseError(f"expected integers in a vector, got {v!r}")
-            out.append(int(v))
-        return g.check_element(desc, tuple(out))
-    if isinstance(desc, (g.Lex, g.Product)):
-        if not (isinstance(value, tuple) and len(value) == 2):
-            raise ParseError(f"expected a pair for {g.describe(desc)}")
-        left_desc = desc.top if isinstance(desc, g.Lex) else desc.left
-        right_desc = desc.bottom if isinstance(desc, g.Lex) else desc.right
-        return (coerce_element(left_desc, value[0]), coerce_element(right_desc, value[1]))
-    return g.check_element(desc, value)
-
-
 def parse_element(desc, text: str):
-    return coerce_element(desc, parse_value(text))
+    return desc.from_parsed(parse_value(text))
 
 
 # ---------------------------------------------------------------------------

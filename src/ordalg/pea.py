@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import groups as g
 from .errors import PreconditionError, UnsupportedError
@@ -298,11 +297,6 @@ class IntervalPea:
 
     def __repr__(self):
         return f"IntervalPea({g.describe(self.group)}, unit={g.format_element(self.group, self.unit)})"
-
-
-def interval_chain(n: int) -> IntervalPea:
-    """Gamma(Z, n): the (n+1)-element chain as an interval algebra."""
-    return IntervalPea(g.ZZ, Fraction(n))
 
 
 def check_interval_axioms_sampled(E: IntervalPea, rng, rounds=120):

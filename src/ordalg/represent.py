@@ -19,7 +19,7 @@ from . import groups as g
 from .decomp import _integral_action, classify_perfect
 from .errors import PreconditionError, UnsupportedError
 from .pea import IntervalPea
-from .sampling import sample_element, sample_positive
+from .sampling import sample_element
 from .scalars import Ordering, ScalarSubgroup, compare
 
 

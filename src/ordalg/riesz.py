@@ -147,12 +147,8 @@ def _decompose_lex(desc, a1, a2, b1, b2, level, dense_head):
     zt = g.zero(top)
     (m1, ta1), (m2, ta2), (n1, tb1), (n2, tb2) = a1, a2, b1, b2
 
-    def solve_bottom(x1, x2, y1, y2):
-        sub = decompose_raw(bottom, x1, x2, y1, y2, level, dense_head)
-        return sub
-
     if m1 == zt and m2 == zt:
-        e11, e12, e21, e22 = solve_bottom(ta1, ta2, tb1, tb2)
+        e11, e12, e21, e22 = decompose_raw(bottom, ta1, ta2, tb1, tb2, level, dense_head)
         return ((zt, e11), (zt, e12), (zt, e21), (zt, e22))
 
     if m2 == zt:
@@ -166,9 +162,8 @@ def _decompose_lex(desc, a1, a2, b1, b2, level, dense_head):
             )
         # n2 == 0 (so n1 == m1): shift the first column by d <= a1, b1
         d = g.lower_bound(bottom, [ta1, tb1])
-        e11, e12, e21, e22 = solve_bottom(
-            g.sub_left(bottom, d, ta1), ta2, g.sub_left(bottom, d, tb1), tb2
-        )
+        x1, y1 = g.sub_left(bottom, d, ta1), g.sub_left(bottom, d, tb1)
+        e11, e12, e21, e22 = decompose_raw(bottom, x1, ta2, y1, tb2, level, dense_head)
         return (
             (m1, g.add(bottom, d, e11)),
             (zt, e12),
@@ -187,9 +182,8 @@ def _decompose_lex(desc, a1, a2, b1, b2, level, dense_head):
             )
         # n1 == 0 (so n2 == m2): shift the second row by d <= a2, b2
         d = g.lower_bound(bottom, [ta2, tb2])
-        e11, e12, e21, e22 = solve_bottom(
-            ta1, g.sub_right(bottom, ta2, d), tb1, g.sub_right(bottom, tb2, d)
-        )
+        x2, y2 = g.sub_right(bottom, ta2, d), g.sub_right(bottom, tb2, d)
+        e11, e12, e21, e22 = decompose_raw(bottom, ta1, x2, tb1, y2, level, dense_head)
         return (
             (zt, e11),
             (zt, e12),
@@ -207,12 +201,9 @@ def _decompose_lex(desc, a1, a2, b1, b2, level, dense_head):
         return _decompose_lex_dense(desc, a1, a2, b1, b2, level)
 
     d = g.lower_bound(bottom, [ta1, ta2, tb1, tb2])
-    e11, e12, e21, e22 = solve_bottom(
-        g.sub_left(bottom, d, ta1),
-        g.sub_right(bottom, ta2, d),
-        g.sub_left(bottom, d, tb1),
-        g.sub_right(bottom, tb2, d),
-    )
+    x1, x2 = g.sub_left(bottom, d, ta1), g.sub_right(bottom, ta2, d)
+    y1, y2 = g.sub_left(bottom, d, tb1), g.sub_right(bottom, tb2, d)
+    e11, e12, e21, e22 = decompose_raw(bottom, x1, x2, y1, y2, level, dense_head)
     if g.leq(top, n1, m1):  # m1 >= n1
         return (
             (n1, g.add(bottom, d, e11)),
@@ -247,7 +238,7 @@ def _decompose_lex_dense(desc, a1, a2, b1, b2, level):
         ks = [int(v) for v in r]
         surplus = [H.zero()] * 4
     else:
-        m = min((s1, s2, t1, t2), key=_dense_sort_key(H))
+        m = min((s1, s2, t1, t2), key=_scalar_key)
         step = pick_strictly_between(H, H.zero(), m * Fraction(1, 4))
         k1 = floor_multiple_below(s1, step)
         k2 = floor_multiple_below(s2, step)
@@ -285,10 +276,6 @@ def _decompose_lex_dense(desc, a1, a2, b1, b2, level):
 _scalar_key = functools.cmp_to_key(lambda u, v: int(compare(u, v)))
 
 
-def _dense_sort_key(H):
-    return _scalar_key
-
-
 def decompose_raw(desc, a1, a2, b1, b2, level, dense_head):
     if isinstance(desc, g.Lex):
         if level == "rdp2":
@@ -306,13 +293,13 @@ def decompose_raw(desc, a1, a2, b1, b2, level, dense_head):
         return _decompose_lex(desc, a1, a2, b1, b2, level, dense_head)
     if g.is_linearly_ordered(desc):
         return _min_based(desc, a1, a2, b1, b2)
-    if isinstance(desc, g.IntVector):
-        return _componentwise_int(a1, a2, b1, b2)
     if isinstance(desc, g.Product):
-        lt = decompose_raw(desc.left, a1[0], a2[0], b1[0], b2[0], level, dense_head)
-        rt = decompose_raw(desc.right, a1[1], a2[1], b1[1], b2[1], level, dense_head)
-        return tuple((l, r) for l, r in zip(lt, rt))
-    raise UnsupportedError(f"no decomposition rule for {desc}")
+        tables = [
+            decompose_raw(part, a1[i], a2[i], b1[i], b2[i], level, dense_head)
+            for i, part in enumerate(desc.parts)
+        ]
+        return tuple(zip(*tables))
+    return _componentwise_int(a1, a2, b1, b2)  # Z^k with k >= 2
 
 
 def rdp_decompose(desc, a1, a2, b1, b2, level="rdp", dense_head="reduce"):
@@ -366,83 +353,6 @@ def rip_interpolate(desc, a1, a2, b1, b2):
 # exhaustive oracle
 
 
-def _iter_signed(limit_lo: int, limit_hi: int):
-    """0, 1, -1, 2, -2, ... clipped to [limit_lo, limit_hi]."""
-    if limit_lo > limit_hi:
-        return
-    start = 0 if limit_lo <= 0 <= limit_hi else (limit_lo if limit_lo > 0 else limit_hi)
-    yield start
-    k = 1
-    while True:
-        emitted = False
-        for cand in (start + k, start - k):
-            if limit_lo <= cand <= limit_hi:
-                yield cand
-                emitted = True
-        if not emitted and (start + k > limit_hi and start - k < limit_lo):
-            return
-        k += 1
-
-
-def _iter_bounded(desc, uppers, nonneg: bool, box: int):
-    """Elements of desc with data in [-box, box], below all uppers, >= 0 if asked."""
-    if isinstance(desc, g.Scalar):
-        H = desc.H
-        if H.is_dense:
-            raise UnsupportedError("oracle enumeration needs a discrete scalar")
-        n = H.n
-        hi = box
-        for u in uppers:
-            hi = min(hi, int(Fraction(u) * n))
-        lo = 0 if nonneg else -box
-        for k in _iter_signed(lo, hi):
-            yield Fraction(k, n)
-        return
-    if isinstance(desc, g.IntVector):
-        ranges = []
-        for i in range(desc.k):
-            hi = min([box] + [u[i] for u in uppers])
-            lo = 0 if nonneg else -box
-            ranges.append((lo, hi))
-
-        def rec(i):
-            if i == desc.k:
-                yield ()
-                return
-            lo, hi = ranges[i]
-            for v in _iter_signed(lo, hi):
-                for rest in rec(i + 1):
-                    yield (v,) + rest
-
-        yield from rec(0)
-        return
-    if isinstance(desc, g.Lex) and isinstance(desc.top, g.Scalar):
-        top, bottom = desc.top, desc.bottom
-        if top.H.is_dense:
-            raise UnsupportedError("oracle enumeration needs a discrete scalar head")
-        n = top.H.n
-        hi_k = box
-        for u in uppers:
-            hi_k = min(hi_k, int(Fraction(u[0]) * n))
-        lo_k = 0 if nonneg else -box
-        for k in range(lo_k, hi_k + 1):
-            h = Fraction(k, n)
-            tail_uppers = [u[1] for u in uppers if u[0] == h]
-            strict_ok = all(compare(h, u[0]) is not Ordering.GT for u in uppers)
-            if not strict_ok:
-                continue
-            tail_nonneg = nonneg and h == 0
-            for t in _iter_bounded(bottom, tail_uppers, tail_nonneg, box):
-                yield (h, t)
-        return
-    if isinstance(desc, g.Product):
-        for l in _iter_bounded(desc.left, [u[0] for u in uppers], nonneg, box):
-            for r in _iter_bounded(desc.right, [u[1] for u in uppers], nonneg, box):
-                yield (l, r)
-        return
-    raise UnsupportedError(f"oracle enumeration unsupported on {desc}")
-
-
 @dataclass(frozen=True)
 class OracleResult:
     found: bool
@@ -458,7 +368,7 @@ def rdp_oracle_search(desc, a1, a2, b1, b2, level="rdp", box=20):
     """
     lv = _norm_level(level)
     a1, a2, b1, b2 = check_instance(desc, a1, a2, b1, b2)
-    for c11 in _iter_bounded(desc, [a1, b1], True, box):
+    for c11 in desc.iter_bounded([a1, b1], True, box):
         c12 = g.sub_left(desc, c11, a1)
         if not g.positive_cone_member(desc, c12):
             continue

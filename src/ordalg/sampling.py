@@ -1,16 +1,23 @@
 """Seeded random generation of group elements.
 
 All sampled checks in the package draw from these helpers with an explicit
-``random.Random`` instance so every run is reproducible.
+``random.Random`` instance so every run is reproducible.  The rules for each
+descriptor are methods of its class in :mod:`ordalg.groups`; the scalar
+rules they build on live here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import groups as g
-from .errors import ShapeError
-from .scalars import QuadraticNumber, ScalarSubgroup, SubgroupKind
+from .scalars import (
+    Ordering,
+    QuadraticNumber,
+    ScalarSubgroup,
+    SubgroupKind,
+    compare,
+    pick_strictly_between,
+)
 
 
 def sample_scalar(H: ScalarSubgroup, rng, bound: int = 10):
@@ -25,44 +32,16 @@ def sample_scalar(H: ScalarSubgroup, rng, bound: int = 10):
 
 def sample_element(desc, rng, bound: int = 10):
     """A random element of the group, integer data bounded by ``bound``."""
-    if isinstance(desc, g.Scalar):
-        return sample_scalar(desc.H, rng, bound)
-    if isinstance(desc, g.IntVector):
-        return tuple(rng.randint(-bound, bound) for _ in range(desc.k))
-    if isinstance(desc, g.AffineQ):
-        a = Fraction(rng.randint(1, bound), rng.randint(1, bound))
-        b = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-        return (a, b)
-    if isinstance(desc, g.Lex):
-        return (sample_element(desc.top, rng, bound), sample_element(desc.bottom, rng, bound))
-    if isinstance(desc, g.Product):
-        return (sample_element(desc.left, rng, bound), sample_element(desc.right, rng, bound))
-    raise ShapeError(f"unknown descriptor {desc!r}")
+    return desc.sample_element(rng, bound)
 
 
 def sample_positive(desc, rng, bound: int = 10):
     """A random element of the positive cone."""
-    if isinstance(desc, g.Scalar) or isinstance(desc, g.AffineQ):
-        x = sample_element(desc, rng, bound)
-        return x if g.positive_cone_member(desc, x) else g.neg(desc, x)
-    if isinstance(desc, g.IntVector):
-        return tuple(rng.randint(0, bound) for _ in range(desc.k))
-    if isinstance(desc, g.Lex):
-        head = sample_element(desc.top, rng, bound)
-        if not g.positive_cone_member(desc.top, head):
-            head = g.neg(desc.top, head)
-        if head == g.zero(desc.top):
-            return (head, sample_positive(desc.bottom, rng, bound))
-        return (head, sample_element(desc.bottom, rng, bound))
-    if isinstance(desc, g.Product):
-        return (sample_positive(desc.left, rng, bound), sample_positive(desc.right, rng, bound))
-    raise ShapeError(f"unknown descriptor {desc!r}")
+    return desc.sample_positive(rng, bound)
 
 
 def _sample_scalar_between(H: ScalarSubgroup, lo, hi, rng, tries: int = 40):
     """A member of H in the closed interval [lo, hi] (lo <= hi assumed)."""
-    from .scalars import Ordering, compare, pick_strictly_between
-
     if compare(lo, hi) is Ordering.EQ:
         return lo
     if H.kind is SubgroupKind.CYCLIC:
@@ -89,49 +68,4 @@ def _sample_scalar_between(H: ScalarSubgroup, lo, hi, rng, tries: int = 40):
 
 def sample_interval(desc, hi, rng, bound: int = 10):
     """A random element x with 0 <= x <= hi."""
-    zero = g.zero(desc)
-    if hi == zero:
-        return zero
-    if isinstance(desc, g.Scalar):
-        return _sample_scalar_between(desc.H, desc.H.zero(), hi, rng)
-    if isinstance(desc, g.IntVector):
-        return tuple(rng.randint(0, v) for v in hi)
-    if isinstance(desc, g.AffineQ):
-        a1, b1 = hi
-        if a1 == 1:  # [0, (1,b1)] = {(1, e): 0 <= e <= b1}
-            return (Fraction(1), b1 * Fraction(rng.randint(0, 16), 16))
-        choice = rng.randint(0, 3)
-        if choice == 0:
-            return zero
-        if choice == 1:
-            return hi
-        if choice == 2:  # boundary heads
-            if rng.random() < 0.5:
-                return (Fraction(1), Fraction(rng.randint(0, bound)))
-            return (a1, b1 - Fraction(rng.randint(0, bound)))
-        # interior head: any tail is allowed
-        c = Fraction(1) + (a1 - 1) * Fraction(rng.randint(1, 15), 16)
-        e = Fraction(rng.randint(-bound, bound), rng.randint(1, 4))
-        return (c, e)
-    if isinstance(desc, g.Lex):
-        h_hi = hi[0]
-        top, bottom = desc.top, desc.bottom
-        if h_hi == g.zero(top):
-            return (h_hi, sample_interval(bottom, hi[1], rng, bound))
-        if isinstance(top, g.Scalar):
-            s = _sample_scalar_between(top.H, top.H.zero(), h_hi, rng)
-        else:
-            s = rng.choice([g.zero(top), h_hi])
-        if s == g.zero(top):
-            return (s, sample_positive(bottom, rng, bound))
-        if s == h_hi:
-            # tail must be <= hi tail: hi_tail - positive
-            delta = sample_positive(bottom, rng, bound)
-            return (s, g.add(bottom, hi[1], g.neg(bottom, delta)))
-        return (s, sample_element(bottom, rng, bound))
-    if isinstance(desc, g.Product):
-        return (
-            sample_interval(desc.left, hi[0], rng, bound),
-            sample_interval(desc.right, hi[1], rng, bound),
-        )
-    raise ShapeError(f"unknown descriptor {desc!r}")
+    return desc.sample_interval(hi, rng, bound)

@@ -49,9 +49,9 @@ class QuadraticNumber:
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
         if self.d < 2 or math.isqrt(self.d) ** 2 == self.d:
-            raise ValueError(f"d must be a non-square integer >= 2, got {self.d}")
+            raise PreconditionError(f"d must be a non-square integer >= 2, got {self.d}")
         if not _is_square_free(self.d):
-            raise ValueError(f"d must be square-free, got {self.d}")
+            raise PreconditionError(f"d must be square-free, got {self.d}")
 
     def _check(self, other: "QuadraticNumber") -> "QuadraticNumber":
         if isinstance(other, (int, Fraction)):
@@ -156,7 +156,7 @@ class ScalarSubgroup:
     @staticmethod
     def cyclic(n: int) -> "ScalarSubgroup":
         if n < 1:
-            raise ValueError("cyclic order must be >= 1")
+            raise PreconditionError("cyclic order must be >= 1")
         return ScalarSubgroup(SubgroupKind.CYCLIC, n=n)
 
     @staticmethod
@@ -218,12 +218,6 @@ class ScalarSubgroup:
         if self.kind is SubgroupKind.FULL_Q:
             return "Q"
         return f"Q[sqrt {self.d}]"
-
-
-def _same_domain(H: ScalarSubgroup, *xs):
-    for x in xs:
-        if not H.contains(x):
-            raise DomainMismatchError(f"{x} is not a member of {H}")
 
 
 def compare(x, y) -> Ordering:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import groups as g
 from .errors import UnsupportedError
 from .pea import FinitePea, IntervalPea
 from .scalars import ScalarSubgroup
@@ -270,14 +269,3 @@ class FirstCoordinateState:
     @property
     def H(self) -> ScalarSubgroup:
         return self.pea.head_subgroup
-
-
-def state_check_additive(E, s, pairs):
-    """Verify s(a+b) = s(a) + s(b) over explicit pairs; returns a witness or None."""
-    for a, b in pairs:
-        ab = E.add(a, b)
-        if ab is None:
-            continue
-        if s(ab) != s(a) + s(b):
-            return (a, b)
-    return None

@@ -197,6 +197,19 @@ def test_cli_error_exit_code():
     assert "error:" in output
 
 
+def test_cli_errors_keep_the_contract(tmp_path):
+    for argv in (
+        ("check-rdp", "--group", "Z^0", "--a1", "0", "--a2", "0", "--b1", "0", "--b2", "0"),
+        ("check-rdp", "--group", "Z/0", "--a1", "0", "--a2", "0", "--b1", "0", "--b2", "0"),
+        ("check-axioms", str(tmp_path / "missing.pea")),
+        ("states", str(tmp_path / "missing.pea")),
+    ):
+        code, output = run_cli(*argv)
+        assert code == 2
+        assert output.startswith("error: ")
+        assert "#! verdict=error message=" in output
+
+
 def test_cli_decompose_finite_file(tmp_path):
     path = tmp_path / "chain.pea"
     path.write_text(format_pea_file(finite_chain(2)))

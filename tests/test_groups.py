@@ -240,10 +240,35 @@ def test_divide_exact():
     assert g.add(AFF, got, got) == (f(4), f(3))
 
 
-def test_g_op_dispatcher():
-    assert g.g_op(Z2, "add", (1, 2), (3, -5)) == (4, -3)
-    assert g.g_op(Z2, "neg", (1, 2)) == (-1, -2)
-    assert g.g_op(Z2, "zero") == (0, 0)
+def test_divide_affine_exact_roots_at_any_size():
+    # square and cube roots past float precision, and past the float range
+    big = 2**70 + 3
+    assert g.divide(AFF, (f(big**2), f(0)), 2) == (f(big), f(0))
+    c = 5505982976679047
+    assert g.divide(AFF, (f(c**3), f(0)), 3) == (f(c), f(0))
+    assert g.divide(AFF, (f(10**400), f(0)), 2) == (f(10**200), f(0))
+    assert g.divide(AFF, (f(c**3 + 1), f(0)), 3) is None
+    assert g.divide(AFF, (Fraction(big**2, 9), f(1)), 2) == (Fraction(big, 3), Fraction(3, big + 3))
+
+
+def test_cyclic_scalars_reject_non_members():
+    with pytest.raises(ShapeError):
+        g.check_element(Z, Fraction(1, 2))
+    with pytest.raises(ShapeError):
+        g.check_element(g.Scalar(ScalarSubgroup.cyclic(4)), Fraction(1, 3))
+    assert g.check_element(g.Scalar(ScalarSubgroup.cyclic(4)), Fraction(3, 2)) == Fraction(3, 2)
+    assert g.check_element(Q, Fraction(1, 3)) == Fraction(1, 3)
+    with pytest.raises(ShapeError):
+        g.check_element(LEX_ZZ, (Fraction(1, 2), f(0)))
+
+
+def test_constructors_raise_package_errors():
+    with pytest.raises(PreconditionError):
+        g.IntVector(0)
+    with pytest.raises(PreconditionError):
+        ScalarSubgroup.cyclic(0)
+    with pytest.raises(PreconditionError):
+        ScalarSubgroup.quadratic(4)
 
 
 def test_strong_unit_checks():

@@ -18,7 +18,6 @@ from ordalg.pea import (
     finite_chain,
     ideals_enumerate,
     infinitesimals,
-    interval_chain,
     is_symmetric,
 )
 from ordalg.scalars import ScalarSubgroup
@@ -180,7 +179,7 @@ def test_interval_axioms_sampled():
 
 
 def test_cyclic_elements_chain():
-    E = interval_chain(2)
+    E = IntervalPea(g.ZZ, Fraction(2))  # Gamma(Z, 2): the 3-element chain
     found = cyclic_elements(E, 2)
     assert len(found) == 1
     assert found[0].element == f(1) and found[0].strong

@@ -1,0 +1,131 @@
+"""Seeded property checks over random descriptor trees of depth <= 3.
+
+Every tree is built from all five descriptor classes with stdlib ``random``;
+the checks are the group laws, the order axioms, the element-format round
+trips and the interval sampler's bounds.
+"""
+
+import random
+
+import pytest
+
+from ordalg import groups as g
+from ordalg.parsing import parse_element
+from ordalg.sampling import sample_element, sample_interval, sample_positive
+from ordalg.scalars import ScalarSubgroup
+
+SCALARS = [
+    g.ZZ,
+    g.QQ,
+    g.Scalar(ScalarSubgroup.cyclic(2)),
+    g.Scalar(ScalarSubgroup.cyclic(3)),
+    g.Scalar(ScalarSubgroup.quadratic(2)),
+    g.Scalar(ScalarSubgroup.quadratic(3)),
+]
+
+
+def random_descriptor(rng, depth, linear=False):
+    """A random descriptor tree; ``linear`` keeps it linearly ordered (lex heads)."""
+    if depth > 0 and rng.random() < 0.7:
+        kind = "lex" if linear else rng.choice(["lex", "prod"])
+    else:
+        kind = rng.choice(["scalar", "vector", "affine"])
+    if kind == "scalar":
+        return rng.choice(SCALARS)
+    if kind == "vector":
+        return g.IntVector(1 if linear else rng.randint(1, 3))
+    if kind == "affine":
+        return g.AffineQ()
+    if kind == "lex":
+        head = random_descriptor(rng, depth - 1, linear=True)
+        return g.Lex(head, random_descriptor(rng, depth - 1, linear=linear))
+    return g.Product(random_descriptor(rng, depth - 1), random_descriptor(rng, depth - 1))
+
+
+def trees(seed, count=60):
+    rng = random.Random(seed)
+    return [random_descriptor(rng, rng.randint(0, 3)) for _ in range(count)]
+
+
+TREES = trees(2024)
+
+
+def test_trees_cover_every_descriptor_class():
+    seen = set()
+
+    def walk(desc):
+        seen.add(type(desc))
+        for part in vars(desc).values():
+            if isinstance(part, g.GroupDescriptor):
+                walk(part)
+
+    for desc in TREES:
+        walk(desc)
+    assert seen == {g.Scalar, g.IntVector, g.AffineQ, g.Lex, g.Product}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_group_laws(seed):
+    rng = random.Random(seed)
+    for desc in TREES:
+        zero = g.zero(desc)
+        for _ in range(6):
+            x, y, z = (sample_element(desc, rng, 4) for _ in range(3))
+            assert g.add(desc, g.add(desc, x, y), z) == g.add(desc, x, g.add(desc, y, z))
+            assert g.add(desc, x, zero) == x == g.add(desc, zero, x)
+            assert g.add(desc, x, g.neg(desc, x)) == zero == g.add(desc, g.neg(desc, x), x)
+            if g.is_abelian(desc):
+                assert g.add(desc, x, y) == g.add(desc, y, x)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_order_axioms(seed):
+    rng = random.Random(100 + seed)
+    for desc in TREES:
+        for _ in range(6):
+            x, y, z, w = (sample_element(desc, rng, 2) for _ in range(4))
+            assert g.leq(desc, x, x)
+            if g.leq(desc, x, y) and g.leq(desc, y, x):
+                assert x == y
+            if g.leq(desc, x, y) and g.leq(desc, y, z):
+                assert g.leq(desc, x, z)
+            # a chain x <= x + p <= x + p + q exercises transitivity every time
+            up = g.add(desc, x, sample_positive(desc, rng, 3))
+            top = g.add(desc, up, sample_positive(desc, rng, 3))
+            assert g.leq(desc, x, up) and g.leq(desc, up, top) and g.leq(desc, x, top)
+            if g.leq(desc, x, y):
+                lhs = g.add(desc, g.add(desc, z, x), w)
+                rhs = g.add(desc, g.add(desc, z, y), w)
+                assert g.leq(desc, lhs, rhs)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_element_format_round_trips(seed):
+    rng = random.Random(200 + seed)
+    for desc in TREES:
+        for _ in range(5):
+            x = sample_element(desc, rng, 6)
+            checked = g.check_element(desc, x)
+            assert g.check_element(desc, checked) == checked == x
+            assert parse_element(desc, g.format_element(desc, x)) == x
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_divide_inverts_scale(seed):
+    rng = random.Random(300 + seed)
+    for desc in TREES:
+        for _ in range(4):
+            x = sample_element(desc, rng, 5)
+            for n in (2, 3):
+                assert g.divide(desc, g.scale(desc, x, n), n) == x
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_sample_interval_stays_inside(seed):
+    rng = random.Random(400 + seed)
+    for desc in TREES:
+        zero = g.zero(desc)
+        for _ in range(5):
+            hi = sample_positive(desc, rng, 5)
+            x = sample_interval(desc, hi, rng, 5)
+            assert g.leq(desc, zero, x) and g.leq(desc, x, hi)

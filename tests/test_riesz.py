@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ordalg import groups as g
-from ordalg.errors import PreconditionError, UnsupportedError
+from ordalg.errors import PreconditionError, ShapeError, UnsupportedError
 from ordalg.riesz import (
     DecompositionTable,
     check_instance,
@@ -102,6 +102,13 @@ def test_sum_mismatch_rejected():
 def test_nonpositive_rejected():
     with pytest.raises(PreconditionError):
         rdp_decompose(Z2, (-1, 0), (1, 1), (0, 1), (0, 0))
+
+
+def test_non_members_of_z_rejected():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    with pytest.raises(ShapeError):
+        rdp_decompose(LEX_ZZ, (half, f(0)), (half, f(0)), (third, f(0)), (1 - third, f(0)),
+                      level="rdp1")
 
 
 @pytest.mark.parametrize(
