@@ -3,7 +3,6 @@
 from .scalars import (
     Ordering,
     QuadraticNumber,
-    Rational,
     ScalarSubgroup,
     classify,
     compare,
@@ -22,7 +21,6 @@ from .groups import (
 __all__ = [
     "Ordering",
     "QuadraticNumber",
-    "Rational",
     "ScalarSubgroup",
     "classify",
     "compare",

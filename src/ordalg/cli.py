@@ -412,7 +412,7 @@ def main(argv=None):
     out = []
     try:
         code = args.func(args, out)
-    except (OrdalgError, OSError) as err:
+    except (OrdalgError, OSError, UnicodeDecodeError) as err:
         out.append(f"error: {err}")
         out.append(f"#! verdict=error message={str(err).replace(' ', '_')}")
         code = 2

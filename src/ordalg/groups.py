@@ -33,11 +33,9 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import ParseError, PreconditionError, ShapeError, UnsupportedError
-from .sampling import _sample_scalar_between, sample_scalar
 from .scalars import (
     Ordering,
     ScalarSubgroup,
-    SubgroupKind,
     compare,
     format_scalar,
     pick_strictly_between,
@@ -152,10 +150,7 @@ class Scalar(GroupDescriptor):
     H: ScalarSubgroup
 
     def __str__(self):
-        H = self.H
-        if H.kind is SubgroupKind.CYCLIC:
-            return "Z" if H.n == 1 else f"Z/{H.n}"
-        return str(H)
+        return "Z" if self == ZZ else str(self.H)
 
     def check_element(self, x):
         H = self.H
@@ -163,7 +158,7 @@ class Scalar(GroupDescriptor):
             x = H.coerce(x)
         except (TypeError, ValueError):
             raise ShapeError(f"{x!r} is not a scalar of {self}")
-        if H.kind is SubgroupKind.CYCLIC and H.n % x.denominator:
+        if not H.admits(x):
             raise ShapeError(f"{x} is not an element of {self}")
         return x
 
@@ -215,10 +210,13 @@ class Scalar(GroupDescriptor):
 
     def sample_element(self, rng, bound: int = 10):
         """A random element of the group, integer data bounded by ``bound``."""
-        return sample_scalar(self.H, rng, bound)
+        return self.H.sample(rng, bound)
 
     def _sample_interval(self, hi, rng, bound):
-        return _sample_scalar_between(self.H, self.H.zero(), hi, rng)
+        zero = self.H.zero()
+        if compare(zero, hi) is Ordering.EQ:
+            return zero
+        return self.H.sample_between(zero, hi, rng)
 
     # a scalar lex head is drawn like any scalar of [0, hi]
     _sample_head = _sample_interval

@@ -90,13 +90,13 @@ class _Tokens:
 
 def parse_subgroup(text: str) -> ScalarSubgroup:
     toks = _Tokens(text)
-    H = _subgroup(toks)
+    H = _subgroup(toks, toks.take_name())
     toks.expect_end()
     return H
 
 
-def _subgroup(toks: _Tokens) -> ScalarSubgroup:
-    name = toks.take_name()
+def _subgroup(toks: _Tokens, name: str) -> ScalarSubgroup:
+    """Z | Z/n | Q | Q[sqrt d], after its leading name."""
     if name == "Z":
         if toks.try_symbol("/"):
             return ScalarSubgroup.cyclic(toks.take_int())
@@ -121,20 +121,10 @@ def parse_descriptor(text: str) -> g.GroupDescriptor:
 
 def _descriptor(toks: _Tokens) -> g.GroupDescriptor:
     name = toks.take_name()
-    if name == "Z":
-        if toks.try_symbol("/"):
-            return g.Scalar(ScalarSubgroup.cyclic(toks.take_int()))
-        if toks.try_symbol("^"):
-            return g.IntVector(toks.take_int())
-        return g.ZZ
-    if name == "Q":
-        if toks.try_symbol("["):
-            if toks.take_name() != "sqrt":
-                toks.error("expected sqrt in Q[sqrt d]")
-            d = toks.take_int()
-            toks.take_symbol("]")
-            return g.Scalar(ScalarSubgroup.quadratic(d))
-        return g.QQ
+    if name == "Z" and toks.try_symbol("^"):
+        return g.IntVector(toks.take_int())
+    if name in ("Z", "Q"):
+        return g.Scalar(_subgroup(toks, name))
     if name == "Aff":
         return g.AffineQ()
     if name in ("lex", "prod"):

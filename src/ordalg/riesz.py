@@ -25,10 +25,16 @@ from fractions import Fraction
 from math import lcm
 
 from . import groups as g
-from .errors import NoElementError, PreconditionError, UnsupportedError
+from .errors import (
+    DomainMismatchError,
+    NoElementError,
+    PreconditionError,
+    ShapeError,
+    UnsupportedError,
+)
 from .scalars import (
     Ordering,
-    SubgroupKind,
+    ScalarSubgroup,
     compare,
     floor_multiple_below,
     pick_strictly_between,
@@ -85,6 +91,11 @@ def rdp_table_verify(desc, a1, a2, b1, b2, table, level=None, com_budget=200, rn
     lv = _norm_level(level if level is not None else table.level)
     c11, c12, c21, c22 = table.entries()
     for name, c in zip(("c11", "c12", "c21", "c22"), table.entries()):
+        # members with the right sums make the four inputs members too
+        try:
+            g.check_element(desc, c)
+        except (ShapeError, DomainMismatchError):
+            return VerifyResult(False, f"{name} is not an element of {desc}")
         if not g.positive_cone_member(desc, c):
             return VerifyResult(False, f"{name} not positive")
     if g.add(desc, c11, c12) != a1:
@@ -230,7 +241,7 @@ def _decompose_lex_dense(desc, a1, a2, b1, b2, level):
     H = top.H
     (s1, ta1), (s2, ta2), (t1, tb1), (t2, tb2) = a1, a2, b1, b2
 
-    if H.kind is SubgroupKind.FULL_Q:
+    if H == ScalarSubgroup.rationals():
         # exact reduction: all heads already lie in (1/n)Z
         n = lcm(s1.denominator, s2.denominator, t1.denominator, t2.denominator)
         step = Fraction(1, n)

@@ -17,8 +17,6 @@ from fractions import Fraction
 
 from .errors import DomainMismatchError, NoElementError, PreconditionError
 
-Rational = Fraction
-
 
 class Ordering(enum.IntEnum):
     LT = -1
@@ -139,57 +137,43 @@ class QuadraticNumber:
         return lo
 
 
-class SubgroupKind(enum.Enum):
-    CYCLIC = "cyclic"
-    FULL_Q = "rationals"
-    QUADRATIC = "quadratic"
-
-
-@dataclass(frozen=True)
 class ScalarSubgroup:
-    """A computable subgroup of the reals containing 1."""
+    """A computable subgroup of the reals containing 1.
 
-    kind: SubgroupKind
-    n: int = 1  # cyclic order for CYCLIC: the group (1/n)Z
-    d: int = 0  # radicand for QUADRATIC: the group Z + Z*sqrt(d)
+    Each kind is a private subclass -- (1/n)Z, Q and Z + Z*sqrt(d) -- built
+    by the three constructors below.  Besides the value rules (the defaults
+    here are those of the two kinds with Fraction values) each one has
+    ``pick_between(lo, hi)``, the deterministic witness for coerced lo < hi;
+    ``grid(max_den, coeff_bound)``, a witness grid of [0, 1]; and the
+    samplers ``sample(rng, bound)`` and ``sample_between(lo, hi, rng)``,
+    a member of [lo, hi] for lo < hi.
+    """
+
+    is_dense = True
 
     @staticmethod
     def cyclic(n: int) -> "ScalarSubgroup":
         if n < 1:
             raise PreconditionError("cyclic order must be >= 1")
-        return ScalarSubgroup(SubgroupKind.CYCLIC, n=n)
+        return _Cyclic(n)
 
     @staticmethod
     def rationals() -> "ScalarSubgroup":
-        return ScalarSubgroup(SubgroupKind.FULL_Q)
+        return _Rationals()
 
     @staticmethod
     def quadratic(d: int) -> "ScalarSubgroup":
         QuadraticNumber(0, 0, d)  # validates d
-        return ScalarSubgroup(SubgroupKind.QUADRATIC, d=d)
-
-    @property
-    def is_dense(self) -> bool:
-        return self.kind is not SubgroupKind.CYCLIC
+        return _Quadratic(d)
 
     def zero(self):
-        if self.kind is SubgroupKind.QUADRATIC:
-            return QuadraticNumber(0, 0, self.d)
         return Fraction(0)
 
     def one(self):
-        if self.kind is SubgroupKind.QUADRATIC:
-            return QuadraticNumber(1, 0, self.d)
         return Fraction(1)
 
     def coerce(self, x):
         """Convert ints/Fractions to this subgroup's value type (no membership check)."""
-        if self.kind is SubgroupKind.QUADRATIC:
-            if isinstance(x, QuadraticNumber):
-                if x.d != self.d:
-                    raise DomainMismatchError(f"sqrt({x.d}) value in Q[sqrt {self.d}]")
-                return x
-            return QuadraticNumber(Fraction(x), Fraction(0), self.d)
         if isinstance(x, QuadraticNumber):
             if x.b == 0:
                 return Fraction(x.a)
@@ -197,27 +181,160 @@ class ScalarSubgroup:
         return Fraction(x)
 
     def contains(self, x) -> bool:
-        if isinstance(x, QuadraticNumber) and x.b == 0:
-            x = x.a
-        if self.kind is SubgroupKind.QUADRATIC:
-            if not isinstance(x, QuadraticNumber):
-                return isinstance(x, (int, Fraction)) and Fraction(x).denominator == 1
-            if x.d != self.d:
-                return False
-            return x.a.denominator == 1 and x.b.denominator == 1
         if isinstance(x, QuadraticNumber):
-            return False
-        x = Fraction(x)
-        if self.kind is SubgroupKind.FULL_Q:
-            return True
-        return (x * self.n).denominator == 1
+            if x.b != 0:
+                return False
+            x = x.a
+        return self.admits(Fraction(x))
+
+    def admits(self, x) -> bool:
+        """Whether ``Scalar.check_element`` takes a value already coerced here."""
+        return True
+
+    def classify(self):
+        return ("dense", None)
+
+
+@dataclass(frozen=True)
+class _Cyclic(ScalarSubgroup):
+    """(1/n)Z: the leftmost grid point is the witness, the grid is all of k/n."""
+
+    n: int
+    is_dense = False
 
     def __str__(self):
-        if self.kind is SubgroupKind.CYCLIC:
-            return f"Z/{self.n}"
-        if self.kind is SubgroupKind.FULL_Q:
-            return "Q"
+        return f"Z/{self.n}"
+
+    def admits(self, x) -> bool:
+        return self.n % x.denominator == 0
+
+    def classify(self):
+        return ("cyclic", self.n)
+
+    def pick_between(self, lo, hi):
+        n = self.n
+        k = (lo * n).numerator // (lo * n).denominator + 1  # least k with k/n > lo
+        t = Fraction(k, n)
+        if t < hi:
+            return t
+        raise NoElementError(f"no point of (1/{n})Z inside ({lo}, {hi})")
+
+    def grid(self, max_den, coeff_bound):
+        return [Fraction(k, self.n) for k in range(self.n + 1)]
+
+    def sample(self, rng, bound):
+        return Fraction(rng.randint(-bound, bound), self.n)
+
+    def sample_between(self, lo, hi, rng):
+        k_lo = int(Fraction(lo) * self.n)
+        k_hi = int(Fraction(hi) * self.n)
+        return Fraction(rng.randint(k_lo, k_hi), self.n)
+
+
+@dataclass(frozen=True)
+class _Rationals(ScalarSubgroup):
+    """Q: the smallest-denominator witness, a grid of fractions up to max_den."""
+
+    def __str__(self):
+        return "Q"
+
+    def pick_between(self, lo, hi):
+        return simplest_between(lo, hi)
+
+    def grid(self, max_den, coeff_bound):
+        return sorted({Fraction(p, q) for q in range(1, max_den + 1) for p in range(q + 1)})
+
+    def sample(self, rng, bound):
+        return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+    def sample_between(self, lo, hi, rng):
+        lo, hi = Fraction(lo), Fraction(hi)
+        return lo + (hi - lo) * Fraction(rng.randint(0, 16), 16)
+
+
+@dataclass(frozen=True)
+class _Quadratic(ScalarSubgroup):
+    """Z + Z*sqrt(d), with QuadraticNumber values."""
+
+    d: int
+
+    def __str__(self):
         return f"Q[sqrt {self.d}]"
+
+    def zero(self):
+        return QuadraticNumber(0, 0, self.d)
+
+    def one(self):
+        return QuadraticNumber(1, 0, self.d)
+
+    def coerce(self, x):
+        if isinstance(x, QuadraticNumber):
+            if x.d != self.d:
+                raise DomainMismatchError(f"sqrt({x.d}) value in Q[sqrt {self.d}]")
+            return x
+        return QuadraticNumber(Fraction(x), Fraction(0), self.d)
+
+    def contains(self, x) -> bool:
+        if isinstance(x, QuadraticNumber) and x.b == 0:
+            x = x.a
+        if not isinstance(x, QuadraticNumber):
+            return isinstance(x, (int, Fraction)) and Fraction(x).denominator == 1
+        if x.d != self.d:
+            return False
+        return x.a.denominator == 1 and x.b.denominator == 1
+
+    def admits(self, x) -> bool:
+        # Rational coefficients are still taken: whether Q[sqrt d] means
+        # Z + Z*sqrt(d) or Q + Q*sqrt(d) for elements is not decided yet.
+        return True
+
+    def pick_between(self, lo, hi):
+        """m + k*(sqrt(d) - floor(sqrt(d))) with the smallest k >= 0, then smallest |m|."""
+        s = math.isqrt(self.d)
+        beta = QuadraticNumber(Fraction(-s), Fraction(1), self.d)
+        k = 0
+        while True:
+            kb = beta * k
+            m = _smallest_abs_int(*_int_range_between(lo - kb, hi - kb))
+            if m is not None:
+                return QuadraticNumber(Fraction(m - k * s), Fraction(k), self.d)
+            k += 1
+
+    def grid(self, max_den, coeff_bound):
+        zero, one = self.zero(), self.one()
+        pts = []
+        for k in range(-coeff_bound, coeff_bound + 1):
+            kb = QuadraticNumber(Fraction(0), Fraction(k), self.d)
+            m_lo = (zero - kb).floor()
+            m_hi = (one - kb).floor() + 1
+            for m in range(m_lo, m_hi + 1):
+                x = QuadraticNumber(Fraction(m), Fraction(k), self.d)
+                if (x - zero).sign() >= 0 and (x - one).sign() <= 0:
+                    pts.append(x)
+        pts.sort(key=functools.cmp_to_key(lambda u, v: (u - v).sign()))
+        out = []
+        for p in pts:
+            if not out or (p - out[-1]).sign() != 0:
+                out.append(p)
+        return out
+
+    def sample(self, rng, bound):
+        return QuadraticNumber(
+            Fraction(rng.randint(-bound, bound)), Fraction(rng.randint(-bound, bound)), self.d
+        )
+
+    def sample_between(self, lo, hi, rng):
+        """A random sqrt(d)-coefficient, then an integer part inside; after 40 misses, the pick."""
+        lo, hi = self.coerce(lo), self.coerce(hi)
+        for _ in range(40):
+            k = rng.randint(-8, 8)
+            kb = QuadraticNumber(Fraction(0), Fraction(k), self.d)
+            lo_m = (lo - kb).floor() + 1
+            hi_m = -((-(hi - kb)).floor())  # ceil
+            if lo_m <= hi_m - 1:
+                m = rng.randint(lo_m, hi_m - 1)
+                return QuadraticNumber(Fraction(m), Fraction(k), self.d)
+        return pick_strictly_between(self, lo, hi)
 
 
 def compare(x, y) -> Ordering:
@@ -234,9 +351,7 @@ def compare(x, y) -> Ordering:
 
 def classify(H: ScalarSubgroup):
     """Return ("cyclic", n) for (1/n)Z and ("dense", None) otherwise."""
-    if H.kind is SubgroupKind.CYCLIC:
-        return ("cyclic", H.n)
-    return ("dense", None)
+    return H.classify()
 
 
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
@@ -294,35 +409,13 @@ def pick_strictly_between(H: ScalarSubgroup, lo, hi):
     """A deterministic element t of H with lo < t < hi.
 
     FullQ uses the smallest-denominator rule; cyclic groups take the leftmost
-    grid point; quadratic groups try integers first, then m + k*(sqrt(d) -
-    floor(sqrt(d))) with smallest k >= 1 and then smallest |m|.
+    grid point; quadratic groups take m + k*(sqrt(d) - floor(sqrt(d))) with
+    smallest k >= 0 (so integers first) and then smallest |m|.
     """
     lo, hi = H.coerce(lo), H.coerce(hi)
     if compare(lo, hi) is not Ordering.LT:
         raise PreconditionError(f"empty open interval ({lo}, {hi})")
-    if H.kind is SubgroupKind.FULL_Q:
-        return simplest_between(lo, hi)
-    if H.kind is SubgroupKind.CYCLIC:
-        n = H.n
-        k = (lo * n).numerator // (lo * n).denominator + 1  # least k with k/n > lo
-        t = Fraction(k, n)
-        if t < hi:
-            return t
-        raise NoElementError(f"no point of (1/{n})Z inside ({lo}, {hi})")
-    # quadratic: integers first
-    m_lo, m_hi = _int_range_between(lo, hi)
-    m = _smallest_abs_int(m_lo, m_hi)
-    if m is not None:
-        return QuadraticNumber(Fraction(m), Fraction(0), H.d)
-    beta = QuadraticNumber(Fraction(-math.isqrt(H.d)), Fraction(1), H.d)  # sqrt(d) - floor
-    k = 1
-    while True:
-        kb = beta * k
-        m_lo, m_hi = _int_range_between(lo - kb, hi - kb)
-        m = _smallest_abs_int(m_lo, m_hi)
-        if m is not None:
-            return QuadraticNumber(Fraction(m - k * math.isqrt(H.d)), Fraction(k), H.d)
-        k += 1
+    return H.pick_between(lo, hi)
 
 
 def floor_multiple_below(x, step) -> int:
@@ -347,27 +440,7 @@ def grid_points(H: ScalarSubgroup, max_den: int = 6, coeff_bound: int = 4):
     denominator <= max_den; quadratic groups yield all m + k*sqrt(d) in [0,1]
     with |k| <= coeff_bound.
     """
-    zero, one = H.zero(), H.one()
-    if H.kind is SubgroupKind.CYCLIC:
-        return [Fraction(k, H.n) for k in range(H.n + 1)]
-    if H.kind is SubgroupKind.FULL_Q:
-        pts = {Fraction(p, q) for q in range(1, max_den + 1) for p in range(q + 1)}
-        return sorted(pts)
-    pts = []
-    for k in range(-coeff_bound, coeff_bound + 1):
-        kb = QuadraticNumber(Fraction(0), Fraction(k), H.d)
-        m_lo = (zero - kb).floor()
-        m_hi = (one - kb).floor() + 1
-        for m in range(m_lo, m_hi + 1):
-            x = QuadraticNumber(Fraction(m), Fraction(k), H.d)
-            if (x - zero).sign() >= 0 and (x - one).sign() <= 0:
-                pts.append(x)
-    pts.sort(key=functools.cmp_to_key(lambda u, v: (u - v).sign()))
-    out = []
-    for p in pts:
-        if not out or (p - out[-1]).sign() != 0:
-            out.append(p)
-    return out
+    return H.grid(max_den, coeff_bound)
 
 
 def format_scalar(x) -> str:

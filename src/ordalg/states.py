@@ -26,35 +26,44 @@ DIMENSION_CAP = 10
 # exact linear algebra
 
 
+def _reduce(mat, k):
+    """Gauss-Jordan elimination on the first k columns of a Fraction matrix, in place.
+
+    Returns the pivot columns: row i ends with a 1 in the i-th pivot column
+    and zeros elsewhere in it.  A column is a pivot exactly when it is
+    independent of the columns before it.
+    """
+    m = len(mat)
+    pivots = []
+    for c in range(k):
+        r = len(pivots)
+        if r == m:
+            break
+        pivot = next((i for i in range(r, m) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        pv = mat[r][c]
+        mat[r] = [v / pv for v in mat[r]]
+        for i in range(m):
+            if i != r and mat[i][c] != 0:
+                factor = mat[i][c]
+                mat[i] = [v - factor * w for v, w in zip(mat[i], mat[r])]
+        pivots.append(c)
+    return pivots
+
+
 def solve_affine(rows, rhs):
     """Solve A x = b over the rationals.
 
     Returns (particular, basis) where basis spans the kernel, or None when
     the system is inconsistent.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
+    n = len(rows[0]) if rows else 0
     aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [v - factor * w for v, w in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
+    pivots = _reduce(aug, n)
+    if any(row[n] != 0 for row in aug[len(pivots):]):
+        return None
     free = [c for c in range(n) if c not in pivots]
     particular = [Fraction(0)] * n
     for i, c in enumerate(pivots):
@@ -97,19 +106,16 @@ def extreme_rays(rows):
     adjacent rays across each new hyperplane.
     """
     dim = len(rows[0])
-    # greedily pick dim independent rows for the initial simplicial cone
-    chosen, basis = [], []
-    for idx, row in enumerate(rows):
-        cand = basis + [list(row)]
-        if _rank(cand) == len(cand):
-            chosen.append(idx)
-            basis.append(list(row))
-        if len(chosen) == dim:
-            break
+    # the first dim independent rows span the initial simplicial cone: they
+    # are the pivot columns of the transposed rows
+    chosen = _reduce([[Fraction(v) for v in col] for col in zip(*rows)], len(rows))
     if len(chosen) < dim:
         raise UnsupportedError("cone is not pointed; state polytope is unbounded")
-    inv = _invert([list(rows[i]) for i in chosen])
-    rays = [_normalize_ray(tuple(inv[r][c] for r in range(dim))) for c in range(dim)]
+    # reducing [B | I] leaves the inverse of B on the right; its columns are the rays
+    aug = [[Fraction(v) for v in rows[i]] + [Fraction(int(p == q)) for q in range(dim)]
+           for p, i in enumerate(chosen)]
+    _reduce(aug, dim)
+    rays = [_normalize_ray(tuple(aug[r][dim + c] for r in range(dim))) for c in range(dim)]
     processed = list(chosen)
     for idx, row in enumerate(rows):
         if idx in chosen:
@@ -147,40 +153,6 @@ def _adjacent(r1, r2, rays, rows, idxs):
         if z <= _zero_set(other, rows, idxs):
             return False
     return True
-
-
-def _rank(mat):
-    mat = [[Fraction(v) for v in row] for row in mat]
-    m, n = len(mat), len(mat[0]) if mat else 0
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        mat[r] = [v / pv for v in mat[r]]
-        for i in range(m):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
-        r += 1
-    return r
-
-
-def _invert(mat):
-    n = len(mat)
-    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
-    for c in range(n):
-        pivot = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        pv = aug[c][c]
-        aug[c] = [v / pv for v in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
 
 
 # ---------------------------------------------------------------------------

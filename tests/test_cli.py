@@ -198,11 +198,15 @@ def test_cli_error_exit_code():
 
 
 def test_cli_errors_keep_the_contract(tmp_path):
+    not_utf8 = tmp_path / "binary.pea"
+    not_utf8.write_bytes(b"\xffpea n=2")
     for argv in (
         ("check-rdp", "--group", "Z^0", "--a1", "0", "--a2", "0", "--b1", "0", "--b2", "0"),
         ("check-rdp", "--group", "Z/0", "--a1", "0", "--a2", "0", "--b1", "0", "--b2", "0"),
         ("check-axioms", str(tmp_path / "missing.pea")),
         ("states", str(tmp_path / "missing.pea")),
+        ("check-axioms", str(not_utf8)),
+        ("states", str(not_utf8)),
     ):
         code, output = run_cli(*argv)
         assert code == 2

@@ -2,17 +2,20 @@
 
 Every tree is built from all five descriptor classes with stdlib ``random``;
 the checks are the group laws, the order axioms, the element-format round
-trips and the interval sampler's bounds.
+trips and the interval sampler's bounds.  The six scalar groups are also
+checked for membership of every sample and of strictly-between picks.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from ordalg import groups as g
+from ordalg.errors import PreconditionError
 from ordalg.parsing import parse_element
 from ordalg.sampling import sample_element, sample_interval, sample_positive
-from ordalg.scalars import ScalarSubgroup
+from ordalg.scalars import Ordering, ScalarSubgroup, compare, pick_strictly_between
 
 SCALARS = [
     g.ZZ,
@@ -129,3 +132,32 @@ def test_sample_interval_stays_inside(seed):
             hi = sample_positive(desc, rng, 5)
             x = sample_interval(desc, hi, rng, 5)
             assert g.leq(desc, zero, x) and g.leq(desc, x, hi)
+
+
+def test_scalar_samples_and_picks_are_members():
+    rng = random.Random(500)
+    for desc in SCALARS:
+        H = desc.H
+        for _ in range(40):
+            x = sample_element(desc, rng, 6)
+            p = sample_positive(desc, rng, 6)
+            y = sample_interval(desc, p, rng, 6)
+            assert H.contains(x) and H.contains(p) and H.contains(y)
+            if compare(p, H.zero()) is Ordering.GT:
+                # (x, x + 2p) holds a point of every subgroup, x + p among them
+                hi = x + p + p
+                t = pick_strictly_between(H, x, hi)
+                assert H.contains(t)
+                assert compare(x, t) is Ordering.LT and compare(t, hi) is Ordering.LT
+
+
+def test_quadratic_interval_sampler_falls_back_to_the_pick():
+    # no m + k*sqrt(2) with |k| <= 8 lies in (0, 1/100], so every random try misses
+    desc = g.Scalar(ScalarSubgroup.quadratic(2))
+    H, hi = desc.H, desc.check_element(Fraction(1, 100))
+    x = sample_interval(desc, hi, random.Random(7))
+    assert H.contains(x)
+    assert compare(H.zero(), x) is Ordering.LT and compare(x, hi) is Ordering.LT
+    # an empty interval raises instead of searching forever
+    with pytest.raises(PreconditionError):
+        sample_interval(desc, desc.check_element(-1), random.Random(7))

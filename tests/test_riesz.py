@@ -83,6 +83,16 @@ def test_verify_accepts_case_table_and_rejects_corruption():
     assert not res.ok and res.reason == "row 1 sum"
 
 
+
+def test_verify_rejects_non_member_entries():
+    # four halves sum correctly to (1, 0), but 1/2 is not an integer head
+    half = (Fraction(1, 2), f(0))
+    one = (f(1), f(0))
+    table = DecompositionTable(half, half, half, half, "rdp")
+    res = rdp_table_verify(LEX_ZZ, one, one, one, one, table)
+    assert not res.ok
+    assert res.reason == "c11 is not an element of lex(Z, Z)"
+
 def test_affine_min_table_is_rdp2():
     a1, a2 = (f(2), f(0)), (f(3), f(1))
     b1 = (f(3), f(1))
