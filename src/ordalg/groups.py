@@ -110,6 +110,8 @@ class GroupDescriptor:
         zero = self.zero()
         if hi == zero:
             return zero
+        if not self.leq(zero, hi):
+            raise PreconditionError("sample_interval needs 0 <= hi")
         return self._sample_interval(hi, rng, bound)
 
     def _sample_head(self, hi, rng, bound):
@@ -118,11 +120,11 @@ class GroupDescriptor:
 
     # -- exhaustive enumeration (the refinement oracle) -----------------------
 
-    def iter_bounded(self, uppers, nonneg: bool, box: int):
-        """Elements with data in [-box, box], below all uppers, >= 0 if asked."""
+    def iter_bounded(self, lowers, uppers, box: int):
+        """Elements with data in [-box, box], above all lowers and below all uppers."""
         raise UnsupportedError(f"oracle enumeration unsupported on {self}")
 
-    def _iter_heads(self, uppers, nonneg: bool, box: int, lex):
+    def _iter_heads(self, lowers, uppers, box: int, lex):
         """The heads the oracle enumerates for ``lex``, in ascending order."""
         raise UnsupportedError(f"oracle enumeration unsupported on {lex}")
 
@@ -150,7 +152,7 @@ class Scalar(GroupDescriptor):
     H: ScalarSubgroup
 
     def __str__(self):
-        return "Z" if self == ZZ else str(self.H)
+        return str(self.H)
 
     def check_element(self, x):
         H = self.H
@@ -221,21 +223,20 @@ class Scalar(GroupDescriptor):
     # a scalar lex head is drawn like any scalar of [0, hi]
     _sample_head = _sample_interval
 
-    def _grid_range(self, uppers, nonneg, box, what):
+    def _grid_range(self, lowers, uppers, box, what):
         if self.H.is_dense:
             raise UnsupportedError(f"oracle enumeration needs a discrete {what}")
-        hi = box
-        for u in uppers:
-            hi = min(hi, int(Fraction(u) * self.H.n))
-        return (0 if nonneg else -box), hi
+        n = self.H.n
+        lo = max([-box] + [math.ceil(l * n) for l in lowers])
+        return lo, min([box] + [math.floor(u * n) for u in uppers])
 
-    def iter_bounded(self, uppers, nonneg, box):
-        lo, hi = self._grid_range(uppers, nonneg, box, "scalar")
+    def iter_bounded(self, lowers, uppers, box):
+        lo, hi = self._grid_range(lowers, uppers, box, "scalar")
         for k in _iter_signed(lo, hi):
             yield Fraction(k, self.H.n)
 
-    def _iter_heads(self, uppers, nonneg, box, lex):
-        lo, hi = self._grid_range(uppers, nonneg, box, "scalar head")
+    def _iter_heads(self, lowers, uppers, box, lex):
+        lo, hi = self._grid_range(lowers, uppers, box, "scalar head")
         for k in range(lo, hi + 1):
             yield Fraction(k, self.H.n)
 
@@ -324,18 +325,13 @@ class IntVector(GroupDescriptor):
     def _sample_interval(self, hi, rng, bound):
         return tuple(rng.randint(0, v) for v in hi)
 
-    def iter_bounded(self, uppers, nonneg, box):
-        ranges = []
-        for i in range(self.k):
-            hi = min([box] + [u[i] for u in uppers])
-            ranges.append((0 if nonneg else -box, hi))
-
+    def iter_bounded(self, lowers, uppers, box):
         def rec(i):
             if i == self.k:
                 yield ()
                 return
-            lo, hi = ranges[i]
-            for v in _iter_signed(lo, hi):
+            lo = max([-box] + [l[i] for l in lowers])
+            for v in _iter_signed(lo, min([box] + [u[i] for u in uppers])):
                 for rest in rec(i + 1):
                     yield (v,) + rest
 
@@ -537,10 +533,10 @@ class _Pair(GroupDescriptor):
         a, b = self.parts
         return (a.sample_interval(hi[0], rng, bound), b.sample_interval(hi[1], rng, bound))
 
-    def iter_bounded(self, uppers, nonneg, box):
+    def iter_bounded(self, lowers, uppers, box):
         a, b = self.parts
-        for left in a.iter_bounded([u[0] for u in uppers], nonneg, box):
-            for right in b.iter_bounded([u[1] for u in uppers], nonneg, box):
+        for left in a.iter_bounded([l[0] for l in lowers], [u[0] for u in uppers], box):
+            for right in b.iter_bounded([l[1] for l in lowers], [u[1] for u in uppers], box):
                 yield (left, right)
 
 
@@ -631,11 +627,13 @@ class Lex(_Pair):
             return (s, bottom.add(t_hi, bottom.neg(delta)))
         return (s, bottom.sample_element(rng, bound))
 
-    def iter_bounded(self, uppers, nonneg, box):
+    def iter_bounded(self, lowers, uppers, box):
         top, bottom = self.parts
-        for h in top._iter_heads([u[0] for u in uppers], nonneg, box, self):
+        for h in top._iter_heads([l[0] for l in lowers], [u[0] for u in uppers], box, self):
+            # a bound constrains the tail only under its own head
+            tail_lowers = [l[1] for l in lowers if l[0] == h]
             tail_uppers = [u[1] for u in uppers if u[0] == h]
-            for t in bottom.iter_bounded(tail_uppers, nonneg and h == 0, box):
+            for t in bottom.iter_bounded(tail_lowers, tail_uppers, box):
                 yield (h, t)
 
 

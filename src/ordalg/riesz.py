@@ -373,13 +373,14 @@ class OracleResult:
 def rdp_oracle_search(desc, a1, a2, b1, b2, level="rdp", box=20):
     """Exhaustive candidate search for a decomposition table.
 
-    Enumerates c11 over [0, a1] and [0, b1] within the coordinate box and
-    derives the remaining entries by group subtraction; complete for
-    discrete descriptors within the box.
+    Enumerates c11 over [max(0, b1 - a2), min(a1, b1)] within the coordinate
+    box (the enumerable descriptors are Abelian, so c22 = c11 + a2 - b1, and
+    any other c11 leaves c12, c21 or c22 outside the positive cone), derives
+    the rest by group subtraction; complete for discrete descriptors in the box.
     """
     lv = _norm_level(level)
     a1, a2, b1, b2 = check_instance(desc, a1, a2, b1, b2)
-    for c11 in desc.iter_bounded([a1, b1], True, box):
+    for c11 in desc.iter_bounded([g.zero(desc), g.sub_left(desc, a2, b1)], [a1, b1], box):
         c12 = g.sub_left(desc, c11, a1)
         if not g.positive_cone_member(desc, c12):
             continue

@@ -203,7 +203,7 @@ class _Cyclic(ScalarSubgroup):
     is_dense = False
 
     def __str__(self):
-        return f"Z/{self.n}"
+        return "Z" if self.n == 1 else f"Z/{self.n}"
 
     def admits(self, x) -> bool:
         return self.n % x.denominator == 0

@@ -1,0 +1,88 @@
+"""The command-line examples print exactly their golden outputs in ``tests/golden/cli``.
+
+Each case runs ``cli.main`` in-process from a directory holding ``chain.pea``
+and ``bool.pea``; the golden file is its stdout followed by an ``exit=<code>``
+line, so a change that moves any printed byte or the exit code fails here.
+"""
+
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from ordalg.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"
+
+CHAIN_PEA = """pea n=3 zero=0 one=2
+add 0 0 0
+add 0 1 1
+add 0 2 2
+add 1 0 1
+add 1 1 2
+add 2 0 2
+"""
+
+BOOL_PEA = """pea n=4 zero=0 one=3
+add 0 0 0
+add 0 1 1
+add 0 2 2
+add 0 3 3
+add 1 0 1
+add 1 2 3
+add 2 0 2
+add 2 1 3
+add 3 0 3
+"""
+
+# the README's ten examples, then the Z/1 slice printing and a deep oracle
+CASES = {
+    "01_check_axioms": ["check-axioms", "chain.pea"],
+    "02_states": ["states", "chain.pea"],
+    "03_ideals": ["ideals", "bool.pea"],
+    "04_check_rdp": [
+        "check-rdp", "--group", "lex(Z, Z)", "--level", "rdp1",
+        "--a1", "(3, 7)", "--a2", "(0, 4)", "--b1", "(1, 2)", "--b2", "(2, 9)",
+        "--oracle", "--box", "45",
+    ],
+    "05_interpolate": [
+        "interpolate", "--group", "lex(Q, Z)",
+        "--a1", "(0, 5)", "--a2", "(0, 7)", "--b1", "(1, -3)", "--b2", "(1, -9)",
+    ],
+    "06_decompose": ["decompose", "--pea", "gamma(lex(Z/4, Z), (1, 0))", "--H", "Z/4"],
+    "07_classify_perfect": [
+        "classify-perfect", "--pea", "gamma(lex(Q, Z^2), (1, (0, 0)))", "--H", "Q",
+    ],
+    "08_represent": [
+        "represent", "--H", "Z/4", "--G", "Z", "--shuffle", "translate(1)",
+        "--samples", "300", "--seed", "2",
+    ],
+    "09_functor": ["functor", "--hom", "scale(2)", "--G", "Z", "--H", "Q"],
+    "10_oracle_rdp": [
+        "oracle-rdp", "--group", "lex(Z, Z)", "--a1", "(1, 2)", "--a2", "(0, 3)",
+        "--b1", "(1, 5)", "--b2", "(0, 0)", "--box", "25",
+    ],
+    "11_decompose_over_Z": ["decompose", "--pea", "gamma(lex(Z, Z), (1, 0))", "--H", "Z"],
+    "12_oracle_rdp_deep": [
+        "oracle-rdp", "--group", "lex(Z, Z)", "--a1", "(50, 3)", "--a2", "(0, 7)",
+        "--b1", "(50, 5)", "--b2", "(0, 5)", "--box", "60",
+    ],
+}
+
+
+def run_case(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(list(argv))
+    return f"{buf.getvalue()}exit={code}\n"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_is_golden(name, tmp_path, monkeypatch):
+    (tmp_path / "chain.pea").write_text(CHAIN_PEA, encoding="utf-8")
+    (tmp_path / "bool.pea").write_text(BOOL_PEA, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ORDALG_SEED", raising=False)
+    out = run_case(CASES[name])
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes()

@@ -9,6 +9,7 @@ from ordalg import groups as g
 from ordalg.errors import PreconditionError, ShapeError
 from ordalg.sampling import sample_element, sample_positive
 from ordalg.scalars import ScalarSubgroup
+from test_properties import discrete_descriptor, grid_coords
 
 Z = g.ZZ
 Q = g.QQ
@@ -281,3 +282,23 @@ def test_strong_unit_checks():
     g.UnitalPoGroup(LEX_QZ, (f(1), f(0)))
     with pytest.raises(PreconditionError):
         g.UnitalPoGroup(Z2, (1, 0))
+
+
+def test_iter_bounded_lowers_filter_the_unbounded_walk():
+    # lower bounds cut the walk to the elements above them, in the same order
+    rng = random.Random(700)
+    checked = 0
+    while checked < 60:
+        desc = discrete_descriptor(rng, rng.randint(0, 3))
+        zero = g.zero(desc)
+        if len(grid_coords(desc, zero)) > 4:
+            continue
+        for _ in range(3):
+            lowers = [sample_element(desc, rng, 2) for _ in range(rng.randint(1, 2))]
+            if rng.random() < 0.5:
+                lowers.append(zero)
+            uppers = [sample_element(desc, rng, 3) for _ in range(rng.randint(0, 2))]
+            walk = desc.iter_bounded([], uppers, 2)
+            expected = [x for x in walk if all(g.leq(desc, l, x) for l in lowers)]
+            assert list(desc.iter_bounded(lowers, uppers, 2)) == expected
+        checked += 1

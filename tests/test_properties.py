@@ -3,7 +3,9 @@
 Every tree is built from all five descriptor classes with stdlib ``random``;
 the checks are the group laws, the order axioms, the element-format round
 trips and the interval sampler's bounds.  The six scalar groups are also
-checked for membership of every sample and of strictly-between picks.
+checked for membership of every sample and of strictly-between picks.  On
+discrete trees (the ones the exhaustive oracle enumerates) the oracle finds a
+table wherever the constructive solver does.
 """
 
 import random
@@ -14,6 +16,7 @@ import pytest
 from ordalg import groups as g
 from ordalg.errors import PreconditionError
 from ordalg.parsing import parse_element
+from ordalg.riesz import rdp_decompose, rdp_oracle_search, rdp_table_verify
 from ordalg.sampling import sample_element, sample_interval, sample_positive
 from ordalg.scalars import Ordering, ScalarSubgroup, compare, pick_strictly_between
 
@@ -51,6 +54,29 @@ def trees(seed, count=60):
 
 
 TREES = trees(2024)
+
+DISCRETE = [g.ZZ, g.Scalar(ScalarSubgroup.cyclic(2)), g.Scalar(ScalarSubgroup.cyclic(3))]
+
+
+def discrete_descriptor(rng, depth):
+    """A random tree the oracle enumerates: discrete scalars, Z^k, prod, lex over a scalar head."""
+    if depth > 0 and rng.random() < 0.75:
+        if rng.random() < 0.5:
+            return g.Lex(rng.choice(DISCRETE), discrete_descriptor(rng, depth - 1))
+        return g.Product(discrete_descriptor(rng, depth - 1), discrete_descriptor(rng, depth - 1))
+    if rng.random() < 0.5:
+        return rng.choice(DISCRETE)
+    return g.IntVector(rng.randint(1, 3))
+
+
+def grid_coords(desc, x):
+    """The integer coordinates the oracle's box bounds: k for k/n in (1/n)Z."""
+    if isinstance(desc, g.Scalar):
+        return [int(x * desc.H.n)]
+    if isinstance(desc, g.IntVector):
+        return list(x)
+    a, b = desc.parts
+    return grid_coords(a, x[0]) + grid_coords(b, x[1])
 
 
 def test_trees_cover_every_descriptor_class():
@@ -161,3 +187,46 @@ def test_quadratic_interval_sampler_falls_back_to_the_pick():
     # an empty interval raises instead of searching forever
     with pytest.raises(PreconditionError):
         sample_interval(desc, desc.check_element(-1), random.Random(7))
+
+
+@pytest.mark.parametrize(
+    "desc, hi",
+    [
+        (g.Scalar(ScalarSubgroup.cyclic(2)), -1),
+        (g.QQ, Fraction(-1, 2)),
+        (g.Scalar(ScalarSubgroup.quadratic(2)), -1),
+    ],
+    ids=["Z/2", "Q", "Q[sqrt 2]"],
+)
+def test_sample_interval_rejects_a_negative_bound(desc, hi):
+    with pytest.raises(PreconditionError, match="0 <= hi"):
+        sample_interval(desc, desc.check_element(hi), random.Random(1))
+
+
+def test_sample_interval_rejects_bounds_outside_the_cone():
+    rng = random.Random(600)
+    for desc in TREES:
+        zero = g.zero(desc)
+        hi = g.neg(desc, sample_positive(desc, rng, 5))
+        if hi != zero:
+            with pytest.raises(PreconditionError):
+                sample_interval(desc, hi, rng, 5)
+
+
+def test_oracle_finds_a_table_wherever_the_solver_does():
+    # the solver's own c11 lies in the oracle's window once the box holds its table
+    rng = random.Random(800)
+    checked = 0
+    while checked < 300:
+        desc = discrete_descriptor(rng, rng.randint(1, 3))
+        if len(grid_coords(desc, g.zero(desc))) > 5:
+            continue
+        a1, a2 = sample_positive(desc, rng, 4), sample_positive(desc, rng, 4)
+        total = g.add(desc, a1, a2)
+        b1 = sample_interval(desc, total, rng, 4)
+        b2 = g.sub_left(desc, b1, total)
+        table = rdp_decompose(desc, a1, a2, b1, b2, level="rdp")
+        assert rdp_table_verify(desc, a1, a2, b1, b2, table, level="rdp").ok
+        box = max(abs(k) for c in table.entries() for k in grid_coords(desc, c))
+        assert rdp_oracle_search(desc, a1, a2, b1, b2, level="rdp", box=box).found
+        checked += 1

@@ -279,6 +279,58 @@ def test_oracle_agreement_lex_zz2():
         assert rdp_oracle_search(desc, a1, a2, b1, b2, box=15).found
 
 
+def zero_window_search(desc, a1, a2, b1, b2, level, box):
+    """The oracle over its former window, c11 >= 0 only, with the same checks."""
+    a1, a2, b1, b2 = check_instance(desc, a1, a2, b1, b2)
+    for c11 in desc.iter_bounded([g.zero(desc)], [a1, b1], box):
+        c12 = g.sub_left(desc, c11, a1)
+        c21 = g.sub_left(desc, c11, b1)
+        c22 = g.sub_left(desc, c21, a2)
+        if not all(g.positive_cone_member(desc, c) for c in (c12, c21, c22)):
+            continue
+        if g.add(desc, c12, c22) != b2:
+            continue
+        table = DecompositionTable(c11, c12, c21, c22, level=level)
+        if rdp_table_verify(desc, a1, a2, b1, b2, table, level=level).ok:
+            return table
+    return None
+
+
+WINDOW_DESCS = [
+    Z,
+    g.Scalar(ScalarSubgroup.cyclic(2)),
+    Z2,
+    LEX_ZZ,
+    g.Lex(g.Scalar(ScalarSubgroup.cyclic(3)), Z),
+    g.Lex(Z, Z2),
+    g.Product(Z, g.Scalar(ScalarSubgroup.cyclic(2))),
+    g.Lex(Z, LEX_ZZ),
+    g.Product(LEX_ZZ, Z),
+]
+
+
+def test_oracle_window_returns_the_zero_window_table():
+    rng = random.Random(71)
+    outcomes = set()
+    for desc in WINDOW_DESCS:
+        for _ in range(8):
+            a1, a2, b1, b2 = random_instance(desc, rng, 4)
+            for level in ("rdp", "rdp1", "rdp2"):
+                for box in (2, 6):
+                    res = rdp_oracle_search(desc, a1, a2, b1, b2, level=level, box=box)
+                    expected = zero_window_search(desc, a1, a2, b1, b2, level, box)
+                    assert res.table == expected and res.found == (expected is not None)
+                    outcomes.add(res.found)
+    assert outcomes == {True, False}
+
+
+def test_oracle_finds_a_deep_head():
+    # every c11 has head 50, so the window starts there
+    a1, a2, b1, b2 = (f(50), f(3)), (f(0), f(7)), (f(50), f(5)), (f(0), f(5))
+    res = rdp_oracle_search(LEX_ZZ, a1, a2, b1, b2, box=60)
+    assert res.found and res.table.c11 == (f(50), f(0))
+
+
 def test_oracle_swap_instance():
     res = rdp_oracle_search(Z2, (1, 0), (0, 1), (0, 1), (1, 0))
     assert res.found
