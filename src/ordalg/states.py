@@ -2,9 +2,11 @@
 
 For a finite algebra the state space is an exact rational polytope: the
 additivity constraints form a linear system, the nonnegativity constraints
-its facets.  :func:`states_finite` solves the system by fraction-exact
-Gaussian elimination and enumerates the extreme points with a double
-description pass, so uniqueness claims are decided exactly.
+its facets.  :func:`states_finite` solves the system by fraction-free
+integer Gauss-Jordan elimination (rows scaled to integers, combinations
+reduced by their gcd) and enumerates the extreme points with a double
+description pass over integer rays whose zero sets are bitmasks, so
+uniqueness claims are decided exactly.
 
 Interval algebras over Lex(Scalar(H), G) carry the canonical first
 coordinate state (t, g) -> t.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import UnsupportedError
 from .pea import FinitePea, IntervalPea
@@ -23,14 +26,29 @@ DIMENSION_CAP = 10
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra
+# exact linear algebra, in integers
+
+
+def _primitive(row):
+    """The rational row scaled by a positive number to coprime integers.
+
+    A positive scale changes neither the solutions of an equation (taken
+    with its right-hand side) nor the halfspace of a cone inequality.
+    """
+    scale = lcm(*(v.denominator for v in row))
+    ints = [v.numerator * (scale // v.denominator) for v in row]
+    common = gcd(*ints)
+    return [v // common for v in ints] if common > 1 else ints
 
 
 def _reduce(mat, k):
-    """Gauss-Jordan elimination on the first k columns of a Fraction matrix, in place.
+    """Fraction-free Gauss-Jordan elimination on the first k columns of an int matrix, in place.
 
-    Returns the pivot columns: row i ends with a 1 in the i-th pivot column
-    and zeros elsewhere in it.  A column is a pivot exactly when it is
+    Returns the pivot columns: row i ends with a nonzero entry d_i in the
+    i-th pivot column and zeros elsewhere in it, so dividing row i by d_i
+    gives the reduced row echelon form.  Each combination clears a column
+    by the gcd-reduced multipliers and divides out the row's content, so
+    the entries stay small.  A column is a pivot exactly when it is
     independent of the columns before it.
     """
     m = len(mat)
@@ -39,120 +57,117 @@ def _reduce(mat, k):
         r = len(pivots)
         if r == m:
             break
-        pivot = next((i for i in range(r, m) if mat[i][c] != 0), None)
+        pivot = next((i for i in range(r, m) if mat[i][c]), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        mat[r] = [v / pv for v in mat[r]]
+        prow = mat[r]
+        pv = prow[c]
         for i in range(m):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [v - factor * w for v, w in zip(mat[i], mat[r])]
+            a = mat[i][c]
+            if i != r and a:
+                common = gcd(pv, a)
+                f, h = pv // common, a // common
+                row = [f * v - h * w for v, w in zip(mat[i], prow)]
+                common = gcd(*row)
+                mat[i] = [v // common for v in row] if common > 1 else row
         pivots.append(c)
     return pivots
 
 
 def solve_affine(rows, rhs):
-    """Solve A x = b over the rationals.
+    """Solve A x = b over the rationals (entries are ints or Fractions).
 
     Returns (particular, basis) where basis spans the kernel, or None when
     the system is inconsistent.
     """
     n = len(rows[0]) if rows else 0
-    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    # a commutative table gives each equation twice
+    unique = dict.fromkeys(tuple(_primitive([*row, b])) for row, b in zip(rows, rhs))
+    aug = [list(row) for row in unique]
     pivots = _reduce(aug, n)
     if any(row[n] != 0 for row in aug[len(pivots):]):
         return None
     free = [c for c in range(n) if c not in pivots]
     particular = [Fraction(0)] * n
     for i, c in enumerate(pivots):
-        particular[c] = aug[i][n]
+        particular[c] = Fraction(aug[i][n], aug[i][c])
     basis = []
     for fc in free:
         vec = [Fraction(0)] * n
         vec[fc] = Fraction(1)
         for i, c in enumerate(pivots):
-            vec[c] = -aug[i][fc]
+            vec[c] = Fraction(-aug[i][fc], aug[i][c])
         basis.append(vec)
     return particular, basis
 
 
 # ---------------------------------------------------------------------------
-# double description over the rationals
-
-
-def _normalize_ray(ray):
-    from math import gcd
-
-    dens = [v.denominator for v in ray]
-    mult = 1
-    for d in dens:
-        mult = mult * d // gcd(mult, d)
-    ints = [int(v * mult) for v in ray]
-    common = 0
-    for v in ints:
-        common = gcd(common, abs(v))
-    if common > 1:
-        ints = [v // common for v in ints]
-    return tuple(Fraction(v) for v in ints)
+# double description over the integers
 
 
 def extreme_rays(rows):
     """Extreme rays of the pointed cone {z: row . z >= 0 for all rows}.
 
-    Standard double description: seed with a simplicial subcone from a
-    nonsingular row subset, then insert the remaining halfspaces, joining
-    adjacent rays across each new hyperplane.
+    Each ray is a primitive integer vector, returned as a tuple of Fractions.
+    Standard double description over the rows scaled to integers: seed with
+    a simplicial subcone from a nonsingular row subset, then insert the
+    remaining halfspaces, joining adjacent rays across each new hyperplane.
+    Each ray carries its zero set over the rows inserted so far as a bitmask
+    (bit i for rows[i]); a ray made from a pair is tight exactly where both
+    are, and on the new row.  Two rays are adjacent when no third ray is
+    tight wherever both are; only pairs tight together on at least dim - 2
+    rows can be (Fukuda-Prodon 1996).
     """
+    rows = [_primitive(row) for row in rows]
     dim = len(rows[0])
     # the first dim independent rows span the initial simplicial cone: they
     # are the pivot columns of the transposed rows
-    chosen = _reduce([[Fraction(v) for v in col] for col in zip(*rows)], len(rows))
+    chosen = _reduce([list(col) for col in zip(*rows)], len(rows))
     if len(chosen) < dim:
         raise UnsupportedError("cone is not pointed; state polytope is unbounded")
-    # reducing [B | I] leaves the inverse of B on the right; its columns are the rays
-    aug = [[Fraction(v) for v in rows[i]] + [Fraction(int(p == q)) for q in range(dim)]
-           for p, i in enumerate(chosen)]
+    # reducing [B | I] leaves the inverse of B, row i scaled by d_i, on the
+    # right; its columns are the rays
+    aug = [rows[i] + [int(p == q) for q in range(dim)] for p, i in enumerate(chosen)]
     _reduce(aug, dim)
-    rays = [_normalize_ray(tuple(aug[r][dim + c] for r in range(dim))) for c in range(dim)]
-    processed = list(chosen)
+    scale = lcm(*(row[p] for p, row in enumerate(aug)))
+    rays = []
+    for c in range(dim):
+        ray = _primitive([row[dim + c] * (scale // row[p]) for p, row in enumerate(aug)])
+        tight = sum(1 << i for i in chosen if _dot(rows[i], ray) == 0)
+        rays.append((tuple(ray), tight))
+    chosen = set(chosen)
     for idx, row in enumerate(rows):
         if idx in chosen:
             continue
-        processed.append(idx)
+        bit = 1 << idx
         pos, zero_, neg = [], [], []
-        for ray in rays:
-            s = sum(a * b for a, b in zip(row, ray))
-            (pos if s > 0 else neg if s < 0 else zero_).append(ray)
-        if not neg:
-            rays = pos + zero_
-            continue
-        new_rays = pos + zero_
-        for rp in pos:
-            sp = sum(a * b for a, b in zip(row, rp))
-            for rn in neg:
-                if not _adjacent(rp, rn, rays, rows, processed[:-1]):
-                    continue
-                sn = sum(a * b for a, b in zip(row, rn))
-                combo = tuple(sp * vn - sn * vp for vp, vn in zip(rp, rn))
-                new_rays.append(_normalize_ray(combo))
+        for ray, tight in rays:
+            s = _dot(row, ray)
+            if s > 0:
+                pos.append((ray, tight, s))
+            elif s < 0:
+                neg.append((ray, tight, s))
+            else:
+                zero_.append((ray, tight | bit))
+        new_rays = [(ray, tight) for ray, tight, _ in pos] + zero_
+        if neg:
+            masks = [tight for _, tight in rays]
+            for rp, zp, sp in pos:
+                for rn, zn, sn in neg:
+                    common = zp & zn
+                    if common.bit_count() < dim - 2 or any(
+                        z & common == common and z != zp and z != zn for z in masks
+                    ):
+                        continue
+                    combo = _primitive([sp * vn - sn * vp for vp, vn in zip(rp, rn)])
+                    new_rays.append((tuple(combo), common | bit))
         rays = new_rays
-    return rays
+    return [tuple(Fraction(v) for v in ray) for ray, _ in rays]
 
 
-def _zero_set(ray, rows, idxs):
-    return frozenset(i for i in idxs if sum(a * b for a, b in zip(rows[i], ray)) == 0)
-
-
-def _adjacent(r1, r2, rays, rows, idxs):
-    z = _zero_set(r1, rows, idxs) & _zero_set(r2, rows, idxs)
-    for other in rays:
-        if other is r1 or other is r2 or other == r1 or other == r2:
-            continue
-        if z <= _zero_set(other, rows, idxs):
-            return False
-    return True
+def _dot(row, ray):
+    return sum(a * b for a, b in zip(row, ray))
 
 
 # ---------------------------------------------------------------------------
@@ -180,22 +195,22 @@ def states_finite(E: FinitePea):
     """
     n = E.size
     rows, rhs = [], []
-    row = [Fraction(0)] * n
-    row[E.one] = Fraction(1)
+    row = [0] * n
+    row[E.one] = 1
     rows.append(row)
-    rhs.append(Fraction(1))
-    row = [Fraction(0)] * n
-    row[E.zero] = Fraction(1)
+    rhs.append(1)
+    row = [0] * n
+    row[E.zero] = 1
     rows.append(row)
-    rhs.append(Fraction(0))
+    rhs.append(0)
     for (i, j), k in sorted(E.table.items()):
-        row = [Fraction(0)] * n
+        row = [0] * n
         row[i] += 1
         row[j] += 1
         row[k] -= 1
-        if any(v != 0 for v in row):
+        if any(row):
             rows.append(row)
-            rhs.append(Fraction(0))
+            rhs.append(0)
     solved = solve_affine(rows, rhs)
     if solved is None:
         return []
@@ -207,26 +222,21 @@ def states_finite(E: FinitePea):
         if all(v >= 0 for v in particular):
             return [FiniteState(tuple(particular))]
         return []
-    # polytope {y: N y + p >= 0} homogenized to the cone over (y, t)
-    cone_rows = []
-    for i in range(n):
-        cone_rows.append(tuple(basis[j][i] for j in range(k)) + (particular[i],))
-    cone_rows.append(tuple([Fraction(0)] * k) + (Fraction(1),))
-    rays = extreme_rays(cone_rows)
-    vertices = []
-    for ray in rays:
+    # polytope {y: N y + p >= 0} homogenized to the cone over (y, t); row i
+    # is (N_i, p_i) times the common denominator of N and p
+    scale = lcm(*(v.denominator for vec in (particular, *basis) for v in vec))
+    cone_rows = [[int(v * scale) for v in column] for column in zip(*basis, particular)]
+    cone_rows.append([0] * k + [1])
+    vertices = set()
+    for ray in extreme_rays(cone_rows):
+        ray = [v.numerator for v in ray]
         t = ray[-1]
         if t == 0:
             raise AssertionError("state polytope has a recession ray; must be bounded")
-        y = [v / t for v in ray[:-1]]
-        values = tuple(
-            particular[i] + sum(basis[j][i] * y[j] for j in range(k)) for i in range(n)
-        )
-        state = FiniteState(values)
-        if state not in vertices:
-            vertices.append(state)
-    vertices.sort(key=lambda s: s.values)
-    return vertices
+        # state value i is (N y + p)_i at y = ray[:-1] / t
+        values = (Fraction(_dot(row, ray), scale * t) for row in cone_rows[:n])
+        vertices.add(FiniteState(tuple(values)))
+    return sorted(vertices, key=lambda s: s.values)
 
 
 @dataclass(frozen=True)

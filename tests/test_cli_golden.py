@@ -1,8 +1,9 @@
 """The command-line examples print exactly their golden outputs in ``tests/golden/cli``.
 
-Each case runs ``cli.main`` in-process from a directory holding ``chain.pea``
-and ``bool.pea``; the golden file is its stdout followed by an ``exit=<code>``
-line, so a change that moves any printed byte or the exit code fails here.
+Each case runs ``cli.main`` in-process from a directory holding ``chain.pea``,
+``bool.pea`` and ``cube3.pea``; the golden file is its stdout followed by an
+``exit=<code>`` line, so a change that moves any printed byte or the exit code
+fails here.
 """
 
 import io
@@ -36,7 +37,34 @@ add 2 1 3
 add 3 0 3
 """
 
-# the README's ten examples, then the Z/1 slice printing and a deep oracle
+# horizontal sum of three copies of 2^2: the atoms 2+2i and 3+2i add to 1
+CUBE3_PEA = """pea n=8 zero=0 one=1
+add 0 0 0
+add 0 1 1
+add 0 2 2
+add 0 3 3
+add 0 4 4
+add 0 5 5
+add 0 6 6
+add 0 7 7
+add 1 0 1
+add 2 0 2
+add 2 3 1
+add 3 0 3
+add 3 2 1
+add 4 0 4
+add 4 5 1
+add 5 0 5
+add 5 4 1
+add 6 0 6
+add 6 7 1
+add 7 0 7
+add 7 6 1
+"""
+
+# the README's ten examples, the Z/1 slice printing, a deep oracle, then the
+# state polytopes of 2^2 and of the 3-cube and the perfectness flags of the
+# 3-cube
 CASES = {
     "01_check_axioms": ["check-axioms", "chain.pea"],
     "02_states": ["states", "chain.pea"],
@@ -68,6 +96,9 @@ CASES = {
         "oracle-rdp", "--group", "lex(Z, Z)", "--a1", "(50, 3)", "--a2", "(0, 7)",
         "--b1", "(50, 5)", "--b2", "(0, 5)", "--box", "60",
     ],
+    "13_states_bool": ["states", "bool.pea"],
+    "14_states_cube3": ["states", "cube3.pea"],
+    "15_classify_perfect_cube3": ["classify-perfect", "--pea", "cube3.pea", "--H", "Z/2"],
 }
 
 
@@ -82,6 +113,7 @@ def run_case(argv):
 def test_cli_output_is_golden(name, tmp_path, monkeypatch):
     (tmp_path / "chain.pea").write_text(CHAIN_PEA, encoding="utf-8")
     (tmp_path / "bool.pea").write_text(BOOL_PEA, encoding="utf-8")
+    (tmp_path / "cube3.pea").write_text(CUBE3_PEA, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("ORDALG_SEED", raising=False)
     out = run_case(CASES[name])

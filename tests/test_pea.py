@@ -82,6 +82,23 @@ def test_derived_order_agrees_both_sides():
         assert all(E.leq(E.zero, a) and E.leq(a, E.one) for a in E.elements())
 
 
+# tables that skip the axiom check, each tripping one self-check of FinitePea
+SELF_CHECK_FAILURES = [
+    (2, {(0, 0): 0, (0, 1): 0, (1, 0): 1}, "derived order lost its bounds"),
+    (2, {(0, 0): 0, (0, 1): 1, (1, 0): 0}, r"derived order not antisymmetric at \(0, 1\)"),
+    (2, {(0, 0): 1, (0, 1): 0, (1, 0): 1}, r"left/right order disagree at \(0, 0\)"),
+    (2, {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1}, "left cancellation fails at 1"),
+    (3, {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 0): 1, (1, 1): 2, (2, 0): 2, (2, 1): 2},
+     "right cancellation fails at 1"),
+]
+
+
+@pytest.mark.parametrize("size, table, message", SELF_CHECK_FAILURES)
+def test_self_checks_name_the_failure(size, table, message):
+    with pytest.raises(AssertionError, match=message):
+        FinitePea(size, 0, size - 1, table, _validated=True)
+
+
 def test_ideals_of_chain():
     E = finite_chain(2)
     report = ideals_enumerate(E)

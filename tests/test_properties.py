@@ -2,10 +2,11 @@
 
 Every tree is built from all five descriptor classes with stdlib ``random``;
 the checks are the group laws, the order axioms, the element-format round
-trips and the interval sampler's bounds.  The six scalar groups are also
-checked for membership of every sample and of strictly-between picks.  On
-discrete trees (the ones the exhaustive oracle enumerates) the oracle finds a
-table wherever the constructive solver does.
+trips and the interval sampler's bounds.  ``divide`` inverts ``scale`` and
+the exact n-th root round trips on values of 100 to 400 bits.  The six
+scalar groups are also checked for membership of every sample and of
+strictly-between picks.  On discrete trees (the ones the exhaustive oracle
+enumerates) the oracle finds a table wherever the constructive solver does.
 """
 
 import random
@@ -18,7 +19,13 @@ from ordalg.errors import PreconditionError
 from ordalg.parsing import parse_element
 from ordalg.riesz import rdp_decompose, rdp_oracle_search, rdp_table_verify
 from ordalg.sampling import sample_element, sample_interval, sample_positive
-from ordalg.scalars import Ordering, ScalarSubgroup, compare, pick_strictly_between
+from ordalg.scalars import (
+    Ordering,
+    QuadraticNumber,
+    ScalarSubgroup,
+    compare,
+    pick_strictly_between,
+)
 
 SCALARS = [
     g.ZZ,
@@ -147,6 +154,51 @@ def test_divide_inverts_scale(seed):
             x = sample_element(desc, rng, 5)
             for n in (2, 3):
                 assert g.divide(desc, g.scale(desc, x, n), n) == x
+
+
+def big_int(rng):
+    """A random integer of 100 to 400 bits, of either sign."""
+    bits = rng.randint(100, 400)
+    return rng.choice((1, -1)) * (rng.getrandbits(bits) | 1 << (bits - 1))
+
+
+def big_element(desc, rng):
+    """A value of desc whose numerators and denominators have 100 to 400 bits."""
+    if isinstance(desc, g.AffineQ):
+        head = Fraction(abs(big_int(rng)), abs(big_int(rng)))
+        return (head, Fraction(big_int(rng), abs(big_int(rng))))
+    H = desc.H
+    if H == ScalarSubgroup.quadratic(2):
+        return QuadraticNumber(Fraction(big_int(rng)), Fraction(big_int(rng)), 2)
+    if H == ScalarSubgroup.rationals():
+        return Fraction(big_int(rng), abs(big_int(rng)))
+    return Fraction(big_int(rng), H.n)
+
+
+BIG_DESCRIPTORS = [g.AffineQ(), *SCALARS[:3], SCALARS[4]]
+
+
+@pytest.mark.parametrize("desc", BIG_DESCRIPTORS, ids=str)
+def test_divide_inverts_scale_on_big_values(desc):
+    rng = random.Random(f"big-{desc}")
+    for _ in range(20):
+        x = big_element(desc, rng)
+        for n in (2, 3, 5):
+            assert g.divide(desc, g.scale(desc, x, n), n) == x
+
+
+def test_affine_nth_root_round_trip_on_big_values():
+    # (a, 0) is n-divisible in Aff exactly when a has a rational n-th root
+    aff = g.AffineQ()
+    rng = random.Random(505)
+    for _ in range(30):
+        p, q = abs(big_int(rng)), abs(big_int(rng))
+        for n in (2, 3, 5):
+            root = Fraction(p, q)
+            assert g.divide(aff, (root**n, Fraction(0)), n) == (root, Fraction(0))
+            # p^n + 1 and q^n - 1 lie strictly between consecutive n-th powers
+            assert g.divide(aff, (Fraction(p**n + 1), Fraction(0)), n) is None
+            assert g.divide(aff, (Fraction(1, q**n - 1), Fraction(0)), n) is None
 
 
 @pytest.mark.parametrize("seed", range(2))
