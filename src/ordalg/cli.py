@@ -129,7 +129,7 @@ def cmd_check_rdp(args, out):
     desc = parse_descriptor(args.group)
     vals = [parse_element(desc, v) for v in (args.a1, args.a2, args.b1, args.b2)]
     a1, a2, b1, b2 = vals
-    table = rdp_decompose(desc, a1, a2, b1, b2, level=args.level, dense_head=args.dense_mode)
+    table = rdp_decompose(desc, a1, a2, b1, b2, level=args.level)
     _print_table(desc, a1, a2, b1, b2, table, out)
     res = rdp_table_verify(desc, a1, a2, b1, b2, table, level=args.level)
     side = f" side_condition={res.side_condition}" if res.side_condition else ""
@@ -176,13 +176,12 @@ def cmd_interpolate(args, out):
 def cmd_decompose(args, out):
     H = parse_subgroup(args.H)
     E = _read_pea_arg(args.pea)
-    rng = random.Random(args.seed)
     if isinstance(E, IntervalPea):
         D = decomposition_from_state(E, FirstCoordinateState(E), H)
         grid = [t for t in D.grid]
         out.append(f"symbolic slices over {H}: E_t = {{(t, g)}} on {len(grid)} grid points")
-        ordered = check_ordered(E, D, rng)
-        type_i = check_type_i(E, D, rng)
+        ordered = check_ordered(E, D)
+        type_i = check_type_i(E, D)
         out.append(f"ordered: {ordered.ordered}; type I: {type_i.is_type_i}")
         _machine(out, verdict="pass" if ordered.ordered and type_i.is_type_i else "fail",
                  slices=len(grid), ordered=ordered.ordered, type_i=type_i.is_type_i)
@@ -209,7 +208,7 @@ def cmd_decompose(args, out):
 def cmd_classify_perfect(args, out):
     H = parse_subgroup(args.H)
     E = _read_pea_arg(args.pea)
-    report = classify_perfect(E, H, seed=args.seed, samples=args.samples)
+    report = classify_perfect(E, H, seed=args.seed)
     flags = [
         ("h_perfect", report.is_h_perfect),
         ("directness", report.directness),
@@ -355,7 +354,6 @@ def build_parser():
         p.add_argument(name, required=True)
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--box", type=int, default=20)
-    p.add_argument("--dense-mode", default="reduce", choices=["reduce", "direct"])
     p.set_defaults(func=cmd_check_rdp)
 
     p = sub.add_parser("oracle-rdp", help="exhaustive refinement search")
@@ -382,7 +380,6 @@ def build_parser():
     p.add_argument("--pea", required=True, help="gamma(DESC, UNIT) or a table file")
     p.add_argument("--H", required=True)
     p.add_argument("--seed", type=int, default=default_seed)
-    p.add_argument("--samples", type=int, default=150)
     p.set_defaults(func=cmd_classify_perfect)
 
     p = sub.add_parser("represent", help="verify the representation isomorphism")

@@ -3,8 +3,30 @@
 A decomposition over a scalar subgroup H partitions the algebra into
 nonempty slices (E_t : t in [0,1] of H) compatible with the negations
 (E_t maps to E_{1-t}) and with addition (sums land in the index sum).
-Finite algebras carry explicit slice sets; intervals of Lex(Scalar(H'), G)
-carry the symbolic slice-by-head decomposition with a finite witness grid.
+Finite algebras carry explicit slice sets, and their laws are checked
+exhaustively.  An interval E = Gamma(Lex(Scalar(H'), G), (1, g0)) carries
+the symbolic slices E_t = {(t, g)} with a finite witness grid, and its laws
+are decided by head arithmetic, with no sampling.  For x = (s, gx) and
+y = (t, gy):
+
+* s < t gives x < y, because the lex order reads the head first;
+* s + t < 1 puts x + y = (s + t, gx + gy) strictly below the unit, so the
+  sum is defined and lies in E_{s+t}; for t > 0 every w in E_{s+t} is
+  x + (t, -gx + gw).  s + t > 1 gives no sum in either order, and the
+  negations send E_t to E_{1-t};
+* E_0 = {(0, g) : g in G+} is closed under sums and downward closed, it is
+  normal because conjugation keeps G+, and it is exactly the set of
+  infinitesimals, because every positive head of the archimedean H' has a
+  multiple above 1.
+
+When G is directed, so is every slice (bounds from G, taken below g0 on the
+top slice and above 0 on the bottom one), and E_0 is the unique maximal
+ideal: an ideal holding some (t, g) with t > 0 holds every head below t
+and, adding E_0, every tail at head t, so its sums reach the unit.  Every
+descriptor here is directed; the verdicts read ``is_directed`` all the same.
+Pseudo effect algebras of this kind are the unit intervals Gamma(G, u) of
+Dvurecenskij and Vetterlein ("Pseudoeffect algebras I/II", 2001).  All of
+this needs the unit head 1, which every lex decomposition path checks.
 
 States and decompositions determine each other: slices are state preimages
 and the slice index is the state value.  The checks in this module verify
@@ -34,7 +56,6 @@ from .scalars import (
     Ordering,
     ScalarSubgroup,
     compare,
-    floor_multiple_below,
     format_scalar,
     grid_points,
 )
@@ -52,12 +73,6 @@ class FiniteDecomposition:
     slices: tuple  # ((t, frozenset), ...) sorted by t
     proper: bool  # False: the flagged variant where some slices stay empty
 
-    def slice_of(self, x):
-        for t, members in self.slices:
-            if x in members:
-                return t
-        raise KeyError(x)
-
 
 @dataclass(frozen=True)
 class LexDecomposition:
@@ -67,9 +82,6 @@ class LexDecomposition:
     pea: IntervalPea
     grid: tuple  # witness grid of [0,1]_H
     proper: bool = True
-
-    def slice_of(self, x):
-        return x[0]
 
     def sample_slice(self, t, rng, bound=6):
         E = self.pea
@@ -90,6 +102,15 @@ class LexDecomposition:
 
 def _index_values(H: ScalarSubgroup, max_den=6, coeff_bound=4):
     return grid_points(H, max_den=max_den, coeff_bound=coeff_bound)
+
+
+def _require_unit_head(E: IntervalPea):
+    """The slices E_t = {(t, g)} index [0, 1] only under a unit (1, g0)."""
+    head = E.unit[0]
+    if compare(head, E.head_subgroup.one()) is not Ordering.EQ:
+        raise PreconditionError(
+            f"lex slice decompositions need the unit head 1, got {format_scalar(head)}"
+        )
 
 
 def decomposition_from_state(E, s, H: ScalarSubgroup, allow_subset=False):
@@ -132,6 +153,7 @@ def decomposition_from_state(E, s, H: ScalarSubgroup, allow_subset=False):
     if isinstance(E, IntervalPea) and E.is_lex_scalar:
         if not isinstance(s, FirstCoordinateState):
             raise UnsupportedError("interval algebras use the first coordinate state")
+        _require_unit_head(E)
         head_H = E.head_subgroup
         # every attained value must lie in H
         for t in _index_values(head_H):
@@ -165,9 +187,7 @@ def state_from_decomposition(E, D):
             raise PreconditionError("slices do not cover the algebra")
         return FiniteState(tuple(values))
     if isinstance(D, LexDecomposition):
-        witness = lex_type_ii_violation(D, random.Random(0))
-        if witness is not None:
-            raise PreconditionError(f"decomposition law fails: {witness}")
+        _require_unit_head(D.pea)  # the laws then hold by head arithmetic
         return FirstCoordinateState(D.pea)
     raise UnsupportedError(f"unsupported decomposition {D!r}")
 
@@ -207,38 +227,6 @@ def _finite_type_ii_violation(D: FiniteDecomposition):
     return None
 
 
-def lex_type_ii_violation(D: LexDecomposition, rng, rounds=150):
-    """Sampled check of the negation and addition laws on a lex interval."""
-    E = D.pea
-    H = D.H
-    one = H.one()
-    grid = D.grid
-    for _ in range(rounds):
-        t = rng.choice(grid)
-        if not E.head_subgroup.contains(t):
-            continue
-        x = D.sample_slice(t, rng)
-        if not E.contains(x):
-            return ("slice sample escaped the interval", (t, x))
-        ln, rn = E.lneg(x), E.rneg(x)
-        mirror = one - H.coerce(t)
-        if compare(ln[0], mirror) is not Ordering.EQ:
-            return ("negation law", (t, x))
-        if compare(rn[0], mirror) is not Ordering.EQ:
-            return ("negation law", (t, x))
-        s = rng.choice(grid)
-        if not E.head_subgroup.contains(s):
-            continue
-        y = D.sample_slice(s, rng)
-        z = E.add(x, y)
-        if z is not None:
-            if compare(H.coerce(t) + H.coerce(s), one) is Ordering.GT:
-                return ("sum above one", (t, s, x, y))
-            if compare(z[0], H.coerce(t) + H.coerce(s)) is not Ordering.EQ:
-                return ("sum slice law", (t, s, x, y))
-    return None
-
-
 # ---------------------------------------------------------------------------
 # ordered decompositions
 
@@ -254,14 +242,19 @@ class OrderedReport:
     no_oversum_ok: bool = True
 
 
-def check_ordered(E, D, rng=None, sample_pairs=200) -> OrderedReport:
+def check_ordered(E, D) -> OrderedReport:
     """Pointwise slice comparability, its sum-definedness equivalent, and
     the three consequences (infinitesimal bottom slice, slice additivity,
-    nonexistence of oversums)."""
-    rng = rng or random.Random(0)
+    nonexistence of oversums).
+
+    Finite decompositions are checked exhaustively; on a lex interval every
+    flag holds by the head arithmetic in the module docstring.
+    """
     if isinstance(D, FiniteDecomposition):
         return _check_ordered_finite(E, D)
-    return _check_ordered_lex(E, D, rng, sample_pairs)
+    if isinstance(D, LexDecomposition):
+        return OrderedReport(True)
+    raise UnsupportedError(f"unsupported decomposition {D!r}")
 
 
 def _check_ordered_finite(E: FinitePea, D: FiniteDecomposition) -> OrderedReport:
@@ -307,66 +300,6 @@ def _check_ordered_finite(E: FinitePea, D: FiniteDecomposition) -> OrderedReport
     return OrderedReport(True, None, agrees, inf_ok, normal_ok, additivity_ok, oversum_ok)
 
 
-def _check_ordered_lex(E: IntervalPea, D: LexDecomposition, rng, rounds) -> OrderedReport:
-    H = D.H
-    one, zero = H.one(), H.zero()
-    grid = [t for t in D.grid if E.head_subgroup.contains(t)]
-    ordered, witness = True, None
-    defined_all = True
-    inf = infinitesimals(E)
-    inf_ok, normal_ok = True, True
-    additivity_ok, oversum_ok = True, True
-    G = E.tail_group
-    for _ in range(rounds):
-        s, t = rng.choice(grid), rng.choice(grid)
-        x, y = D.sample_slice(s, rng), D.sample_slice(t, rng)
-        if compare(s, t) is Ordering.LT and not E.leq(x, y):
-            ordered, witness = False, (x, y)
-        total = H.coerce(s) + H.coerce(t)
-        cmp_total = compare(total, one)
-        if cmp_total is Ordering.LT:
-            z = E.add(x, y)
-            if z is None:
-                defined_all = False
-            else:
-                if compare(z[0], total) is not Ordering.EQ:
-                    additivity_ok = False
-                if compare(H.coerce(t), zero) is Ordering.GT:
-                    # reverse inclusion: any w in the sum slice splits past x
-                    w = D.sample_slice(total, rng)
-                    if not E.leq(x, w):
-                        ordered, witness = False, (x, w)
-                    else:
-                        rest = E.minus_right(x, w)
-                        if rest is None or compare(rest[0], H.coerce(t)) is not Ordering.EQ:
-                            additivity_ok = False
-        elif cmp_total is Ordering.GT:
-            if E.add(x, y) is not None or E.add(y, x) is not None:
-                oversum_ok = False
-        # infinitesimal agreement and normality probes at the bottom slice
-        i = D.sample_slice(zero, rng)
-        if not inf.contains(i) or E.times(8, i) is None:
-            inf_ok = False
-        v = E.sample(rng)
-        if E.add(v, i) is not None:
-            conj = g.add(E.group, g.add(E.group, v, i), g.neg(E.group, v))
-            if not inf.contains(conj) or not E.contains(conj):
-                normal_ok = False
-        if compare(v[0], zero) is Ordering.GT:
-            # elements above the bottom slice stop being addable exactly when
-            # the head multiples pass 1
-            k = floor_multiple_below(H.one(), v[0]) + 1
-            while compare(v[0] * k, H.one()) is not Ordering.GT:
-                k += 1
-            if E.times(k, v) is not None:
-                inf_ok = False
-    if not ordered:
-        return OrderedReport(False, witness, ordered == defined_all)
-    return OrderedReport(
-        True, None, ordered == defined_all, inf_ok, normal_ok, additivity_ok, oversum_ok
-    )
-
-
 # ---------------------------------------------------------------------------
 # type I
 
@@ -380,10 +313,9 @@ class TypeIReport:
     detail: str = ""
 
 
-def check_type_i(E, D, rng=None, rounds=120) -> TypeIReport:
+def check_type_i(E, D) -> TypeIReport:
     """(Ii) sums below one are defined; (Iii) the bottom slice is the unique
     maximal ideal; plus the bottom-slice idempotence consequence."""
-    rng = rng or random.Random(0)
     if isinstance(D, FiniteDecomposition):
         one = D.H.one()
         sums_ok = True
@@ -401,87 +333,11 @@ def check_type_i(E, D, rng=None, rounds=120) -> TypeIReport:
         detail = "" if unique_max else f"maximal ideals: {sorted(map(sorted, maximal))}"
         return TypeIReport(sums_ok and unique_max, sums_ok, unique_max, idem, detail)
     if isinstance(D, LexDecomposition):
-        H = D.H
-        one, zero = H.one(), H.zero()
-        grid = [t for t in D.grid if E.head_subgroup.contains(t)]
-        sums_ok = True
-        for _ in range(rounds):
-            s, t = rng.choice(grid), rng.choice(grid)
-            if compare(H.coerce(s) + H.coerce(t), one) is Ordering.LT:
-                x, y = D.sample_slice(s, rng), D.sample_slice(t, rng)
-                if E.add(x, y) is None:
-                    sums_ok = False
-        e0_max = True
-        for t in grid:
-            if compare(t, zero) is Ordering.EQ:
-                continue
-            for _ in range(4):
-                x = D.sample_slice(t, rng)
-                if not _maximality_probe(E, x):
-                    e0_max = False
-        idem = True
-        for _ in range(rounds // 2):
-            x = D.sample_slice(zero, rng)
-            y = D.sample_slice(zero, rng)
-            z = E.add(x, y)
-            if z is None or compare(z[0], zero) is not Ordering.EQ:
-                idem = False
-        return TypeIReport(sums_ok and e0_max, sums_ok, e0_max, idem)
+        # sums below one and the idempotent E_0 hold by head arithmetic; E_0
+        # is the unique maximal ideal once G is directed (module docstring)
+        directed = g.is_directed(E.tail_group)
+        return TypeIReport(directed, True, directed, True)
     raise UnsupportedError(f"unsupported decomposition {D!r}")
-
-
-def _maximality_probe(E: IntervalPea, x) -> bool:
-    """Exact witness chain showing the ideal generated by E_0 and x is all of E.
-
-    For a slice index t with room below it, multiples of (h, 0) for a head
-    0 < h < t climb to just under the unit and the leftover falls below x.
-    For the least positive discrete index, x is first shifted into the
-    nonnegative part of its slice by a directedness witness from E_0.
-    """
-    from .errors import NoElementError
-    from .scalars import pick_strictly_between
-
-    H = E.head_subgroup
-    G = E.tail_group
-    t, gx = x
-    g0 = E.tail_unit
-    if compare(t, H.zero()) is not Ordering.GT:
-        return False
-    if compare(t, H.one()) is Ordering.EQ:
-        # top slice: rneg(x) lands in E_0 and restores the unit
-        r = E.rneg(x)
-        return compare(r[0], H.zero()) is Ordering.EQ and E.add(x, r) == E.one
-    try:
-        h = pick_strictly_between(H, H.zero(), t)
-    except NoElementError:
-        h = None
-    if h is not None:
-        # (h, 0) < x so all its defined multiples live in the ideal
-        w = (h, g.zero(G))
-        if not E.leq(w, x):
-            return False
-        k = 1
-        while compare(H.coerce(h * (k + 1)), H.one()) is Ordering.LT:
-            k += 1
-        y = (h * k, g.zero(G))  # k maximal with k*h < 1
-        leftover = E.lneg(y)  # (1 - k*h, g0), head at most h < t
-        if not E.leq(leftover, x):
-            return False
-        return E.add(leftover, y) == E.one
-    # discrete head, t = 1/n with n >= 2: shift x by e >= -gx, -gx + g0
-    n = H.n
-    e = g.upper_bound(G, [g.neg(G, gx), g.zero(G), g.add(G, g.neg(G, gx), g0)])
-    lifted = E.add(x, (H.zero(), e))
-    if lifted is None:
-        return False
-    w = (Fraction(1, n), g.zero(G))
-    if not E.leq(w, lifted):
-        return False
-    y = (Fraction(n - 1, n), g.zero(G))  # (n-1)-fold sum of w
-    leftover = E.lneg(y)  # (1/n, g0) <= lifted by the choice of e
-    if not E.leq(leftover, lifted):
-        return False
-    return E.add(leftover, y) == E.one
 
 
 # ---------------------------------------------------------------------------
@@ -587,13 +443,15 @@ class PerfectReport:
     missing_slice: object = None
 
 
-def classify_perfect(E, H: ScalarSubgroup, n_max=6, seed=0, samples=150) -> PerfectReport:
-    """Full perfectness report for a finite algebra or a lex interval."""
-    rng = random.Random(seed)
+def classify_perfect(E, H: ScalarSubgroup, n_max=6, seed=0) -> PerfectReport:
+    """Full perfectness report for a finite algebra or a lex interval.
+
+    ``seed`` only drives the search for an asymmetry witness on a lex interval.
+    """
     if isinstance(E, FinitePea):
-        return _classify_finite(E, H, n_max, rng)
+        return _classify_finite(E, H, n_max)
     if isinstance(E, IntervalPea) and E.is_lex_scalar:
-        return _classify_lex(E, H, n_max, rng, samples)
+        return _classify_lex(E, H, n_max, random.Random(seed))
     raise UnsupportedError(f"unsupported algebra {E!r}")
 
 
@@ -616,7 +474,7 @@ def _unique_roots(E, n_max):
     return all(len(cyclic_elements(E, n)) <= 1 for n in range(1, n_max + 1))
 
 
-def _classify_finite(E: FinitePea, H, n_max, rng):
+def _classify_finite(E: FinitePea, H, n_max):
     decomposition = None
     ordered_report = None
     for s in states_finite(E):
@@ -668,8 +526,10 @@ def _finite_slice_directed(E: FinitePea, members) -> bool:
     return True
 
 
-def _classify_lex(E: IntervalPea, H, n_max, rng, samples):
+def _classify_lex(E: IntervalPea, H, n_max, rng):
+    _require_unit_head(E)
     head_H = E.head_subgroup
+    directness = g.is_directed(E.tail_group)  # slice directness, module docstring
     missing = next((t for t in _index_values(H) if not head_H.contains(t)), None)
     if missing is not None:
         one_div, strong_div, first_fail = _divisibility_scan(E, n_max)
@@ -677,7 +537,7 @@ def _classify_lex(E: IntervalPea, H, n_max, rng, samples):
             False,
             None,
             None,
-            g.is_directed(E.tail_group),
+            directness,
             None,
             False,
             one_div,
@@ -690,9 +550,8 @@ def _classify_lex(E: IntervalPea, H, n_max, rng, samples):
             missing_slice=missing,
         )
     D = decomposition_from_state(E, FirstCoordinateState(E), H)
-    ordered_report = check_ordered(E, D, rng, samples)
-    type_i = check_type_i(E, D, rng, samples)
-    directness = g.is_directed(E.tail_group) and _lex_slices_directed_probe(E, D, rng)
+    ordered_report = check_ordered(E, D)
+    type_i = check_type_i(E, D)
     cyc = find_cyclic_system(E, D)
     one_div, strong_div, first_fail = _divisibility_scan(E, n_max)
     sym = is_symmetric(E, rng).symmetric
@@ -715,29 +574,6 @@ def _classify_lex(E: IntervalPea, H, n_max, rng, samples):
         sym,
         strong,
     )
-
-
-def _lex_slices_directed_probe(E: IntervalPea, D: LexDecomposition, rng, rounds=60) -> bool:
-    G = E.tail_group
-    grid = [t for t in D.grid if E.head_subgroup.contains(t)]
-    for _ in range(rounds):
-        t = rng.choice(grid)
-        a, b = D.sample_slice(t, rng), D.sample_slice(t, rng)
-        lo = (t, g.lower_bound(G, [a[1], b[1]]))
-        hi = (t, g.upper_bound(G, [a[1], b[1]]))
-        if not (E.leq(lo, a) and E.leq(lo, b) and E.leq(a, hi) and E.leq(b, hi)):
-            return False
-        if not (E.contains(lo) and E.contains(hi)):
-            # boundary slices clamp the witnesses back into the interval
-            zero_t = compare(t, D.H.zero()) is Ordering.EQ
-            one_t = compare(t, D.H.one()) is Ordering.EQ
-            if zero_t and not E.contains(hi):
-                return False
-            if one_t and not E.contains(lo):
-                return False
-            if not zero_t and not one_t:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -769,6 +605,7 @@ def strong_cyclic_vs_divisibility(E: IntervalPea, n_max=6) -> EquivalenceVerdict
             uniqueness = False
     # cyclic-system side over the rational grid with denominators <= n_max
     if E.is_lex_scalar:
+        _require_unit_head(E)
         D = LexDecomposition(
             E.head_subgroup, E, tuple(_index_values(E.head_subgroup, max_den=n_max)), True
         )

@@ -27,6 +27,7 @@ points the rest of the package calls; each one calls the method.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, fields
@@ -124,9 +125,12 @@ class GroupDescriptor:
         """Elements with data in [-box, box], above all lowers and below all uppers."""
         raise UnsupportedError(f"oracle enumeration unsupported on {self}")
 
-    def _iter_heads(self, lowers, uppers, box: int, lex):
-        """The heads the oracle enumerates for ``lex``, in ascending order."""
-        raise UnsupportedError(f"oracle enumeration unsupported on {lex}")
+    def _iter_heads(self, lowers, uppers, box: int):
+        """The lex heads the oracle enumerates, in ascending order."""
+        return sorted(
+            self.iter_bounded(lowers, uppers, box),
+            key=functools.cmp_to_key(lambda x, y: int(self._linear_compare(x, y))),
+        )
 
 
 def _iter_signed(limit_lo: int, limit_hi: int):
@@ -235,7 +239,7 @@ class Scalar(GroupDescriptor):
         for k in _iter_signed(lo, hi):
             yield Fraction(k, self.H.n)
 
-    def _iter_heads(self, lowers, uppers, box, lex):
+    def _iter_heads(self, lowers, uppers, box):
         lo, hi = self._grid_range(lowers, uppers, box, "scalar head")
         for k in range(lo, hi + 1):
             yield Fraction(k, self.H.n)
@@ -629,7 +633,7 @@ class Lex(_Pair):
 
     def iter_bounded(self, lowers, uppers, box):
         top, bottom = self.parts
-        for h in top._iter_heads([l[0] for l in lowers], [u[0] for u in uppers], box, self):
+        for h in top._iter_heads([l[0] for l in lowers], [u[0] for u in uppers], box):
             # a bound constrains the tail only under its own head
             tail_lowers = [l[1] for l in lowers if l[0] == h]
             tail_uppers = [u[1] for u in uppers if u[0] == h]

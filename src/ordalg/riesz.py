@@ -153,13 +153,13 @@ def _transpose_instance(table: tuple):
     return (c11, c21, c12, c22)
 
 
-def _decompose_lex(desc, a1, a2, b1, b2, level, dense_head):
+def _decompose_lex(desc, a1, a2, b1, b2, level):
     top, bottom = desc.top, desc.bottom
     zt = g.zero(top)
     (m1, ta1), (m2, ta2), (n1, tb1), (n2, tb2) = a1, a2, b1, b2
 
     if m1 == zt and m2 == zt:
-        e11, e12, e21, e22 = decompose_raw(bottom, ta1, ta2, tb1, tb2, level, dense_head)
+        e11, e12, e21, e22 = decompose_raw(bottom, ta1, ta2, tb1, tb2, level)
         return ((zt, e11), (zt, e12), (zt, e21), (zt, e22))
 
     if m2 == zt:
@@ -174,7 +174,7 @@ def _decompose_lex(desc, a1, a2, b1, b2, level, dense_head):
         # n2 == 0 (so n1 == m1): shift the first column by d <= a1, b1
         d = g.lower_bound(bottom, [ta1, tb1])
         x1, y1 = g.sub_left(bottom, d, ta1), g.sub_left(bottom, d, tb1)
-        e11, e12, e21, e22 = decompose_raw(bottom, x1, ta2, y1, tb2, level, dense_head)
+        e11, e12, e21, e22 = decompose_raw(bottom, x1, ta2, y1, tb2, level)
         return (
             (m1, g.add(bottom, d, e11)),
             (zt, e12),
@@ -194,7 +194,7 @@ def _decompose_lex(desc, a1, a2, b1, b2, level, dense_head):
         # n1 == 0 (so n2 == m2): shift the second row by d <= a2, b2
         d = g.lower_bound(bottom, [ta2, tb2])
         x2, y2 = g.sub_right(bottom, ta2, d), g.sub_right(bottom, tb2, d)
-        e11, e12, e21, e22 = decompose_raw(bottom, ta1, x2, tb1, y2, level, dense_head)
+        e11, e12, e21, e22 = decompose_raw(bottom, ta1, x2, tb1, y2, level)
         return (
             (zt, e11),
             (zt, e12),
@@ -204,17 +204,17 @@ def _decompose_lex(desc, a1, a2, b1, b2, level, dense_head):
 
     if n1 == zt or n2 == zt:
         # swap the roles of the a- and b-rows and transpose the answer
-        table = _decompose_lex(desc, b1, b2, a1, a2, level, dense_head)
+        table = _decompose_lex(desc, b1, b2, a1, a2, level)
         return _transpose_instance(table)
 
     # all four heads strictly positive
-    if dense_head == "reduce" and isinstance(top, g.Scalar) and top.H.is_dense:
+    if isinstance(top, g.Scalar) and top.H.is_dense:
         return _decompose_lex_dense(desc, a1, a2, b1, b2, level)
 
     d = g.lower_bound(bottom, [ta1, ta2, tb1, tb2])
     x1, x2 = g.sub_left(bottom, d, ta1), g.sub_right(bottom, ta2, d)
     y1, y2 = g.sub_left(bottom, d, tb1), g.sub_right(bottom, tb2, d)
-    e11, e12, e21, e22 = decompose_raw(bottom, x1, x2, y1, y2, level, dense_head)
+    e11, e12, e21, e22 = decompose_raw(bottom, x1, x2, y1, y2, level)
     if g.leq(top, n1, m1):  # m1 >= n1
         return (
             (n1, g.add(bottom, d, e11)),
@@ -274,7 +274,6 @@ def _decompose_lex_dense(desc, a1, a2, b1, b2, level):
         (Fraction(ks[2]), tb1),
         (Fraction(ks[3]), tb2),
         level,
-        dense_head="reduce",
     )
     # surplus heads solved inside the scalar group
     s11, s12, s21, s22 = _min_based(g.Scalar(H), surplus[0], surplus[1], surplus[2], surplus[3])
@@ -287,7 +286,7 @@ def _decompose_lex_dense(desc, a1, a2, b1, b2, level):
 _scalar_key = functools.cmp_to_key(lambda u, v: int(compare(u, v)))
 
 
-def decompose_raw(desc, a1, a2, b1, b2, level, dense_head):
+def decompose_raw(desc, a1, a2, b1, b2, level):
     if isinstance(desc, g.Lex):
         if level == "rdp2":
             if g.is_linearly_ordered(desc):
@@ -301,30 +300,27 @@ def decompose_raw(desc, a1, a2, b1, b2, level, dense_head):
             raise UnsupportedError(
                 "no rdp1 witness construction for a non-commutative lex bottom"
             )
-        return _decompose_lex(desc, a1, a2, b1, b2, level, dense_head)
+        return _decompose_lex(desc, a1, a2, b1, b2, level)
     if g.is_linearly_ordered(desc):
         return _min_based(desc, a1, a2, b1, b2)
     if isinstance(desc, g.Product):
         tables = [
-            decompose_raw(part, a1[i], a2[i], b1[i], b2[i], level, dense_head)
+            decompose_raw(part, a1[i], a2[i], b1[i], b2[i], level)
             for i, part in enumerate(desc.parts)
         ]
         return tuple(zip(*tables))
     return _componentwise_int(a1, a2, b1, b2)  # Z^k with k >= 2
 
 
-def rdp_decompose(desc, a1, a2, b1, b2, level="rdp", dense_head="reduce"):
+def rdp_decompose(desc, a1, a2, b1, b2, level="rdp"):
     """Solve a refinement instance; the returned table is verified before return.
 
-    ``dense_head`` chooses how strictly positive dense scalar heads are
-    handled: "reduce" (default) approximates inside a cyclic subgroup,
-    "direct" applies the head case analysis verbatim.
+    Strictly positive dense scalar heads are approximated inside a cyclic
+    subgroup (``_decompose_lex_dense``).
     """
     lv = _norm_level(level)
-    if dense_head not in ("reduce", "direct"):
-        raise UnsupportedError(f"unknown dense_head mode {dense_head!r}")
     a1, a2, b1, b2 = check_instance(desc, a1, a2, b1, b2)
-    table = DecompositionTable(*decompose_raw(desc, a1, a2, b1, b2, lv, dense_head), level=lv)
+    table = DecompositionTable(*decompose_raw(desc, a1, a2, b1, b2, lv), level=lv)
     res = rdp_table_verify(desc, a1, a2, b1, b2, table, level=lv)
     if not res.ok:
         raise AssertionError(f"internal: constructed table failed verification: {res.reason}")

@@ -200,7 +200,7 @@ def test_criterion_4_dense_heads():
     ):
         for _ in range(count):
             inst = random_instance(desc, rng, bound)
-            table = rdp_decompose(desc, *inst, dense_head="reduce")
+            table = rdp_decompose(desc, *inst)
             if not rdp_table_verify(desc, *inst, table).ok:
                 ok = False
     record(4, "700 dense-head refinements via the cyclic-subgroup reduction", ok)
@@ -274,7 +274,7 @@ def test_criterion_8_ordered_consequences():
     for E in (build_lex_pea(H1, Z), build_lex_pea(HQ, Z)):
         H = E.head_subgroup
         D = decomposition_from_state(E, FirstCoordinateState(E), H)
-        report = check_ordered(E, D, rng, 200)
+        report = check_ordered(E, D)
         if not (report.ordered and report.e0_matches_infinitesimals):
             ok = False
         inf = infinitesimals(E)

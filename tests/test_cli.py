@@ -157,6 +157,17 @@ def test_cli_classify_perfect():
     assert "strong_h_perfect: True" in output
 
 
+def test_cli_unit_head_other_than_one_is_an_error():
+    # s((1, 0)) = 1/2 here, so no Z-valued state exists and the slices by head
+    # would index [0, 2]; both lex verbs refuse the algebra
+    for verb in ("decompose", "classify-perfect"):
+        for H in ("Z", "Z/2"):
+            code, output = run_cli(verb, "--pea", "gamma(lex(Z, Z), (2, 0))", "--H", H)
+            assert code == 2
+            assert output.startswith("error: lex slice decompositions need the unit head 1, got 2\n")
+            assert "#! verdict=error message=" in output
+
+
 def test_cli_represent_and_corrupt():
     code, output = run_cli(
         "represent", "--H", "Z/4", "--G", "Z",
@@ -232,3 +243,16 @@ def test_cli_oracle_rdp():
     )
     assert code == 0
     assert "#! verdict=pass" in output
+
+
+def test_cli_oracle_rdp_non_scalar_discrete_heads():
+    # linear discrete heads that are not scalars: Z^1 and a lex product
+    for group, a1, a2, b1, b2 in (
+        ("lex(Z^1, Z)", "(2, 1)", "(1, -3)", "(1, 4)", "(2, -6)"),
+        ("lex(lex(Z, Z), Z)", "((1, 0), 2)", "((0, 1), 3)", "((0, 2), 1)", "((1, -1), 4)"),
+    ):
+        args = ("--group", group, "--a1", a1, "--a2", a2, "--b1", b1, "--b2", b2, "--box", "6")
+        code, output = run_cli("oracle-rdp", *args)
+        assert code == 0 and output.endswith("#! verdict=pass oracle=found\n")
+        code, output = run_cli("check-rdp", *args, "--oracle")
+        assert code == 0 and "#! oracle=found agree=True" in output

@@ -62,9 +62,10 @@ add 7 0 7
 add 7 6 1
 """
 
-# the README's ten examples, the Z/1 slice printing, a deep oracle, then the
+# the README's ten examples, the Z/1 slice printing, a deep oracle, the
 # state polytopes of 2^2 and of the 3-cube and the perfectness flags of the
-# 3-cube
+# 3-cube, then both lex verbs over a non-central and a central Aff unit, a
+# quadratic head and a plane tail
 CASES = {
     "01_check_axioms": ["check-axioms", "chain.pea"],
     "02_states": ["states", "chain.pea"],
@@ -99,6 +100,30 @@ CASES = {
     "13_states_bool": ["states", "bool.pea"],
     "14_states_cube3": ["states", "cube3.pea"],
     "15_classify_perfect_cube3": ["classify-perfect", "--pea", "cube3.pea", "--H", "Z/2"],
+    "16_decompose_aff_noncentral": [
+        "decompose", "--pea", "gamma(lex(Z, Aff), (1, (2, 0)))", "--H", "Z",
+    ],
+    "17_classify_perfect_aff_noncentral": [
+        "classify-perfect", "--pea", "gamma(lex(Z, Aff), (1, (2, 0)))", "--H", "Z",
+    ],
+    "18_decompose_aff_central": [
+        "decompose", "--pea", "gamma(lex(Z, Aff), (1, (1, 0)))", "--H", "Z",
+    ],
+    "19_classify_perfect_aff_central": [
+        "classify-perfect", "--pea", "gamma(lex(Z, Aff), (1, (1, 0)))", "--H", "Z",
+    ],
+    "20_decompose_quadratic": [
+        "decompose", "--pea", "gamma(lex(Q[sqrt 2], Z), (1, 0))", "--H", "Q[sqrt 2]",
+    ],
+    "21_classify_perfect_quadratic": [
+        "classify-perfect", "--pea", "gamma(lex(Q[sqrt 2], Z), (1, 0))", "--H", "Q[sqrt 2]",
+    ],
+    "22_decompose_quarters_plane": [
+        "decompose", "--pea", "gamma(lex(Z/4, Z^2), (1, (0, 0)))", "--H", "Z/4",
+    ],
+    "23_classify_perfect_quarters_plane": [
+        "classify-perfect", "--pea", "gamma(lex(Z/4, Z^2), (1, (0, 0)))", "--H", "Z/4",
+    ],
 }
 
 

@@ -8,12 +8,12 @@ import pytest
 from ordalg import groups as g
 from ordalg.decomp import (
     FiniteDecomposition,
+    LexDecomposition,
     check_ordered,
     check_type_i,
     classify_perfect,
     decomposition_from_state,
     find_cyclic_system,
-    lex_type_ii_violation,
     state_from_decomposition,
     strong_cyclic_vs_divisibility,
 )
@@ -21,6 +21,8 @@ from ordalg.errors import PreconditionError
 from ordalg.pea import FinitePea, IntervalPea, boolean_algebra, finite_chain
 from ordalg.scalars import ScalarSubgroup
 from ordalg.states import FiniteState, FirstCoordinateState, states_finite
+
+from lex_probes import lex_type_ii_violation
 
 Z = g.ZZ
 Q = g.QQ
@@ -131,10 +133,9 @@ def test_check_ordered_boolean_fails():
 
 
 def test_check_ordered_lex_canonical():
-    rng = random.Random(3)
     for E in (lex_pea(ScalarSubgroup.cyclic(1), Z, f(0)), lex_pea(HQ, Z, f(0))):
         D = decomposition_from_state(E, FirstCoordinateState(E), E.head_subgroup)
-        report = check_ordered(E, D, rng, 200)
+        report = check_ordered(E, D)
         assert report.ordered and report.defined_iff_ordered_agrees
         assert report.e0_matches_infinitesimals
         assert report.e0_normal
@@ -159,7 +160,6 @@ def test_type_i_boolean_two_maximal_ideals():
 
 
 def test_type_i_lex_probe():
-    rng = random.Random(5)
     for E in (
         lex_pea(ScalarSubgroup.cyclic(1), Z, f(0)),
         lex_pea(HQ, Z, f(0)),
@@ -168,7 +168,7 @@ def test_type_i_lex_probe():
         lex_pea(ScalarSubgroup.cyclic(1), AFF, (f(2), f(0))),
     ):
         D = decomposition_from_state(E, FirstCoordinateState(E), E.head_subgroup)
-        report = check_type_i(E, D, rng)
+        report = check_type_i(E, D)
         assert report.is_type_i, (E, report)
 
 
@@ -257,7 +257,6 @@ def test_strong_cyclic_equivalence():
 
 
 def test_ordered_implies_type_i():
-    rng = random.Random(23)
     cases = [
         (finite_chain(2), H2),
         (finite_chain(4), H4),
@@ -268,8 +267,8 @@ def test_ordered_implies_type_i():
             assert check_type_i(E, D).is_type_i
     EL = lex_pea(HQ, Z, f(0))
     D = decomposition_from_state(EL, FirstCoordinateState(EL), HQ)
-    if check_ordered(EL, D, rng).ordered:
-        assert check_type_i(EL, D, rng).is_type_i
+    if check_ordered(EL, D).ordered:
+        assert check_type_i(EL, D).is_type_i
 
 
 def test_rad_equals_e0_for_ordered_finite():
@@ -299,7 +298,7 @@ def test_check_ordered_quadratic_head():
     H = ScalarSubgroup.quadratic(2)
     E = lex_pea(H, Z, f(0))
     D = decomposition_from_state(E, FirstCoordinateState(E), H)
-    report = check_ordered(E, D, random.Random(41), 120)
+    report = check_ordered(E, D)
     assert report.ordered
     assert report.e0_matches_infinitesimals
     assert report.slice_additivity_ok and report.no_oversum_ok
@@ -327,3 +326,65 @@ def test_state_extends_to_group_functional():
         assert w[0] == u[0] + v[0]
         if E.contains(u):
             assert s(u) == u[0]
+
+
+def test_decided_lex_verdicts_agree_with_sampled_probes():
+    # the decided flags and the test-side probes (lex_probes) agree on random
+    # lex intervals: discrete, rational and quadratic heads, the property
+    # trees as tails, a random unit tail, proper and empty-slice variants
+    from lex_probes import (
+        sampled_ordered_report,
+        sampled_type_i_report,
+        slices_directed_probe,
+    )
+    from ordalg.sampling import sample_element
+    from test_properties import TREES
+
+    rng = random.Random(4242)
+    HS2 = ScalarSubgroup.quadratic(2)
+    heads = (
+        (ScalarSubgroup.cyclic(1), (HS2, H2)),
+        (H2, (H4,)),
+        (ScalarSubgroup.cyclic(3), (HQ,)),
+        (HQ, ()),
+        (HS2, ()),
+    )
+    tails = rng.sample(TREES, 4) + [AFF, g.Product(Z, AFF)]
+    checked = subsets = 0
+    for head, supersets in heads:
+        for G in tails:
+            E = lex_pea(head, G, sample_element(G, rng, 3))
+            for H, allow in ((head, False),) + tuple((K, True) for K in supersets):
+                D = decomposition_from_state(E, FirstCoordinateState(E), H, allow_subset=allow)
+                subsets += not D.proper
+                assert state_from_decomposition(E, D) == FirstCoordinateState(E)
+                assert lex_type_ii_violation(D, rng, rounds=30) is None
+                assert sampled_ordered_report(E, D, rng, rounds=30) == check_ordered(E, D)
+                assert sampled_type_i_report(E, D, rng, rounds=20) == check_type_i(E, D)
+                directed = slices_directed_probe(E, D, rng, rounds=20)
+                assert directed == classify_perfect(E, H, n_max=2).directness
+                checked += 1
+    assert checked == 54 and subsets == 24
+
+
+def test_unit_head_other_than_one_is_a_precondition_error():
+    # the state of gamma(lex(Z, Z), (2, 0)) is (t, g) -> t/2, so slices by
+    # head would index [0, 2]; every lex decomposition path refuses it
+    H1 = ScalarSubgroup.cyclic(1)
+    for E, H, other, head in (
+        (IntervalPea(g.Lex(Z, Z), (f(2), f(0))), H1, H2, "2"),
+        (IntervalPea(g.Lex(Q, Z), (f(3) / 2, f(1))), HQ, ScalarSubgroup.quadratic(2), "3/2"),
+    ):
+        message = f"unit head 1, got {head}"
+        with pytest.raises(PreconditionError, match=message):
+            decomposition_from_state(E, FirstCoordinateState(E), H)
+        with pytest.raises(PreconditionError, match=message):
+            decomposition_from_state(E, FirstCoordinateState(E), other, allow_subset=True)
+        with pytest.raises(PreconditionError, match=message):
+            classify_perfect(E, H)  # the branch that decomposes
+        with pytest.raises(PreconditionError, match=message):
+            classify_perfect(E, other)  # the branch that reports a missing slice
+        with pytest.raises(PreconditionError, match=message):
+            state_from_decomposition(E, LexDecomposition(H, E, (f(0), f(1))))
+        with pytest.raises(PreconditionError, match=message):
+            strong_cyclic_vs_divisibility(E)

@@ -65,11 +65,18 @@ TREES = trees(2024)
 DISCRETE = [g.ZZ, g.Scalar(ScalarSubgroup.cyclic(2)), g.Scalar(ScalarSubgroup.cyclic(3))]
 
 
+def discrete_head(rng, depth):
+    """A linearly ordered discrete tree: a discrete scalar, Z^1, or a lex of two such."""
+    if depth > 0 and rng.random() < 0.4:
+        return g.Lex(discrete_head(rng, depth - 1), discrete_head(rng, depth - 1))
+    return rng.choice(DISCRETE + [g.IntVector(1)])
+
+
 def discrete_descriptor(rng, depth):
-    """A random tree the oracle enumerates: discrete scalars, Z^k, prod, lex over a scalar head."""
+    """A random tree the oracle enumerates: discrete scalars, Z^k, prod, lex over a discrete head."""
     if depth > 0 and rng.random() < 0.75:
         if rng.random() < 0.5:
-            return g.Lex(rng.choice(DISCRETE), discrete_descriptor(rng, depth - 1))
+            return g.Lex(discrete_head(rng, depth - 1), discrete_descriptor(rng, depth - 1))
         return g.Product(discrete_descriptor(rng, depth - 1), discrete_descriptor(rng, depth - 1))
     if rng.random() < 0.5:
         return rng.choice(DISCRETE)
@@ -265,14 +272,23 @@ def test_sample_interval_rejects_bounds_outside_the_cone():
                 sample_interval(desc, hi, rng, 5)
 
 
+def lex_heads(desc):
+    """The heads of every lex node in a descriptor tree."""
+    if isinstance(desc, g.Lex):
+        yield desc.top
+    for part in getattr(desc, "parts", ()):
+        yield from lex_heads(part)
+
+
 def test_oracle_finds_a_table_wherever_the_solver_does():
     # the solver's own c11 lies in the oracle's window once the box holds its table
     rng = random.Random(800)
-    checked = 0
+    checked = non_scalar_heads = 0
     while checked < 300:
         desc = discrete_descriptor(rng, rng.randint(1, 3))
         if len(grid_coords(desc, g.zero(desc))) > 5:
             continue
+        non_scalar_heads += any(not isinstance(h, g.Scalar) for h in lex_heads(desc))
         a1, a2 = sample_positive(desc, rng, 4), sample_positive(desc, rng, 4)
         total = g.add(desc, a1, a2)
         b1 = sample_interval(desc, total, rng, 4)
@@ -282,3 +298,4 @@ def test_oracle_finds_a_table_wherever_the_solver_does():
         box = max(abs(k) for c in table.entries() for k in grid_coords(desc, c))
         assert rdp_oracle_search(desc, a1, a2, b1, b2, level="rdp", box=box).found
         checked += 1
+    assert non_scalar_heads >= 30

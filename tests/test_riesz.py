@@ -153,16 +153,6 @@ def test_abelian_tables_certify_rdp1():
             assert res.ok and res.side_condition == "holds"
 
 
-def test_dense_reduction_consistency_with_direct_tables():
-    rng = random.Random(53)
-    for _ in range(100):
-        a1, a2, b1, b2 = random_instance(LEX_QZ2, rng, 6)
-        t_reduce = rdp_decompose(LEX_QZ2, a1, a2, b1, b2, dense_head="reduce")
-        t_direct = rdp_decompose(LEX_QZ2, a1, a2, b1, b2, dense_head="direct")
-        assert rdp_table_verify(LEX_QZ2, a1, a2, b1, b2, t_reduce).ok
-        assert rdp_table_verify(LEX_QZ2, a1, a2, b1, b2, t_direct).ok
-
-
 def test_quadratic_dense_heads():
     rng = random.Random(55)
     for _ in range(40):
