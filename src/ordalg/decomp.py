@@ -113,6 +113,15 @@ def _require_unit_head(E: IntervalPea):
         )
 
 
+def _require_head_values_in(E: IntervalPea, H: ScalarSubgroup):
+    """Every value of the first coordinate state s((t, g)) = t must lie in H."""
+    for t in _index_values(E.head_subgroup):
+        if not H.contains(t):
+            raise PreconditionError(
+                f"state is not valued in {H}: s({g.format_element(E.group, (t, g.zero(E.tail_group)))}) = {format_scalar(t)}"
+            )
+
+
 def decomposition_from_state(E, s, H: ScalarSubgroup, allow_subset=False):
     """Slices as preimages of an H-valued state.
 
@@ -154,13 +163,8 @@ def decomposition_from_state(E, s, H: ScalarSubgroup, allow_subset=False):
         if not isinstance(s, FirstCoordinateState):
             raise UnsupportedError("interval algebras use the first coordinate state")
         _require_unit_head(E)
+        _require_head_values_in(E, H)
         head_H = E.head_subgroup
-        # every attained value must lie in H
-        for t in _index_values(head_H):
-            if not H.contains(t):
-                raise PreconditionError(
-                    f"state is not valued in {H}: s({g.format_element(E.group, (t, g.zero(E.tail_group)))}) = {format_scalar(t)}"
-                )
         # every H index must be attained, else slices are empty
         missing = [t for t in _index_values(H) if not head_H.contains(t)]
         proper = not missing
@@ -528,6 +532,7 @@ def _finite_slice_directed(E: FinitePea, members) -> bool:
 
 def _classify_lex(E: IntervalPea, H, n_max, rng):
     _require_unit_head(E)
+    _require_head_values_in(E, H)
     head_H = E.head_subgroup
     directness = g.is_directed(E.tail_group)  # slice directness, module docstring
     missing = next((t for t in _index_values(H) if not head_H.contains(t)), None)

@@ -290,12 +290,28 @@ class DifferenceGroup:
                         "difference groups need a commutative bottom slice"
                     )
         self._reps = []
+        # an interval algebra's group is a lattice, so its classes are keyed;
+        # a finite algebra offers no meet and keeps the scan
+        self._by_key = {} if isinstance(pea, IntervalPea) else None
 
     def _equivalent(self, p: DifferenceClass, q: DifferenceClass) -> bool:
         return self.pea.add(p.plus, q.minus) == self.pea.add(q.plus, p.minus)
 
+    def _key(self, plus, minus):
+        """The disjoint pair (plus - m, minus - m) with m = plus ^ minus.
+
+        In a lattice-ordered abelian group x = x+ - x- with x+ ^ x- = 0 in
+        exactly one way (Goodearl 1986, ch. 1), so two pairs are equivalent
+        exactly when their keys agree.  The key uses only the algebra's order
+        and partial difference.
+        """
+        m = g.meet(self.pea.group, plus, minus)
+        return (self.pea.minus_left(plus, m), self.pea.minus_left(minus, m))
+
     def make(self, plus, minus) -> DifferenceClass:
         cand = DifferenceClass(plus, minus)
+        if self._by_key is not None:
+            return self._by_key.setdefault(self._key(plus, minus), cand)
         for rep in self._reps:
             if self._equivalent(cand, rep):
                 return rep

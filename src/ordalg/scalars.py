@@ -35,6 +35,34 @@ def _is_square_free(d: int) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=256, typed=True)
+def _check_d(d: int) -> None:
+    """Validate d once; a bad d raises again on every call (errors are not cached)."""
+    if d < 2 or math.isqrt(d) ** 2 == d:
+        raise PreconditionError(f"d must be a non-square integer >= 2, got {d}")
+    if not _is_square_free(d):
+        raise PreconditionError(f"d must be square-free, got {d}")
+
+
+def _sign(an: int, ad: int, bn: int, bd: int, d: int) -> int:
+    """Sign of an/ad + (bn/bd)*sqrt(d) for ad, bd > 0 and a non-square d.
+
+    The kernel of every quadratic order decision: integers only, and the
+    fractions need not be in lowest terms.
+    """
+    if bn == 0:
+        return (an > 0) - (an < 0)
+    sb = 1 if bn > 0 else -1
+    if an == 0 or (an > 0) == (bn > 0):
+        return sb
+    # opposite signs: compare a^2 with b^2*d cleared of denominators
+    # (equality is impossible, d is not a square)
+    u, v = an * bd, bn * ad
+    lhs, rhs = u * u, v * v * d
+    assert lhs != rhs, "sqrt(d) cannot be rational"
+    return -sb if lhs > rhs else sb
+
+
 @dataclass(frozen=True)
 class QuadraticNumber:
     """Exact value a + b*sqrt(d) with rational a, b and a fixed non-square d."""
@@ -44,12 +72,11 @@ class QuadraticNumber:
     d: int
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.d < 2 or math.isqrt(self.d) ** 2 == self.d:
-            raise PreconditionError(f"d must be a non-square integer >= 2, got {self.d}")
-        if not _is_square_free(self.d):
-            raise PreconditionError(f"d must be square-free, got {self.d}")
+        if type(self.a) is not Fraction:
+            object.__setattr__(self, "a", Fraction(self.a))
+        if type(self.b) is not Fraction:
+            object.__setattr__(self, "b", Fraction(self.b))
+        _check_d(self.d)
 
     def _check(self, other: "QuadraticNumber") -> "QuadraticNumber":
         if isinstance(other, (int, Fraction)):
@@ -57,6 +84,21 @@ class QuadraticNumber:
         if not isinstance(other, QuadraticNumber) or other.d != self.d:
             raise DomainMismatchError(f"mixed operands: sqrt({self.d}) vs {other!r}")
         return other
+
+    def _cmp(self, other) -> int:
+        """Sign of self - other, without building the difference."""
+        a, b = self.a, self.b
+        p, s, r, q = a.numerator, a.denominator, b.numerator, b.denominator
+        if isinstance(other, QuadraticNumber):
+            if other.d == self.d:
+                oa, ob = other.a, other.b
+                os, oq = oa.denominator, ob.denominator
+                return _sign(p * os - oa.numerator * s, s * os,
+                             r * oq - ob.numerator * q, q * oq, self.d)
+        elif isinstance(other, (int, Fraction)):
+            om = other.denominator
+            return _sign(p * om - other.numerator * s, s * om, r, q, self.d)
+        raise DomainMismatchError(f"mixed operands: sqrt({self.d}) vs {other!r}")
 
     def __add__(self, other):
         other = self._check(other)
@@ -87,35 +129,22 @@ class QuadraticNumber:
     def sign(self) -> int:
         """Sign of a + b*sqrt(d), decided by exact case analysis on a and b."""
         a, b = self.a, self.b
-        if b == 0:
-            return 0 if a == 0 else (1 if a > 0 else -1)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2*d (equality impossible, d non-square)
-        lhs, rhs = a * a, b * b * self.d
-        assert lhs != rhs, "sqrt(d) cannot be rational"
-        if a > 0:  # b < 0
-            return 1 if lhs > rhs else -1
-        return 1 if rhs > lhs else -1  # a < 0, b > 0
+        return _sign(a.numerator, a.denominator, b.numerator, b.denominator, self.d)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
     def __lt__(self, other):
-        return (self - self._check(other)).sign() < 0
+        return self._cmp(other) < 0
 
     def __le__(self, other):
-        return (self - self._check(other)).sign() <= 0
+        return self._cmp(other) <= 0
 
     def __gt__(self, other):
-        return (self - self._check(other)).sign() > 0
+        return self._cmp(other) > 0
 
     def __ge__(self, other):
-        return (self - self._check(other)).sign() >= 0
+        return self._cmp(other) >= 0
 
     def __str__(self):
         if self.b == 0:
@@ -123,18 +152,25 @@ class QuadraticNumber:
         return f"{self.a} + {self.b}*sqrt({self.d})"
 
     def floor(self) -> int:
-        """Exact integer floor, found by bracketing and bisection with exact compares."""
-        bound = abs(self.a) + abs(self.b) * (math.isqrt(self.d) + 1) + 1
-        lo = -(int(bound.numerator // bound.denominator) + 2)
-        hi = -lo
-        # invariant: lo <= self < hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if (self - QuadraticNumber(Fraction(mid), Fraction(0), self.d)).sign() >= 0:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        """Exact integer floor.
+
+        For b = r/q in lowest terms and t = isqrt(r^2*d), |b|*sqrt(d) lies
+        strictly between t/q and (t + 1)/q, so the value lies in an open
+        interval (L, L + 1/q) and its floor is floor(L) or floor(L) + 1; one
+        exact sign test against floor(L) + 1 decides.
+        """
+        a, b = self.a, self.b
+        p, s = a.numerator, a.denominator
+        r, q = b.numerator, b.denominator
+        if r == 0:
+            return p // s
+        t = math.isqrt(r * r * self.d)
+        # L = a + t/q for b > 0 and a - (t + 1)/q for b < 0
+        c = (p * q + (t if r > 0 else -(t + 1)) * s) // (s * q) + 1
+        return c if _sign(p - c * s, s, r, q, self.d) >= 0 else c - 1
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class ScalarSubgroup:
@@ -163,17 +199,19 @@ class ScalarSubgroup:
 
     @staticmethod
     def quadratic(d: int) -> "ScalarSubgroup":
-        QuadraticNumber(0, 0, d)  # validates d
+        _check_d(d)
         return _Quadratic(d)
 
     def zero(self):
-        return Fraction(0)
+        return _ZERO
 
     def one(self):
-        return Fraction(1)
+        return _ONE
 
     def coerce(self, x):
         """Convert ints/Fractions to this subgroup's value type (no membership check)."""
+        if type(x) is Fraction:
+            return x
         if isinstance(x, QuadraticNumber):
             if x.b == 0:
                 return Fraction(x.a)
@@ -337,16 +375,24 @@ class _Quadratic(ScalarSubgroup):
         return pick_strictly_between(self, lo, hi)
 
 
+_BY_SIGN = (Ordering.EQ, Ordering.GT, Ordering.LT)  # indexed by a sign -1, 0, 1
+
+
 def compare(x, y) -> Ordering:
-    """Exact order of two values of the same scalar domain."""
-    if isinstance(x, QuadraticNumber) or isinstance(y, QuadraticNumber):
-        if not isinstance(x, QuadraticNumber):
-            x = QuadraticNumber(Fraction(x), Fraction(0), y.d)
-        s = (x - y).sign()
-    else:
-        diff = Fraction(x) - Fraction(y)
-        s = 0 if diff == 0 else (1 if diff > 0 else -1)
-    return Ordering(s)
+    """Exact order of two values of the same scalar domain.
+
+    The domain is ``int``, ``Fraction`` and ``QuadraticNumber``: ints and
+    Fractions are ordered by their numerators and denominators, and a
+    quadratic operand decides by the sign of the difference of coefficients.
+    Floats and strings are not scalar values.
+    """
+    if isinstance(x, QuadraticNumber):
+        return _BY_SIGN[x._cmp(y)]
+    if isinstance(y, QuadraticNumber):
+        return _BY_SIGN[-y._cmp(x)]
+    # denominators are positive, so cross-multiplying keeps the order
+    u, v = x.numerator * y.denominator, y.numerator * x.denominator
+    return _BY_SIGN[(u > v) - (u < v)]
 
 
 def classify(H: ScalarSubgroup):
@@ -408,7 +454,7 @@ def _smallest_abs_int(m_lo: int, m_hi: int):
 def pick_strictly_between(H: ScalarSubgroup, lo, hi):
     """A deterministic element t of H with lo < t < hi.
 
-    FullQ uses the smallest-denominator rule; cyclic groups take the leftmost
+    Q uses the smallest-denominator rule; cyclic groups take the leftmost
     grid point; quadratic groups take m + k*(sqrt(d) - floor(sqrt(d))) with
     smallest k >= 0 (so integers first) and then smallest |m|.
     """
@@ -436,7 +482,7 @@ def floor_multiple_below(x, step) -> int:
 def grid_points(H: ScalarSubgroup, max_den: int = 6, coeff_bound: int = 4):
     """A sorted finite witness grid of [0,1] in H.
 
-    Cyclic groups yield the full grid k/n; FullQ yields all fractions with
+    Cyclic groups yield the full grid k/n; Q yields all fractions with
     denominator <= max_den; quadratic groups yield all m + k*sqrt(d) in [0,1]
     with |k| <= coeff_bound.
     """

@@ -168,6 +168,19 @@ def test_cli_unit_head_other_than_one_is_an_error():
             assert "#! verdict=error message=" in output
 
 
+def test_cli_head_values_outside_H_are_the_same_error():
+    # 3 - 2*sqrt(2) is a head value of the algebra and not a rational, so no
+    # Q-valued state exists; classify-perfect must not report a missing slice
+    outputs = []
+    for verb in ("decompose", "classify-perfect"):
+        code, output = run_cli(verb, "--pea", "gamma(lex(Q[sqrt 2], Z), (1, 0))", "--H", "Q")
+        assert code == 2
+        assert output.startswith("error: state is not valued in Q: s((3 + -2*sqrt(2), 0)) = ")
+        assert "missing slice" not in output
+        outputs.append(output)
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_represent_and_corrupt():
     code, output = run_cli(
         "represent", "--H", "Z/4", "--G", "Z",

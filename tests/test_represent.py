@@ -191,6 +191,22 @@ def test_difference_group_matches_vector_group():
             )
 
 
+@pytest.mark.parametrize("G,hi", [(Z, f(3)), (Z2, (3, 3)), (g.Product(Z, Z), (f(3), f(2)))])
+def test_difference_classes_keyed_like_the_scan(G, hi):
+    # the pairwise scan is the reference: make returns the same first
+    # representative of each class as the scan does
+    E = build_lex_pea(HQ, G)
+    grid = [(HQ.zero(), x) for x in G.enumerate_interval(hi)]
+    keyed, scan = DifferenceGroup(E, grid), DifferenceGroup(E, grid)
+    scan._by_key = None
+    rng = random.Random(29)
+    for _ in range(300):
+        w, x, y, z = (rng.choice(keyed.grid) for _ in range(4))
+        plus, minus = E.add(w, x), E.add(y, z)
+        assert keyed.make(plus, minus) == scan.make(plus, minus)
+    assert len(keyed._by_key) == len(scan._reps)
+
+
 def test_difference_group_trivial():
     E = build_lex_pea(HQ, Z)
     dg, embed = difference_group(E, [(HQ.zero(), f(0))])

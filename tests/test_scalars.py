@@ -1,11 +1,12 @@
 """Exact scalar subgroup arithmetic and order."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from ordalg.errors import DomainMismatchError, NoElementError
+from ordalg.errors import DomainMismatchError, NoElementError, PreconditionError
 from ordalg.scalars import (
     Ordering,
     QuadraticNumber,
@@ -192,3 +193,123 @@ def test_grid_points_sorted_and_member():
             assert compare(u, v) is Ordering.LT
         assert compare(pts[0], H.zero()) is Ordering.EQ
         assert compare(pts[-1], H.one()) is Ordering.EQ
+
+
+# ---------------------------------------------------------------------------
+# the exact kernels against slow references
+
+
+def _ref_sign(a, b, d):
+    """Sign of a + b*sqrt(d) by the case analysis on Fraction squares."""
+    a, b = Fraction(a), Fraction(b)
+    if b == 0:
+        return 0 if a == 0 else (1 if a > 0 else -1)
+    if a == 0 or (a > 0) == (b > 0):
+        return 1 if b > 0 else -1
+    lhs, rhs = a * a, b * b * d
+    assert lhs != rhs
+    if a > 0:
+        return 1 if lhs > rhs else -1
+    return 1 if rhs > lhs else -1
+
+
+def _ref_compare_sign(x, y):
+    """Sign of x - y: a Fraction difference, or the sign of the coefficient differences."""
+    if not isinstance(x, QuadraticNumber) and not isinstance(y, QuadraticNumber):
+        diff = Fraction(x) - Fraction(y)
+        return 0 if diff == 0 else (1 if diff > 0 else -1)
+    d = x.d if isinstance(x, QuadraticNumber) else y.d
+    xa, xb = (x.a, x.b) if isinstance(x, QuadraticNumber) else (Fraction(x), 0)
+    ya, yb = (y.a, y.b) if isinstance(y, QuadraticNumber) else (Fraction(y), 0)
+    return _ref_sign(xa - ya, xb - yb, d)
+
+
+def _ref_floor(x):
+    """Integer floor by bracketing and bisection with exact sign tests."""
+    bound = abs(x.a) + abs(x.b) * (math.isqrt(x.d) + 1) + 1
+    lo = -(bound.numerator // bound.denominator + 2)
+    hi = -lo
+    while hi - lo > 1:  # lo <= x < hi
+        mid = (lo + hi) // 2
+        if _ref_sign(x.a - mid, x.b, x.d) >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+DS = (2, 3, 5, 6, 7, 10)
+# p^2 - d*q^2 = +-1, so p - q*sqrt(d) = +-1/(p + q*sqrt(d)) is within 1/(2p) of 0
+PELL = {2: [(3, 2), (7, 5), (17, 12), (99, 70)], 3: [(2, 1), (7, 4), (26, 15)],
+        5: [(2, 1), (9, 4), (161, 72)], 6: [(5, 2), (49, 20)], 7: [(8, 3), (127, 48)],
+        10: [(3, 1), (19, 6), (721, 228)]}
+
+
+def _sample_scalar(rng, d):
+    def rat():
+        return Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randint(-8, 8)
+    if kind == 1:
+        return rat()
+    return QuadraticNumber(rat(), rng.choice([Fraction(0), rat()]), d)
+
+
+def test_compare_matches_the_sign_of_the_difference():
+    rng = random.Random(71)
+    members = {-1: Ordering.LT, 0: Ordering.EQ, 1: Ordering.GT}
+    for _ in range(3000):
+        d = rng.choice(DS)
+        x = _sample_scalar(rng, d)
+        y = x if rng.random() < 0.1 else _sample_scalar(rng, d)
+        s = _ref_compare_sign(x, y)
+        assert compare(x, y) is members[s]
+        assert compare(y, x) is members[-s]
+        if isinstance(x, QuadraticNumber):
+            assert (x < y, x <= y, x > y, x >= y) == (s < 0, s <= 0, s > 0, s >= 0)
+            assert (x - y).sign() == s
+
+
+def test_floor_matches_bisection():
+    rng = random.Random(73)
+    cases = []
+    for d in DS:
+        cases += [QuadraticNumber(m, 0, d) for m in (-3, 0, 5)]  # b = 0, exact integers
+        cases += [QuadraticNumber(Fraction(7, 3), 0, d), QuadraticNumber(Fraction(-7, 3), 0, d)]
+        for p, q in PELL[d]:
+            for m in (-2, 0, 3):
+                for k in (1, 5):  # just below or just above the integer m
+                    cases.append(QuadraticNumber(Fraction(m) + Fraction(p, k), Fraction(-q, k), d))
+                    cases.append(QuadraticNumber(Fraction(m) - Fraction(p, k), Fraction(q, k), d))
+        for _ in range(150):
+            cases.append(QuadraticNumber(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 97)),
+                                         Fraction(rng.randint(-10**4, 10**4), rng.randint(1, 97)), d))
+    near = 0  # irrational values within 1/100 below an integer
+    for x in cases:
+        f = x.floor()
+        assert f == _ref_floor(x), x
+        if x.b != 0 and _ref_sign(x.a - f - Fraction(99, 100), x.b, x.d) > 0:
+            near += 1
+    assert near >= len(DS)
+
+
+def test_bad_d_raises_on_every_construction():
+    QuadraticNumber(0, 0, 2)  # a valid d, now validated once
+    for d in (0, 1, 4, 8, 12):
+        for _ in range(2):
+            with pytest.raises(PreconditionError):
+                QuadraticNumber(0, 0, d)
+
+
+def test_compare_rejects_mixed_square_roots():
+    for x, y in ((q2(1, 1), QuadraticNumber(1, 1, 3)), (QuadraticNumber(1, 1, 3), q2(1, 1))):
+        with pytest.raises(DomainMismatchError):
+            compare(x, y)
+
+
+def test_rational_values_are_shared_not_copied():
+    x = Fraction(3, 7)
+    assert Q.coerce(x) is x and Z3.coerce(x) is x
+    assert Q.zero() is Z.zero() and Q.one() is Z3.one()
