@@ -21,7 +21,7 @@ from .decomp import (
     classify_perfect,
     decomposition_from_state,
 )
-from .errors import OrdalgError
+from .errors import OrdalgError, PreconditionError
 from .parsing import (
     parse_descriptor,
     parse_element,
@@ -324,6 +324,14 @@ exactly when all requested verdicts pass. ORDALG_SEED is the fallback seed.
 """
 
 
+def _env_seed():
+    value = os.environ.get("ORDALG_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise PreconditionError(f"ORDALG_SEED must be an integer, got {value!r}") from None
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ordalg",
@@ -332,7 +340,7 @@ def build_parser():
         epilog=GRAMMAR_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    default_seed = int(os.environ.get("ORDALG_SEED", "0"))
+    default_seed = _env_seed()
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("check-axioms", help="verify a finite algebra file")
@@ -404,10 +412,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     out = []
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args, out)
     except (OrdalgError, OSError, UnicodeDecodeError) as err:
         out.append(f"error: {err}")

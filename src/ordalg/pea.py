@@ -10,7 +10,6 @@ queries go through exact group arithmetic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import groups as g
@@ -130,6 +129,14 @@ class FinitePea:
 
 
 def _axiom_failure(size, zero, one, table):
+    """The first failing check (range, PE1..PE4) with its smallest witness, or None.
+
+    Only a triple with (a + b) + c or a + (b + c) defined can break PE1, so
+    PE1 walks the left-defined triples (a, b) -> ab, c in rows[ab] and then
+    the right-defined ones (b, c) -> bc, a in cols[bc]; the witness is the
+    lexicographically smallest failing triple (pair for PE3, element for
+    PE2 and PE4).  PE2 and PE3 read the same rows and columns.
+    """
     els = range(size)
     for (i, j), k in table.items():
         if not (0 <= i < size and 0 <= j < size and 0 <= k < size):
@@ -138,31 +145,40 @@ def _axiom_failure(size, zero, one, table):
     def add(a, b):
         return table.get((a, b))
 
+    rows = [{} for _ in els]  # rows[x][c] = x + c
+    cols = [{} for _ in els]  # cols[x][d] = d + x
+    for (a, b), s in table.items():
+        rows[a][b] = s
+        cols[b][a] = s
     # PE1: associativity of definedness and of values
-    for a, b, c in itertools.product(els, repeat=3):
-        ab = add(a, b)
-        left_def = ab is not None and add(ab, c) is not None
-        bc = add(b, c)
-        right_def = bc is not None and add(a, bc) is not None
-        if left_def != right_def:
-            return AxiomFailure("PE1", (a, b, c))
-        if left_def and add(ab, c) != add(a, bc):
-            return AxiomFailure("PE1", (a, b, c))
+    failures = []
+    for a in els:
+        row_a = rows[a]
+        for b, ab in row_a.items():
+            row_b = rows[b]
+            for c, abc in rows[ab].items():
+                bc = row_b.get(c)
+                if bc is None or row_a.get(bc) != abc:
+                    failures.append((a, b, c))
+    for b in els:
+        row_b = rows[b]
+        for c, bc in row_b.items():
+            for a in cols[bc]:
+                ab = rows[a].get(b)
+                if ab is None or c not in rows[ab]:
+                    failures.append((a, b, c))
+    if failures:
+        return AxiomFailure("PE1", min(failures))
     # PE2: unique right and left complements to one
     for a in els:
-        rights = [d for d in els if add(a, d) == one]
-        lefts = [e for e in els if add(e, a) == one]
-        if len(rights) != 1 or len(lefts) != 1:
+        if list(rows[a].values()).count(one) != 1 or list(cols[a].values()).count(one) != 1:
             return AxiomFailure("PE2", (a,))
     # PE3: every defined sum shifts to both sides
-    for a, b in itertools.product(els, repeat=2):
-        s = add(a, b)
-        if s is None:
-            continue
-        if not any(add(d, a) == s for d in els):
-            return AxiomFailure("PE3", (a, b))
-        if not any(add(b, e) == s for e in els):
-            return AxiomFailure("PE3", (a, b))
+    row_sums = [set(row.values()) for row in rows]
+    col_sums = [set(col.values()) for col in cols]
+    failures = [(a, b) for (a, b), s in table.items() if s not in col_sums[a] or s not in row_sums[b]]
+    if failures:
+        return AxiomFailure("PE3", min(failures))
     # PE4: one is a forbidden summand except against zero
     for a in els:
         if (add(a, one) is not None or add(one, a) is not None) and a != zero:
@@ -335,26 +351,6 @@ def check_interval_axioms_sampled(E: IntervalPea, rng, rounds=120):
 # ideals and radicals (finite)
 
 
-def _ideal_closure(E: FinitePea, seed):
-    members = set(seed) | {E.zero}
-    changed = True
-    while changed:
-        changed = False
-        for a in list(members):
-            for b in list(members):
-                s = E.add(a, b)
-                if s is not None and s not in members:
-                    members.add(s)
-                    changed = True
-        for x in E.elements():
-            if x in members:
-                continue
-            if any(E.leq(x, a) for a in members):
-                members.add(x)
-                changed = True
-    return frozenset(members)
-
-
 def _is_normal_ideal(E: FinitePea, ideal):
     for x in E.elements():
         left = {E.add(x, i) for i in ideal if E.defined(x, i)}
@@ -381,15 +377,43 @@ class IdealsReport:
 
 
 def ideals_enumerate(E: FinitePea) -> IdealsReport:
-    """All ideals by closure growth, with maximality/normality flags."""
-    found = {_ideal_closure(E, [])}
+    """All ideals by closure growth, with maximality/normality flags.
+
+    Each ideal grows from a closed base by a worklist: a new member y brings
+    in its down-set and the defined sums y + m and m + y with m already in,
+    read from y's sum rows.
+    """
+    down = [[] for _ in E.elements()]  # down[s] = the x <= s
+    right = [[] for _ in E.elements()]  # right[y] = the (m, y + m)
+    left = [[] for _ in E.elements()]  # left[y] = the (m, m + y)
+    for (x, c), s in E.table.items():
+        down[s].append(x)
+        right[x].append((c, s))
+        left[c].append((x, s))
+
+    def closure(base, x):
+        members = set(base)
+        work = [x]
+        while work:
+            y = work.pop()
+            if y in members:
+                continue
+            members.add(y)
+            work += [d for d in down[y] if d not in members]
+            work += [s for m, s in right[y] if m in members and s not in members]
+            work += [s for m, s in left[y] if m in members and s not in members]
+        return frozenset(members)
+
+    found = {closure((), E.zero)}
     frontier = list(found)
     while frontier:
         base = frontier.pop()
         for x in E.elements():
-            if x in base:
+            # an ideal above base holds an element minimal outside base, so
+            # growing by those alone reaches every ideal
+            if x in base or not base.issuperset(d for d in down[x] if d != x):
                 continue
-            grown = _ideal_closure(E, set(base) | {x})
+            grown = closure(base, x)
             if grown not in found:
                 found.add(grown)
                 frontier.append(grown)

@@ -1,5 +1,6 @@
 """Finite and interval pseudo effect algebras."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,10 @@ import pytest
 from ordalg import groups as g
 from ordalg.errors import PreconditionError
 from ordalg.pea import (
+    AxiomFailure,
     FinitePea,
+    IdealInfo,
+    IdealsReport,
     IntervalPea,
     boolean_algebra,
     check_interval_axioms_sampled,
@@ -20,6 +24,7 @@ from ordalg.pea import (
     infinitesimals,
     is_symmetric,
 )
+from ordalg.pea import _axiom_failure, _is_normal_ideal
 from ordalg.scalars import ScalarSubgroup
 from ordalg.states import FiniteState, states_finite
 
@@ -99,6 +104,141 @@ def test_self_checks_name_the_failure(size, table, message):
         FinitePea(size, 0, size - 1, table, _validated=True)
 
 
+def hsum_table(k):
+    """Horizontal sum of k copies of 2^2: 0, 1, then atoms 2+2i and 3+2i add to 1."""
+    table = {}
+    for x in range(2 + 2 * k):
+        table[(0, x)] = x
+        table[(x, 0)] = x
+    for i in range(k):
+        table[(2 + 2 * i, 3 + 2 * i)] = 1
+        table[(3 + 2 * i, 2 + 2 * i)] = 1
+    return 2 + 2 * k, 0, 1, table
+
+
+def cycle_table(n):
+    """0, 1 and atoms 2..n+1, each atom plus the next one (cyclically) equal to 1.
+
+    A valid algebra for n >= 2, non-commutative for n >= 3: an atom's left
+    and right complements are its two neighbours.
+    """
+    size = n + 2
+    table = {(0, x): x for x in range(size)}
+    table.update({(x, 0): x for x in range(size)})
+    table.update({(2 + i, 2 + (i + 1) % n): 1 for i in range(n)})
+    return size, 0, 1, table
+
+
+def arc_table(n):
+    """Arcs of an n-cycle, joined end to start; PE1, PE2 and PE4 hold, PE3 fails for n >= 3.
+
+    Element 0 is the empty arc and 1 the full circle; arc (i, k) starts at
+    i and has length 0 < k < n.  The sum (i, k) + (i + k, m) is the arc
+    (i, k + m), but d + (i, k) = (i, k + m) would need an arc d of length m
+    from i back to i.
+    """
+    arcs = {(i, k): 1 + (n - 1) * i + k for i in range(n) for k in range(1, n)}
+    spans = [(0, 0, 0), (1, 0, n)] + [(x, i, k) for (i, k), x in arcs.items()]
+    table = {}
+    for x, i, k in spans:
+        for y, j, m in spans:
+            if k == 0 or m == 0:
+                table[(x, y)] = y if k == 0 else x
+            elif j == (i + k) % n and k + m <= n:
+                table[(x, y)] = 1 if k + m == n else arcs[(i, k + m)]
+    return 2 + len(arcs), 0, 1, table
+
+
+def relabel(size, zero, one, table, rng):
+    perm = list(range(size))
+    rng.shuffle(perm)
+    return size, perm[zero], perm[one], {(perm[i], perm[j]): perm[k] for (i, j), k in table.items()}
+
+
+def stock_tables(rng):
+    for n in (1, 2, 3, 5, 8, 12):
+        yield relabel(n + 1, 0, n, chain_table(n), rng)
+    for k in (1, 2, 3, 4):
+        E = boolean_algebra(k)
+        yield relabel(E.size, E.zero, E.one, E.table, rng)
+    for k in (2, 3, 5):
+        yield relabel(*hsum_table(k), rng)
+    for n in (3, 4):
+        yield relabel(*cycle_table(n), rng)
+        yield relabel(*arc_table(n), rng)
+    for n in (2, 5):
+        # the group Z/n, all sums defined: only PE4 fails
+        yield relabel(n, 0, 1, {(i, j): (i + j) % n for i in range(n) for j in range(n)}, rng)
+
+
+def exhaustive_axiom_failure(size, zero, one, table):
+    """Reference: the range check and PE1-PE4 by a lexicographic scan of all triples and pairs."""
+    els = range(size)
+    for (i, j), k in table.items():
+        if not (0 <= i < size and 0 <= j < size and 0 <= k < size):
+            return AxiomFailure("table", (i, j, k))
+    add = table.get
+    for a, b, c in itertools.product(els, repeat=3):
+        ab = add((a, b))
+        left_def = ab is not None and add((ab, c)) is not None
+        bc = add((b, c))
+        right_def = bc is not None and add((a, bc)) is not None
+        if left_def != right_def or (left_def and add((ab, c)) != add((a, bc))):
+            return AxiomFailure("PE1", (a, b, c))
+    for a in els:
+        rights = [d for d in els if add((a, d)) == one]
+        lefts = [e for e in els if add((e, a)) == one]
+        if len(rights) != 1 or len(lefts) != 1:
+            return AxiomFailure("PE2", (a,))
+    for a, b in itertools.product(els, repeat=2):
+        s = add((a, b))
+        if s is None:
+            continue
+        if not any(add((d, a)) == s for d in els) or not any(add((b, e)) == s for e in els):
+            return AxiomFailure("PE3", (a, b))
+    for a in els:
+        if (add((a, one)) is not None or add((one, a)) is not None) and a != zero:
+            return AxiomFailure("PE4", (a,))
+    return None
+
+
+def mutate(size, one, table, rng):
+    """One to three random deletions, value changes and added entries.
+
+    Half the new values are `one`, to make extra complements; one value past
+    the last element trips the range check.
+    """
+    table = dict(table)
+    for _ in range(rng.randint(1, 3)):
+        how = rng.choice(("delete", "change", "add"))
+        value = rng.choice((one, rng.randrange(size + 1)))
+        if how == "add" or not table:
+            table[(rng.randrange(size), rng.randrange(size))] = value
+        elif how == "delete":
+            del table[rng.choice(sorted(table))]
+        else:
+            table[rng.choice(sorted(table))] = value
+    return table
+
+
+def test_axiom_failure_matches_the_exhaustive_scan():
+    rng = random.Random(20261018)
+    axioms = set()
+    for _ in range(12):
+        for size, zero, one, table in stock_tables(rng):
+            for mutated in [table] + [mutate(size, one, table, rng) for _ in range(3)]:
+                failure = _axiom_failure(size, zero, one, mutated)
+                assert failure == exhaustive_axiom_failure(size, zero, one, mutated)
+                axioms.add(None if failure is None else failure.axiom)
+    assert axioms == {None, "table", "PE1", "PE2", "PE3", "PE4"}
+
+
+def test_axiom_failure_passes_the_largest_stock_algebras():
+    assert _axiom_failure(64, 0, 63, chain_table(63)) is None
+    E = boolean_algebra(6)
+    assert _axiom_failure(E.size, E.zero, E.one, E.table) is None
+
+
 def test_ideals_of_chain():
     E = finite_chain(2)
     report = ideals_enumerate(E)
@@ -126,6 +266,60 @@ def test_zero_ideal_always_present():
     for E in (finite_chain(3), boolean_algebra(3)):
         report = ideals_enumerate(E)
         assert frozenset({E.zero}) in {i.members for i in report.ideals}
+
+
+def closure_ideals_enumerate(E):
+    """Reference: each ideal closed by rescanning members x members until stable."""
+
+    def closure(seed):
+        members = set(seed) | {E.zero}
+        changed = True
+        while changed:
+            changed = False
+            for a in list(members):
+                for b in list(members):
+                    s = E.add(a, b)
+                    if s is not None and s not in members:
+                        members.add(s)
+                        changed = True
+            for x in E.elements():
+                if x not in members and any(E.leq(x, a) for a in members):
+                    members.add(x)
+                    changed = True
+        return frozenset(members)
+
+    found = {closure([])}
+    frontier = list(found)
+    while frontier:
+        base = frontier.pop()
+        for x in E.elements():
+            if x not in base:
+                grown = closure(set(base) | {x})
+                if grown not in found:
+                    found.add(grown)
+                    frontier.append(grown)
+    all_elements = frozenset(E.elements())
+    proper = [i for i in found if i != all_elements]
+    maximal = {i for i in proper if not any(i < j for j in proper)}
+    infos = tuple(
+        IdealInfo(i, i in maximal, _is_normal_ideal(E, i))
+        for i in sorted(found, key=lambda s: (len(s), sorted(s)))
+    )
+    radical = all_elements.intersection(*maximal)
+    normal_radical = all_elements.intersection(*(i.members for i in infos if i.maximal and i.normal))
+    return IdealsReport(infos, radical, normal_radical)
+
+
+def test_ideals_match_the_closure_search():
+    rng = random.Random(9)
+    algebras = [finite_chain(n) for n in (1, 2, 4, 7)] + [boolean_algebra(k) for k in (3, 4)]
+    algebras += [FinitePea(*hsum_table(k)) for k in (3, 4)]
+    algebras += [FinitePea(*cycle_table(n)) for n in (3, 4, 5)]
+    for E in algebras:
+        for size, zero, one, table in ((E.size, E.zero, E.one, E.table),
+                                       relabel(E.size, E.zero, E.one, E.table, rng)):
+            F = FinitePea(size, zero, one, table)
+            assert ideals_enumerate(F) == closure_ideals_enumerate(F)
 
 
 def test_infinitesimals_finite():
