@@ -54,6 +54,7 @@ from .pea import (
 from .sampling import sample_element, sample_positive
 from .scalars import (
     Ordering,
+    QuadraticNumber,
     ScalarSubgroup,
     compare,
     format_scalar,
@@ -395,14 +396,20 @@ def find_cyclic_system(E, D, strong=False):
             entries.append((t, c))
             if not g.center_member(E.group, c):
                 all_strong = False
-        # additivity of the family on grid pairs
+        # additivity of the family on grid pairs; equal scalar values hash
+        # equal once coerced, so the entry at s + t is one lookup
+        by_head = {}
+        for t, c in entries:
+            by_head.setdefault(H.coerce(t), c)
+        one = H.one()
         for s, cs in entries:
+            hs = H.coerce(s)
             for t, ct in entries:
-                total = H.coerce(s) + H.coerce(t)
-                if compare(total, H.one()) is Ordering.GT:
+                total = hs + H.coerce(t)
+                if compare(total, one) is Ordering.GT:
                     continue
-                match = [cv for tv, cv in entries if compare(tv, total) is Ordering.EQ]
-                if match and E.add(cs, ct) != match[0]:
+                match = by_head.get(total)
+                if match is not None and E.add(cs, ct) != match:
                     return None
         if strong and not all_strong:
             return None
@@ -416,8 +423,6 @@ def _integral_action(G, g0, t):
     Quadratic indices m + k sqrt(d) act through their integer part m; this is
     the canonical additive choice fixing 1 -> g0 and sqrt(d) -> 0.
     """
-    from .scalars import QuadraticNumber
-
     if isinstance(t, QuadraticNumber):
         if t.a.denominator != 1 or t.b.denominator != 1:
             return None

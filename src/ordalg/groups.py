@@ -713,12 +713,20 @@ def sub_left(desc, y, x):
 
 
 def scale(desc, x, n: int):
-    """n-fold sum of x (n may be negative)."""
+    """n-fold sum of x (n may be negative), by binary doubling.
+
+    O(log n) additions; powers of one x commute, so the value equals the
+    left-to-right sum by associativity, in non-abelian groups too.
+    """
     if n < 0:
         return desc.neg(scale(desc, x, -n))
     acc = desc.zero()
-    for _ in range(n):
-        acc = desc.add(acc, x)
+    while n:
+        if n & 1:
+            acc = desc.add(acc, x)
+        n >>= 1
+        if n:
+            x = desc.add(x, x)
     return acc
 
 

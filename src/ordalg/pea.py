@@ -241,10 +241,7 @@ class IntervalPea:
         self.unit = g.check_element(group, unit)
         if not g.is_strong_unit(group, self.unit):
             raise PreconditionError("interval algebras need a strong unit")
-
-    @property
-    def zero(self):
-        return g.zero(self.group)
+        self.zero = g.zero(group)
 
     @property
     def one(self):

@@ -12,7 +12,7 @@ the group of formal differences of a grid-restricted bottom slice and
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import groups as g
@@ -40,18 +40,26 @@ def build_lex_pea(H: ScalarSubgroup, G, g0=None) -> IntervalPea:
 
 @dataclass(frozen=True)
 class PhiMap:
-    """x in slice t maps to (t, x - c_t), with c_t from the cyclic system."""
+    """x in slice t maps to (t, x - c_t), with c_t from the cyclic system.
+
+    c_t depends on the head t only, so each map keeps its tails by head; a
+    head without an entry is not kept and raises again on every call.
+    """
 
     source: IntervalPea
     target: IntervalPea
     corrupt: bool = False  # drop the c_t subtraction (negative control)
+    _tails: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def cyclic_entry(self, t):
-        tail = _integral_action(self.source.tail_group, self.source.tail_unit, t)
+        tail = self._tails.get(t)
         if tail is None:
-            raise PreconditionError(
-                f"no cyclic-system entry for slice {t}; extend the witness grid"
-            )
+            tail = _integral_action(self.source.tail_group, self.source.tail_unit, t)
+            if tail is None:
+                raise PreconditionError(
+                    f"no cyclic-system entry for slice {t}; extend the witness grid"
+                )
+            self._tails[t] = tail
         return (t, tail)
 
     def __call__(self, x):

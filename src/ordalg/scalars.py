@@ -287,7 +287,10 @@ class _Rationals(ScalarSubgroup):
 
     def sample_between(self, lo, hi, rng):
         lo, hi = Fraction(lo), Fraction(hi)
-        return lo + (hi - lo) * Fraction(rng.randint(0, 16), 16)
+        # lo + (hi - lo) * k/16 over the common denominator 16 * lo.d * hi.d
+        p, q, r, s = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        k = rng.randint(0, 16)
+        return Fraction(16 * p * s + (r * q - p * s) * k, 16 * q * s)
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,8 @@ add 7 6 1
 # the README's ten examples, the Z/1 slice printing, a deep oracle, the
 # state polytopes of 2^2 and of the 3-cube and the perfectness flags of the
 # 3-cube, then both lex verbs over a non-central and a central Aff unit, a
-# quadratic head and a plane tail
+# quadratic head and a plane tail, and a functor whose scale factor only
+# binary doubling reaches in time
 CASES = {
     "01_check_axioms": ["check-axioms", "chain.pea"],
     "02_states": ["states", "chain.pea"],
@@ -123,6 +124,9 @@ CASES = {
     ],
     "23_classify_perfect_quarters_plane": [
         "classify-perfect", "--pea", "gamma(lex(Z/4, Z^2), (1, (0, 0)))", "--H", "Z/4",
+    ],
+    "24_functor_large_scale": [
+        "functor", "--hom", "scale(1000000000000)", "--G", "Z", "--H", "Q", "--samples", "5",
     ],
 }
 

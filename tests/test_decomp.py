@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from ordalg import decomp
 from ordalg import groups as g
 from ordalg.decomp import (
+    CyclicSystem,
     FiniteDecomposition,
     LexDecomposition,
     check_ordered,
@@ -19,7 +21,7 @@ from ordalg.decomp import (
 )
 from ordalg.errors import PreconditionError
 from ordalg.pea import FinitePea, IntervalPea, boolean_algebra, finite_chain
-from ordalg.scalars import ScalarSubgroup
+from ordalg.scalars import Ordering, ScalarSubgroup, compare
 from ordalg.states import FiniteState, FirstCoordinateState, states_finite
 
 from lex_probes import lex_type_ii_violation
@@ -190,6 +192,81 @@ def test_cyclic_system_translated_unit():
     entries = dict(cyc.entries)
     assert entries[Fraction(1, 4)] == (Fraction(1, 4), f(1))
     assert entries[Fraction(1)] == E.one
+
+
+def cyclic_system_by_scan(E, D, strong=False):
+    """The lex branch of ``find_cyclic_system`` as it was, finding the entry at
+    s + t by a scan of all entries: the reference for the keyed lookup."""
+    E, H = D.pea, D.H
+    entries = []
+    all_strong = True
+    for t in D.grid:
+        tail = decomp._integral_action(E.tail_group, E.tail_unit, t)
+        if tail is None:
+            return None
+        c = (t, tail)
+        if not E.contains(c):
+            return None
+        entries.append((t, c))
+        if not g.center_member(E.group, c):
+            all_strong = False
+    for s, cs in entries:
+        for t, ct in entries:
+            total = H.coerce(s) + H.coerce(t)
+            if compare(total, H.one()) is Ordering.GT:
+                continue
+            match = [cv for tv, cv in entries if compare(tv, total) is Ordering.EQ]
+            if match and E.add(cs, ct) != match[0]:
+                return None
+    if strong and not all_strong:
+        return None
+    return CyclicSystem(tuple(entries), all_strong)
+
+
+def test_keyed_cyclic_system_check_agrees_with_the_scan(monkeypatch):
+    # seeded lex intervals over Q, Z/n and Q[sqrt 2] heads (Z/n also read
+    # over a finer grid), Z, Z^2 and Aff tails with a central and a
+    # non-central Aff unit; a twisted action that shifts one slice's entry
+    # makes the additivity check itself fail
+    rng = random.Random(1010)
+    HS2 = ScalarSubgroup.quadratic(2)
+    Z2 = g.IntVector(2)
+    units = {
+        Z: lambda: f(rng.choice((0, 60, -120, rng.randint(-3, 3)))),
+        Z2: lambda: (rng.choice((0, 60, rng.randint(-3, 3))), rng.choice((0, -60, 1))),
+        AFF: lambda: rng.choice(((f(1), f(0)), (f(2), f(0)), (f(64), f(rng.randint(-3, 3))))),
+    }
+    shifts = {Z: f(1), Z2: (1, 0), AFF: (f(1), f(1))}
+    action = decomp._integral_action
+    twist = {}
+
+    def twisted(G, g0, t):
+        tail = action(G, g0, t)
+        if tail is not None and twist.get("at") == t:
+            tail = g.add(G, tail, shifts[G])
+        return tail
+
+    monkeypatch.setattr(decomp, "_integral_action", twisted)
+    outcomes = {"system": 0, "none": 0, "twisted_none": 0}
+    for _ in range(48):
+        head = rng.choice((HQ, HS2, *(ScalarSubgroup.cyclic(n) for n in range(1, 7))))
+        G = rng.choice((Z, Z2, AFF))
+        E = lex_pea(head, G, units[G]())
+        H, allow = head, False
+        if not head.is_dense and rng.random() < 0.3:
+            H, allow = ScalarSubgroup.cyclic(head.n * rng.randint(2, 3)), True
+        D = decomposition_from_state(E, FirstCoordinateState(E), H, allow_subset=allow)
+        twist["at"] = rng.choice(D.grid) if rng.random() < 0.4 else None
+        for strong in (False, True):
+            keyed = find_cyclic_system(E, D, strong=strong)
+            assert keyed == cyclic_system_by_scan(E, D, strong=strong), (E, H, twist, strong)
+            if keyed is not None:
+                outcomes["system"] += 1
+            elif twist["at"] is None:
+                outcomes["none"] += 1
+            else:
+                outcomes["twisted_none"] += 1
+    assert min(outcomes.values()) >= 5, outcomes
 
 
 def test_classify_strong_q_perfect():

@@ -2,10 +2,10 @@
 
 Every tree is built from all five descriptor classes with stdlib ``random``;
 the checks are the group laws, the order axioms, the element-format round
-trips and the interval sampler's bounds.  ``divide`` inverts ``scale`` and
-the exact n-th root round trips on values of 100 to 400 bits.  The six
-scalar groups are also checked for membership of every sample and of
-strictly-between picks.  On discrete trees (the ones the exhaustive oracle
+trips and the interval sampler's bounds.  ``scale`` equals the repeated
+sum, ``divide`` inverts it, and the exact n-th root round trips on values of
+100 to 400 bits.  The six scalar groups are also checked for membership of
+every sample and of strictly-between picks.  On discrete trees (the ones the exhaustive oracle
 enumerates) the oracle finds a table wherever the constructive solver does.
 """
 
@@ -161,6 +161,35 @@ def test_divide_inverts_scale(seed):
             x = sample_element(desc, rng, 5)
             for n in (2, 3):
                 assert g.divide(desc, g.scale(desc, x, n), n) == x
+
+
+SCALE_DESCRIPTORS = [
+    g.ZZ,
+    g.Scalar(ScalarSubgroup.cyclic(3)),
+    g.QQ,
+    g.Scalar(ScalarSubgroup.quadratic(2)),
+    g.IntVector(2),
+    g.AffineQ(),
+    g.Lex(g.QQ, g.AffineQ()),
+    g.Product(g.IntVector(2), g.Scalar(ScalarSubgroup.quadratic(2))),
+]
+
+
+@pytest.mark.parametrize("desc", SCALE_DESCRIPTORS, ids=str)
+def test_scale_by_doubling_equals_the_repeated_sum(desc):
+    rng = random.Random(f"scale-{desc}")
+    for _ in range(6):
+        x = sample_element(desc, rng, 5)
+        total = g.zero(desc)
+        for n in range(18):
+            assert g.scale(desc, x, n) == total
+            assert g.scale(desc, x, -n) == g.neg(desc, total)
+            total = g.add(desc, total, x)
+
+
+def test_scale_reaches_large_factors():
+    assert g.scale(g.ZZ, Fraction(3), 10**12) == 3 * 10**12
+    assert g.scale(g.IntVector(2), (1, -2), -(10**15)) == (-(10**15), 2 * 10**15)
 
 
 def big_int(rng):

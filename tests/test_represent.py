@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ordalg import groups as g
+from ordalg.decomp import _integral_action
 from ordalg.errors import PreconditionError, UnsupportedError
 from ordalg.pea import IntervalPea
 from ordalg.represent import (
@@ -22,7 +23,7 @@ from ordalg.represent import (
     reconstruct_hom,
     verify_isomorphism,
 )
-from ordalg.scalars import ScalarSubgroup
+from ordalg.scalars import ScalarSubgroup, grid_points
 
 Z = g.ZZ
 Z2 = g.IntVector(2)
@@ -123,6 +124,43 @@ def test_corrupted_phi_reports_failures():
     bad = PhiMap(shuffled, target, corrupt=True)
     report = verify_isomorphism(bad, shuffled, target, samples=300, seed=11)
     assert report.homomorphism_failures > 0
+
+
+@pytest.mark.parametrize(
+    "H,G,g0",
+    [(H4, Z, f(4)), (HQ, Z, f(0)), (HQ, g.QQ, f(3)), (HS2, Z, f(3)), (HS2, Z2, (1, -2))],
+    ids=["Z/4-Z", "Q-Z", "Q-Q", "sqrt2-Z", "sqrt2-Z^2"],
+)
+def test_cyclic_entries_by_head_equal_the_integral_action(H, G, g0):
+    E = build_lex_pea(H, G, g0)
+    phi = PhiMap(E, build_lex_pea(H, G))
+    for _ in range(2):  # the second pass reads the kept entries
+        for t in grid_points(H):
+            assert phi.cyclic_entry(t) == (t, _integral_action(G, g0, t))
+
+
+def test_missing_cyclic_entry_raises_on_every_call():
+    E = build_lex_pea(HQ, Z, f(1))  # gamma(lex(Q, Z), (1, 1)): 1 is not 2-divisible
+    phi = PhiMap(E, build_lex_pea(HQ, Z))
+    half = Fraction(1, 2)
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            phi.cyclic_entry(half)
+        with pytest.raises(PreconditionError):
+            phi((half, f(0)))
+        with pytest.raises(PreconditionError):
+            phi.preimage((half, f(0)))
+    assert phi.cyclic_entry(f(1)) == (f(1), f(1))
+
+
+def test_corrupted_phi_fails_after_the_clean_map_kept_its_entries():
+    shuffled, _ = make_shuffled(H4, Z, ("translate", f(1)))
+    phi = phi_represent(shuffled)
+    assert verify_isomorphism(phi, shuffled, phi.target, samples=100, seed=11).clean
+    bad = PhiMap(phi.source, phi.target, corrupt=True)
+    report = verify_isomorphism(bad, shuffled, phi.target, samples=100, seed=11)
+    assert report.homomorphism_failures > 0
+    assert verify_isomorphism(phi, shuffled, phi.target, samples=100, seed=11).clean
 
 
 def test_conjugate_shuffle_affine_tail():
