@@ -15,7 +15,6 @@ from .groups import (
     Lex,
     Product,
     Scalar,
-    UnitalPoGroup,
 )
 
 __all__ = [
@@ -31,5 +30,4 @@ __all__ = [
     "Lex",
     "Product",
     "Scalar",
-    "UnitalPoGroup",
 ]

@@ -28,11 +28,11 @@ from .parsing import (
     parse_interval_pea,
     parse_pea_file,
     parse_subgroup,
-    parse_value,
 )
 from .pea import IntervalPea, ideals_enumerate
 from .represent import (
     GroupHom,
+    PeaHom,
     PhiMap,
     build_lex_pea,
     functor_map,
@@ -232,7 +232,7 @@ def cmd_classify_perfect(args, out):
     return 0
 
 
-def _parse_shuffle(spec_text):
+def _parse_shuffle(spec_text, G):
     text = spec_text.strip()
     if text == "identity":
         return ("identity",)
@@ -240,9 +240,9 @@ def _parse_shuffle(spec_text):
         perm = tuple(int(p) for p in text[len("permute(") : -1].split(","))
         return ("permute", perm)
     if text.startswith("translate(") and text.endswith(")"):
-        return ("translate", parse_value(text[len("translate(") : -1]))
+        return ("translate", parse_element(G, text[len("translate(") : -1]))
     if text.startswith("conjugate(") and text.endswith(")"):
-        return ("conjugate", parse_value(text[len("conjugate(") : -1]))
+        return ("conjugate", parse_element(G, text[len("conjugate(") : -1]))
     raise OrdalgError(f"unknown shuffle spec {spec_text!r}")
 
 
@@ -250,7 +250,7 @@ def cmd_represent(args, out):
     H = parse_subgroup(args.H)
     G = parse_descriptor(args.G)
     if args.shuffle:
-        spec = _parse_shuffle(args.shuffle)
+        spec = _parse_shuffle(args.shuffle, G)
         E, _alpha = make_shuffled(H, G, spec)
     elif args.g0:
         E = build_lex_pea(H, G, parse_element(G, args.g0))
@@ -292,8 +292,11 @@ def cmd_functor(args, out):
     h = _parse_hom(args.hom, G)
     rng = random.Random(args.seed)
     lifted = functor_map(h, H, rng, args.samples)
-    ident = functor_map(GroupHom(G, G, ("identity",)), H, rng, args.samples)
-    composed = functor_map(hom_compose(h, GroupHom(G, G, ("identity",))), H, rng, args.samples)
+    # the identity and h after it are homomorphisms once h is one, so they
+    # lift over the same algebras without being sampled again
+    identity = GroupHom(G, G, ("identity",))
+    ident = PeaHom(lifted.source, lifted.source, identity)
+    composed = PeaHom(lifted.source, lifted.target, hom_compose(h, identity))
     ident_ok = comp_ok = True
     for _ in range(args.samples):
         x = lifted.source.sample(rng)
@@ -317,7 +320,8 @@ grammars:
   elements      scalars as p/q or p/q + r/s*sqrt(d); composites as nested
                 tuples, e.g. (1/2, (3, -4)); affine pairs as (a, b)
   shuffles      identity | permute(i,j,...) | translate(ELEMENT) | conjugate(ELEMENT)
-  homomorphisms identity | scale(c) | permute(i,j,...)
+  homomorphisms identity | scale(c) | permute(i,j,...), where permute reorders
+                the k coordinates of a Z^k tail; the map is sampled once
 
 Machine-readable verdict lines are prefixed with `#!`; the exit code is 0
 exactly when all requested verdicts pass. ORDALG_SEED is the fallback seed.

@@ -458,16 +458,46 @@ def classify_perfect(E, H: ScalarSubgroup, n_max=6, seed=0) -> PerfectReport:
     ``seed`` only drives the search for an asymmetry witness on a lex interval.
     """
     if isinstance(E, FinitePea):
-        return _classify_finite(E, H, n_max)
-    if isinstance(E, IntervalPea) and E.is_lex_scalar:
-        return _classify_lex(E, H, n_max, random.Random(seed))
-    raise UnsupportedError(f"unsupported algebra {E!r}")
+        ordered_report, type_i, directness, cyc = _finite_slices(E, H)
+        # torsion-freeness of an abstract ambient group is not determinable here
+        missing, tf, rng = None, None, None
+    elif isinstance(E, IntervalPea) and E.is_lex_scalar:
+        missing, ordered_report, type_i, directness, cyc = _lex_slices(E, H)
+        tf, rng = g.is_torsion_free(E.group), random.Random(seed)
+    else:
+        raise UnsupportedError(f"unsupported algebra {E!r}")
+    is_perfect = ordered_report is not None and ordered_report.ordered
+    one_div, strong_div, first_fail, unique = _divisibility_scan(E, n_max)
+    sym = is_symmetric(E, rng).symmetric
+    strong_cyclic = bool(cyc and cyc.strong)
+    # an undetermined torsion-freeness (None) does not block strong perfectness
+    strong = bool(is_perfect and directness and strong_cyclic and tf is not False)
+    return PerfectReport(
+        is_perfect,
+        ordered_report,
+        type_i,
+        directness,
+        cyc,
+        strong_cyclic,
+        one_div,
+        strong_div,
+        first_fail,
+        unique,
+        tf,
+        sym,
+        strong,
+        missing_slice=missing,
+    )
 
 
 def _divisibility_scan(E, n_max):
-    one_div, strong_div, first_fail = True, True, None
+    """1-divisibility flags, the first failing order and unique roots, all
+    read from one list of cyclic elements per order n <= n_max."""
+    one_div, strong_div, first_fail, unique = True, True, None, True
     for n in range(1, n_max + 1):
         found = cyclic_elements(E, n)
+        if len(found) > 1:
+            unique = False
         if not found:
             one_div = strong_div = False
             if first_fail is None:
@@ -476,53 +506,22 @@ def _divisibility_scan(E, n_max):
             strong_div = False
             if first_fail is None:
                 first_fail = n
-    return one_div, strong_div, first_fail
+    return one_div, strong_div, first_fail, unique
 
 
-def _unique_roots(E, n_max):
-    return all(len(cyclic_elements(E, n)) <= 1 for n in range(1, n_max + 1))
-
-
-def _classify_finite(E: FinitePea, H, n_max):
-    decomposition = None
-    ordered_report = None
+def _finite_slices(E: FinitePea, H):
+    """Verdicts on the first ordered decomposition by a state, if there is one."""
     for s in states_finite(E):
         try:
             D = decomposition_from_state(E, s, H)
         except PreconditionError:
             continue
-        report = check_ordered(E, D)
-        if report.ordered:
-            decomposition, ordered_report = D, report
-            break
-    is_perfect = decomposition is not None
-    type_i = check_type_i(E, decomposition) if is_perfect else None
-    directness = False
-    cyc = None
-    if is_perfect:
-        directness = all(
-            _finite_slice_directed(E, members) for _, members in decomposition.slices
-        )
-        cyc = find_cyclic_system(E, decomposition)
-    one_div, strong_div, first_fail = _divisibility_scan(E, n_max)
-    sym = is_symmetric(E).symmetric
-    strong = bool(is_perfect and directness and cyc is not None and cyc.strong)
-    # torsion-freeness of an abstract ambient group is not determinable here
-    return PerfectReport(
-        is_perfect,
-        ordered_report,
-        type_i,
-        directness,
-        cyc,
-        bool(cyc and cyc.strong),
-        one_div,
-        strong_div,
-        first_fail,
-        _unique_roots(E, n_max),
-        None,
-        sym,
-        strong,
-    )
+        ordered_report = check_ordered(E, D)
+        if ordered_report.ordered:
+            type_i = check_type_i(E, D)
+            directness = all(_finite_slice_directed(E, members) for _, members in D.slices)
+            return ordered_report, type_i, directness, find_cyclic_system(E, D)
+    return None, None, False, None
 
 
 def _finite_slice_directed(E: FinitePea, members) -> bool:
@@ -535,55 +534,17 @@ def _finite_slice_directed(E: FinitePea, members) -> bool:
     return True
 
 
-def _classify_lex(E: IntervalPea, H, n_max, rng):
+def _lex_slices(E: IntervalPea, H):
+    """The first grid slice the head misses, or None, and the slice verdicts."""
     _require_unit_head(E)
     _require_head_values_in(E, H)
-    head_H = E.head_subgroup
     directness = g.is_directed(E.tail_group)  # slice directness, module docstring
-    missing = next((t for t in _index_values(H) if not head_H.contains(t)), None)
+    missing = next((t for t in _index_values(H) if not E.head_subgroup.contains(t)), None)
     if missing is not None:
-        one_div, strong_div, first_fail = _divisibility_scan(E, n_max)
-        return PerfectReport(
-            False,
-            None,
-            None,
-            directness,
-            None,
-            False,
-            one_div,
-            strong_div,
-            first_fail,
-            _unique_roots(E, n_max),
-            g.is_torsion_free(E.group),
-            is_symmetric(E, rng).symmetric,
-            False,
-            missing_slice=missing,
-        )
+        # a head that misses a grid slice is not perfect over H
+        return missing, None, None, directness, None
     D = decomposition_from_state(E, FirstCoordinateState(E), H)
-    ordered_report = check_ordered(E, D)
-    type_i = check_type_i(E, D)
-    cyc = find_cyclic_system(E, D)
-    one_div, strong_div, first_fail = _divisibility_scan(E, n_max)
-    sym = is_symmetric(E, rng).symmetric
-    tf = g.is_torsion_free(E.group)
-    strong = bool(
-        ordered_report.ordered and directness and cyc is not None and cyc.strong and tf
-    )
-    return PerfectReport(
-        ordered_report.ordered,
-        ordered_report,
-        type_i,
-        directness,
-        cyc,
-        bool(cyc and cyc.strong),
-        one_div,
-        strong_div,
-        first_fail,
-        _unique_roots(E, n_max),
-        tf,
-        sym,
-        strong,
-    )
+    return missing, check_ordered(E, D), check_type_i(E, D), directness, find_cyclic_system(E, D)
 
 
 # ---------------------------------------------------------------------------

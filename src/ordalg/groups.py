@@ -747,10 +747,6 @@ def leq(desc, x, y) -> bool:
     return desc.leq(x, y)
 
 
-def lt(desc, x, y) -> bool:
-    return x != y and desc.leq(x, y)
-
-
 def positive_cone_member(desc, x) -> bool:
     return desc.leq(desc.zero(), x)
 
@@ -779,10 +775,6 @@ def lower_bound(desc, xs):
     return desc.lower_bound(xs)
 
 
-def upper_bound(desc, xs):
-    return neg(desc, lower_bound(desc, [neg(desc, x) for x in xs]))
-
-
 # ---------------------------------------------------------------------------
 # commutation
 
@@ -803,12 +795,12 @@ class ComResult:
         return self.status == "holds"
 
 
-def com_check(desc, a, b, budget: int = 200, rng=None) -> ComResult:
+def com_check(desc, a, b) -> ComResult:
     """Do all x in [0,a] and y in [0,b] commute?
 
     Abelian descriptors and zero endpoints answer immediately; finite
-    intervals are enumerated exhaustively; otherwise pairs are sampled up to
-    the budget and the answer is a witness or "inconclusive".
+    intervals are enumerated exhaustively; otherwise 200 seeded pairs are
+    sampled and the answer is a witness or "inconclusive".
     """
     a = desc.check_element(a)
     b = desc.check_element(b)
@@ -824,10 +816,10 @@ def com_check(desc, a, b, budget: int = 200, rng=None) -> ComResult:
                 if desc.add(x, y) != desc.add(y, x):
                     return ComResult("fails", witness=(x, y), exhaustive=True)
         return ComResult("holds", exhaustive=True)
-    rng = rng or random.Random(0)
+    rng = random.Random(0)
     if desc.add(a, b) != desc.add(b, a):
         return ComResult("fails", witness=(a, b))
-    for _ in range(budget):
+    for _ in range(200):
         x = desc.sample_interval(a, rng)
         y = desc.sample_interval(b, rng)
         if desc.add(x, y) != desc.add(y, x):
@@ -836,24 +828,12 @@ def com_check(desc, a, b, budget: int = 200, rng=None) -> ComResult:
 
 
 # ---------------------------------------------------------------------------
-# unital po-groups
+# strong units and formatting
 
 
 def is_strong_unit(desc, u) -> bool:
     """Whether positive u bounds every element up to a multiple."""
     return desc.is_strong_unit(u)
-
-
-@dataclass(frozen=True)
-class UnitalPoGroup:
-    group: GroupDescriptor
-    unit: object
-
-    def __post_init__(self):
-        u = check_element(self.group, self.unit)
-        object.__setattr__(self, "unit", u)
-        if not is_strong_unit(self.group, u):
-            raise PreconditionError(f"{format_element(self.group, u)} is not a strong unit")
 
 
 def format_element(desc, x) -> str:

@@ -318,32 +318,6 @@ class IntervalPea:
         return f"IntervalPea({g.describe(self.group)}, unit={g.format_element(self.group, self.unit)})"
 
 
-def check_interval_axioms_sampled(E: IntervalPea, rng, rounds=120):
-    """Sampled PE1-PE4 probe for interval algebras; returns a witness or None."""
-    for _ in range(rounds):
-        a, b, c = E.sample(rng), E.sample(rng), E.sample(rng)
-        ab = E.add(a, b)
-        left = ab is not None and E.add(ab, c) is not None
-        bc = E.add(b, c)
-        right = bc is not None and E.add(a, bc) is not None
-        if left != right:
-            return AxiomFailure("PE1", (a, b, c))
-        if left and E.add(ab, c) != E.add(a, bc):
-            return AxiomFailure("PE1", (a, b, c))
-        if E.add(a, E.rneg(a)) != E.one or E.add(E.lneg(a), a) != E.one:
-            return AxiomFailure("PE2", (a,))
-        if ab is not None:
-            d = E.minus_left(ab, a)
-            e = E.minus_right(b, ab)
-            if d is None or E.add(d, a) != ab:
-                return AxiomFailure("PE3", (a, b))
-            if e is None or E.add(b, e) != ab:
-                return AxiomFailure("PE3", (a, b))
-        if a != E.zero and (E.add(a, E.one) is not None or E.add(E.one, a) is not None):
-            return AxiomFailure("PE4", (a,))
-    return None
-
-
 # ---------------------------------------------------------------------------
 # ideals and radicals (finite)
 

@@ -2,11 +2,14 @@
 
 ``build_lex_pea`` constructs the canonical interval Gamma(Lex(Scalar(H), G),
 (1, 0)); ``phi_represent`` maps any strong perfect presentation onto it by
-subtracting the cyclic-system entry of each slice; ``verify_isomorphism``
-stress-tests such a map on seeded samples (homomorphism, injectivity, order
-both ways, surjectivity by explicit preimages).  ``difference_group`` builds
-the group of formal differences of a grid-restricted bottom slice and
-``functor_map`` lifts group homomorphisms to interval-algebra homomorphisms.
+subtracting the cyclic-system entry of each slice, and ``PhiMap.preimage``
+adds it back.  ``verify_isomorphism`` stress-tests such a map on seeded
+samples (homomorphism, injectivity, order both ways) and probes
+surjectivity through the map's own preimage, or one the caller supplies.
+``difference_group`` builds the group of formal differences of a
+grid-restricted bottom slice and ``functor_map`` lifts a sampled group
+homomorphism to interval-algebra homomorphisms; ``permute`` rules must
+permute the coordinates of a Z^k group.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .decomp import _integral_action, classify_perfect
 from .errors import PreconditionError, UnsupportedError
 from .pea import IntervalPea
 from .sampling import sample_element
-from .scalars import Ordering, ScalarSubgroup, compare
+from .scalars import ScalarSubgroup
 
 
 def build_lex_pea(H: ScalarSubgroup, G, g0=None) -> IntervalPea:
@@ -130,12 +133,14 @@ class PeaIsomorphismReport:
 def verify_isomorphism(phi, E: IntervalPea, F: IntervalPea, samples=500, seed=0, preimage=None):
     """Sampled homomorphism/injectivity/order/surjectivity report for phi.
 
-    Surjectivity probes run through the staged preimage construction when
-    phi is a :class:`PhiMap`, or through an explicit ``preimage`` callable.
+    Surjectivity probes run through the ``preimage`` callable, which defaults
+    to the map's own inverse when phi is a :class:`PhiMap`; without either,
+    no probes run.
     """
     rng = random.Random(seed)
     report = PeaIsomorphismReport()
-    can_probe = preimage is not None or hasattr(phi, "cyclic_entry")
+    if preimage is None and isinstance(phi, PhiMap):
+        preimage = phi.preimage
     for _ in range(samples):
         report.sample_count += 1
         x, y = E.sample(rng), E.sample(rng)
@@ -159,58 +164,14 @@ def verify_isomorphism(phi, E: IntervalPea, F: IntervalPea, samples=500, seed=0,
         # order preservation and reflection
         if E.leq(x, y) != F.leq(fx, fy):
             report.order_reflection_failures += 1
-        if not can_probe:
+        if preimage is None:
             continue
         target = F.sample(rng)
         report.surjectivity_probes += 1
-        if preimage is not None:
-            w = preimage(target)
-            if E.contains(w) and phi(w) == target:
-                report.surjectivity_probes_hit += 1
-        elif _surjectivity_probe(phi, E, F, target):
+        w = preimage(target)
+        if E.contains(w) and phi(w) == target:
             report.surjectivity_probes_hit += 1
     return report
-
-
-def _surjectivity_probe(phi, E, F, z) -> bool:
-    """Hit z through the proof-style preimage construction.
-
-    Bottom-slice targets use the ideal embedding directly; interior targets
-    split the tail into a difference of positives, climb from the cyclic
-    entry and cancel; top-slice targets go through the left negation.
-    """
-    H = E.head_subgroup
-    G = E.tail_group
-    t, gz = z
-    zero_t, one_t = H.zero(), H.one()
-    if compare(t, zero_t) is Ordering.EQ:
-        x = (t, g.add(G, gz, phi.cyclic_entry(t)[1]))
-        return E.contains(x) and phi(x) == z
-    if compare(t, one_t) is Ordering.EQ:
-        # z = lneg(w) for the bottom-slice preimage w of lneg(z)
-        w_target = F.lneg(z)
-        wx = (zero_t, g.add(G, w_target[1], phi.cyclic_entry(zero_t)[1]))
-        if not E.contains(wx):
-            return False
-        x = E.lneg(wx)
-        return phi(x) == z
-    # interior slice: gz = g1 - g2 with positive parts, staged through E
-    lower = g.lower_bound(G, [gz, g.zero(G)])
-    g2 = g.neg(G, lower)
-    g1 = g.add(G, gz, g2)
-    if not (g.positive_cone_member(G, g1) and g.positive_cone_member(G, g2)):
-        return False
-    c = phi.cyclic_entry(t)
-    step = E.add((zero_t, g1), c)
-    if step is None:
-        return False
-    x = E.minus_left(step, (zero_t, g2))  # step - (0, g2) from the right
-    if x is None:
-        x_alt = (t, g.add(G, gz, c[1]))
-        x = x_alt if E.contains(x_alt) else None
-    if x is None:
-        return False
-    return E.contains(x) and phi(x) == z
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +191,7 @@ def make_shuffled(H: ScalarSubgroup, G, spec):
         return base, lambda x: x
     if kind == "permute":
         perm = spec[1]
-        if not isinstance(G, g.IntVector) or sorted(perm) != list(range(G.k)):
-            raise PreconditionError("permute shuffles need an IntVector tail")
+        _check_permutation(G, perm)
 
         def alpha(x):
             t, tail = x
@@ -360,30 +320,37 @@ def difference_group(E, grid):
 # homomorphisms and the interval-algebra functor
 
 
+def _check_permutation(G, perm):
+    """Reject a perm that does not permute the coordinates of a Z^k group."""
+    if not isinstance(G, g.IntVector):
+        raise PreconditionError(f"permute needs a Z^k tail, not {G}")
+    if sorted(perm) != list(range(G.k)):
+        shown = ",".join(str(p) for p in perm)
+        raise PreconditionError(f"permute({shown}) does not permute the {G.k} coordinates of {G}")
+
+
 @dataclass(frozen=True)
 class GroupHom:
     source: g.GroupDescriptor
     target: g.GroupDescriptor
     rule: tuple
 
+    def __post_init__(self):
+        if self.rule[0] == "permute":
+            _check_permutation(self.source, self.rule[1])
+
     def __call__(self, x):
-        return _hom_apply(self.rule, self.source, self.target, x)
-
-
-def _hom_apply(rule, source, target, x):
-    kind = rule[0]
-    if kind == "identity":
-        return x
-    if kind == "scale":
-        return g.scale(target, x, rule[1])
-    if kind == "permute":
-        return tuple(x[p] for p in rule[1])
-    if kind == "project":
-        return tuple(x[i] for i in rule[1])
-    if kind == "compose":
-        h2, h1 = rule[1], rule[2]
-        return h2(h1(x))
-    raise UnsupportedError(f"unknown homomorphism rule {rule!r}")
+        kind = self.rule[0]
+        if kind == "identity":
+            return x
+        if kind == "scale":
+            return g.scale(self.target, x, self.rule[1])
+        if kind == "permute":
+            return tuple(x[p] for p in self.rule[1])
+        if kind == "compose":
+            h2, h1 = self.rule[1], self.rule[2]
+            return h2(h1(x))
+        raise UnsupportedError(f"unknown homomorphism rule {self.rule!r}")
 
 
 def hom_compose(h2: GroupHom, h1: GroupHom) -> GroupHom:
@@ -424,27 +391,3 @@ def functor_map(h: GroupHom, H: ScalarSubgroup, rng=None, samples=100) -> PeaHom
         raise PreconditionError(f"not a po-group homomorphism: {witness[0]} at {witness[1:]}")
     return PeaHom(build_lex_pea(H, h.source), build_lex_pea(H, h.target), h)
 
-
-def reconstruct_hom(f, source: IntervalPea, target: IntervalPea):
-    """Recover the tail homomorphism of an interval-algebra map.
-
-    Positive tails are read off the bottom slice; arbitrary tails split as a
-    difference of positives.
-    """
-    G = source.tail_group
-    Gt = target.tail_group
-    zero_t = source.head_subgroup.zero()
-
-    def on_positive(gp):
-        image = f((zero_t, gp))
-        if compare(image[0], target.head_subgroup.zero()) is not Ordering.EQ:
-            raise PreconditionError("map does not preserve the bottom slice")
-        return image[1]
-
-    def hom(x):
-        lower = g.lower_bound(G, [x, g.zero(G)])
-        g2 = g.neg(G, lower)
-        g1 = g.add(G, x, g2)
-        return g.sub_right(Gt, on_positive(g1), on_positive(g2))
-
-    return hom

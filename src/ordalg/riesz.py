@@ -86,7 +86,7 @@ def check_instance(desc, a1, a2, b1, b2):
     return vals
 
 
-def rdp_table_verify(desc, a1, a2, b1, b2, table, level=None, com_budget=200, rng=None):
+def rdp_table_verify(desc, a1, a2, b1, b2, table, level=None):
     """Check sums, positivity and the level side condition of a table."""
     lv = _norm_level(level if level is not None else table.level)
     c11, c12, c21, c22 = table.entries()
@@ -107,7 +107,7 @@ def rdp_table_verify(desc, a1, a2, b1, b2, table, level=None, com_budget=200, rn
     if g.add(desc, c12, c22) != b2:
         return VerifyResult(False, "column 2 sum")
     if lv == "rdp1":
-        res = g.com_check(desc, c12, c21, budget=com_budget, rng=rng)
+        res = g.com_check(desc, c12, c21)
         if res.status == "fails":
             return VerifyResult(False, f"com(c12, c21) fails at {res.witness}")
         return VerifyResult(True, side_condition="holds" if res.holds else "inconclusive")

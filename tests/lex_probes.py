@@ -17,6 +17,11 @@ from ordalg.pea import IntervalPea, infinitesimals
 from ordalg.scalars import Ordering, compare, floor_multiple_below, pick_strictly_between
 
 
+def upper_bound(G, xs):
+    """An element above every member of xs: the negated lower bound of the negations."""
+    return g.neg(G, g.lower_bound(G, [g.neg(G, x) for x in xs]))
+
+
 def lex_type_ii_violation(D: LexDecomposition, rng, rounds=150):
     """Sampled check of the negation and addition laws on a lex interval."""
     E = D.pea
@@ -176,7 +181,7 @@ def maximality_probe(E: IntervalPea, x) -> bool:
         return E.add(leftover, y) == E.one
     # discrete head, t = 1/n with n >= 2: shift x by e >= -gx, -gx + g0
     n = H.n
-    e = g.upper_bound(G, [g.neg(G, gx), g.zero(G), g.add(G, g.neg(G, gx), g0)])
+    e = upper_bound(G, [g.neg(G, gx), g.zero(G), g.add(G, g.neg(G, gx), g0)])
     lifted = E.add(x, (H.zero(), e))
     if lifted is None:
         return False
@@ -198,7 +203,7 @@ def slices_directed_probe(E: IntervalPea, D: LexDecomposition, rng, rounds=60) -
         t = rng.choice(grid)
         a, b = D.sample_slice(t, rng), D.sample_slice(t, rng)
         lo = (t, g.lower_bound(G, [a[1], b[1]]))
-        hi = (t, g.upper_bound(G, [a[1], b[1]]))
+        hi = (t, upper_bound(G, [a[1], b[1]]))
         if not (E.leq(lo, a) and E.leq(lo, b) and E.leq(a, hi) and E.leq(b, hi)):
             return False
         if not (E.contains(lo) and E.contains(hi)):

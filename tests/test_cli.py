@@ -204,6 +204,62 @@ def test_cli_functor():
     assert "identity law: True" in output
 
 
+@pytest.mark.parametrize("hom, G, message", [
+    ("permute(0)", "Z", "error: permute needs a Z^k tail, not Z"),
+    ("permute(0)", "Q", "error: permute needs a Z^k tail, not Q"),
+    ("permute(1,0)", "prod(Z, Q)", "error: permute needs a Z^k tail, not prod(Z, Q)"),
+    ("permute(0,5)", "Z^2", "error: permute(0,5) does not permute the 2 coordinates of Z^2"),
+    ("permute(1,0)", "Z^3", "error: permute(1,0) does not permute the 3 coordinates of Z^3"),
+    ("permute(0)", "Z^2", "error: permute(0) does not permute the 2 coordinates of Z^2"),
+])
+def test_cli_functor_permute_needs_a_permutation_of_a_vector_tail(hom, G, message):
+    # these used to die with a traceback or pass for a map that leaves G
+    code, output = run_cli("functor", "--hom", hom, "--G", G, "--H", "Q", "--samples", "20")
+    assert code == 2
+    assert output.splitlines()[0] == message
+    assert output.splitlines()[1].startswith("#! verdict=error")
+
+
+def test_cli_functor_samples_only_the_parsed_homomorphism(monkeypatch):
+    import ordalg.represent as represent
+
+    checked = []
+    real = represent.hom_verify
+
+    def counting(h, rng, samples=200):
+        checked.append(h.rule)
+        return real(h, rng, samples)
+
+    monkeypatch.setattr(represent, "hom_verify", counting)
+    code, _ = run_cli("functor", "--hom", "scale(3)", "--G", "Z^2", "--H", "Z/2", "--samples", "20")
+    assert code == 0
+    assert checked == [("scale", 3)]
+
+
+def test_cli_functor_permute_on_the_plane_passes():
+    code, output = run_cli(
+        "functor", "--hom", "permute(1,0)", "--G", "Z^2", "--H", "Q", "--samples", "20"
+    )
+    assert code == 0
+    assert output.splitlines()[-1] == "#! verdict=pass identity=True composition=True"
+
+
+def test_cli_shuffle_permute_names_its_fault():
+    code, output = run_cli("represent", "--H", "Q", "--G", "Z^2", "--shuffle", "permute(0,5)")
+    assert code == 2
+    assert output.startswith("error: permute(0,5) does not permute the 2 coordinates of Z^2")
+
+
+@pytest.mark.parametrize("H, shuffle", [("Z/3", "translate((1, 2))"), ("Q", "conjugate((1, 2))")])
+def test_cli_shuffle_elements_parse_against_the_tail(H, shuffle):
+    # parsed without --G, (1, 2) became a pair of Fractions and failed the Z^2 check
+    code, output = run_cli(
+        "represent", "--H", H, "--G", "Z^2", "--shuffle", shuffle, "--samples", "60"
+    )
+    assert code == 0
+    assert "isomorphism: clean" in output
+
+
 def test_cli_byte_identical_runs():
     argv = [
         "represent", "--H", "Q", "--G", "Z^2",

@@ -65,8 +65,10 @@ add 7 6 1
 # the README's ten examples, the Z/1 slice printing, a deep oracle, the
 # state polytopes of 2^2 and of the 3-cube and the perfectness flags of the
 # 3-cube, then both lex verbs over a non-central and a central Aff unit, a
-# quadratic head and a plane tail, and a functor whose scale factor only
-# binary doubling reaches in time
+# quadratic head and a plane tail, a functor whose scale factor only
+# binary doubling reaches in time, the corrupted representation map (the one
+# case whose surjectivity count depends on the probe) and the flags of an
+# algebra whose head misses a slice of the requested grid
 CASES = {
     "01_check_axioms": ["check-axioms", "chain.pea"],
     "02_states": ["states", "chain.pea"],
@@ -127,6 +129,13 @@ CASES = {
     ],
     "24_functor_large_scale": [
         "functor", "--hom", "scale(1000000000000)", "--G", "Z", "--H", "Q", "--samples", "5",
+    ],
+    "25_represent_corrupt": [
+        "represent", "--H", "Z/4", "--G", "Z", "--shuffle", "translate(1)", "--corrupt",
+        "--samples", "300", "--seed", "2",
+    ],
+    "26_classify_perfect_missing_slice": [
+        "classify-perfect", "--pea", "gamma(lex(Z/2, Z), (1, 0))", "--H", "Z/4",
     ],
 }
 

@@ -293,6 +293,26 @@ def test_classify_missing_slice():
     assert cyclic_elements(E, 3) == []
 
 
+@pytest.mark.parametrize("H, E, expected", [
+    (HQ, lex_pea(HQ, Z, f(0)), [1, 2, 3, 4, 5]),  # strongly perfect
+    (HQ, lex_pea(ScalarSubgroup.cyclic(1), Z, f(0)), [1, 2, 3, 4, 5]),  # a missing slice
+    # the 4-chain's cyclic-system search reads order 3 before the scan
+    (ScalarSubgroup.cyclic(3), finite_chain(3), [3, 1, 2, 3, 4, 5]),
+])
+def test_classify_reads_each_cyclic_element_list_once(monkeypatch, H, E, expected):
+    # the divisibility flags and unique_roots share one list per order n
+    orders = []
+    real = decomp.cyclic_elements
+
+    def counting(E, n):
+        orders.append(n)
+        return real(E, n)
+
+    monkeypatch.setattr(decomp, "cyclic_elements", counting)
+    classify_perfect(E, H, n_max=5)
+    assert orders == expected
+
+
 def test_classify_translated_unit_divisibility_failure():
     E = lex_pea(HQ, Z, f(1))
     report = classify_perfect(E, HQ, seed=17)

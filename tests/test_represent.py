@@ -20,10 +20,9 @@ from ordalg.represent import (
     hom_verify,
     make_shuffled,
     phi_represent,
-    reconstruct_hom,
     verify_isomorphism,
 )
-from ordalg.scalars import ScalarSubgroup, grid_points
+from ordalg.scalars import Ordering, ScalarSubgroup, compare, grid_points
 
 Z = g.ZZ
 Z2 = g.IntVector(2)
@@ -341,6 +340,31 @@ def test_lattice_positive_negative_parts_of_slice_differences():
         assert g.sub_right(G, pos, neg_part) == diff
         assert g.positive_cone_member(G, pos) and pos[0] == HQ.zero()
         assert g.positive_cone_member(G, neg_part) and neg_part[0] == HQ.zero()
+
+
+def reconstruct_hom(f, source: IntervalPea, target: IntervalPea):
+    """Recover the tail homomorphism of an interval-algebra map.
+
+    Positive tails are read off the bottom slice; arbitrary tails split as a
+    difference of positives.
+    """
+    G = source.tail_group
+    Gt = target.tail_group
+    zero_t = source.head_subgroup.zero()
+
+    def on_positive(gp):
+        image = f((zero_t, gp))
+        if compare(image[0], target.head_subgroup.zero()) is not Ordering.EQ:
+            raise PreconditionError("map does not preserve the bottom slice")
+        return image[1]
+
+    def hom(x):
+        lower = g.lower_bound(G, [x, g.zero(G)])
+        g2 = g.neg(G, lower)
+        g1 = g.add(G, x, g2)
+        return g.sub_right(Gt, on_positive(g1), on_positive(g2))
+
+    return hom
 
 
 def test_fullness_reconstruction():
