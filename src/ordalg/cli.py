@@ -21,7 +21,7 @@ from .decomp import (
     classify_perfect,
     decomposition_from_state,
 )
-from .errors import OrdalgError, PreconditionError
+from .errors import OrdalgError, ParseError, PreconditionError
 from .parsing import (
     parse_descriptor,
     parse_element,
@@ -232,13 +232,23 @@ def cmd_classify_perfect(args, out):
     return 0
 
 
+def _int_args(text, name):
+    """The integers i, j, ... of ``name(i,j,...)``."""
+    inner = text[len(name) + 1 : -1]
+    try:
+        return tuple(int(p) for p in inner.split(","))
+    except ValueError:
+        raise ParseError(
+            f"{name}(...) takes integers, got {inner!r}", column=len(name) + 2
+        ) from None
+
+
 def _parse_shuffle(spec_text, G):
     text = spec_text.strip()
     if text == "identity":
         return ("identity",)
     if text.startswith("permute(") and text.endswith(")"):
-        perm = tuple(int(p) for p in text[len("permute(") : -1].split(","))
-        return ("permute", perm)
+        return ("permute", _int_args(text, "permute"))
     if text.startswith("translate(") and text.endswith(")"):
         return ("translate", parse_element(G, text[len("translate(") : -1]))
     if text.startswith("conjugate(") and text.endswith(")"):
@@ -279,10 +289,12 @@ def _parse_hom(text, G):
     if text == "identity":
         return GroupHom(G, G, ("identity",))
     if text.startswith("scale(") and text.endswith(")"):
-        return GroupHom(G, G, ("scale", int(text[len("scale(") : -1])))
+        factors = _int_args(text, "scale")
+        if len(factors) != 1:
+            raise ParseError(f"scale(...) takes one integer, got {len(factors)}", column=7)
+        return GroupHom(G, G, ("scale", factors[0]))
     if text.startswith("permute(") and text.endswith(")"):
-        perm = tuple(int(p) for p in text[len("permute(") : -1].split(","))
-        return GroupHom(G, G, ("permute", perm))
+        return GroupHom(G, G, ("permute", _int_args(text, "permute")))
     raise OrdalgError(f"unknown homomorphism spec {text!r}")
 
 

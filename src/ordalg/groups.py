@@ -798,7 +798,9 @@ class ComResult:
 def com_check(desc, a, b) -> ComResult:
     """Do all x in [0,a] and y in [0,b] commute?
 
-    Abelian descriptors and zero endpoints answer immediately; finite
+    Abelian descriptors and disjoint endpoints decide it at once: every
+    descriptor is an l-group, so a ^ b = 0 (a zero endpoint included) makes
+    every such x and y disjoint, and disjoint elements commute.  Finite
     intervals are enumerated exhaustively; otherwise 200 seeded pairs are
     sampled and the answer is a witness or "inconclusive".
     """
@@ -808,7 +810,7 @@ def com_check(desc, a, b) -> ComResult:
         raise PreconditionError("com_check needs positive endpoints")
     if desc.is_abelian():
         return ComResult("holds", exhaustive=True)
-    if a == desc.zero() or b == desc.zero():
+    if desc.meet(a, b) == desc.zero():
         return ComResult("holds", exhaustive=True)
     if desc.interval_is_finite(a) and desc.interval_is_finite(b):
         for x in desc.enumerate_interval(a):

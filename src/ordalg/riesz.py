@@ -4,14 +4,16 @@
 positive cone with a 2x2 table of positive elements whose row and column
 sums reproduce the inputs.  Dispatch:
 
-* linearly ordered descriptors use the classical min-based refinement,
-  which also certifies the strongest (lattice) level;
-* integer vectors and direct products refine componentwise;
-* lexicographic products follow an explicit head case analysis: zero heads
-  reduce to the bottom group, mixed rows shift by a directedness witness d,
-  and for dense scalar heads the instance is first approximated inside a
-  common cyclic subgroup, solved there, and topped up with a scalar surplus
-  table.
+* lexicographic products at rdp0 and rdp, and at rdp1 over an Abelian
+  bottom, follow the paper's head case analysis: zero heads reduce to the
+  bottom group, mixed rows shift by a directedness witness d, and for dense
+  scalar heads the instance is first approximated inside a common cyclic
+  subgroup, solved there, and topped up with a scalar surplus table;
+* direct products refine part by part, so their lex parts keep those tables;
+* everything else takes the meet table c11 = a1 ^ b1.  Every descriptor is
+  a lattice-ordered group, so its off-diagonal entries are disjoint and the
+  table certifies rdp2, and with it rdp1.  On a total order it is the
+  classical min refinement.
 
 ``rdp_oracle_search`` is an independent exhaustive oracle over discrete
 descriptors used to cross-validate the constructive solver.
@@ -122,30 +124,16 @@ def rdp_table_verify(desc, a1, a2, b1, b2, table, level=None):
 # constructions
 
 
-def _min_based(desc, a1, a2, b1, b2):
-    """Refinement in a totally ordered group: c11 = min(a1, b1)."""
-    if g.leq(desc, a1, b1):
-        c11, c12 = a1, g.zero(desc)
-        c21 = g.sub_left(desc, a1, b1)  # -a1 + b1
-        c22 = b2
-    else:
-        c11, c21 = b1, g.zero(desc)
-        c12 = g.sub_left(desc, b1, a1)  # -b1 + a1
-        c22 = a2
-    return c11, c12, c21, c22
+def _meet_table(desc, a1, a2, b1, b2):
+    """The lattice refinement c11 = a1 ^ b1, so c12 ^ c21 = -c11 + (a1 ^ b1) = 0.
 
-
-def _componentwise_int(a1, a2, b1, b2):
-    """Per-coordinate min rule on integer vectors."""
-    out = ([], [], [], [])
-    for x1, x2, y1, y2 in zip(a1, a2, b1, b2):
-        if x1 <= y1:
-            row = (x1, 0, y1 - x1, y2)
-        else:
-            row = (y1, x1 - y1, 0, x2)
-        for acc, v in zip(out, row):
-            acc.append(v)
-    return tuple(tuple(v) for v in out)
+    Every descriptor is an l-group, where disjoint elements commute, so the
+    second column sums to b2 and the table certifies every level.
+    """
+    c11 = g.meet(desc, a1, b1)
+    c12 = g.sub_left(desc, c11, a1)
+    c21 = g.sub_left(desc, c11, b1)
+    return c11, c12, c21, g.sub_left(desc, c21, a2)
 
 
 def _transpose_instance(table: tuple):
@@ -235,7 +223,7 @@ def _decompose_lex_dense(desc, a1, a2, b1, b2, level):
 
     Heads are approximated from below inside a common cyclic subgroup, the
     approximated instance is solved with discrete head machinery, and the
-    head surplus is settled by a min-based table inside the scalar group.
+    head surplus is settled by the meet table inside the scalar group.
     """
     top, bottom = desc.top, desc.bottom
     H = top.H
@@ -276,9 +264,8 @@ def _decompose_lex_dense(desc, a1, a2, b1, b2, level):
         level,
     )
     # surplus heads solved inside the scalar group
-    s11, s12, s21, s22 = _min_based(g.Scalar(H), surplus[0], surplus[1], surplus[2], surplus[3])
     out = []
-    for (rho, e), sigma in zip(table, (s11, s12, s21, s22)):
+    for (rho, e), sigma in zip(table, _meet_table(g.Scalar(H), *surplus)):
         out.append((step * int(rho) + sigma, e))
     return tuple(out)
 
@@ -287,29 +274,18 @@ _scalar_key = functools.cmp_to_key(lambda u, v: int(compare(u, v)))
 
 
 def decompose_raw(desc, a1, a2, b1, b2, level):
-    if isinstance(desc, g.Lex):
-        if level == "rdp2":
-            if g.is_linearly_ordered(desc):
-                return _min_based(desc, a1, a2, b1, b2)
-            raise UnsupportedError("lex case tables certify up to rdp1; no rdp2 witness")
-        if level == "rdp1" and not g.is_abelian(desc.bottom):
-            # the case tables witness the commuting condition only over
-            # Abelian bottoms; total orders fall back to the min refinement
-            if g.is_linearly_ordered(desc):
-                return _min_based(desc, a1, a2, b1, b2)
-            raise UnsupportedError(
-                "no rdp1 witness construction for a non-commutative lex bottom"
-            )
+    # the paper's case tables wherever they certify the level, else the meet table
+    if isinstance(desc, g.Lex) and (
+        level in ("rdp0", "rdp") or (level == "rdp1" and g.is_abelian(desc.bottom))
+    ):
         return _decompose_lex(desc, a1, a2, b1, b2, level)
-    if g.is_linearly_ordered(desc):
-        return _min_based(desc, a1, a2, b1, b2)
     if isinstance(desc, g.Product):
         tables = [
             decompose_raw(part, a1[i], a2[i], b1[i], b2[i], level)
             for i, part in enumerate(desc.parts)
         ]
         return tuple(zip(*tables))
-    return _componentwise_int(a1, a2, b1, b2)  # Z^k with k >= 2
+    return _meet_table(desc, a1, a2, b1, b2)
 
 
 def rdp_decompose(desc, a1, a2, b1, b2, level="rdp"):

@@ -250,6 +250,19 @@ def test_cli_shuffle_permute_names_its_fault():
     assert output.startswith("error: permute(0,5) does not permute the 2 coordinates of Z^2")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("functor", "--hom", "permute(a)"), "error: 1:9: permute(...) takes integers, got 'a'"),
+    (("functor", "--hom", "scale(x)"), "error: 1:7: scale(...) takes integers, got 'x'"),
+    (("functor", "--hom", "scale(1,2)"), "error: 1:7: scale(...) takes one integer, got 2"),
+    (("represent", "--shuffle", "permute(x)"), "error: 1:9: permute(...) takes integers, got 'x'"),
+])
+def test_cli_integer_arguments_that_are_not_integers_are_parse_errors(argv, message):
+    # a bare int() let these end in a ValueError traceback
+    code, output = run_cli(*argv, "--G", "Z^2", "--H", "Q")
+    assert code == 2
+    assert output.splitlines()[0] == message
+
+
 @pytest.mark.parametrize("H, shuffle", [("Z/3", "translate((1, 2))"), ("Q", "conjugate((1, 2))")])
 def test_cli_shuffle_elements_parse_against_the_tail(H, shuffle):
     # parsed without --G, (1, 2) became a pair of Fractions and failed the Z^2 check

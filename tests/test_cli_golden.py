@@ -67,8 +67,10 @@ add 7 6 1
 # 3-cube, then both lex verbs over a non-central and a central Aff unit, a
 # quadratic head and a plane tail, a functor whose scale factor only
 # binary doubling reaches in time, the corrupted representation map (the one
-# case whose surjectivity count depends on the probe) and the flags of an
-# algebra whose head misses a slice of the requested grid
+# case whose surjectivity count depends on the probe), the flags of an
+# algebra whose head misses a slice of the requested grid, and meet tables
+# at rdp2 over a partially ordered lex bottom and at rdp1 over a
+# non-Abelian one
 CASES = {
     "01_check_axioms": ["check-axioms", "chain.pea"],
     "02_states": ["states", "chain.pea"],
@@ -136,6 +138,16 @@ CASES = {
     ],
     "26_classify_perfect_missing_slice": [
         "classify-perfect", "--pea", "gamma(lex(Z/2, Z), (1, 0))", "--H", "Z/4",
+    ],
+    "27_check_rdp2_partial_lex_bottom": [
+        "check-rdp", "--group", "lex(Z, Z^2)", "--level", "rdp2",
+        "--a1", "(1, (0, 0))", "--a2", "(1, (0, 0))",
+        "--b1", "(1, (1, -1))", "--b2", "(1, (-1, 1))", "--oracle",
+    ],
+    "28_check_rdp1_non_abelian_lex_bottom": [
+        "check-rdp", "--group", "lex(Z, prod(Aff, Z))", "--level", "rdp1",
+        "--a1", "(1, ((2, 0), 0))", "--a2", "(1, ((1, 0), 3))",
+        "--b1", "(1, ((1, 0), 2))", "--b2", "(1, ((2, 0), 1))",
     ],
 }
 

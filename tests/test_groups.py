@@ -149,6 +149,14 @@ def test_com_lex_finite_exhaustive():
     assert res.holds and res.exhaustive
 
 
+def test_com_disjoint_endpoints_hold():
+    # a ^ b = 0 in prod(Aff, Aff), so every pair below them is disjoint and commutes,
+    # although neither interval is finite
+    desc = g.Product(AFF, AFF)
+    res = g.com_check(desc, ((f(2), f(0)), (f(1), f(0))), ((f(1), f(0)), (f(2), f(0))))
+    assert res.holds and res.exhaustive
+
+
 def test_com_requires_positive():
     with pytest.raises(PreconditionError):
         g.com_check(Z2, (-1, 0), (1, 1))

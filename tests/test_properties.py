@@ -6,7 +6,8 @@ trips and the interval sampler's bounds.  ``scale`` equals the repeated
 sum, ``divide`` inverts it, and the exact n-th root round trips on values of
 100 to 400 bits.  The six scalar groups are also checked for membership of
 every sample and of strictly-between picks.  On discrete trees (the ones the exhaustive oracle
-enumerates) the oracle finds a table wherever the constructive solver does.
+enumerates), at every level, the oracle finds a table wherever the constructive solver does,
+and the solver answers wherever the oracle finds a table.
 """
 
 import random
@@ -309,22 +310,29 @@ def lex_heads(desc):
         yield from lex_heads(part)
 
 
-def test_oracle_finds_a_table_wherever_the_solver_does():
-    # the solver's own c11 lies in the oracle's window once the box holds its table
+@pytest.mark.parametrize("level", ["rdp0", "rdp", "rdp1", "rdp2"])
+def test_oracle_finds_a_table_wherever_the_solver_does(level):
+    # both directions: the solver answers every instance with a verified
+    # table, so it answers wherever the oracle finds one, and its c11 lies in
+    # the oracle's window once the box holds c11.  At rdp2 the only table has
+    # c11 = a1 ^ b1, the top of the window, so the oracle walks all of it;
+    # four grid coordinates keep that walk under a second.
+    max_coords = 4 if level == "rdp2" else 5
     rng = random.Random(800)
-    checked = non_scalar_heads = 0
+    checked = non_scalar_heads = partial_lex = 0
     while checked < 300:
         desc = discrete_descriptor(rng, rng.randint(1, 3))
-        if len(grid_coords(desc, g.zero(desc))) > 5:
+        if len(grid_coords(desc, g.zero(desc))) > max_coords:
             continue
         non_scalar_heads += any(not isinstance(h, g.Scalar) for h in lex_heads(desc))
+        partial_lex += isinstance(desc, g.Lex) and not g.is_linearly_ordered(desc)
         a1, a2 = sample_positive(desc, rng, 4), sample_positive(desc, rng, 4)
         total = g.add(desc, a1, a2)
         b1 = sample_interval(desc, total, rng, 4)
         b2 = g.sub_left(desc, b1, total)
-        table = rdp_decompose(desc, a1, a2, b1, b2, level="rdp")
-        assert rdp_table_verify(desc, a1, a2, b1, b2, table, level="rdp").ok
-        box = max(abs(k) for c in table.entries() for k in grid_coords(desc, c))
-        assert rdp_oracle_search(desc, a1, a2, b1, b2, level="rdp", box=box).found
+        table = rdp_decompose(desc, a1, a2, b1, b2, level=level)
+        assert rdp_table_verify(desc, a1, a2, b1, b2, table, level=level).ok
+        box = max(abs(k) for k in grid_coords(desc, table.c11))
+        assert rdp_oracle_search(desc, a1, a2, b1, b2, level=level, box=box).found
         checked += 1
-    assert non_scalar_heads >= 30
+    assert non_scalar_heads >= 30 and partial_lex >= 30

@@ -163,24 +163,43 @@ def test_quadratic_dense_heads():
 
 
 def test_linear_min_tables_have_zero_meet():
+    # on total orders the meet table is the min refinement; lattice orders
+    # (a partial lex bottom, a product, a non-Abelian lex bottom) share it
     rng = random.Random(57)
-    for desc in (Z, Q, AFF, g.Scalar(ScalarSubgroup.quadratic(2))):
+    for desc in (
+        Z,
+        Q,
+        AFF,
+        g.Scalar(ScalarSubgroup.quadratic(2)),
+        g.Lex(Z, Z2),
+        g.Product(Z, Z2),
+        g.Lex(Z, g.Product(AFF, Z)),
+    ):
         for _ in range(100):
             a1, a2, b1, b2 = random_instance(desc, rng, 9)
             table = rdp_decompose(desc, a1, a2, b1, b2, level="rdp2")
             assert g.meet(desc, table.c12, table.c21) == g.zero(desc)
 
 
-def test_lex_rdp2_unsupported_on_partial_bottom():
-    with pytest.raises(UnsupportedError):
-        rdp_decompose(
-            g.Lex(Z, Z2),
-            (f(1), (0, 0)),
-            (f(0), (1, 1)),
-            (f(1), (1, 1)),
-            (f(0), (0, 0)),
-            level="rdp2",
-        )
+def test_lex_rdp2_on_partial_bottom_gets_a_verified_table():
+    desc = g.Lex(Z, Z2)
+    a1, a2 = (f(1), (0, 0)), (f(0), (1, 1))
+    b1, b2 = (f(1), (1, 1)), (f(0), (0, 0))
+    table = rdp_decompose(desc, a1, a2, b1, b2, level="rdp2")
+    # c11 = a1 ^ b1 = (1, (0, 0)) leaves the whole tail gap to c21
+    assert table.entries() == (a1, (f(0), (0, 0)), (f(0), (1, 1)), (f(0), (0, 0)))
+    res = rdp_table_verify(desc, a1, a2, b1, b2, table, level="rdp2")
+    assert res.ok and res.side_condition == "holds"
+
+
+def test_lex_rdp1_on_non_abelian_partial_bottom_holds():
+    rng = random.Random(58)
+    desc = g.Lex(Z, g.Product(AFF, Z))
+    for _ in range(60):
+        a1, a2, b1, b2 = random_instance(desc, rng, 6)
+        table = rdp_decompose(desc, a1, a2, b1, b2, level="rdp1")
+        res = rdp_table_verify(desc, a1, a2, b1, b2, table, level="rdp1")
+        assert res.ok and res.side_condition == "holds"
 
 
 def test_rdp0_level_accepted():
