@@ -11,8 +11,9 @@ and two combinators:
 * ``Lex(top, bottom)`` -- the lexicographic product (top must be linear),
 * ``Product(l, r)``    -- the direct product with componentwise order.
 
-Elements are plain Python values mirroring the tree: Fractions or quadratic
-numbers for scalars, int tuples for ``IntVector``, pairs of Fractions for
+Elements are plain Python values mirroring the tree: ints for the scalars
+of Z, Fractions for the other rational scalars and quadratic numbers for
+``Q[sqrt d]``, int tuples for ``IntVector``, pairs of Fractions for
 ``AffineQ`` and 2-tuples for the combinators.  All groups are written
 additively, including the non-commutative ``AffineQ``.
 
@@ -119,6 +120,32 @@ class GroupDescriptor:
         """A lex head in [0, hi] for hi > 0: one of the two endpoints."""
         return rng.choice([self.zero(), hi])
 
+    # -- commutation ----------------------------------------------------------
+
+    def _commute(self, a, b):
+        """``com_check`` on checked positive endpoints a and b."""
+        if self.is_abelian() or self.meet(a, b) == self.zero():
+            return ComResult("holds", exhaustive=True)
+        return self._commute_search(a, b)
+
+    def _commute_search(self, a, b):
+        """Enumerate two finite intervals, else sample 200 seeded pairs."""
+        if self.interval_is_finite(a) and self.interval_is_finite(b):
+            for x in self.enumerate_interval(a):
+                for y in self.enumerate_interval(b):
+                    if self.add(x, y) != self.add(y, x):
+                        return ComResult("fails", witness=(x, y), exhaustive=True)
+            return ComResult("holds", exhaustive=True)
+        rng = random.Random(0)
+        if self.add(a, b) != self.add(b, a):
+            return ComResult("fails", witness=(a, b))
+        for _ in range(200):
+            x = self.sample_interval(a, rng)
+            y = self.sample_interval(b, rng)
+            if self.add(x, y) != self.add(y, x):
+                return ComResult("fails", witness=(x, y))
+        return ComResult("inconclusive")
+
     # -- exhaustive enumeration (the refinement oracle) -----------------------
 
     def iter_bounded(self, lowers, uppers, box: int):
@@ -178,8 +205,9 @@ class Scalar(GroupDescriptor):
         return -x
 
     def divide(self, x, n):
+        H = self.H
         y = x * Fraction(1, n)
-        return y if self.H.contains(y) else None
+        return H.coerce(y) if H.contains(y) else None
 
     def leq(self, x, y) -> bool:
         return compare(x, y) is not Ordering.GT
@@ -191,7 +219,7 @@ class Scalar(GroupDescriptor):
         H = self.H
         if H.is_dense:
             return pick_strictly_between(H, H.zero(), H.one())
-        return Fraction(1)
+        return H.one()
 
     def interval_is_finite(self, hi) -> bool:
         """Whether the order interval [0, hi] has finitely many elements."""
@@ -205,7 +233,7 @@ class Scalar(GroupDescriptor):
         if H.is_dense:
             raise UnsupportedError(f"infinite interval in {self}")
         top = Fraction(hi) * H.n
-        return [Fraction(k, H.n) for k in range(int(top) + 1)]
+        return list(self._points(range(int(top) + 1)))
 
     def is_strong_unit(self, u) -> bool:
         """Whether u is positive and bounds every element up to a multiple."""
@@ -227,6 +255,11 @@ class Scalar(GroupDescriptor):
     # a scalar lex head is drawn like any scalar of [0, hi]
     _sample_head = _sample_interval
 
+    def _points(self, ks):
+        """The grid values k/n of a discrete H for the indices ks: ints on Z."""
+        n = self.H.n
+        return ks if n == 1 else (Fraction(k, n) for k in ks)
+
     def _grid_range(self, lowers, uppers, box, what):
         if self.H.is_dense:
             raise UnsupportedError(f"oracle enumeration needs a discrete {what}")
@@ -236,13 +269,11 @@ class Scalar(GroupDescriptor):
 
     def iter_bounded(self, lowers, uppers, box):
         lo, hi = self._grid_range(lowers, uppers, box, "scalar")
-        for k in _iter_signed(lo, hi):
-            yield Fraction(k, self.H.n)
+        return self._points(_iter_signed(lo, hi))
 
     def _iter_heads(self, lowers, uppers, box):
         lo, hi = self._grid_range(lowers, uppers, box, "scalar head")
-        for k in range(lo, hi + 1):
-            yield Fraction(k, self.H.n)
+        return self._points(range(lo, hi + 1))
 
 
 @dataclass(frozen=True)
@@ -640,6 +671,18 @@ class Lex(_Pair):
             for t in bottom.iter_bounded(tail_lowers, tail_uppers, box):
                 yield (h, t)
 
+    def _commute_search(self, a, b):
+        top, bottom = self.parts
+        zt = top.zero()
+        if a[0] != zt or b[0] != zt:
+            return super()._commute_search(a, b)
+        # both intervals lie in {0} x bottom+, so the bottom decides
+        res = bottom._commute(a[1], b[1])
+        if res.status != "fails":
+            return res
+        x, y = res.witness
+        return ComResult("fails", witness=((zt, x), (zt, y)), exhaustive=res.exhaustive)
+
 
 @dataclass(frozen=True)
 class Product(_Pair):
@@ -647,6 +690,19 @@ class Product(_Pair):
     right: GroupDescriptor
 
     syntax, noun = "prod", "product"
+
+    def _commute_search(self, a, b):
+        # elements commute exactly when each part's components do
+        settled = True
+        for i, part in enumerate(self.parts):
+            res = part._commute(a[i], b[i])
+            if res.status == "fails":
+                zero = self.zero()
+                x, y = list(zero), list(zero)
+                x[i], y[i] = res.witness
+                return ComResult("fails", witness=(tuple(x), tuple(y)), exhaustive=res.exhaustive)
+            settled = settled and res.holds
+        return ComResult("holds", exhaustive=True) if settled else ComResult("inconclusive")
 
 
 ZZ = Scalar(ScalarSubgroup.cyclic(1))
@@ -800,33 +856,17 @@ def com_check(desc, a, b) -> ComResult:
 
     Abelian descriptors and disjoint endpoints decide it at once: every
     descriptor is an l-group, so a ^ b = 0 (a zero endpoint included) makes
-    every such x and y disjoint, and disjoint elements commute.  Finite
-    intervals are enumerated exhaustively; otherwise 200 seeded pairs are
-    sampled and the answer is a witness or "inconclusive".
+    every such x and y disjoint, and disjoint elements commute.  A product
+    is decided part by part (a failing part's witness is padded with
+    zeros), and a lex pair of endpoints with zero heads by its bottom.
+    Finite intervals are enumerated exhaustively; otherwise 200 seeded
+    pairs are sampled and the answer is a witness or "inconclusive".
     """
     a = desc.check_element(a)
     b = desc.check_element(b)
     if not positive_cone_member(desc, a) or not positive_cone_member(desc, b):
         raise PreconditionError("com_check needs positive endpoints")
-    if desc.is_abelian():
-        return ComResult("holds", exhaustive=True)
-    if desc.meet(a, b) == desc.zero():
-        return ComResult("holds", exhaustive=True)
-    if desc.interval_is_finite(a) and desc.interval_is_finite(b):
-        for x in desc.enumerate_interval(a):
-            for y in desc.enumerate_interval(b):
-                if desc.add(x, y) != desc.add(y, x):
-                    return ComResult("fails", witness=(x, y), exhaustive=True)
-        return ComResult("holds", exhaustive=True)
-    rng = random.Random(0)
-    if desc.add(a, b) != desc.add(b, a):
-        return ComResult("fails", witness=(a, b))
-    for _ in range(200):
-        x = desc.sample_interval(a, rng)
-        y = desc.sample_interval(b, rng)
-        if desc.add(x, y) != desc.add(y, x):
-            return ComResult("fails", witness=(x, y))
-    return ComResult("inconclusive")
+    return desc._commute(a, b)
 
 
 # ---------------------------------------------------------------------------

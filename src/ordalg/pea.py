@@ -10,6 +10,7 @@ queries go through exact group arithmetic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import groups as g
@@ -54,6 +55,16 @@ class FinitePea:
 
     def defined(self, a, b):
         return (a, b) in self.table
+
+    @functools.cached_property
+    def _sum_rows(self):
+        """(right, left): right[y] lists the (m, y + m), left[y] the (m, m + y)."""
+        right = [[] for _ in self.elements()]
+        left = [[] for _ in self.elements()]
+        for (x, c), s in self.table.items():
+            right[x].append((c, s))
+            left[c].append((x, s))
+        return right, left
 
     def _derive_order(self):
         rel = [[False] * self.size for _ in range(self.size)]
@@ -323,14 +334,12 @@ class IntervalPea:
 
 
 def _is_normal_ideal(E: FinitePea, ideal):
-    for x in E.elements():
-        left = {E.add(x, i) for i in ideal if E.defined(x, i)}
-        right = {E.add(j, x) for j in ideal if E.defined(j, x)}
-        left.discard(None)
-        right.discard(None)
-        if left != right:
-            return False
-    return True
+    """x + I = I + x for every x, read from the sum rows of x."""
+    right, left = E._sum_rows
+    return all(
+        {s for m, s in r if m in ideal} == {s for m, s in l if m in ideal}
+        for r, l in zip(right, left)
+    )
 
 
 @dataclass(frozen=True)
@@ -355,12 +364,9 @@ def ideals_enumerate(E: FinitePea) -> IdealsReport:
     read from y's sum rows.
     """
     down = [[] for _ in E.elements()]  # down[s] = the x <= s
-    right = [[] for _ in E.elements()]  # right[y] = the (m, y + m)
-    left = [[] for _ in E.elements()]  # left[y] = the (m, m + y)
     for (x, c), s in E.table.items():
         down[s].append(x)
-        right[x].append((c, s))
-        left[c].append((x, s))
+    right, left = E._sum_rows
 
     def closure(base, x):
         members = set(base)

@@ -233,8 +233,7 @@ def _decompose_lex_dense(desc, a1, a2, b1, b2, level):
         # exact reduction: all heads already lie in (1/n)Z
         n = lcm(s1.denominator, s2.denominator, t1.denominator, t2.denominator)
         step = Fraction(1, n)
-        r = [s1 / step, s2 / step, t1 / step, t2 / step]  # integers as Fractions
-        ks = [int(v) for v in r]
+        ks = [int(v * n) for v in (s1, s2, t1, t2)]
         surplus = [H.zero()] * 4
     else:
         m = min((s1, s2, t1, t2), key=_scalar_key)
@@ -256,17 +255,12 @@ def _decompose_lex_dense(desc, a1, a2, b1, b2, level):
     # solve the approximated instance with integer heads
     idesc = g.Lex(g.ZZ, bottom)
     table = _decompose_lex(
-        idesc,
-        (Fraction(ks[0]), ta1),
-        (Fraction(ks[1]), ta2),
-        (Fraction(ks[2]), tb1),
-        (Fraction(ks[3]), tb2),
-        level,
+        idesc, (ks[0], ta1), (ks[1], ta2), (ks[2], tb1), (ks[3], tb2), level
     )
     # surplus heads solved inside the scalar group
     out = []
     for (rho, e), sigma in zip(table, _meet_table(g.Scalar(H), *surplus)):
-        out.append((step * int(rho) + sigma, e))
+        out.append((step * rho + sigma, e))
     return tuple(out)
 
 

@@ -2,9 +2,10 @@
 
 Three kinds of subgroups containing 1 are supported: the cyclic groups
 (1/n)Z, the full rationals Q, and the quadratic groups Z + Z*sqrt(d) for a
-square-free d >= 2.  Rational values are plain ``fractions.Fraction``;
-quadratic values are :class:`QuadraticNumber`.  Every order decision is made
-exactly; no floating point is used anywhere.
+square-free d >= 2.  Values of Z = (1/1)Z are plain ``int`` and stay so
+under int arithmetic; the other rational values are plain
+``fractions.Fraction`` and quadratic values are :class:`QuadraticNumber`.
+Every order decision is made exactly; no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ class ScalarSubgroup:
 
     Each kind is a private subclass -- (1/n)Z, Q and Z + Z*sqrt(d) -- built
     by the three constructors below.  Besides the value rules (the defaults
-    here are those of the two kinds with Fraction values) each one has
+    here are those of the kinds with Fraction values) each one has
     ``pick_between(lo, hi)``, the deterministic witness for coerced lo < hi;
     ``grid(max_den, coeff_bound)``, a witness grid of [0, 1]; and the
     samplers ``sample(rng, bound)`` and ``sample_between(lo, hi, rng)``,
@@ -235,7 +236,10 @@ class ScalarSubgroup:
 
 @dataclass(frozen=True)
 class _Cyclic(ScalarSubgroup):
-    """(1/n)Z: the leftmost grid point is the witness, the grid is all of k/n."""
+    """(1/n)Z: the leftmost grid point is the witness, the grid is all of k/n.
+
+    Values of Z (n = 1) are ``int``; those of (1/n)Z for n >= 2 are Fractions.
+    """
 
     n: int
     is_dense = False
@@ -249,24 +253,42 @@ class _Cyclic(ScalarSubgroup):
     def classify(self):
         return ("cyclic", self.n)
 
+    def _point(self, k: int):
+        """The value k/n: an int on Z, a Fraction otherwise."""
+        return k if self.n == 1 else Fraction(k, self.n)
+
+    def zero(self):
+        return 0 if self.n == 1 else _ZERO
+
+    def one(self):
+        return 1 if self.n == 1 else _ONE
+
+    def coerce(self, x):
+        if self.n != 1:
+            return super().coerce(x)
+        if type(x) is int:
+            return x
+        x = super().coerce(x)
+        return x.numerator if x.denominator == 1 else x
+
     def pick_between(self, lo, hi):
         n = self.n
         k = (lo * n).numerator // (lo * n).denominator + 1  # least k with k/n > lo
-        t = Fraction(k, n)
+        t = self._point(k)
         if t < hi:
             return t
         raise NoElementError(f"no point of (1/{n})Z inside ({lo}, {hi})")
 
     def grid(self, max_den, coeff_bound):
-        return [Fraction(k, self.n) for k in range(self.n + 1)]
+        return [self._point(k) for k in range(self.n + 1)]
 
     def sample(self, rng, bound):
-        return Fraction(rng.randint(-bound, bound), self.n)
+        return self._point(rng.randint(-bound, bound))
 
     def sample_between(self, lo, hi, rng):
         k_lo = int(Fraction(lo) * self.n)
         k_hi = int(Fraction(hi) * self.n)
-        return Fraction(rng.randint(k_lo, k_hi), self.n)
+        return self._point(rng.randint(k_lo, k_hi))
 
 
 @dataclass(frozen=True)
@@ -389,6 +411,8 @@ def compare(x, y) -> Ordering:
     quadratic operand decides by the sign of the difference of coefficients.
     Floats and strings are not scalar values.
     """
+    if type(x) is int and type(y) is int:  # the values of Z
+        return _BY_SIGN[(x > y) - (x < y)]
     if isinstance(x, QuadraticNumber):
         return _BY_SIGN[x._cmp(y)]
     if isinstance(y, QuadraticNumber):

@@ -157,6 +157,39 @@ def test_com_disjoint_endpoints_hold():
     assert res.holds and res.exhaustive
 
 
+def test_com_product_holds_part_by_part():
+    # the Aff part has a zero endpoint and the lex part is Abelian, so every
+    # pair commutes, although the product as a whole is neither
+    desc = g.Product(AFF, LEX_QZ)
+    res = g.com_check(desc, ((Fraction(3, 2), f(-2)), (f(1), f(0))), ((f(1), f(0)), (f(2), f(3))))
+    assert res.holds and res.exhaustive
+
+
+def test_com_product_failure_witness_is_padded_with_zeros():
+    desc = g.Product(Z, AFF)
+    res = g.com_check(desc, (f(1), (f(2), f(0))), (f(1), (f(1), f(1))))
+    assert res.status == "fails"
+    x, y = res.witness
+    assert x == (0, (f(2), f(0))) and y == (0, (f(1), f(1)))
+    assert g.add(desc, x, y) != g.add(desc, y, x)
+
+
+def test_com_lex_zero_heads_decided_by_the_bottom():
+    # both intervals lie in {0} x lex(Z, Z)+, which is Abelian; the intervals
+    # themselves are infinite, so sampling could only say "inconclusive"
+    desc = g.Lex(AFF, LEX_ZZ)
+    zero_head = (f(1), f(0))
+    res = g.com_check(desc, (zero_head, (f(1), f(0))), (zero_head, (f(2), f(5))))
+    assert res.holds and res.exhaustive
+
+
+def test_com_lex_zero_heads_lift_the_bottom_witness():
+    desc = g.Lex(Z, AFF)
+    res = g.com_check(desc, (f(0), (f(2), f(0))), (f(0), (f(2), f(1))))
+    assert res.status == "fails"
+    assert res.witness == ((0, (f(2), f(0))), (0, (f(2), f(1))))
+
+
 def test_com_requires_positive():
     with pytest.raises(PreconditionError):
         g.com_check(Z2, (-1, 0), (1, 1))

@@ -267,6 +267,33 @@ def test_zero_ideal_always_present():
         assert frozenset({E.zero}) in {i.members for i in report.ideals}
 
 
+def scan_is_normal_ideal(E, ideal):
+    """Reference: x + I and I + x by scanning the members through E.defined and E.add."""
+    for x in E.elements():
+        left = {E.add(x, i) for i in ideal if E.defined(x, i)}
+        right = {E.add(j, x) for j in ideal if E.defined(j, x)}
+        if left != right:
+            return False
+    return True
+
+
+def test_normal_ideals_match_the_member_scan():
+    rng = random.Random(13)
+    algebras = [finite_chain(n) for n in (1, 2, 5, 63)] + [boolean_algebra(k) for k in range(1, 7)]
+    algebras += [FinitePea(*hsum_table(k)) for k in (2, 3, 5)]
+    algebras += [FinitePea(*cycle_table(n)) for n in (3, 4, 5)]
+    verdicts = set()
+    for E in algebras:
+        # every ideal, and seeded subsets that are mostly not ideals
+        subsets = [info.members for info in ideals_enumerate(E).ideals]
+        subsets += [frozenset(rng.sample(range(E.size), rng.randint(1, E.size))) for _ in range(20)]
+        for members in subsets:
+            verdict = _is_normal_ideal(E, members)
+            assert verdict == scan_is_normal_ideal(E, members)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def closure_ideals_enumerate(E):
     """Reference: each ideal closed by rescanning members x members until stable."""
 
@@ -301,7 +328,7 @@ def closure_ideals_enumerate(E):
     proper = [i for i in found if i != all_elements]
     maximal = {i for i in proper if not any(i < j for j in proper)}
     infos = tuple(
-        IdealInfo(i, i in maximal, _is_normal_ideal(E, i))
+        IdealInfo(i, i in maximal, scan_is_normal_ideal(E, i))
         for i in sorted(found, key=lambda s: (len(s), sorted(s)))
     )
     radical = all_elements.intersection(*maximal)

@@ -240,6 +240,22 @@ def test_rdp1_certification_inconclusive_tag():
     assert res.ok and res.side_condition == "inconclusive"
 
 
+def test_rdp1_product_side_condition_decided_per_part():
+    # a seeded instance whose rdp1 verdict was "inconclusive" while the
+    # product was sampled as a whole: the first part is Abelian and the
+    # second part's c21 is zero, so each part's pair commutes
+    desc = g.Product(g.Lex(Q, g.IntVector(2)), g.Lex(Q, AFF))
+    q = Fraction
+    a1 = ((q(3, 2), (0, 4)), (q(1, 3), (q(1, 2), q(0))))
+    a2 = ((q(5, 4), (1, 3)), (q(0), (q(5), q(-5, 2))))
+    b1 = ((q(11, 64), (3, 3)), (q(1, 8), (q(1), q(1, 3))))
+    b2 = ((q(165, 64), (-2, 4)), (q(5, 24), (q(5, 2), q(-19, 12))))
+    table = rdp_decompose(desc, a1, a2, b1, b2, level="rdp1")
+    assert table.c21 == ((0, (3, 0)), (0, (1, 0)))
+    res = rdp_table_verify(desc, a1, a2, b1, b2, table, level="rdp1")
+    assert res.ok and res.side_condition == "holds"
+
+
 def test_rdp1_certification_detects_noncommuting_table():
     # the case-analysis table for this instance has genuinely
     # non-commuting off-diagonal entries

@@ -312,4 +312,5 @@ def test_compare_rejects_mixed_square_roots():
 def test_rational_values_are_shared_not_copied():
     x = Fraction(3, 7)
     assert Q.coerce(x) is x and Z3.coerce(x) is x
-    assert Q.zero() is Z.zero() and Q.one() is Z3.one()
+    assert Q.zero() is Z3.zero() and Q.one() is Z3.one()
+    assert type(Z.zero()) is int and Z.zero() == 0
