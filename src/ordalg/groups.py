@@ -7,7 +7,8 @@ and two combinators:
 * ``IntVector(k)``     -- Z^k with the componentwise order,
 * ``AffineQ``          -- pairs (a, b), a a positive rational, b rational,
                           composed by (a,b)+(c,e) = (a*c, a*e+b); linearly
-                          ordered by the cone {a > 1} or {a = 1, b > 0},
+                          ordered lexicographically by its pairs, so that
+                          its strict cone is {a > 1} or {a = 1, b > 0},
 * ``Lex(top, bottom)`` -- the lexicographic product (top must be linear),
 * ``Product(l, r)``    -- the direct product with componentwise order.
 
@@ -85,6 +86,10 @@ class GroupDescriptor:
             return Ordering.EQ
         return Ordering.LT if self.leq(x, y) else Ordering.GT
 
+    def _positive(self, x) -> bool:
+        """Whether 0 <= x, for a checked element x."""
+        return self.leq(self.zero(), x)
+
     def meet(self, x, y):
         """Lattice meet (this default is the one of a total order)."""
         return x if self.leq(x, y) else y
@@ -105,14 +110,14 @@ class GroupDescriptor:
     def sample_positive(self, rng, bound: int = 10):
         """A random element of the positive cone (a total order flips negatives)."""
         x = self.sample_element(rng, bound)
-        return x if self.leq(self.zero(), x) else self.neg(x)
+        return x if self._positive(x) else self.neg(x)
 
     def sample_interval(self, hi, rng, bound: int = 10):
         """A random element x with 0 <= x <= hi."""
         zero = self.zero()
         if hi == zero:
             return zero
-        if not self.leq(zero, hi):
+        if not self._positive(hi):
             raise PreconditionError("sample_interval needs 0 <= hi")
         return self._sample_interval(hi, rng, bound)
 
@@ -214,6 +219,9 @@ class Scalar(GroupDescriptor):
 
     def _linear_compare(self, x, y) -> Ordering:
         return compare(x, y)
+
+    def _positive(self, x) -> bool:
+        return compare(x, self.H.zero()) is not Ordering.LT
 
     def a_positive_element(self):
         H = self.H
@@ -326,6 +334,9 @@ class IntVector(GroupDescriptor):
     def leq(self, x, y) -> bool:
         return all(u <= v for u, v in zip(x, y))
 
+    def _positive(self, x) -> bool:
+        return all(v >= 0 for v in x)
+
     def meet(self, x, y):
         return tuple(min(u, v) for u, v in zip(x, y))
 
@@ -384,13 +395,14 @@ class AffineQ(GroupDescriptor):
     def check_element(self, x):
         if not (isinstance(x, tuple) and len(x) == 2):
             raise ShapeError(f"{x!r} is not an affine pair")
-        a, b = Fraction(x[0]), Fraction(x[1])
-        if a <= 0:
-            raise ShapeError(f"affine pair needs a positive first component, got {a}")
-        return (a, b)
+        if not (type(x[0]) is type(x[1]) is Fraction):
+            x = (_affine_component(x[0]), _affine_component(x[1]))
+        if x[0] <= 0:
+            raise ShapeError(f"affine pair needs a positive first component, got {x[0]}")
+        return x
 
     def zero(self):
-        return (Fraction(1), Fraction(0))
+        return _AFF_ZERO
 
     def add(self, x, y):
         (a, b), (c, e) = x, y
@@ -409,8 +421,14 @@ class AffineQ(GroupDescriptor):
         return (c, b / s)
 
     def leq(self, x, y) -> bool:
-        a, b = self.add(y, self.neg(x))  # y - x in the positive cone?
-        return a > 1 or (a == 1 and b >= 0)
+        # For x = (a, b) and y = (c, e), y - x = (c/a, e - c*b/a) lies in the
+        # cone {c/a > 1} or {c/a = 1, e - c*b/a >= 0}.  As a > 0, c/a > 1 iff
+        # c > a, and c/a = 1 iff c = a, where the tail is e - b: so x <= y is
+        # the lexicographic order of the pairs.
+        return x <= y
+
+    def _positive(self, x) -> bool:
+        return x >= _AFF_ZERO
 
     def center_member(self, x) -> bool:
         return x == self.zero()
@@ -454,6 +472,18 @@ class AffineQ(GroupDescriptor):
         c = Fraction(1) + (a1 - 1) * Fraction(rng.randint(1, 15), 16)
         e = Fraction(rng.randint(-bound, bound), rng.randint(1, 4))
         return (c, e)
+
+
+_AFF_ZERO = (Fraction(1), Fraction(0))
+
+
+def _affine_component(v) -> Fraction:
+    """An affine component as a Fraction; only ints and Fractions are rational here."""
+    if type(v) is Fraction:
+        return v
+    if not isinstance(v, (int, Fraction)):
+        raise ShapeError(f"affine pair needs rational components, got {v!r}")
+    return Fraction(v)
 
 
 def _rational_nth_root(q: Fraction, n: int):
@@ -532,6 +562,10 @@ class _Pair(GroupDescriptor):
         a, b = self.parts
         return a.leq(x[0], y[0]) and b.leq(x[1], y[1])
 
+    def _positive(self, x) -> bool:
+        a, b = self.parts
+        return a._positive(x[0]) and b._positive(x[1])
+
     def meet(self, x, y):
         a, b = self.parts
         return (a.meet(x[0], y[0]), b.meet(x[1], y[1]))
@@ -597,6 +631,13 @@ class Lex(_Pair):
             return bottom.leq(x[1], y[1])
         return c is Ordering.LT
 
+    def _positive(self, x) -> bool:
+        top, bottom = self.parts
+        c = top._linear_compare(top.zero(), x[0])
+        if c is Ordering.EQ:
+            return bottom._positive(x[1])
+        return c is Ordering.LT
+
     def meet(self, x, y):
         top, bottom = self.parts
         c = top._linear_compare(x[0], y[0])
@@ -642,7 +683,7 @@ class Lex(_Pair):
     def sample_positive(self, rng, bound: int = 10):
         top, bottom = self.parts
         head = top.sample_element(rng, bound)
-        if not top.leq(top.zero(), head):
+        if not top._positive(head):
             head = top.neg(head)
         if head == top.zero():
             return (head, bottom.sample_positive(rng, bound))
@@ -804,7 +845,7 @@ def leq(desc, x, y) -> bool:
 
 
 def positive_cone_member(desc, x) -> bool:
-    return desc.leq(desc.zero(), x)
+    return desc._positive(x)
 
 
 def meet(desc, x, y):

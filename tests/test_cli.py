@@ -181,6 +181,20 @@ def test_cli_head_values_outside_H_are_the_same_error():
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("group, wrap", [("Aff", "{}"), ("lex(Z, Aff)", "(0, {})")])
+def test_cli_quadratic_affine_component_is_an_error(group, wrap):
+    # Fraction(sqrt(2)) used to end in a TypeError traceback with exit 1
+    root, one = wrap.format("(sqrt(2), 0)"), wrap.format("(1, 0)")
+    code, output = run_cli(
+        "check-rdp", "--group", group, "--level", "rdp2",
+        "--a1", root, "--a2", one, "--b1", root, "--b2", one,
+    )
+    assert code == 2
+    lines = output.splitlines()
+    assert lines[0].startswith("error: affine pair needs rational components, got QuadraticNumber(")
+    assert lines[1].startswith("#! verdict=error message=")
+
+
 def test_cli_represent_and_corrupt():
     code, output = run_cli(
         "represent", "--H", "Z/4", "--G", "Z",

@@ -9,7 +9,7 @@ from ordalg import groups as g
 from ordalg.errors import PreconditionError, ShapeError
 from ordalg.pea import IntervalPea
 from ordalg.sampling import sample_element, sample_positive
-from ordalg.scalars import ScalarSubgroup
+from ordalg.scalars import QuadraticNumber, ScalarSubgroup
 from test_properties import discrete_descriptor, grid_coords
 
 Z = g.ZZ
@@ -249,6 +249,27 @@ def test_shape_mismatch_rejected():
         g.check_element(Z2, (1, 2, 3))
     with pytest.raises(ShapeError):
         g.check_element(AFF, (f(0), f(1)))  # nonpositive first component
+
+
+@pytest.mark.parametrize(
+    "bad", [0.5, "1/2", QuadraticNumber(f(0), f(1), 2)], ids=["float", "string", "sqrt 2"]
+)
+def test_affine_components_must_be_ints_or_fractions(bad):
+    # Fraction(...) used to accept floats and strings here
+    for pair in ((bad, f(0)), (f(1), bad)):
+        with pytest.raises(ShapeError, match="rational components"):
+            g.check_element(AFF, pair)
+    with pytest.raises(ShapeError):
+        g.check_element(g.Lex(Z, AFF), (0, (f(1), bad)))
+
+
+def test_affine_check_element_keeps_fraction_pairs():
+    x = (Fraction(3, 2), Fraction(-1, 3))
+    assert g.check_element(AFF, x) is x
+    mixed = g.check_element(AFF, (2, Fraction(1, 2)))
+    assert mixed == (f(2), Fraction(1, 2))
+    assert all(type(v) is Fraction for v in mixed)
+    assert g.zero(AFF) is g.zero(AFF)
 
 
 def test_affine_cone_conjugation_invariant():

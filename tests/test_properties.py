@@ -1,8 +1,10 @@
 """Seeded property checks over random descriptor trees of depth <= 3.
 
 Every tree is built from all five descriptor classes with stdlib ``random``;
-the checks are the group laws, the order axioms, the element-format round
-trips and the interval sampler's bounds.  ``scale`` equals the repeated
+the checks are the group laws, the order axioms, the order against its
+definition (x <= y when y + (-x) lies in each descriptor's cone), the
+positivity test against 0 <= x, the element-format round trips and the
+interval sampler's bounds.  ``scale`` equals the repeated
 sum, ``divide`` inverts it, and the exact n-th root round trips on values of
 100 to 400 bits.  The six scalar groups are also checked for membership of
 every sample and of strictly-between picks.  On discrete trees (the ones the exhaustive oracle
@@ -141,6 +143,87 @@ def test_order_axioms(seed):
                 lhs = g.add(desc, g.add(desc, z, x), w)
                 rhs = g.add(desc, g.add(desc, z, y), w)
                 assert g.leq(desc, lhs, rhs)
+
+
+def in_cone(desc, x):
+    """0 <= x by each descriptor's cone, the reference for the order by comparison."""
+    if isinstance(desc, g.Scalar):
+        return compare(x, desc.H.zero()) is not Ordering.LT
+    if isinstance(desc, g.IntVector):
+        return all(v >= 0 for v in x)
+    if isinstance(desc, g.AffineQ):
+        a, b = x
+        return a > 1 or (a == 1 and b >= 0)
+    top, bottom = desc.parts
+    if isinstance(desc, g.Lex):
+        if x[0] == g.zero(top):
+            return in_cone(bottom, x[1])
+        return in_cone(top, x[0])
+    return in_cone(top, x[0]) and in_cone(bottom, x[1])
+
+
+def cone_leq(desc, x, y):
+    """x <= y by the definition: y + (-x) lies in the positive cone."""
+    return in_cone(desc, g.add(desc, y, g.neg(desc, x)))
+
+
+def lex_parts(desc):
+    """(head, bottom) of every lex node in a descriptor tree."""
+    if isinstance(desc, g.Lex):
+        yield desc.parts
+    for part in getattr(desc, "parts", ()):
+        yield from lex_parts(part)
+
+
+def test_order_trees_have_quadratic_and_affine_heads_and_bottoms():
+    quadratic = ScalarSubgroup.quadratic(2), ScalarSubgroup.quadratic(3)
+    kinds = set()
+    for desc in TREES:
+        for pair in lex_parts(desc):
+            for side, part in zip(("head", "bottom"), pair):
+                if isinstance(part, g.AffineQ):
+                    kinds.add((side, "Aff"))
+                if isinstance(part, g.Scalar) and part.H in quadratic:
+                    kinds.add((side, "quadratic"))
+    assert kinds == {(s, k) for s in ("head", "bottom") for k in ("Aff", "quadratic")}
+
+
+def test_affine_order_is_the_cone_of_differences():
+    # heads from a small pool, so that about one pair in four shares its head
+    aff = g.AffineQ()
+    heads = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
+    rng = random.Random(700)
+    outcomes = set()
+    for _ in range(2000):
+        x, y = ((rng.choice(heads), Fraction(rng.randint(-4, 4), rng.randint(1, 3))) for _ in "xy")
+        got = g.leq(aff, x, y)
+        assert got == cone_leq(aff, x, y)
+        if x[0] == y[0]:
+            outcomes.add((x[1] == y[1], got))
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_order_matches_the_cone_of_differences(seed):
+    rng = random.Random(700 + seed)
+    for desc in TREES:
+        for _ in range(6):
+            x, y = sample_element(desc, rng, 2), sample_element(desc, rng, 2)
+            up = g.add(desc, x, sample_positive(desc, rng, 2))
+            for u, v in ((x, y), (y, x), (x, x), (x, up), (up, x)):
+                assert g.leq(desc, u, v) == cone_leq(desc, u, v)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_positive_cone_member_is_zero_below(seed):
+    rng = random.Random(750 + seed)
+    for desc in TREES:
+        zero = g.zero(desc)
+        for _ in range(6):
+            p = sample_positive(desc, rng, 3)
+            for x in (p, g.neg(desc, p), zero, sample_element(desc, rng, 3)):
+                assert g.positive_cone_member(desc, x) == g.leq(desc, zero, x) == in_cone(desc, x)
+            assert g.positive_cone_member(desc, p)
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -302,14 +385,6 @@ def test_sample_interval_rejects_bounds_outside_the_cone():
                 sample_interval(desc, hi, rng, 5)
 
 
-def lex_heads(desc):
-    """The heads of every lex node in a descriptor tree."""
-    if isinstance(desc, g.Lex):
-        yield desc.top
-    for part in getattr(desc, "parts", ()):
-        yield from lex_heads(part)
-
-
 @pytest.mark.parametrize("level", ["rdp0", "rdp", "rdp1", "rdp2"])
 def test_oracle_finds_a_table_wherever_the_solver_does(level):
     # both directions: the solver answers every instance with a verified
@@ -324,7 +399,7 @@ def test_oracle_finds_a_table_wherever_the_solver_does(level):
         desc = discrete_descriptor(rng, rng.randint(1, 3))
         if len(grid_coords(desc, g.zero(desc))) > max_coords:
             continue
-        non_scalar_heads += any(not isinstance(h, g.Scalar) for h in lex_heads(desc))
+        non_scalar_heads += any(not isinstance(h, g.Scalar) for h, _ in lex_parts(desc))
         partial_lex += isinstance(desc, g.Lex) and not g.is_linearly_ordered(desc)
         a1, a2 = sample_positive(desc, rng, 4), sample_positive(desc, rng, 4)
         total = g.add(desc, a1, a2)
