@@ -10,7 +10,6 @@ from fractions import Fraction
 from ordalg.scalars import (
     QuadraticNumber,
     ScalarSubgroup,
-    classify,
     compare,
     grid_points,
     pick_strictly_between,
@@ -22,7 +21,7 @@ for text, H in [
     ("Q", ScalarSubgroup.rationals()),
     ("Q[sqrt 2]", ScalarSubgroup.quadratic(2)),
 ]:
-    print(f"  {text:10} -> {classify(H)}")
+    print(f"  {text:10} -> {H.classify()}")
 
 print()
 print("=== exact order in Z + Z*sqrt(2) ===")

@@ -17,9 +17,9 @@ AFF = g.AffineQ()
 print("=== structural predicates ===")
 for desc in (Z2, AFF, g.Lex(Z, Z), g.Lex(Q, AFF), g.Product(Z2, Z)):
     print(
-        f"  {g.describe(desc):14} abelian={g.is_abelian(desc)!s:5} "
-        f"linear={g.is_linearly_ordered(desc)!s:5} lattice={g.is_lattice(desc)!s:5} "
-        f"directed={g.is_directed(desc)}"
+        f"  {str(desc):14} abelian={desc.is_abelian()!s:5} "
+        f"linear={desc.is_linearly_ordered()!s:5} lattice={desc.is_lattice()!s:5} "
+        f"directed={desc.is_directed()}"
     )
 
 print()
@@ -39,7 +39,7 @@ print()
 print("=== directedness witnesses ===")
 print(f"  Z^2 meet of (1,5), (3,2): {g.lower_bound(Z2, [(1, 5), (3, 2)])}")
 lb = g.lower_bound(LZ, [(F(0), F(4)), (F(1), F(-7))])
-print(f"  Z lex Z below (0,4) and (1,-7): {g.format_element(LZ, lb)}")
+print(f"  Z lex Z below (0,4) and (1,-7): {LZ.format_element(lb)}")
 
 print()
 print("=== commutation probes below positive bounds ===")
@@ -52,5 +52,5 @@ print(f"  finite lex interval: {res.status} (exhaustive={res.exhaustive})")
 
 print()
 print("=== center membership ===")
-print(f"  (1, 0) central in Aff: {g.center_member(AFF, (F(1), F(0)))}")
-print(f"  (2, 0) central in Aff: {g.center_member(AFF, (F(2), F(0)))}")
+print(f"  (1, 0) central in Aff: {AFF.center_member((F(1), F(0)))}")
+print(f"  (2, 0) central in Aff: {AFF.center_member((F(2), F(0)))}")

@@ -17,7 +17,7 @@ LZ = g.Lex(g.ZZ, g.ZZ)
 
 
 def show(desc, a1, a2, b1, b2, table):
-    fmt = lambda v: g.format_element(desc, v)
+    fmt = desc.format_element
     print(f"    {fmt(a1)} | {fmt(table.c11)}  {fmt(table.c12)}")
     print(f"    {fmt(a2)} | {fmt(table.c21)}  {fmt(table.c22)}")
     print(f"           | {fmt(b1)}  {fmt(b2)}")
@@ -60,10 +60,10 @@ b1 = (F(3), F(1))
 b2 = g.sub_left(AFF, b1, g.add(AFF, a1, a2))
 table = rdp_decompose(AFF, a1, a2, b1, b2, level="rdp2")
 show(AFF, a1, a2, b1, b2, table)
-print(f"  meet(c12, c21) = {g.format_element(AFF, g.meet(AFF, table.c12, table.c21))}")
+print(f"  meet(c12, c21) = {AFF.format_element(AFF.meet(table.c12, table.c21))}")
 
 print()
 print("=== interpolation between two lower and two upper elements ===")
 LQZ = g.Lex(g.QQ, g.ZZ)
 c = rip_interpolate(LQZ, (F(0), F(5)), (F(0), F(7)), (F(1), F(-3)), (F(1), F(-9)))
-print(f"  (0,5), (0,7) <= c <= (1,-3), (1,-9) with c = {g.format_element(LQZ, c)}")
+print(f"  (0,5), (0,7) <= c <= (1,-3), (1,-9) with c = {LQZ.format_element(c)}")

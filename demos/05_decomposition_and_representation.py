@@ -67,7 +67,7 @@ for label, E2, H in (
 print()
 print("=== the representation map on a re-encoded algebra ===")
 shuffled, alpha = make_shuffled(H4, g.ZZ, ("translate", F(1)))
-print(f"  shuffled unit: {g.format_element(shuffled.group, shuffled.unit)}")
+print(f"  shuffled unit: {shuffled.group.format_element(shuffled.unit)}")
 phi = phi_represent(shuffled)
 x = (F(1, 2), F(9))
 print(f"  alpha({x}) = {alpha(x)};  phi(alpha({x})) = {phi(alpha(x))}")

@@ -4,7 +4,6 @@ from .scalars import (
     Ordering,
     QuadraticNumber,
     ScalarSubgroup,
-    classify,
     compare,
     pick_strictly_between,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "Ordering",
     "QuadraticNumber",
     "ScalarSubgroup",
-    "classify",
     "compare",
     "pick_strictly_between",
     "AffineQ",

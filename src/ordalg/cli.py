@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import re
 import sys
 
-from . import groups as g
 from .decomp import (
     check_ordered,
     check_type_i,
@@ -46,15 +46,12 @@ from .scalars import format_scalar
 from .states import FirstCoordinateState, states_finite
 
 
-def _fmt(desc, x):
-    return g.format_element(desc, x)
-
-
 def _print_table(desc, a1, a2, b1, b2, table, out):
+    fmt = desc.format_element
     rows = [
-        (_fmt(desc, a1), _fmt(desc, table.c11), _fmt(desc, table.c12)),
-        (_fmt(desc, a2), _fmt(desc, table.c21), _fmt(desc, table.c22)),
-        ("", _fmt(desc, b1), _fmt(desc, b2)),
+        (fmt(a1), fmt(table.c11), fmt(table.c12)),
+        (fmt(a2), fmt(table.c21), fmt(table.c22)),
+        ("", fmt(b1), fmt(b2)),
     ]
     widths = [max(len(r[i]) for r in rows) for i in range(3)]
     out.append(f"{rows[0][0]:>{widths[0]}} | {rows[0][1]:>{widths[1]}}  {rows[0][2]:>{widths[2]}}")
@@ -69,7 +66,7 @@ def _machine(out, **kv):
 
 def _read_pea_arg(value):
     """--pea accepts a gamma(...) descriptor or a path to a table file."""
-    if value.strip().startswith("gamma"):
+    if re.match(r"\s*gamma\s*\(", value):
         return parse_interval_pea(value)
     with open(value, "r", encoding="utf-8") as fh:
         verdict = parse_pea_file(fh.read())
@@ -168,8 +165,8 @@ def cmd_interpolate(args, out):
     desc = parse_descriptor(args.group)
     vals = [parse_element(desc, v) for v in (args.a1, args.a2, args.b1, args.b2)]
     c = rip_interpolate(desc, *vals)
-    out.append(f"interpolant: {_fmt(desc, c)}")
-    _machine(out, verdict="pass", c=_fmt(desc, c).replace(" ", ""))
+    out.append(f"interpolant: {desc.format_element(c)}")
+    _machine(out, verdict="pass", c=desc.format_element(c).replace(" ", ""))
     return 0
 
 

@@ -101,10 +101,6 @@ class LexDecomposition:
 # state <-> decomposition
 
 
-def _index_values(H: ScalarSubgroup, max_den=6, coeff_bound=4):
-    return grid_points(H, max_den=max_den, coeff_bound=coeff_bound)
-
-
 def _require_unit_head(E: IntervalPea):
     """The slices E_t = {(t, g)} index [0, 1] only under a unit (1, g0)."""
     head = E.unit[0]
@@ -116,10 +112,10 @@ def _require_unit_head(E: IntervalPea):
 
 def _require_head_values_in(E: IntervalPea, H: ScalarSubgroup):
     """Every value of the first coordinate state s((t, g)) = t must lie in H."""
-    for t in _index_values(E.head_subgroup):
+    for t in grid_points(E.head_subgroup):
         if not H.contains(t):
             raise PreconditionError(
-                f"state is not valued in {H}: s({g.format_element(E.group, (t, g.zero(E.tail_group)))}) = {format_scalar(t)}"
+                f"state is not valued in {H}: s({E.group.format_element((t, E.tail_group.zero()))}) = {format_scalar(t)}"
             )
 
 
@@ -167,14 +163,14 @@ def decomposition_from_state(E, s, H: ScalarSubgroup, allow_subset=False):
         _require_head_values_in(E, H)
         head_H = E.head_subgroup
         # every H index must be attained, else slices are empty
-        missing = [t for t in _index_values(H) if not head_H.contains(t)]
+        missing = [t for t in grid_points(H) if not head_H.contains(t)]
         proper = not missing
         if missing and not allow_subset:
             raise PreconditionError(
                 f"slice at t = {format_scalar(missing[0])} is empty; "
                 "pass allow_subset=True for the empty-slice variant"
             )
-        return LexDecomposition(H, E, tuple(_index_values(H)), proper)
+        return LexDecomposition(H, E, tuple(grid_points(H)), proper)
     raise UnsupportedError(f"unsupported algebra {E!r}")
 
 
@@ -340,7 +336,7 @@ def check_type_i(E, D) -> TypeIReport:
     if isinstance(D, LexDecomposition):
         # sums below one and the idempotent E_0 hold by head arithmetic; E_0
         # is the unique maximal ideal once G is directed (module docstring)
-        directed = g.is_directed(E.tail_group)
+        directed = E.tail_group.is_directed()
         return TypeIReport(directed, True, directed, True)
     raise UnsupportedError(f"unsupported decomposition {D!r}")
 
@@ -394,7 +390,7 @@ def find_cyclic_system(E, D, strong=False):
             if not E.contains(c):
                 return None
             entries.append((t, c))
-            if not g.center_member(E.group, c):
+            if not E.group.center_member(c):
                 all_strong = False
         # additivity of the family on grid pairs; equal scalar values hash
         # equal once coerced, so the entry at s + t is one lookup
@@ -463,7 +459,7 @@ def classify_perfect(E, H: ScalarSubgroup, n_max=6, seed=0) -> PerfectReport:
         missing, tf, rng = None, None, None
     elif isinstance(E, IntervalPea) and E.is_lex_scalar:
         missing, ordered_report, type_i, directness, cyc = _lex_slices(E, H)
-        tf, rng = g.is_torsion_free(E.group), random.Random(seed)
+        tf, rng = E.group.is_torsion_free(), random.Random(seed)
     else:
         raise UnsupportedError(f"unsupported algebra {E!r}")
     is_perfect = ordered_report is not None and ordered_report.ordered
@@ -538,8 +534,8 @@ def _lex_slices(E: IntervalPea, H):
     """The first grid slice the head misses, or None, and the slice verdicts."""
     _require_unit_head(E)
     _require_head_values_in(E, H)
-    directness = g.is_directed(E.tail_group)  # slice directness, module docstring
-    missing = next((t for t in _index_values(H) if not E.head_subgroup.contains(t)), None)
+    directness = E.tail_group.is_directed()  # slice directness, module docstring
+    missing = next((t for t in grid_points(H) if not E.head_subgroup.contains(t)), None)
     if missing is not None:
         # a head that misses a grid slice is not perfect over H
         return missing, None, None, directness, None
@@ -562,7 +558,7 @@ class EquivalenceVerdict:
 def strong_cyclic_vs_divisibility(E: IntervalPea, n_max=6) -> EquivalenceVerdict:
     """Both sides computed independently and compared; also asserts that a
     strong cyclic element of order n is the only cyclic element of order n."""
-    if not (isinstance(E, IntervalPea) and g.is_torsion_free(E.group)):
+    if not (isinstance(E, IntervalPea) and E.group.is_torsion_free()):
         raise PreconditionError("needs an interval algebra over a torsion-free group")
     strong_side = True
     div_side = True
@@ -578,7 +574,7 @@ def strong_cyclic_vs_divisibility(E: IntervalPea, n_max=6) -> EquivalenceVerdict
     if E.is_lex_scalar:
         _require_unit_head(E)
         D = LexDecomposition(
-            E.head_subgroup, E, tuple(_index_values(E.head_subgroup, max_den=n_max)), True
+            E.head_subgroup, E, tuple(grid_points(E.head_subgroup, max_den=n_max)), True
         )
         cyc = find_cyclic_system(E, D, strong=True)
         strong_side = cyc is not None and cyc.strong

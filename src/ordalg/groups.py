@@ -22,9 +22,12 @@ Each descriptor class is the one place that knows its element format: shape
 checks, arithmetic, order, sampling, interval enumeration and formatting
 are its methods.  ``Lex`` and ``Product`` share the componentwise rules
 through a private pair base, which reads the two factors from ``parts``;
-``Lex`` overrides only the rules that depend on the order.  The module
-functions (``add(desc, x, y)``, ``leq(desc, x, y)``, ...) are the entry
-points the rest of the package calls; each one calls the method.
+``Lex`` overrides only the rules that depend on the order.  Callers call
+the methods.  A module function stays only where it adds a rule to them
+(``sub_right``, ``sub_left``, ``scale``, ``divide``, ``join``,
+``lower_bound``, ``com_check``) or where ``perfbench`` counts a leaf op by
+wrapping it (``add``, ``neg``, ``leq``, ``check_element``,
+``positive_cone_member``).
 """
 
 from __future__ import annotations
@@ -750,34 +753,6 @@ ZZ = Scalar(ScalarSubgroup.cyclic(1))
 QQ = Scalar(ScalarSubgroup.rationals())
 
 
-def describe(desc: GroupDescriptor) -> str:
-    return str(desc)
-
-
-# ---------------------------------------------------------------------------
-# structural predicates
-
-
-def is_abelian(desc) -> bool:
-    return desc.is_abelian()
-
-
-def is_linearly_ordered(desc) -> bool:
-    return desc.is_linearly_ordered()
-
-
-def is_lattice(desc) -> bool:
-    return desc.is_lattice()
-
-
-def is_directed(desc) -> bool:
-    return desc.is_directed()
-
-
-def is_torsion_free(desc) -> bool:
-    return desc.is_torsion_free()
-
-
 # ---------------------------------------------------------------------------
 # element shape and arithmetic
 
@@ -785,10 +760,6 @@ def is_torsion_free(desc) -> bool:
 def check_element(desc, x):
     """Validate that x is shaped per desc; returns the canonical value."""
     return desc.check_element(x)
-
-
-def zero(desc):
-    return desc.zero()
 
 
 def add(desc, x, y):
@@ -848,11 +819,6 @@ def positive_cone_member(desc, x) -> bool:
     return desc._positive(x)
 
 
-def meet(desc, x, y):
-    """Lattice meet; every supported descriptor is a lattice."""
-    return desc.meet(x, y)
-
-
 def join(desc, x, y):
     return desc.neg(desc.meet(desc.neg(x), desc.neg(y)))
 
@@ -874,11 +840,6 @@ def lower_bound(desc, xs):
 
 # ---------------------------------------------------------------------------
 # commutation
-
-
-def center_member(desc, x) -> bool:
-    """Structural membership in the commutative center."""
-    return desc.center_member(x)
 
 
 @dataclass(frozen=True)
@@ -908,16 +869,3 @@ def com_check(desc, a, b) -> ComResult:
     if not positive_cone_member(desc, a) or not positive_cone_member(desc, b):
         raise PreconditionError("com_check needs positive endpoints")
     return desc._commute(a, b)
-
-
-# ---------------------------------------------------------------------------
-# strong units and formatting
-
-
-def is_strong_unit(desc, u) -> bool:
-    """Whether positive u bounds every element up to a multiple."""
-    return desc.is_strong_unit(u)
-
-
-def format_element(desc, x) -> str:
-    return desc.format_element(x)

@@ -134,7 +134,7 @@ def _descriptor(toks: _Tokens) -> g.GroupDescriptor:
         right = _descriptor(toks)
         toks.take_symbol(")")
         if name == "lex":
-            if not g.is_linearly_ordered(left):
+            if not left.is_linearly_ordered():
                 toks.error("lex head must be linearly ordered")
             return g.Lex(left, right)
         return g.Product(left, right)

@@ -250,9 +250,9 @@ class IntervalPea:
     def __init__(self, group: g.GroupDescriptor, unit):
         self.group = group
         self.unit = g.check_element(group, unit)
-        if not g.is_strong_unit(group, self.unit):
+        if not group.is_strong_unit(self.unit):
             raise PreconditionError("interval algebras need a strong unit")
-        self.zero = g.zero(group)
+        self.zero = group.zero()
 
     @property
     def one(self):
@@ -326,7 +326,7 @@ class IntervalPea:
         return self.unit[1]
 
     def __repr__(self):
-        return f"IntervalPea({g.describe(self.group)}, unit={g.format_element(self.group, self.unit)})"
+        return f"IntervalPea({self.group}, unit={self.group.format_element(self.unit)})"
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +500,7 @@ def cyclic_elements(E, n: int):
         if c is None or not E.contains(c):
             return []
         assert g.scale(E.group, c, n) == E.unit
-        return [CyclicElement(c, n, g.center_member(E.group, c))]
+        return [CyclicElement(c, n, E.group.center_member(c))]
     raise UnsupportedError(f"unsupported algebra {E!r}")
 
 
@@ -518,7 +518,7 @@ def is_symmetric(E, rng=None, samples=200) -> SymmetryVerdict:
                 return SymmetryVerdict(False, a)
         return SymmetryVerdict(True)
     if isinstance(E, IntervalPea) and E.is_lex_scalar:
-        if g.center_member(E.tail_group, E.tail_unit):
+        if E.tail_group.center_member(E.tail_unit):
             return SymmetryVerdict(True)
         # produce a concrete witness by sampling
         import random

@@ -28,12 +28,12 @@ from .scalars import ScalarSubgroup
 
 def build_lex_pea(H: ScalarSubgroup, G, g0=None) -> IntervalPea:
     """The interval algebra of Lex(Scalar(H), G) with unit (1, g0)."""
-    if not g.is_directed(G):
+    if not G.is_directed():
         raise PreconditionError("the bottom group must be directed")
-    if not g.is_torsion_free(G):
+    if not G.is_torsion_free():
         raise PreconditionError("the bottom group must be torsion-free")
     if g0 is None:
-        g0 = g.zero(G)
+        g0 = G.zero()
     return IntervalPea(g.Lex(g.Scalar(H), G), (H.one(), g0))
 
 
@@ -202,7 +202,7 @@ def make_shuffled(H: ScalarSubgroup, G, spec):
         z = g.check_element(G, spec[1])
         if H.is_dense:
             raise UnsupportedError("translate shuffles need a discrete head")
-        if not g.center_member(G, z):
+        if not G.center_member(z):
             raise PreconditionError("translate shuffles need a central offset")
         n = H.n
         unit_tail = g.scale(G, z, n)
@@ -273,7 +273,7 @@ class DifferenceGroup:
         exactly when their keys agree.  The key uses only the algebra's order
         and partial difference.
         """
-        m = g.meet(self.pea.group, plus, minus)
+        m = self.pea.group.meet(plus, minus)
         return (self.pea.minus_left(plus, m), self.pea.minus_left(minus, m))
 
     def make(self, plus, minus) -> DifferenceClass:

@@ -114,7 +114,7 @@ def rdp_table_verify(desc, a1, a2, b1, b2, table, level=None):
             return VerifyResult(False, f"com(c12, c21) fails at {res.witness}")
         return VerifyResult(True, side_condition="holds" if res.holds else "inconclusive")
     if lv == "rdp2":
-        if g.meet(desc, c12, c21) != g.zero(desc):
+        if desc.meet(c12, c21) != desc.zero():
             return VerifyResult(False, "c12 and c21 have a nonzero meet")
         return VerifyResult(True, side_condition="holds")
     return VerifyResult(True)
@@ -130,7 +130,7 @@ def _meet_table(desc, a1, a2, b1, b2):
     Every descriptor is an l-group, where disjoint elements commute, so the
     second column sums to b2 and the table certifies every level.
     """
-    c11 = g.meet(desc, a1, b1)
+    c11 = desc.meet(a1, b1)
     c12 = g.sub_left(desc, c11, a1)
     c21 = g.sub_left(desc, c11, b1)
     return c11, c12, c21, g.sub_left(desc, c21, a2)
@@ -143,7 +143,7 @@ def _transpose_instance(table: tuple):
 
 def _decompose_lex(desc, a1, a2, b1, b2, level):
     top, bottom = desc.top, desc.bottom
-    zt = g.zero(top)
+    zt = top.zero()
     (m1, ta1), (m2, ta2), (n1, tb1), (n2, tb2) = a1, a2, b1, b2
 
     if m1 == zt and m2 == zt:
@@ -156,7 +156,7 @@ def _decompose_lex(desc, a1, a2, b1, b2, level):
             return (
                 (n1, tb1),
                 (n2, g.sub_left(bottom, tb1, ta1)),
-                (zt, g.zero(bottom)),
+                (zt, bottom.zero()),
                 (zt, ta2),
             )
         # n2 == 0 (so n1 == m1): shift the first column by d <= a1, b1
@@ -175,7 +175,7 @@ def _decompose_lex(desc, a1, a2, b1, b2, level):
             # rows ((0, a1), (0, 0)) and ((n1, -a1 + b1), (n2, b2))
             return (
                 (zt, ta1),
-                (zt, g.zero(bottom)),
+                (zt, bottom.zero()),
                 (n1, g.sub_left(bottom, ta1, tb1)),
                 (n2, tb2),
             )
@@ -270,7 +270,7 @@ _scalar_key = functools.cmp_to_key(lambda u, v: int(compare(u, v)))
 def decompose_raw(desc, a1, a2, b1, b2, level):
     # the paper's case tables wherever they certify the level, else the meet table
     if isinstance(desc, g.Lex) and (
-        level in ("rdp0", "rdp") or (level == "rdp1" and g.is_abelian(desc.bottom))
+        level in ("rdp0", "rdp") or (level == "rdp1" and desc.bottom.is_abelian())
     ):
         return _decompose_lex(desc, a1, a2, b1, b2, level)
     if isinstance(desc, g.Product):
@@ -320,7 +320,7 @@ def rip_interpolate(desc, a1, a2, b1, b2):
         if compare(ha, hb) is Ordering.LT:
             try:
                 t = pick_strictly_between(H, ha, hb)
-                return (t, g.zero(desc.bottom))
+                return (t, desc.bottom.zero())
             except (NoElementError, PreconditionError):
                 pass
     return g.join(desc, a1, a2)
@@ -346,7 +346,7 @@ def rdp_oracle_search(desc, a1, a2, b1, b2, level="rdp", box=20):
     """
     lv = _norm_level(level)
     a1, a2, b1, b2 = check_instance(desc, a1, a2, b1, b2)
-    for c11 in desc.iter_bounded([g.zero(desc), g.sub_left(desc, a2, b1)], [a1, b1], box):
+    for c11 in desc.iter_bounded([desc.zero(), g.sub_left(desc, a2, b1)], [a1, b1], box):
         c12 = g.sub_left(desc, c11, a1)
         if not g.positive_cone_member(desc, c12):
             continue

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainMismatchError, NoElementError, PreconditionError
@@ -231,6 +231,7 @@ class ScalarSubgroup:
         return True
 
     def classify(self):
+        """Return ("cyclic", n) for (1/n)Z and ("dense", None) otherwise."""
         return ("dense", None)
 
 
@@ -317,18 +318,24 @@ class _Rationals(ScalarSubgroup):
 
 @dataclass(frozen=True)
 class _Quadratic(ScalarSubgroup):
-    """Z + Z*sqrt(d), with QuadraticNumber values."""
+    """Z + Z*sqrt(d), with QuadraticNumber values; 0 and 1 are built once."""
 
     d: int
+    _zero: QuadraticNumber = field(init=False, repr=False, compare=False)
+    _one: QuadraticNumber = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_zero", QuadraticNumber(0, 0, self.d))
+        object.__setattr__(self, "_one", QuadraticNumber(1, 0, self.d))
 
     def __str__(self):
         return f"Q[sqrt {self.d}]"
 
     def zero(self):
-        return QuadraticNumber(0, 0, self.d)
+        return self._zero
 
     def one(self):
-        return QuadraticNumber(1, 0, self.d)
+        return self._one
 
     def coerce(self, x):
         if isinstance(x, QuadraticNumber):
@@ -420,11 +427,6 @@ def compare(x, y) -> Ordering:
     # denominators are positive, so cross-multiplying keeps the order
     u, v = x.numerator * y.denominator, y.numerator * x.denominator
     return _BY_SIGN[(u > v) - (u < v)]
-
-
-def classify(H: ScalarSubgroup):
-    """Return ("cyclic", n) for (1/n)Z and ("dense", None) otherwise."""
-    return H.classify()
 
 
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:

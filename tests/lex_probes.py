@@ -168,27 +168,27 @@ def maximality_probe(E: IntervalPea, x) -> bool:
         h = None
     if h is not None:
         # (h, 0) < x so all its defined multiples live in the ideal
-        w = (h, g.zero(G))
+        w = (h, G.zero())
         if not E.leq(w, x):
             return False
         k = 1
         while compare(H.coerce(h * (k + 1)), H.one()) is Ordering.LT:
             k += 1
-        y = (h * k, g.zero(G))  # k maximal with k*h < 1
+        y = (h * k, G.zero())  # k maximal with k*h < 1
         leftover = E.lneg(y)  # (1 - k*h, g0), head at most h < t
         if not E.leq(leftover, x):
             return False
         return E.add(leftover, y) == E.one
     # discrete head, t = 1/n with n >= 2: shift x by e >= -gx, -gx + g0
     n = H.n
-    e = upper_bound(G, [g.neg(G, gx), g.zero(G), g.add(G, g.neg(G, gx), g0)])
+    e = upper_bound(G, [g.neg(G, gx), G.zero(), g.add(G, g.neg(G, gx), g0)])
     lifted = E.add(x, (H.zero(), e))
     if lifted is None:
         return False
-    w = (Fraction(1, n), g.zero(G))
+    w = (Fraction(1, n), G.zero())
     if not E.leq(w, lifted):
         return False
-    y = (Fraction(n - 1, n), g.zero(G))  # (n-1)-fold sum of w
+    y = (Fraction(n - 1, n), G.zero())  # (n-1)-fold sum of w
     leftover = E.lneg(y)  # (1/n, g0) <= lifted by the choice of e
     if not E.leq(leftover, lifted):
         return False

@@ -216,7 +216,7 @@ def test_criterion_5_affine():
         inst = random_instance(AFF, rng, 9)
         table = rdp_decompose(AFF, *inst, level="rdp2")
         res = rdp_table_verify(AFF, *inst, table, level="rdp2")
-        if not res.ok or g.meet(AFF, table.c12, table.c21) != g.zero(AFF):
+        if not res.ok or AFF.meet(table.c12, table.c21) != AFF.zero():
             ok = False
     record(5, "200 affine refinements with exactly disjoint off-diagonal entries", ok)
 

@@ -110,6 +110,18 @@ def test_cli_ideals(tmp_path):
     assert "radical=0" in output
 
 
+def test_cli_table_path_starting_with_gamma_is_a_file(tmp_path, monkeypatch):
+    # only gamma followed by "(" is an interval descriptor
+    (tmp_path / "gamma_chain.pea").write_text(format_pea_file(finite_chain(4)))
+    monkeypatch.chdir(tmp_path)
+    code, output = run_cli("states", "gamma_chain.pea")
+    assert code == 0
+    assert "extremal states: 1" in output
+    code, output = run_cli("ideals", "gamma_chain.pea")
+    assert code == 0
+    assert "radical=0" in output
+
+
 def test_cli_check_rdp_matches_worked_example():
     code, output = run_cli(
         "check-rdp",

@@ -208,7 +208,7 @@ def cyclic_system_by_scan(E, D, strong=False):
         if not E.contains(c):
             return None
         entries.append((t, c))
-        if not g.center_member(E.group, c):
+        if not E.group.center_member(c):
             all_strong = False
     for s, cs in entries:
         for t, ct in entries:

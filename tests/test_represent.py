@@ -327,16 +327,16 @@ def test_lattice_positive_negative_parts_of_slice_differences():
     E = build_lex_pea(HQ, Z2)
     phi = phi_represent(E)
     G = E.group
-    zero = g.zero(G)
+    zero = G.zero()
     rng = random.Random(31)
     for _ in range(150):
         x = E.sample(rng)
         c = phi.cyclic_entry(x[0])
         diff = g.sub_right(G, x, c)
         pos = g.sub_right(G, g.join(G, x, c), c)  # (x v c) - c
-        neg_part = g.sub_right(G, c, g.meet(G, x, c))  # c - (x ^ c)
+        neg_part = g.sub_right(G, c, G.meet(x, c))  # c - (x ^ c)
         assert pos == g.join(G, diff, zero)
-        assert neg_part == g.neg(G, g.meet(G, diff, zero))
+        assert neg_part == g.neg(G, G.meet(diff, zero))
         assert g.sub_right(G, pos, neg_part) == diff
         assert g.positive_cone_member(G, pos) and pos[0] == HQ.zero()
         assert g.positive_cone_member(G, neg_part) and neg_part[0] == HQ.zero()
@@ -359,7 +359,7 @@ def reconstruct_hom(f, source: IntervalPea, target: IntervalPea):
         return image[1]
 
     def hom(x):
-        lower = g.lower_bound(G, [x, g.zero(G)])
+        lower = g.lower_bound(G, [x, G.zero()])
         g2 = g.neg(G, lower)
         g1 = g.add(G, x, g2)
         return g.sub_right(Gt, on_positive(g1), on_positive(g2))

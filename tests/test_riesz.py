@@ -57,7 +57,7 @@ def test_degenerate_instance_any_descriptor():
     for desc in (Z2, LEX_ZZ, AFF):
         rng = random.Random(1)
         x = sample_positive(desc, rng, 5)
-        zero = g.zero(desc)
+        zero = desc.zero()
         table = rdp_decompose(desc, x, zero, x, zero)
         assert table.c11 == x
         assert table.c12 == zero and table.c21 == zero and table.c22 == zero
@@ -101,7 +101,7 @@ def test_affine_min_table_is_rdp2():
     table = rdp_decompose(AFF, a1, a2, b1, b2, level="rdp2")
     res = rdp_table_verify(AFF, a1, a2, b1, b2, table, level="rdp2")
     assert res.ok
-    assert g.meet(AFF, table.c12, table.c21) == g.zero(AFF)
+    assert AFF.meet(table.c12, table.c21) == AFF.zero()
 
 
 def test_sum_mismatch_rejected():
@@ -178,7 +178,7 @@ def test_linear_min_tables_have_zero_meet():
         for _ in range(100):
             a1, a2, b1, b2 = random_instance(desc, rng, 9)
             table = rdp_decompose(desc, a1, a2, b1, b2, level="rdp2")
-            assert g.meet(desc, table.c12, table.c21) == g.zero(desc)
+            assert desc.meet(table.c12, table.c21) == desc.zero()
 
 
 def test_lex_rdp2_on_partial_bottom_gets_a_verified_table():
@@ -217,7 +217,7 @@ def test_lex_affine_rdp1_uses_min_refinement():
     table = rdp_decompose(desc, a1, a2, b1, b2, level="rdp1")
     res = rdp_table_verify(desc, a1, a2, b1, b2, table, level="rdp1")
     assert res.ok and res.side_condition == "holds"
-    zero = g.zero(desc)
+    zero = desc.zero()
     assert table.c12 == zero or table.c21 == zero
 
 
@@ -307,7 +307,7 @@ def test_oracle_agreement_lex_zz2():
 def zero_window_search(desc, a1, a2, b1, b2, level, box):
     """The oracle over its former window, c11 >= 0 only, with the same checks."""
     a1, a2, b1, b2 = check_instance(desc, a1, a2, b1, b2)
-    for c11 in desc.iter_bounded([g.zero(desc)], [a1, b1], box):
+    for c11 in desc.iter_bounded([desc.zero()], [a1, b1], box):
         c12 = g.sub_left(desc, c11, a1)
         c21 = g.sub_left(desc, c11, b1)
         c22 = g.sub_left(desc, c21, a2)

@@ -11,7 +11,6 @@ from ordalg.scalars import (
     Ordering,
     QuadraticNumber,
     ScalarSubgroup,
-    classify,
     compare,
     grid_points,
     pick_strictly_between,
@@ -52,9 +51,9 @@ def test_compare_mixed_domains_rejected():
 
 
 def test_classify():
-    assert classify(ScalarSubgroup.cyclic(4)) == ("cyclic", 4)
-    assert classify(Q) == ("dense", None)
-    assert classify(QS2) == ("dense", None)
+    assert ScalarSubgroup.cyclic(4).classify() == ("cyclic", 4)
+    assert Q.classify() == ("dense", None)
+    assert QS2.classify() == ("dense", None)
 
 
 def test_quadratic_denseness_witnesses():
@@ -314,3 +313,12 @@ def test_rational_values_are_shared_not_copied():
     assert Q.coerce(x) is x and Z3.coerce(x) is x
     assert Q.zero() is Z3.zero() and Q.one() is Z3.one()
     assert type(Z.zero()) is int and Z.zero() == 0
+
+
+def test_quadratic_zero_and_one_are_built_once():
+    assert QS2.zero() is QS2.zero() and QS2.one() is QS2.one()
+    assert QS2.zero() == QuadraticNumber(0, 0, 2) and QS2.one() == QuadraticNumber(1, 0, 2)
+    # the cached values stay out of equality, hashing and repr
+    other = ScalarSubgroup.quadratic(2)
+    assert other == QS2 and hash(other) == hash(QS2) and repr(other) == repr(QS2)
+    assert ScalarSubgroup.quadratic(3) != QS2
