@@ -2,7 +2,7 @@
 
 Any positive instance a1 + a2 = b1 + b2 over a supported group splits into
 a 2x2 table whose rows sum to the a's and whose columns sum to the b's.
-Dense scalar heads route through an approximation inside a cyclic subgroup.
+The solver takes c11 = a1 ^ b1 on every group, dense scalar heads included.
 """
 
 import random
@@ -32,14 +32,14 @@ print(f"  verification: {rdp_table_verify(LZ, a1, a2, b1, b2, table).ok}")
 print(f"  oracle cross-check: {rdp_oracle_search(LZ, a1, a2, b1, b2, box=45).found}")
 
 print()
-print("=== equal heads route through a directedness witness ===")
+print("=== equal heads: the meet keeps the head and the smaller tail ===")
 a1, a2 = (F(1), F(2)), (F(0), F(3))
 b1, b2 = (F(1), F(5)), (F(0), F(0))
 table = rdp_decompose(LZ, a1, a2, b1, b2)
 show(LZ, a1, a2, b1, b2, table)
 
 print()
-print("=== dense heads: reduce to a cyclic subgroup, then add the surplus ===")
+print("=== dense heads: the same meet table, with no reduction ===")
 LQ = g.Lex(g.QQ, g.IntVector(2))
 rng = random.Random(7)
 a1 = sample_positive(LQ, rng, 9)

@@ -27,7 +27,11 @@ the methods.  A module function stays only where it adds a rule to them
 (``sub_right``, ``sub_left``, ``scale``, ``divide``, ``join``,
 ``lower_bound``, ``com_check``) or where ``perfbench`` counts a leaf op by
 wrapping it (``add``, ``neg``, ``leq``, ``check_element``,
-``positive_cone_member``).
+``positive_cone_member``).  The refinement solver takes meets and needs no
+directedness witness; ``lower_bound`` (with the ``lower_bound`` and
+``a_positive_element`` methods behind it) stays for the paper's lex case
+tables in the tests, for demo 02, and because ``perfbench`` counts it as a
+leaf op.
 """
 
 from __future__ import annotations

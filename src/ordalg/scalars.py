@@ -493,21 +493,6 @@ def pick_strictly_between(H: ScalarSubgroup, lo, hi):
     return H.pick_between(lo, hi)
 
 
-def floor_multiple_below(x, step) -> int:
-    """Largest k >= 0 with k*step < x, for exact positive scalars."""
-    lo, hi = 0, 1
-    while compare(step * hi, x) is Ordering.LT:
-        hi *= 2
-    # invariant: lo*step < x <= hi*step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if compare(step * mid, x) is Ordering.LT:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def grid_points(H: ScalarSubgroup, max_den: int = 6, coeff_bound: int = 4):
     """A sorted finite witness grid of [0,1] in H.
 

@@ -14,7 +14,9 @@ from ordalg import groups as g
 from ordalg.decomp import LexDecomposition, OrderedReport, TypeIReport
 from ordalg.errors import NoElementError
 from ordalg.pea import IntervalPea, infinitesimals
-from ordalg.scalars import Ordering, compare, floor_multiple_below, pick_strictly_between
+from ordalg.scalars import Ordering, compare, pick_strictly_between
+
+from lex_tables import floor_multiple_below
 
 
 def upper_bound(G, xs):

@@ -134,7 +134,7 @@ def test_cli_check_rdp_matches_worked_example():
         "--oracle", "--box", "45",
     )
     assert code == 0
-    assert "(2, 5)" in output  # c12 from the case table
+    assert "(2, 5)" in output  # c12 of the meet table
     assert "#! verdict=pass" in output
     assert "oracle=found" in output
 

@@ -18,6 +18,9 @@ from ordalg.riesz import (
 from ordalg.sampling import sample_interval, sample_positive
 from ordalg.scalars import QuadraticNumber, ScalarSubgroup
 
+from lex_tables import case_table
+from test_properties import TREES
+
 Z = g.ZZ
 Q = g.QQ
 Z2 = g.IntVector(2)
@@ -44,7 +47,7 @@ def random_instance(desc, rng, bound=10):
 def test_lex_case_table_matches_head_positive_construction():
     a1, a2 = (f(3), f(7)), (f(0), f(4))
     b1, b2 = (f(1), f(2)), (f(2), f(9))
-    table = rdp_decompose(LEX_ZZ, a1, a2, b1, b2)
+    table = case_table(LEX_ZZ, a1, a2, b1, b2)
     assert table.entries() == ((f(1), f(2)), (f(2), f(5)), (f(0), f(0)), (f(0), f(4)))
     # four-sum oracle, computed independently of the construction
     assert g.add(LEX_ZZ, table.c11, table.c12) == a1
@@ -68,14 +71,14 @@ def test_lex_zero_second_heads_uses_directedness_witness():
     b1, b2 = (f(1), f(5)), (f(0), f(0))
     # d = min(2, 5) = 2 in the bottom copy of the integers
     assert g.lower_bound(Z, [f(2), f(5)]) == f(2)
-    table = rdp_decompose(LEX_ZZ, a1, a2, b1, b2)
+    table = case_table(LEX_ZZ, a1, a2, b1, b2)
     assert table.entries() == ((f(1), f(2)), (f(0), f(0)), (f(0), f(3)), (f(0), f(0)))
 
 
 def test_verify_accepts_case_table_and_rejects_corruption():
     a1, a2 = (f(3), f(7)), (f(0), f(4))
     b1, b2 = (f(1), f(2)), (f(2), f(9))
-    table = rdp_decompose(LEX_ZZ, a1, a2, b1, b2)
+    table = case_table(LEX_ZZ, a1, a2, b1, b2)
     ok = rdp_table_verify(LEX_ZZ, a1, a2, b1, b2, table)
     assert ok.ok
     bad = DecompositionTable(table.c11, (f(2), f(4)), table.c21, table.c22, "rdp")
@@ -164,7 +167,8 @@ def test_quadratic_dense_heads():
 
 def test_linear_min_tables_have_zero_meet():
     # on total orders the meet table is the min refinement; lattice orders
-    # (a partial lex bottom, a product, a non-Abelian lex bottom) share it
+    # (a partial lex bottom, a product, a non-Abelian lex bottom) share it,
+    # and so does every seeded property tree at every level
     rng = random.Random(57)
     for desc in (
         Z,
@@ -179,6 +183,12 @@ def test_linear_min_tables_have_zero_meet():
             a1, a2, b1, b2 = random_instance(desc, rng, 9)
             table = rdp_decompose(desc, a1, a2, b1, b2, level="rdp2")
             assert desc.meet(table.c12, table.c21) == desc.zero()
+    for desc in TREES:
+        for level in ("rdp0", "rdp", "rdp1", "rdp2"):
+            for _ in range(3):
+                a1, a2, b1, b2 = random_instance(desc, rng, 6)
+                table = rdp_decompose(desc, a1, a2, b1, b2, level=level)
+                assert desc.meet(table.c12, table.c21) == desc.zero()
 
 
 def test_lex_rdp2_on_partial_bottom_gets_a_verified_table():
@@ -241,36 +251,42 @@ def test_rdp1_certification_inconclusive_tag():
 
 
 def test_rdp1_product_side_condition_decided_per_part():
-    # a seeded instance whose rdp1 verdict was "inconclusive" while the
-    # product was sampled as a whole: the first part is Abelian and the
-    # second part's c21 is zero, so each part's pair commutes
+    # the case table of a seeded instance whose rdp1 verdict was
+    # "inconclusive" while the product was sampled as a whole: the first part
+    # is Abelian and the second part's c21 is zero, so each part's pair
+    # commutes, although the first part's c12 ^ c21 = c21 = (0, (3, 0)) is not zero
     desc = g.Product(g.Lex(Q, g.IntVector(2)), g.Lex(Q, AFF))
     q = Fraction
     a1 = ((q(3, 2), (0, 4)), (q(1, 3), (q(1, 2), q(0))))
     a2 = ((q(5, 4), (1, 3)), (q(0), (q(5), q(-5, 2))))
     b1 = ((q(11, 64), (3, 3)), (q(1, 8), (q(1), q(1, 3))))
     b2 = ((q(165, 64), (-2, 4)), (q(5, 24), (q(5, 2), q(-19, 12))))
-    table = rdp_decompose(desc, a1, a2, b1, b2, level="rdp1")
-    assert table.c21 == ((0, (3, 0)), (0, (1, 0)))
+    c11 = ((q(11, 64), (0, 3)), (q(1, 8), (q(1), q(1, 3))))
+    c12 = ((q(85, 64), (0, 1)), (q(5, 24), (q(1, 2), q(-1, 3))))
+    c21 = ((q(0), (3, 0)), (q(0), (q(1), q(0))))
+    c22 = ((q(5, 4), (-2, 3)), (q(0), (q(5), q(-5, 2))))
+    table = DecompositionTable(c11, c12, c21, c22, "rdp1")
+    assert case_table(desc, a1, a2, b1, b2, level="rdp1") == table
+    assert desc.meet(c12, c21) != desc.zero()
     res = rdp_table_verify(desc, a1, a2, b1, b2, table, level="rdp1")
     assert res.ok and res.side_condition == "holds"
 
 
 def test_rdp1_certification_detects_noncommuting_table():
-    # the case-analysis table for this instance has genuinely
-    # non-commuting off-diagonal entries
+    # the case table at rdp for this instance has genuinely non-commuting
+    # off-diagonal entries; the solver's meet table has disjoint ones
     desc = g.Lex(Z, AFF)
     a1 = (f(2), (f(2), f(0)))
     a2 = (f(1), (f(3), f(1)))
     b1 = (f(1), (f(2), f(1)))
     total = g.add(desc, a1, a2)
     b2 = g.sub_left(desc, b1, total)
-    table = rdp_decompose(desc, a1, a2, b1, b2, level="rdp")
+    table = case_table(desc, a1, a2, b1, b2, level="rdp")
     res = rdp_table_verify(desc, a1, a2, b1, b2, table, level="rdp1")
-    assert (not res.ok and "com" in res.reason) or res.side_condition in (
-        "holds",
-        "inconclusive",
-    )
+    assert not res.ok and "com" in res.reason
+    table = rdp_decompose(desc, a1, a2, b1, b2, level="rdp1")
+    res = rdp_table_verify(desc, a1, a2, b1, b2, table, level="rdp1")
+    assert res.ok and res.side_condition == "holds"
 
 
 def test_oracle_not_found_within_box():
