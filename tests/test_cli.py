@@ -379,3 +379,38 @@ def test_cli_bad_seed_variable_is_an_input_error(tmp_path, monkeypatch):
     monkeypatch.setenv("ORDALG_SEED", "5")
     code, output = run_cli("check-axioms", str(path))
     assert code == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("represent", "--H", "Q", "--G", "Z", "--samples", "0"),
+     "argument --samples: must be at least 1, got 0"),
+    (("represent", "--H", "Q", "--G", "Z", "--samples", "-3"),
+     "argument --samples: must be at least 1, got -3"),
+    (("functor", "--hom", "identity", "--G", "Z", "--H", "Q", "--samples", "-1"),
+     "argument --samples: must be at least 1, got -1"),
+    (("functor", "--hom", "identity", "--G", "Z", "--H", "Q", "--samples", "0"),
+     "argument --samples: must be at least 1, got 0"),
+    (("oracle-rdp", "--group", "Z", "--a1", "1", "--a2", "1", "--b1", "1", "--b2", "1",
+      "--box", "-1"), "argument --box: must be at least 0, got -1"),
+    (("check-rdp", "--group", "Z", "--a1", "1", "--a2", "1", "--b1", "1", "--b2", "1",
+      "--oracle", "--box", "-1"), "argument --box: must be at least 0, got -1"),
+    (("represent", "--H", "Q", "--G", "Z", "--samples", "many"),
+     "argument --samples: invalid count value: 'many'"),
+])
+def test_cli_vacuous_counts_are_input_errors(argv, message, capsys):
+    # no samples checks nothing and a negative box searches nothing, so a
+    # verdict on either would be vacuous
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"ordalg {argv[0]}: error: {message}\n")
+
+
+def test_cli_zero_box_is_a_search():
+    code, output = run_cli(
+        "oracle-rdp", "--group", "Z", "--a1", "0", "--a2", "0", "--b1", "0", "--b2", "0",
+        "--box", "0",
+    )
+    assert code == 0 and output.endswith("#! verdict=pass oracle=found\n")
