@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from . import groups as g
 from .errors import PreconditionError, UnsupportedError
-from .sampling import sample_interval
 from .scalars import Ordering, ScalarSubgroup, compare
 
 MAX_FINITE_SIZE = 64
@@ -298,7 +297,9 @@ class IntervalPea:
         return acc
 
     def sample(self, rng, bound=8):
-        return sample_interval(self.group, self.unit, rng, bound)
+        # every strong unit of the grammar is positive and nonzero, and
+        # __init__ checked that the unit is one, so no draw checks it again
+        return self.group._sample_interval(self.unit, rng, bound)
 
     # -- lexicographic structure helpers ------------------------------------
 

@@ -53,11 +53,15 @@ class PhiMap:
     target: IntervalPea
     corrupt: bool = False  # drop the c_t subtraction (negative control)
     _tails: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _tail_group: g.GroupDescriptor = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_tail_group", self.source.tail_group)
 
     def cyclic_entry(self, t):
         tail = self._tails.get(t)
         if tail is None:
-            tail = _integral_action(self.source.tail_group, self.source.tail_unit, t)
+            tail = _integral_action(self._tail_group, self.source.tail_unit, t)
             if tail is None:
                 raise PreconditionError(
                     f"no cyclic-system entry for slice {t}; extend the witness grid"
@@ -71,12 +75,12 @@ class PhiMap:
             return (t, gx)
         c = self.cyclic_entry(t)
         # c_t is central, so left and right differences agree
-        return (t, g.sub_right(self.source.tail_group, gx, c[1]))
+        return (t, g.sub_right(self._tail_group, gx, c[1]))
 
     def preimage(self, z):
         t, gz = z
         c = self.cyclic_entry(t)
-        return (t, g.add(self.source.tail_group, gz, c[1]))
+        return (t, g.add(self._tail_group, gz, c[1]))
 
 
 def phi_represent(E: IntervalPea, n_max=6, seed=0) -> PhiMap:

@@ -1,16 +1,16 @@
 """Seeded random generation of group elements.
 
-All sampled checks in the package draw from these helpers with an explicit
-``random.Random`` instance so every run is reproducible.  The rules for each
-descriptor are methods of its class in :mod:`ordalg.groups`; the scalar
-rules they build on are methods of the subgroup classes in
-:mod:`ordalg.scalars`.
+Sampled checks draw with an explicit ``random.Random`` instance so every
+run is reproducible.  The rules for each descriptor are methods of its
+class in :mod:`ordalg.groups`; the scalar rules they build on are methods
+of the subgroup classes in :mod:`ordalg.scalars`.  ``IntervalPea.sample``
+calls its descriptor's interval rule directly, on a unit checked once.
 
 The three functions only forward to those methods.  The module stays because
 ``perfbench`` counts the ``sampling`` layer by wrapping them: its tracer
 looks the module up in ``sys.modules`` and raises ``KeyError`` without it.
 It can go once the tracer counts leaf ops on the descriptor classes
-(ROADMAP item 6).
+(ROADMAP item 1).
 """
 
 from __future__ import annotations

@@ -64,6 +64,22 @@ def _sign(an: int, ad: int, bn: int, bd: int, d: int) -> int:
     return -sb if lhs > rhs else sb
 
 
+def _floor(an: int, ad: int, bn: int, bd: int, d: int) -> int:
+    """Exact floor of an/ad + (bn/bd)*sqrt(d) for ad, bd > 0 and a non-square d.
+
+    For t = isqrt(bn^2*d), |bn|*sqrt(d) lies strictly between t and t + 1, so
+    the value lies in an open interval (L, L + 1/bd) and its floor is
+    floor(L) or floor(L) + 1; one exact sign test against floor(L) + 1
+    decides.  Integers only, and the fractions need not be in lowest terms.
+    """
+    if bn == 0:
+        return an // ad
+    t = math.isqrt(bn * bn * d)
+    # L = a + t/bd for b > 0 and a - (t + 1)/bd for b < 0
+    c = (an * bd + (t if bn > 0 else -(t + 1)) * ad) // (ad * bd) + 1
+    return c if _sign(an - c * ad, ad, bn, bd, d) >= 0 else c - 1
+
+
 @dataclass(frozen=True)
 class QuadraticNumber:
     """Exact value a + b*sqrt(d) with rational a, b and a fixed non-square d."""
@@ -103,23 +119,23 @@ class QuadraticNumber:
 
     def __add__(self, other):
         other = self._check(other)
-        return QuadraticNumber(self.a + other.a, self.b + other.b, self.d)
+        return _quadratic(self.a + other.a, self.b + other.b, self.d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._check(other)
-        return QuadraticNumber(self.a - other.a, self.b - other.b, self.d)
+        return _quadratic(self.a - other.a, self.b - other.b, self.d)
 
     def __neg__(self):
-        return QuadraticNumber(-self.a, -self.b, self.d)
+        return _quadratic(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return QuadraticNumber(self.a * q, self.b * q, self.d)
+            return _quadratic(self.a * q, self.b * q, self.d)
         other = self._check(other)
-        return QuadraticNumber(
+        return _quadratic(
             self.a * other.a + self.b * other.b * self.d,
             self.a * other.b + self.b * other.a,
             self.d,
@@ -153,22 +169,20 @@ class QuadraticNumber:
         return f"{self.a} + {self.b}*sqrt({self.d})"
 
     def floor(self) -> int:
-        """Exact integer floor.
-
-        For b = r/q in lowest terms and t = isqrt(r^2*d), |b|*sqrt(d) lies
-        strictly between t/q and (t + 1)/q, so the value lies in an open
-        interval (L, L + 1/q) and its floor is floor(L) or floor(L) + 1; one
-        exact sign test against floor(L) + 1 decides.
-        """
+        """Exact integer floor, by the integer kernel ``_floor``."""
         a, b = self.a, self.b
-        p, s = a.numerator, a.denominator
-        r, q = b.numerator, b.denominator
-        if r == 0:
-            return p // s
-        t = math.isqrt(r * r * self.d)
-        # L = a + t/q for b > 0 and a - (t + 1)/q for b < 0
-        c = (p * q + (t if r > 0 else -(t + 1)) * s) // (s * q) + 1
-        return c if _sign(p - c * s, s, r, q, self.d) >= 0 else c - 1
+        return _floor(a.numerator, a.denominator, b.numerator, b.denominator, self.d)
+
+
+def _quadratic(a: Fraction, b: Fraction, d: int) -> QuadraticNumber:
+    """a + b*sqrt(d) for Fraction coefficients and a checked d, not checked again.
+
+    The arithmetic of checked operands builds its results here: they equal,
+    hash and print like the validating constructor's.
+    """
+    x = object.__new__(QuadraticNumber)
+    x.__dict__.update(a=a, b=b, d=d)
+    return x
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -287,8 +301,11 @@ class _Cyclic(ScalarSubgroup):
         return self._point(rng.randint(-bound, bound))
 
     def sample_between(self, lo, hi, rng):
-        k_lo = int(Fraction(lo) * self.n)
-        k_hi = int(Fraction(hi) * self.n)
+        n = self.n
+        k_lo = -(-lo.numerator * n // lo.denominator)  # ceil(lo*n)
+        k_hi = hi.numerator * n // hi.denominator  # floor(hi*n)
+        if k_lo > k_hi:
+            raise NoElementError(f"no point of (1/{n})Z inside [{lo}, {hi}]")
         return self._point(rng.randint(k_lo, k_hi))
 
 
@@ -309,7 +326,6 @@ class _Rationals(ScalarSubgroup):
         return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
     def sample_between(self, lo, hi, rng):
-        lo, hi = Fraction(lo), Fraction(hi)
         # lo + (hi - lo) * k/16 over the common denominator 16 * lo.d * hi.d
         p, q, r, s = lo.numerator, lo.denominator, hi.numerator, hi.denominator
         k = rng.randint(0, 16)
@@ -396,14 +412,18 @@ class _Quadratic(ScalarSubgroup):
     def sample_between(self, lo, hi, rng):
         """A random sqrt(d)-coefficient, then an integer part inside; after 40 misses, the pick."""
         lo, hi = self.coerce(lo), self.coerce(hi)
+        d = self.d
+        p, s, r, q = lo.a.numerator, lo.a.denominator, lo.b.numerator, lo.b.denominator
+        hp, hs, hr, hq = hi.a.numerator, hi.a.denominator, hi.b.numerator, hi.b.denominator
         for _ in range(40):
             k = rng.randint(-8, 8)
-            kb = QuadraticNumber(Fraction(0), Fraction(k), self.d)
-            lo_m = (lo - kb).floor() + 1
-            hi_m = -((-(hi - kb)).floor())  # ceil
-            if lo_m <= hi_m - 1:
-                m = rng.randint(lo_m, hi_m - 1)
-                return QuadraticNumber(Fraction(m), Fraction(k), self.d)
+            # lo < m + k*sqrt(d) < hi for floor(lo - k*sqrt(d)) < m < ceil(hi - k*sqrt(d)),
+            # where ceil(hi - k*sqrt(d)) = -floor(k*sqrt(d) - hi)
+            m_lo = _floor(p, s, r - k * q, q, d) + 1
+            m_hi = -_floor(-hp, hs, k * hq - hr, hq, d)
+            if m_lo < m_hi:
+                m = rng.randint(m_lo, m_hi - 1)
+                return _quadratic(Fraction(m), Fraction(k), d)
         return pick_strictly_between(self, lo, hi)
 
 

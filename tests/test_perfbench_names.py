@@ -4,7 +4,10 @@
 functions of the modules it names, and ``perfbench/run.py`` reports one
 per-function metric for each ``layer.fn`` it lists.  A name that disappears
 from the package would not fail the benchmark: its metric would read 0.
-The lists are read from the benchmark's source, which is left untouched.
+The tracer also wraps the ``QuadraticNumber`` and ``IntervalPea`` methods it
+names, read from each class's own namespace, so a method that moves out of
+its class breaks the traced run.  The lists are read from the benchmark's
+source, which is left untouched.
 """
 
 import ast
@@ -62,3 +65,17 @@ def test_each_traced_module_is_loaded_by_the_cli():
     assert modules
     missing = [m for m in modules if f"ordalg.{m}" not in sys.modules]
     assert not missing
+
+
+@pytest.mark.parametrize(
+    "list_name, cls_name",
+    [("QUADRATIC_METHODS", "scalars.QuadraticNumber"), ("INTERVAL_METHODS", "pea.IntervalPea")],
+)
+def test_each_traced_method_is_defined_on_its_class(list_name, cls_name):
+    # the tracer wraps vars(cls)[meth]: an inherited or moved method is a KeyError
+    module, name = cls_name.split(".")
+    cls = getattr(importlib.import_module(f"ordalg.{module}"), name)
+    methods = _constants(PERFBENCH / "tracer.py", [list_name])[list_name]
+    assert methods
+    for meth in methods:
+        assert meth in vars(cls) and callable(vars(cls)[meth]), f"{cls_name}.{meth}"

@@ -3,8 +3,9 @@
 Every tree is built from all five descriptor classes with stdlib ``random``;
 the checks are the group laws, the order axioms, the order against its
 definition (x <= y when y + (-x) lies in each descriptor's cone), the
-positivity test against 0 <= x, the element-format round trips and the
-interval sampler's bounds.  ``scale`` equals the repeated
+positivity test against 0 <= x, the element-format round trips, the
+interval sampler's bounds, and that every strong unit is positive and
+nonzero.  ``scale`` equals the repeated
 sum, ``divide`` inverts it, and the exact n-th root round trips on values of
 100 to 400 bits.  The six scalar groups are also checked for membership of
 every sample and of strictly-between picks.  On discrete trees (the ones the exhaustive oracle
@@ -21,6 +22,7 @@ import pytest
 from ordalg import groups as g
 from ordalg.errors import PreconditionError
 from ordalg.parsing import parse_element
+from ordalg.pea import IntervalPea
 from ordalg.riesz import rdp_decompose, rdp_oracle_search, rdp_table_verify
 from ordalg.sampling import sample_element, sample_interval, sample_positive
 from ordalg.scalars import (
@@ -386,6 +388,35 @@ def test_sample_interval_rejects_bounds_outside_the_cone():
         if hi != zero:
             with pytest.raises(PreconditionError):
                 sample_interval(desc, hi, rng, 5)
+
+
+def strong_unit(desc, rng):
+    """A random strong unit of desc: the first positive sample that is one."""
+    for _ in range(1000):
+        u = sample_positive(desc, rng, 5)
+        if desc.is_strong_unit(u):
+            return u
+    raise AssertionError(f"no strong unit drawn in {desc}")
+
+
+def test_strong_units_are_positive_and_nonzero():
+    # IntervalPea.sample draws below its unit without checking it again
+    rng = random.Random(700)
+    weak = 0
+    for desc in TREES:
+        zero = desc.zero()
+        for _ in range(8):
+            u = strong_unit(desc, rng)
+            assert u != zero and desc._positive(u), (desc, u)
+        with pytest.raises(PreconditionError, match="strong unit"):
+            IntervalPea(desc, zero)
+        for _ in range(8):
+            p = sample_positive(desc, rng, 5)
+            if not desc.is_strong_unit(p):
+                weak += 1
+                with pytest.raises(PreconditionError, match="strong unit"):
+                    IntervalPea(desc, p)
+    assert weak >= 40
 
 
 @pytest.mark.parametrize("level", ["rdp0", "rdp", "rdp1", "rdp2"])

@@ -1,0 +1,106 @@
+"""The interval samplers draw exactly as the reference copies in ``reference_samplers``.
+
+Over many seeds each sampler must return equal values with equal reprs (so
+equal value types too) and leave ``random.Random`` in the same state as its
+reference: every seeded sampled check then keeps its draws.  Covered are
+``sample_between`` of each subgroup kind on bounds of its own grid, and
+``IntervalPea.sample`` on the property trees with strong units and on the
+four algebras that the ``represent`` verb checks.  Quadratic results built
+without validation equal, hash and print like the validating constructor's.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from ordalg import groups as g
+from ordalg.pea import IntervalPea
+from ordalg.represent import build_lex_pea, make_shuffled
+from ordalg.scalars import QuadraticNumber, ScalarSubgroup
+
+import reference_samplers as ref
+from test_properties import TREES, strong_unit
+
+SEEDS = range(30)
+
+
+def assert_same_draws(draw, reference, count):
+    for seed in SEEDS:
+        r1, r2 = random.Random(seed), random.Random(seed)
+        got = [draw(r1) for _ in range(count)]
+        want = [reference(r2) for _ in range(count)]
+        assert got == want and repr(got) == repr(want), seed
+        assert r1.getstate() == r2.getstate(), seed
+
+
+def grid_bounds(H, rng, count=12):
+    """Pairs lo < hi of elements of H."""
+    kind, n = H.classify()
+    out = []
+    while len(out) < count:
+        if kind == "cyclic":
+            lo, hi = sorted(rng.sample(range(-3 * n, 3 * n + 1), 2))
+            pair = (lo, hi) if n == 1 else (Fraction(lo, n), Fraction(hi, n))
+        elif not hasattr(H, "d"):
+            pair = tuple(sorted({Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(2)}))
+        else:
+            pair = tuple(sorted({QuadraticNumber(rng.randint(-4, 4), rng.randint(-3, 3), H.d)
+                                 for _ in range(2)}))
+        if len(pair) == 2:
+            out.append(pair)
+    return out
+
+
+@pytest.mark.parametrize(
+    "H",
+    [ScalarSubgroup.cyclic(n) for n in (1, 2, 3, 4)]
+    + [ScalarSubgroup.rationals()]
+    + [ScalarSubgroup.quadratic(d) for d in (2, 3, 5)],
+    ids=str,
+)
+def test_sample_between_draws_as_the_reference(H):
+    bounds = grid_bounds(H, random.Random(f"bounds-{H}"))
+    if hasattr(H, "d"):  # a window with no m + k*sqrt(d), |k| <= 8: every try misses
+        bounds.append((H.zero(), H.coerce(Fraction(1, 100))))
+    for lo, hi in bounds:
+        assert_same_draws(lambda r: H.sample_between(lo, hi, r),
+                          lambda r: ref.sample_between(H, lo, hi, r), count=2)
+
+
+def test_interval_samples_on_the_trees_draw_as_the_reference():
+    rng = random.Random(2400)
+    for desc in TREES:
+        for _ in range(2):
+            E = IntervalPea(desc, strong_unit(desc, rng))
+            assert_same_draws(E.sample, lambda r: ref.sample_interval(desc, E.unit, r, 8), count=3)
+
+
+@pytest.mark.parametrize(
+    "H, G, spec",
+    [
+        (ScalarSubgroup.rationals(), g.ZZ, ("identity",)),
+        (ScalarSubgroup.rationals(), g.IntVector(2), ("permute", (1, 0))),
+        (ScalarSubgroup.cyclic(4), g.ZZ, ("translate", 1)),
+        (ScalarSubgroup.quadratic(2), g.IntVector(2), ("permute", (1, 0))),
+    ],
+    ids=["lex(Q, Z)", "lex(Q, Z^2)", "lex(Z/4, Z)", "lex(Q[sqrt 2], Z^2)"],
+)
+def test_represent_algebra_samples_draw_as_the_reference(H, G, spec):
+    shuffled, _ = make_shuffled(H, G, spec)
+    for E in (shuffled, build_lex_pea(H, G)):
+        assert_same_draws(E.sample, lambda r: ref.sample_interval(E.group, E.unit, r, 8), count=20)
+
+
+def test_quadratic_arithmetic_results_match_the_validating_constructor():
+    rng = random.Random(77)
+    for d in (2, 3, 5):
+        for _ in range(60):
+            x, y = (QuadraticNumber(Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                                    Fraction(rng.randint(-9, 9), rng.randint(1, 6)), d)
+                    for _ in range(2))
+            q = rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
+            for r in (x + y, x - y, -x, x * y, x * q, q * x, x + q, q + x, x - q):
+                checked = QuadraticNumber(r.a, r.b, r.d)
+                assert type(r.a) is type(r.b) is Fraction
+                assert r == checked and hash(r) == hash(checked) and repr(r) == repr(checked)

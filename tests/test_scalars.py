@@ -11,6 +11,7 @@ from ordalg.scalars import (
     Ordering,
     QuadraticNumber,
     ScalarSubgroup,
+    _floor,
     compare,
     grid_points,
     pick_strictly_between,
@@ -111,6 +112,21 @@ def test_pick_between_cyclic():
 def test_pick_between_cyclic_empty():
     with pytest.raises(NoElementError):
         pick_strictly_between(ScalarSubgroup.cyclic(2), 0, Fraction(1, 4))
+
+
+def draws_between(H, lo, hi, seeds=range(60)):
+    return {H.sample_between(lo, hi, random.Random(seed)) for seed in seeds}
+
+
+def test_cyclic_samples_stay_inside_bounds_off_the_grid():
+    cases = [(Z, Fraction(1, 3), 2), (ScalarSubgroup.cyclic(4), Fraction(-5, 2), Fraction(-1, 3)),
+             (Z3, Fraction(-1, 2), Fraction(1, 2)), (Z, -2, Fraction(-3, 2))]
+    for H, lo, hi in cases:
+        seen = draws_between(H, lo, hi)
+        assert all(lo <= x <= hi and H.contains(x) for x in seen), (H, lo, hi, seen)
+    assert draws_between(Z, Fraction(1, 3), 2) == {1, 2}
+    with pytest.raises(NoElementError):
+        Z.sample_between(Fraction(1, 3), Fraction(1, 2), random.Random(0))
 
 
 def test_pick_between_quadratic():
@@ -289,6 +305,10 @@ def test_floor_matches_bisection():
     for x in cases:
         f = x.floor()
         assert f == _ref_floor(x), x
+        # the kernel takes fractions that are not in lowest terms
+        a, b, j = x.a, x.b, rng.randint(2, 9)
+        assert _floor(a.numerator * j, a.denominator * j, b.numerator * (j + 1),
+                      b.denominator * (j + 1), x.d) == f
         if x.b != 0 and _ref_sign(x.a - f - Fraction(99, 100), x.b, x.d) > 0:
             near += 1
     assert near >= len(DS)
