@@ -69,6 +69,38 @@ def test_pea_file_round_trip(tmp_path):
     assert verdict.valid and verdict.pea.size == 3
 
 
+HEADER = "pea n=2 zero=0 one=1\n"
+
+# (table file, line of the error, message): every ParseError of parse_pea_file
+PEA_FILE_ERRORS = [
+    ("pea n=2 zero=0\n", 1, "pea header needs n=, zero=, one="),
+    ("# a comment\n\npea n=two zero=0 one=1\n", 3, "pea header needs n=, zero=, one="),
+    ("add 0 0 0\n" + HEADER, 1, "add line before pea header"),
+    (HEADER + "add 0 0\n", 2, "add lines read: add <i> <j> <k>"),
+    (HEADER + "add 0 0 0 0\n", 2, "add lines read: add <i> <j> <k>"),
+    (HEADER + "add 0 0 0\n  add 0 x 1  # comment\n", 3, "add arguments must be integers"),
+    (HEADER + "add 0 2 0\n", 2, "add arguments out of range"),
+    (HEADER + "add -1 0 0\n", 2, "add arguments out of range"),
+    (HEADER + "add 0 0 0\n\nadd 0 0 0\nadd 0 0 1\n", 5, "conflicting sum for (0, 0)"),
+    (HEADER + "# add 0 0 0\nfrob 1\n", 3, "unknown directive 'frob'"),
+    ("# only a comment\n\n", 1, "missing pea header"),
+    ("", 1, "missing pea header"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", PEA_FILE_ERRORS)
+def test_pea_file_errors_name_line_and_message(tmp_path, text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_pea_file(text)
+    assert (err.value.line, err.value.column) == (line, 1)
+    assert str(err.value) == f"{line}:1: {message}"
+    path = tmp_path / "bad.pea"
+    path.write_text(text)
+    expected = f"error: {line}:1: {message}\n#! verdict=error message={line}:1:_{message.replace(' ', '_')}\n"
+    for verb in ("check-axioms", "states"):
+        assert run_cli(verb, str(path)) == (2, expected)
+
+
 def test_gamma_parsing():
     E = parse_interval_pea("gamma(lex(Q, Z), (1, 0))")
     assert E.unit == (Fraction(1), Fraction(0))
