@@ -241,37 +241,47 @@ def parse_element(desc, text: str):
 
 def parse_pea_file(text: str):
     """Parse the line-based finite-algebra format; returns an AxiomVerdict."""
-    size = zero = one = None
+    size = None
     table = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not parts:
             continue
-        parts = line.split()
-        if parts[0] == "pea":
-            fields = dict(p.split("=", 1) for p in parts[1:] if "=" in p)
+        directive = parts[0]
+        if directive == "add":
+            if size is None:
+                raise ParseError("add line before pea header", lineno, 1)
+            if len(parts) != 4:
+                raise ParseError("add lines read: add <i> <j> <k>", lineno, 1)
+            try:
+                i = int(parts[1])
+                j = int(parts[2])
+                k = int(parts[3])
+            except ValueError:
+                raise ParseError("add arguments must be integers", lineno, 1)
+            if not (0 <= i < size and 0 <= j < size and 0 <= k < size):
+                raise ParseError("add arguments out of range", lineno, 1)
+            if table.setdefault((i, j), k) != k:
+                raise ParseError(f"conflicting sum for ({i}, {j})", lineno, 1)
+        elif directive == "pea":
+            if size is not None:
+                raise ParseError("second pea header", lineno, 1)
+            fields = {}
+            for field in parts[1:]:
+                key, eq, value = field.partition("=")
+                if not eq or key not in ("n", "zero", "one"):
+                    raise ParseError(f"pea header field {field!r} is not n=, zero= or one=", lineno, 1)
+                if key in fields:
+                    raise ParseError(f"repeated pea header field {key!r}", lineno, 1)
+                fields[key] = value
             try:
                 size = int(fields["n"])
                 zero = int(fields["zero"])
                 one = int(fields["one"])
             except (KeyError, ValueError):
                 raise ParseError("pea header needs n=, zero=, one=", lineno, 1)
-        elif parts[0] == "add":
-            if size is None:
-                raise ParseError("add line before pea header", lineno, 1)
-            if len(parts) != 4:
-                raise ParseError("add lines read: add <i> <j> <k>", lineno, 1)
-            try:
-                i, j, k = (int(p) for p in parts[1:])
-            except ValueError:
-                raise ParseError("add arguments must be integers", lineno, 1)
-            if not all(0 <= v < size for v in (i, j, k)):
-                raise ParseError("add arguments out of range", lineno, 1)
-            if (i, j) in table and table[(i, j)] != k:
-                raise ParseError(f"conflicting sum for ({i}, {j})", lineno, 1)
-            table[(i, j)] = k
         else:
-            raise ParseError(f"unknown directive {parts[0]!r}", lineno, 1)
+            raise ParseError(f"unknown directive {directive!r}", lineno, 1)
     if size is None:
         raise ParseError("missing pea header")
     return check_pea_axioms(size, zero, one, table)

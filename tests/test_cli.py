@@ -85,6 +85,12 @@ PEA_FILE_ERRORS = [
     (HEADER + "# add 0 0 0\nfrob 1\n", 3, "unknown directive 'frob'"),
     ("# only a comment\n\n", 1, "missing pea header"),
     ("", 1, "missing pea header"),
+    # a header is read once, with each of its three fields once
+    (HEADER + "add 0 1 1\npea n=3 zero=0 one=2\n", 3, "second pea header"),
+    ("pea n=4 zero=0 one=3\nadd 0 3 3\nadd 3 0 3\n" + HEADER, 4, "second pea header"),
+    ("pea n=2 zero=0 one=1 n=3\n", 1, "repeated pea header field 'n'"),
+    ("pea n=2 zero=0 one=1 3\n", 1, "pea header field '3' is not n=, zero= or one="),
+    ("pea n=2 zero=0 size=2 one=1\n", 1, "pea header field 'size=2' is not n=, zero= or one="),
 ]
 
 
