@@ -66,12 +66,9 @@ class FinitePea:
         return right, left
 
     def _derive_order(self):
-        rel = [[False] * self.size for _ in range(self.size)]
-        for a in self.elements():
-            for c in self.elements():
-                s = self.add(a, c)
-                if s is not None:
-                    rel[a][s] = True
+        rel = [[False] * self.size for _ in self.elements()]
+        for (a, _c), s in self.table.items():
+            rel[a][s] = True
         return rel
 
     def leq(self, a, b):
@@ -141,11 +138,19 @@ class FinitePea:
 def _axiom_failure(size, zero, one, table):
     """The first failing check (range, PE1..PE4) with its smallest witness, or None.
 
-    Only a triple with (a + b) + c or a + (b + c) defined can break PE1, so
-    PE1 walks the left-defined triples (a, b) -> ab, c in rows[ab] and then
-    the right-defined ones (b, c) -> bc, a in cols[bc]; the witness is the
-    lexicographically smallest failing triple (pair for PE3, element for
-    PE2 and PE4).  PE2 and PE3 read the same rows and columns.
+    The witness is the lexicographically smallest failing triple for PE1,
+    pair for PE3 and element for PE2 and PE4.  Only a triple with
+    (a + b) + c or a + (b + c) defined can break PE1, so PE1 goes row by
+    row, a ascending, and returns at the first row with a failure: the
+    smallest failing triple there is the smallest overall.  At row a it
+    walks the left-defined triples (a, b) -> ab, c in rows[ab], and counts
+    them.  If none fails, each is also right-defined, so it is enough that
+    they are as many as the right-defined triples at a: the defined pairs
+    b + c = d over d in rows[a], counted in one pass over the table.  Equal
+    counts certify the row.  Otherwise a walk over the right-defined
+    triples, (b, c) -> d with a + d defined, adds those that are not
+    left-defined; valid tables never take it, and it runs at most once.
+    PE2 and PE3 read the same rows and columns.
     """
     els = range(size)
     for (i, j), k in table.items():
@@ -157,28 +162,31 @@ def _axiom_failure(size, zero, one, table):
 
     rows = [{} for _ in els]  # rows[x][c] = x + c
     cols = [{} for _ in els]  # cols[x][d] = d + x
+    sum_counts = [0] * size  # sum_counts[d] = the number of defined pairs b + c = d
     for (a, b), s in table.items():
         rows[a][b] = s
         cols[b][a] = s
+        sum_counts[s] += 1
     # PE1: associativity of definedness and of values
-    failures = []
     for a in els:
         row_a = rows[a]
+        failures = []
+        left_defined = 0
         for b, ab in row_a.items():
             row_b = rows[b]
-            for c, abc in rows[ab].items():
+            row_ab = rows[ab]
+            left_defined += len(row_ab)
+            for c, abc in row_ab.items():
                 bc = row_b.get(c)
                 if bc is None or row_a.get(bc) != abc:
                     failures.append((a, b, c))
-    for b in els:
-        row_b = rows[b]
-        for c, bc in row_b.items():
-            for a in cols[bc]:
-                ab = rows[a].get(b)
-                if ab is None or c not in rows[ab]:
-                    failures.append((a, b, c))
-    if failures:
-        return AxiomFailure("PE1", min(failures))
+        if failures or left_defined != sum(sum_counts[d] for d in row_a):
+            for (b, c), bc in table.items():
+                if bc in row_a:
+                    ab = row_a.get(b)
+                    if ab is None or c not in rows[ab]:
+                        failures.append((a, b, c))
+            return AxiomFailure("PE1", min(failures))
     # PE2: unique right and left complements to one
     for a in els:
         if list(rows[a].values()).count(one) != 1 or list(cols[a].values()).count(one) != 1:
@@ -209,10 +217,11 @@ def check_pea_axioms(size, zero, one, table) -> AxiomVerdict:
         raise UnsupportedError(f"finite algebras are capped at {MAX_FINITE_SIZE} elements")
     if not (0 <= zero < size and 0 <= one < size):
         raise PreconditionError("zero/one designators out of range")
-    failure = _axiom_failure(size, zero, one, dict(table))
+    table = dict(table)
+    failure = _axiom_failure(size, zero, one, table)
     if failure is not None:
         return AxiomVerdict(False, failure=failure)
-    return AxiomVerdict(True, pea=FinitePea(size, zero, one, dict(table), _validated=True))
+    return AxiomVerdict(True, pea=FinitePea(size, zero, one, table, _validated=True))
 
 
 # ---------------------------------------------------------------------------
