@@ -78,7 +78,8 @@ def test_lneg_of_zero_is_one():
 
 
 def test_derived_order_agrees_both_sides():
-    for E in (finite_chain(4), boolean_algebra(3)):
+    valid = [check_pea_axioms(*algebra) for algebra in stock_tables(random.Random(7))]
+    for E in [finite_chain(4), boolean_algebra(3)] + [v.pea for v in valid if v.valid]:
         for a in E.elements():
             for b in E.elements():
                 right = any(E.add(a, c) == b for c in E.elements())
@@ -236,6 +237,62 @@ def test_axiom_failure_passes_the_largest_stock_algebras():
     assert _axiom_failure(64, 0, 63, chain_table(63)) is None
     E = boolean_algebra(6)
     assert _axiom_failure(E.size, E.zero, E.one, E.table) is None
+
+
+def test_axiom_failure_matches_the_exhaustive_scan_at_the_caps():
+    rng = random.Random(20261019)
+    B = boolean_algebra(6)
+    for algebra in ((64, 0, 63, chain_table(63)), (B.size, B.zero, B.one, B.table)):
+        for _ in range(10):
+            size, zero, one, table = relabel(*algebra, rng)
+            mutated = mutate(size, one, table, rng)
+            failure = _axiom_failure(size, zero, one, mutated)
+            assert failure == exhaustive_axiom_failure(size, zero, one, mutated)
+
+
+def pe1_row_failures(size, table, a):
+    """The PE1 failures (a, b, c) at row a: the left-defined ones, then the others."""
+    add = table.get
+    left, right = [], []
+    for b, c in itertools.product(range(size), repeat=2):
+        ab, bc = add((a, b)), add((b, c))
+        left_def = ab is not None and add((ab, c)) is not None
+        right_def = bc is not None and add((a, bc)) is not None
+        if left_def and (not right_def or add((ab, c)) != add((a, bc))):
+            left.append((a, b, c))
+        elif right_def and not left_def:
+            right.append((a, b, c))
+    return left, right
+
+
+def without(size, zero, one, table, pair):
+    table = dict(table)
+    del table[pair]
+    return size, zero, one, table
+
+
+# (algebra, its PE1 witness, whether the left-defined triples at the
+# witness's row all pass, so that only their count gives the row away)
+PE1_ROWS = [
+    # a deleted 0 + 1: the failures at row 0 are right-defined alone
+    (without(4, 0, 3, chain_table(3), (0, 1)), (0, 1, 1), True),
+    (without(8, 0, 7, boolean_algebra(3).table, (0, 1)), (0, 1, 2), True),
+    # the first failing row comes after clean rows
+    (without(8, 0, 7, boolean_algebra(3).table, (4, 3)), (4, 1, 2), False),
+    (without(*hsum_table(3), (6, 0)), (6, 0, 7), True),
+]
+
+
+@pytest.mark.parametrize("algebra, witness, left_clean", PE1_ROWS)
+def test_pe1_witness_is_the_least_failure_of_the_first_failing_row(algebra, witness, left_clean):
+    size, zero, one, table = algebra
+    failure = _axiom_failure(size, zero, one, table)
+    assert failure == exhaustive_axiom_failure(size, zero, one, table) == AxiomFailure("PE1", witness)
+    a = witness[0]
+    assert not any(any(pe1_row_failures(size, table, r)) for r in range(a))
+    left, right = pe1_row_failures(size, table, a)
+    assert min(left + right) == witness
+    assert (not left) == left_clean
 
 
 def test_ideals_of_chain():

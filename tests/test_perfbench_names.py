@@ -5,8 +5,8 @@ functions of the modules it names, and ``perfbench/run.py`` reports one
 per-function metric for each ``layer.fn`` it lists.  A name that disappears
 from the package would not fail the benchmark: its metric would read 0.
 The tracer also wraps the ``QuadraticNumber`` and ``IntervalPea`` methods it
-names, read from each class's own namespace, so a method that moves out of
-its class breaks the traced run.  The lists are read from the benchmark's
+names and ``FinitePea.__init__``, read from each class's own namespace, so a
+method that moves out of its class breaks the traced run.  The lists are read from the benchmark's
 source, which is left untouched.
 """
 
@@ -79,3 +79,11 @@ def test_each_traced_method_is_defined_on_its_class(list_name, cls_name):
     assert methods
     for meth in methods:
         assert meth in vars(cls) and callable(vars(cls)[meth]), f"{cls_name}.{meth}"
+
+
+def test_finite_pea_defines_the_traced_init():
+    # the tracer wraps vars(FinitePea)["__init__"] as pea.FinitePea.init, and
+    # the function-list test above skips that dotted name
+    from ordalg.pea import FinitePea
+
+    assert "__init__" in vars(FinitePea) and callable(vars(FinitePea)["__init__"])
