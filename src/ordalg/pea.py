@@ -66,7 +66,7 @@ class FinitePea:
         return right, left
 
     def _derive_order(self):
-        rel = [[False] * self.size for _ in self.elements()]
+        rel = [[False] * self.size for _ in range(self.size)]
         for (a, _c), s in self.table.items():
             rel[a][s] = True
         return rel
