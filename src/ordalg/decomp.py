@@ -110,9 +110,12 @@ def _require_unit_head(E: IntervalPea):
         )
 
 
-def _require_head_values_in(E: IntervalPea, H: ScalarSubgroup):
-    """Every value of the first coordinate state s((t, g)) = t must lie in H."""
-    for t in grid_points(E.head_subgroup):
+def _require_head_values_in(E: IntervalPea, H: ScalarSubgroup, head_grid):
+    """Every value of the first coordinate state s((t, g)) = t must lie in H.
+
+    ``head_grid`` is the witness grid of the head subgroup.
+    """
+    for t in head_grid:
         if not H.contains(t):
             raise PreconditionError(
                 f"state is not valued in {H}: s({E.group.format_element((t, E.tail_group.zero()))}) = {format_scalar(t)}"
@@ -160,17 +163,18 @@ def decomposition_from_state(E, s, H: ScalarSubgroup, allow_subset=False):
         if not isinstance(s, FirstCoordinateState):
             raise UnsupportedError("interval algebras use the first coordinate state")
         _require_unit_head(E)
-        _require_head_values_in(E, H)
         head_H = E.head_subgroup
+        grid = tuple(grid_points(H))
+        # a head over H itself has the same grid
+        _require_head_values_in(E, H, grid if head_H == H else grid_points(head_H))
         # every H index must be attained, else slices are empty
-        missing = [t for t in grid_points(H) if not head_H.contains(t)]
-        proper = not missing
-        if missing and not allow_subset:
+        missing = next((t for t in grid if not head_H.contains(t)), None)
+        if missing is not None and not allow_subset:
             raise PreconditionError(
-                f"slice at t = {format_scalar(missing[0])} is empty; "
+                f"slice at t = {format_scalar(missing)} is empty; "
                 "pass allow_subset=True for the empty-slice variant"
             )
-        return LexDecomposition(H, E, tuple(grid_points(H)), proper)
+        return LexDecomposition(H, E, grid, missing is None)
     raise UnsupportedError(f"unsupported algebra {E!r}")
 
 
@@ -532,15 +536,13 @@ def _finite_slice_directed(E: FinitePea, members) -> bool:
 
 def _lex_slices(E: IntervalPea, H):
     """The first grid slice the head misses, or None, and the slice verdicts."""
-    _require_unit_head(E)
-    _require_head_values_in(E, H)
+    D = decomposition_from_state(E, FirstCoordinateState(E), H, allow_subset=True)
     directness = E.tail_group.is_directed()  # slice directness, module docstring
-    missing = next((t for t in grid_points(H) if not E.head_subgroup.contains(t)), None)
-    if missing is not None:
+    if not D.proper:
         # a head that misses a grid slice is not perfect over H
+        missing = next(t for t in D.grid if not E.head_subgroup.contains(t))
         return missing, None, None, directness, None
-    D = decomposition_from_state(E, FirstCoordinateState(E), H)
-    return missing, check_ordered(E, D), check_type_i(E, D), directness, find_cyclic_system(E, D)
+    return None, check_ordered(E, D), check_type_i(E, D), directness, find_cyclic_system(E, D)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ and two combinators:
 
 Elements are plain Python values mirroring the tree: ints for the scalars
 of Z, Fractions for the other rational scalars and quadratic numbers for
-``Q[sqrt d]``, int tuples for ``IntVector``, pairs of Fractions for
-``AffineQ`` and 2-tuples for the combinators.  All groups are written
-additively, including the non-commutative ``AffineQ``.
+``Q[sqrt d]`` (with int coefficients when integral, Fractions otherwise),
+int tuples for ``IntVector``, pairs of Fractions for ``AffineQ`` and
+2-tuples for the combinators.  All groups are written additively,
+including the non-commutative ``AffineQ``.
 
 Each descriptor class is the one place that knows its element format: shape
 checks, arithmetic, order, sampling, interval enumeration and formatting
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -262,10 +264,8 @@ class Scalar(GroupDescriptor):
         return self.H.sample(rng, bound)
 
     def _sample_interval(self, hi, rng, bound):
-        zero = self.H.zero()
-        if compare(zero, hi) is Ordering.EQ:
-            return zero
-        return self.H.sample_between(zero, hi, rng)
+        # callers pass hi > 0: a zero bound returns before it reaches here
+        return self.H.sample_between(self.H.zero(), hi, rng)
 
     # a scalar lex head is drawn like any scalar of [0, hi]
     _sample_head = _sample_interval
@@ -328,10 +328,10 @@ class IntVector(GroupDescriptor):
         return (0,) * self.k
 
     def add(self, x, y):
-        return tuple(u + v for u, v in zip(x, y))
+        return tuple(map(operator.add, x, y))
 
     def neg(self, x):
-        return tuple(-v for v in x)
+        return tuple(map(operator.neg, x))
 
     def divide(self, x, n):
         if all(v % n == 0 for v in x):
@@ -339,10 +339,10 @@ class IntVector(GroupDescriptor):
         return None
 
     def leq(self, x, y) -> bool:
-        return all(u <= v for u, v in zip(x, y))
+        return all(map(operator.le, x, y))
 
     def _positive(self, x) -> bool:
-        return all(v >= 0 for v in x)
+        return min(x) >= 0
 
     def meet(self, x, y):
         return tuple(min(u, v) for u, v in zip(x, y))
@@ -606,8 +606,13 @@ class _Pair(GroupDescriptor):
         return (a.sample_positive(rng, bound), b.sample_positive(rng, bound))
 
     def _sample_interval(self, hi, rng, bound):
+        # each part of a positive hi is positive in the product order; a zero
+        # part draws nothing, as a randint(0, 0) would still consume rng bits
         a, b = self.parts
-        return (a.sample_interval(hi[0], rng, bound), b.sample_interval(hi[1], rng, bound))
+        h0, h1 = hi
+        za, zb = a.zero(), b.zero()
+        return (za if h0 == za else a._sample_interval(h0, rng, bound),
+                zb if h1 == zb else b._sample_interval(h1, rng, bound))
 
     def iter_bounded(self, lowers, uppers, box):
         a, b = self.parts

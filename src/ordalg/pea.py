@@ -253,49 +253,54 @@ def boolean_algebra(k: int) -> FinitePea:
 
 
 class IntervalPea:
-    """The interval [0, unit] of a unital po-group."""
+    """The interval [0, unit] of a unital po-group.
+
+    The operations call the group's ``add``, ``neg`` and ``leq`` methods,
+    bound once here.
+    """
 
     def __init__(self, group: g.GroupDescriptor, unit):
         self.group = group
-        self.unit = g.check_element(group, unit)
+        self.unit = group.check_element(unit)
         if not group.is_strong_unit(self.unit):
             raise PreconditionError("interval algebras need a strong unit")
         self.zero = group.zero()
+        self._add, self._neg, self._leq = group.add, group.neg, group.leq
 
     @property
     def one(self):
         return self.unit
 
     def contains(self, x):
-        return g.leq(self.group, self.zero, x) and g.leq(self.group, x, self.unit)
+        return self._leq(self.zero, x) and self._leq(x, self.unit)
 
     def add(self, a, b):
-        s = g.add(self.group, a, b)
-        return s if g.leq(self.group, s, self.unit) else None
+        s = self._add(a, b)
+        return s if self._leq(s, self.unit) else None
 
     def defined(self, a, b):
         return self.add(a, b) is not None
 
     def leq(self, a, b):
-        return g.leq(self.group, a, b)
+        return self._leq(a, b)
 
     def lneg(self, a):
-        return g.add(self.group, self.unit, g.neg(self.group, a))
+        return self._add(self.unit, self._neg(a))
 
     def rneg(self, a):
-        return g.add(self.group, g.neg(self.group, a), self.unit)
+        return self._add(self._neg(a), self.unit)
 
     def minus_left(self, b, a):
         """d with d + a = b, defined iff a <= b."""
-        if not self.leq(a, b):
+        if not self._leq(a, b):
             return None
-        return g.sub_right(self.group, b, a)  # b - a
+        return self._add(b, self._neg(a))  # b - a
 
     def minus_right(self, a, b):
         """c with a + c = b, defined iff a <= b."""
-        if not self.leq(a, b):
+        if not self._leq(a, b):
             return None
-        return g.sub_left(self.group, a, b)  # -a + b
+        return self._add(self._neg(a), b)  # -a + b
 
     def times(self, n, a):
         acc = self.zero

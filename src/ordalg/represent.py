@@ -45,8 +45,9 @@ def build_lex_pea(H: ScalarSubgroup, G, g0=None) -> IntervalPea:
 class PhiMap:
     """x in slice t maps to (t, x - c_t), with c_t from the cyclic system.
 
-    c_t depends on the head t only, so each map keeps its tails by head; a
-    head without an entry is not kept and raises again on every call.
+    c_t depends on the head t only, so each map keeps the tails c_t and -c_t
+    by head, and one map call is one tail addition; a head without an entry
+    is not kept and raises again on every call.
     """
 
     source: IntervalPea
@@ -58,29 +59,32 @@ class PhiMap:
     def __post_init__(self):
         object.__setattr__(self, "_tail_group", self.source.tail_group)
 
-    def cyclic_entry(self, t):
-        tail = self._tails.get(t)
-        if tail is None:
-            tail = _integral_action(self._tail_group, self.source.tail_unit, t)
+    def _entry_tails(self, t):
+        """The tails (c_t, -c_t) of the entry at head t."""
+        tails = self._tails.get(t)
+        if tails is None:
+            G = self._tail_group
+            tail = _integral_action(G, self.source.tail_unit, t)
             if tail is None:
                 raise PreconditionError(
                     f"no cyclic-system entry for slice {t}; extend the witness grid"
                 )
-            self._tails[t] = tail
-        return (t, tail)
+            tails = self._tails[t] = (tail, G.neg(tail))
+        return tails
+
+    def cyclic_entry(self, t):
+        return (t, self._entry_tails(t)[0])
 
     def __call__(self, x):
         t, gx = x
         if self.corrupt:
             return (t, gx)
-        c = self.cyclic_entry(t)
         # c_t is central, so left and right differences agree
-        return (t, g.sub_right(self._tail_group, gx, c[1]))
+        return (t, self._tail_group.add(gx, self._entry_tails(t)[1]))
 
     def preimage(self, z):
         t, gz = z
-        c = self.cyclic_entry(t)
-        return (t, g.add(self._tail_group, gz, c[1]))
+        return (t, self._tail_group.add(gz, self._entry_tails(t)[0]))
 
 
 def phi_represent(E: IntervalPea, n_max=6, seed=0) -> PhiMap:

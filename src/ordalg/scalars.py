@@ -4,7 +4,9 @@ Three kinds of subgroups containing 1 are supported: the cyclic groups
 (1/n)Z, the full rationals Q, and the quadratic groups Z + Z*sqrt(d) for a
 square-free d >= 2.  Values of Z = (1/1)Z are plain ``int`` and stay so
 under int arithmetic; the other rational values are plain
-``fractions.Fraction`` and quadratic values are :class:`QuadraticNumber`.
+``fractions.Fraction``.  Quadratic values are :class:`QuadraticNumber`, whose
+coefficients take the same canonical form: an ``int`` when integral and a
+``Fraction`` otherwise.
 Every order decision is made exactly; no floating point is used anywhere.
 """
 
@@ -80,24 +82,36 @@ def _floor(an: int, ad: int, bn: int, bd: int, d: int) -> int:
     return c if _sign(an - c * ad, ad, bn, bd, d) >= 0 else c - 1
 
 
+def _coefficient(v) -> int | Fraction:
+    """A rational coefficient in canonical form: an ``int`` when integral."""
+    if type(v) is int:
+        return v
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
 @dataclass(frozen=True)
 class QuadraticNumber:
-    """Exact value a + b*sqrt(d) with rational a, b and a fixed non-square d."""
+    """Exact value a + b*sqrt(d) with rational a, b and a fixed non-square d.
 
-    a: Fraction
-    b: Fraction
+    Each coefficient is an ``int`` when it is integral and a ``Fraction``
+    otherwise, so the values of Z + Z*sqrt(d) compute on ints.  An int and
+    an equal Fraction compare and hash alike, so the form shows only in
+    ``repr`` and in the coefficient types.
+    """
+
+    a: int | Fraction
+    b: int | Fraction
     d: int
 
     def __post_init__(self):
-        if type(self.a) is not Fraction:
-            object.__setattr__(self, "a", Fraction(self.a))
-        if type(self.b) is not Fraction:
-            object.__setattr__(self, "b", Fraction(self.b))
+        object.__setattr__(self, "a", _coefficient(self.a))
+        object.__setattr__(self, "b", _coefficient(self.b))
         _check_d(self.d)
 
     def _check(self, other: "QuadraticNumber") -> "QuadraticNumber":
         if isinstance(other, (int, Fraction)):
-            other = QuadraticNumber(Fraction(other), Fraction(0), self.d)
+            other = QuadraticNumber(other, 0, self.d)
         if not isinstance(other, QuadraticNumber) or other.d != self.d:
             raise DomainMismatchError(f"mixed operands: sqrt({self.d}) vs {other!r}")
         return other
@@ -132,8 +146,7 @@ class QuadraticNumber:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return _quadratic(self.a * q, self.b * q, self.d)
+            return _quadratic(self.a * other, self.b * other, self.d)
         other = self._check(other)
         return _quadratic(
             self.a * other.a + self.b * other.b * self.d,
@@ -174,12 +187,17 @@ class QuadraticNumber:
         return _floor(a.numerator, a.denominator, b.numerator, b.denominator, self.d)
 
 
-def _quadratic(a: Fraction, b: Fraction, d: int) -> QuadraticNumber:
-    """a + b*sqrt(d) for Fraction coefficients and a checked d, not checked again.
+def _quadratic(a: int | Fraction, b: int | Fraction, d: int) -> QuadraticNumber:
+    """a + b*sqrt(d) for int or Fraction coefficients and a checked d.
 
-    The arithmetic of checked operands builds its results here: they equal,
-    hash and print like the validating constructor's.
+    The arithmetic of checked operands builds its results here: an integral
+    Fraction becomes its numerator, and d is not checked again, so results
+    equal, hash and print like the validating constructor's.
     """
+    if type(a) is Fraction and a.denominator == 1:
+        a = a.numerator
+    if type(b) is Fraction and b.denominator == 1:
+        b = b.numerator
     x = object.__new__(QuadraticNumber)
     x.__dict__.update(a=a, b=b, d=d)
     return x
@@ -358,7 +376,7 @@ class _Quadratic(ScalarSubgroup):
             if x.d != self.d:
                 raise DomainMismatchError(f"sqrt({x.d}) value in Q[sqrt {self.d}]")
             return x
-        return QuadraticNumber(Fraction(x), Fraction(0), self.d)
+        return QuadraticNumber(x, 0, self.d)
 
     def contains(self, x) -> bool:
         if isinstance(x, QuadraticNumber) and x.b == 0:
@@ -377,24 +395,24 @@ class _Quadratic(ScalarSubgroup):
     def pick_between(self, lo, hi):
         """m + k*(sqrt(d) - floor(sqrt(d))) with the smallest k >= 0, then smallest |m|."""
         s = math.isqrt(self.d)
-        beta = QuadraticNumber(Fraction(-s), Fraction(1), self.d)
+        beta = _quadratic(-s, 1, self.d)
         k = 0
         while True:
             kb = beta * k
             m = _smallest_abs_int(*_int_range_between(lo - kb, hi - kb))
             if m is not None:
-                return QuadraticNumber(Fraction(m - k * s), Fraction(k), self.d)
+                return _quadratic(m - k * s, k, self.d)
             k += 1
 
     def grid(self, max_den, coeff_bound):
         zero, one = self.zero(), self.one()
         pts = []
         for k in range(-coeff_bound, coeff_bound + 1):
-            kb = QuadraticNumber(Fraction(0), Fraction(k), self.d)
+            kb = _quadratic(0, k, self.d)
             m_lo = (zero - kb).floor()
             m_hi = (one - kb).floor() + 1
             for m in range(m_lo, m_hi + 1):
-                x = QuadraticNumber(Fraction(m), Fraction(k), self.d)
+                x = _quadratic(m, k, self.d)
                 if (x - zero).sign() >= 0 and (x - one).sign() <= 0:
                     pts.append(x)
         pts.sort(key=functools.cmp_to_key(lambda u, v: (u - v).sign()))
@@ -405,9 +423,7 @@ class _Quadratic(ScalarSubgroup):
         return out
 
     def sample(self, rng, bound):
-        return QuadraticNumber(
-            Fraction(rng.randint(-bound, bound)), Fraction(rng.randint(-bound, bound)), self.d
-        )
+        return _quadratic(rng.randint(-bound, bound), rng.randint(-bound, bound), self.d)
 
     def sample_between(self, lo, hi, rng):
         """A random sqrt(d)-coefficient, then an integer part inside; after 40 misses, the pick."""
@@ -423,7 +439,7 @@ class _Quadratic(ScalarSubgroup):
             m_hi = -_floor(-hp, hs, k * hq - hr, hq, d)
             if m_lo < m_hi:
                 m = rng.randint(m_lo, m_hi - 1)
-                return _quadratic(Fraction(m), Fraction(k), d)
+                return _quadratic(m, k, d)
         return pick_strictly_between(self, lo, hi)
 
 

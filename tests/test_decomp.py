@@ -280,6 +280,29 @@ def test_classify_strong_q_perfect():
     assert report.is_strong_h_perfect
 
 
+@pytest.mark.parametrize(
+    "head, H, G, g0",
+    [
+        (HQ, HQ, g.IntVector(2), (0, 0)),
+        (ScalarSubgroup.quadratic(2), ScalarSubgroup.quadratic(2), g.IntVector(2), (0, 0)),
+        (H4, ScalarSubgroup.cyclic(4), Z, f(0)),
+        (H2, H4, Z, f(0)),  # a missing slice
+        (ScalarSubgroup.cyclic(1), HQ, AFF, (f(2), f(0))),
+    ],
+    ids=["Q", "Q[sqrt 2]", "Z/4", "Z/2 over Z/4", "Z over Q"],
+)
+def test_lex_classification_builds_one_grid_per_subgroup(monkeypatch, head, H, G, g0):
+    calls = {}
+    for cls in {type(head), type(H)}:
+        def counting(self, max_den, coeff_bound, grid=cls.grid):
+            calls[self] = calls.get(self, 0) + 1
+            return grid(self, max_den, coeff_bound)
+
+        monkeypatch.setattr(cls, "grid", counting)
+    classify_perfect(lex_pea(head, G, g0), H, seed=3)
+    assert calls and max(calls.values()) == 1, calls
+
+
 def test_classify_missing_slice():
     E = lex_pea(ScalarSubgroup.cyclic(1), Z, f(0))
     report = classify_perfect(E, HQ, seed=13)

@@ -27,6 +27,8 @@ from ordalg.pea import _axiom_failure, _is_normal_ideal
 from ordalg.scalars import ScalarSubgroup
 from ordalg.states import FiniteState, states_finite
 
+from test_properties import TREES, strong_unit
+
 Z = g.ZZ
 Q = g.QQ
 AFF = g.AffineQ()
@@ -501,6 +503,31 @@ def test_interval_axioms_sampled():
     ]
     for E in cases:
         assert check_interval_axioms_sampled(E, rng) is None
+
+
+def test_interval_operations_equal_the_group_forwarders():
+    # IntervalPea calls its group's methods, bound once; on the property
+    # trees each operation equals the one spelled through the groups module
+    rng = random.Random(2500)
+    differences = 0
+    for desc in TREES:
+        E = IntervalPea(desc, strong_unit(desc, rng))
+        u, zero = E.unit, desc.zero()
+        for _ in range(4):
+            x, y, w = E.sample(rng), E.sample(rng), desc.sample_element(rng, 4)
+            for v in (x, y, w):
+                assert E.contains(v) == (g.leq(desc, zero, v) and g.leq(desc, v, u))
+                assert E.lneg(v) == g.add(desc, u, g.neg(desc, v))
+                assert E.rneg(v) == g.add(desc, g.neg(desc, v), u)
+            s = g.add(desc, x, y)
+            assert E.add(x, y) == (s if g.leq(desc, s, u) else None)
+            for a, b in ((x, y), (y, x), (x, s), (zero, x), (x, u), (w, x)):
+                below = g.leq(desc, a, b)
+                assert E.leq(a, b) == below
+                assert E.minus_left(b, a) == (g.sub_right(desc, b, a) if below else None)
+                assert E.minus_right(a, b) == (g.sub_left(desc, a, b) if below else None)
+                differences += below
+    assert differences >= 600
 
 
 def test_cyclic_elements_chain():

@@ -97,6 +97,16 @@ def test_verify_isomorphism_clean(H, G, spec):
     target = build_lex_pea(H, G)
     report = verify_isomorphism(phi, shuffled, target, samples=300, seed=7)
     assert report.clean, report.summary()
+    # one map call adds the kept -c_t: the difference x - c_t of the docstring
+    rng = random.Random(41)
+    for _ in range(200):
+        x = shuffled.sample(rng)
+        t, tail = x
+        fx = phi(x)
+        assert fx == (t, g.sub_right(G, tail, phi.cyclic_entry(t)[1]))
+        assert phi.preimage(fx) == x
+        z = phi.target.sample(rng)
+        assert phi(phi.preimage(z)) == z
 
 
 def test_composite_with_automorphism_is_still_isomorphism():

@@ -3,7 +3,8 @@
 Over many seeds each sampler must return equal values with equal reprs (so
 equal value types too) and leave ``random.Random`` in the same state as its
 reference: every seeded sampled check then keeps its draws.  Covered are
-``sample_between`` of each subgroup kind on bounds of its own grid, and
+``sample_between`` of each subgroup kind on bounds of its own grid,
+``sample_interval`` below product bounds with a zero part, and
 ``IntervalPea.sample`` on the property trees with strong units and on the
 four algebras that the ``represent`` verb checks.  Quadratic results built
 without validation equal, hash and print like the validating constructor's.
@@ -76,6 +77,28 @@ def test_interval_samples_on_the_trees_draw_as_the_reference():
             assert_same_draws(E.sample, lambda r: ref.sample_interval(desc, E.unit, r, 8), count=3)
 
 
+QS2 = g.Scalar(ScalarSubgroup.quadratic(2))
+
+
+@pytest.mark.parametrize(
+    "desc, hi",
+    [
+        (g.Product(g.ZZ, g.IntVector(2)), (0, (2, 3))),
+        (g.Product(g.ZZ, g.IntVector(2)), (4, (0, 0))),
+        (g.Product(QS2, g.Product(g.QQ, g.AffineQ())), (QuadraticNumber(1, 1, 2), (0, (3, 1)))),
+        (g.Product(g.Lex(g.QQ, g.IntVector(1)), QS2), ((0, (5,)), 0)),
+        (g.Lex(g.QQ, g.Product(g.IntVector(2), g.QQ)), (0, ((0, 0), Fraction(5, 2)))),
+    ],
+    ids=["prod(Z, Z^2) zero left", "prod(Z, Z^2) zero right", "prod nested zero middle",
+         "prod(lex, Q[sqrt 2]) zero right", "lex over prod, zero head"],
+)
+def test_product_parts_that_are_zero_draw_as_the_reference(desc, hi):
+    # a zero part draws nothing; the reference re-enters the checked sampler per part
+    hi = desc.check_element(hi)
+    assert_same_draws(lambda r: desc.sample_interval(hi, r, 8),
+                      lambda r: ref.sample_interval(desc, hi, r, 8), count=5)
+
+
 @pytest.mark.parametrize(
     "H, G, spec",
     [
@@ -102,5 +125,6 @@ def test_quadratic_arithmetic_results_match_the_validating_constructor():
             q = rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
             for r in (x + y, x - y, -x, x * y, x * q, q * x, x + q, q + x, x - q):
                 checked = QuadraticNumber(r.a, r.b, r.d)
-                assert type(r.a) is type(r.b) is Fraction
+                for c in (r.a, r.b):  # an int exactly when integral
+                    assert type(c) is (int if c.denominator == 1 else Fraction)
                 assert r == checked and hash(r) == hash(checked) and repr(r) == repr(checked)

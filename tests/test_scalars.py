@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -342,3 +343,68 @@ def test_quadratic_zero_and_one_are_built_once():
     other = ScalarSubgroup.quadratic(2)
     assert other == QS2 and hash(other) == hash(QS2) and repr(other) == repr(QS2)
     assert ScalarSubgroup.quadratic(3) != QS2
+
+
+# ---------------------------------------------------------------------------
+# the quadratic value contract: int coefficients when integral
+
+
+def _assert_quadratic(r, a, b, d):
+    """r is a + b*sqrt(d) for Fractions a, b: equal, hashed and printed as with
+    Fraction coefficients, and holding ints exactly where they are integral."""
+    assert isinstance(r, QuadraticNumber) and (r.a, r.b, r.d) == (a, b, d)
+    for c, ref in ((r.a, a), (r.b, b)):
+        assert type(c) is (int if ref.denominator == 1 else Fraction), (r, ref)
+    assert hash(r) == hash((a, b, d))
+    assert str(r) == (str(a) if b == 0 else f"{a} + {b}*sqrt({d})")
+
+
+def test_quadratic_values_match_a_fraction_coefficient_reference():
+    rng = random.Random(79)
+    orders = {-1: Ordering.LT, 0: Ordering.EQ, 1: Ordering.GT}
+
+    def coefficient():
+        c = rng.choice([rng.randint(-6, 6), Fraction(rng.randint(-12, 12), rng.randint(1, 4))])
+        return Fraction(c) if rng.random() < 0.5 else c  # integral Fractions too
+
+    for _ in range(800):
+        d = rng.choice(DS)
+        x1, x2, y1, y2, q = (coefficient() for _ in range(5))
+        x, y = QuadraticNumber(x1, x2, d), QuadraticNumber(y1, y2, d)
+        (xa, xb), (ya, yb), qa = (Fraction(x1), Fraction(x2)), (Fraction(y1), Fraction(y2)), Fraction(q)
+        _assert_quadratic(x, xa, xb, d)
+        for r, (a, b) in (
+            (x + y, (xa + ya, xb + yb)),
+            (x - y, (xa - ya, xb - yb)),
+            (-x, (-xa, -xb)),
+            (x * y, (xa * ya + xb * yb * d, xa * yb + xb * ya)),
+            (x + q, (xa + qa, xb)),
+            (q + x, (xa + qa, xb)),
+            (x - q, (xa - qa, xb)),
+            (x * q, (xa * qa, xb * qa)),
+            (q * x, (xa * qa, xb * qa)),
+        ):
+            _assert_quadratic(r, a, b, d)
+        s = _ref_sign(xa - ya, xb - yb, d)
+        assert compare(x, y) is orders[s] and compare(y, x) is orders[-s]
+        assert compare(x, q) is orders[_ref_sign(xa - qa, xb, d)]
+        assert compare(q, x) is orders[-_ref_sign(xa - qa, xb, d)]
+        assert (x == y) == (s == 0) == ((xa, xb) == (ya, yb))
+        assert x.sign() == _ref_sign(xa, xb, d)
+        assert x.floor() == _ref_floor(SimpleNamespace(a=xa, b=xb, d=d))
+
+
+def test_integral_coefficients_are_ints_in_every_constructor():
+    x, y = QuadraticNumber(Fraction(3), 0, 2), QuadraticNumber(3, 0, 2)
+    assert x == y and hash(x) == hash(y) and repr(x) == repr(y) == "QuadraticNumber(a=3, b=0, d=2)"
+    assert x == QuadraticNumber(Fraction(6, 2), Fraction(0, 5), 2)
+    half = QuadraticNumber(Fraction(2, 4), Fraction(4, 2), 2)
+    assert (type(half.a), type(half.b)) == (Fraction, int) and half == QuadraticNumber(Fraction(1, 2), 2, 2)
+    # a sum of non-integral coefficients can be integral
+    assert repr(half + half) == repr(QuadraticNumber(1, 4, 2))
+    assert repr(QS2.coerce(Fraction(5))) == repr(QuadraticNumber(5, 0, 2))
+    rng = random.Random(5)
+    values = [QS2.zero(), QS2.one(), QS2.sample(rng, 9), QS2.sample_between(QS2.zero(), QS2.one(), rng),
+              QS2.pick_between(QS2.zero(), QS2.coerce(Fraction(1, 100))), *grid_points(QS2)]
+    for v in values:
+        assert type(v.a) is int and type(v.b) is int, v
