@@ -408,6 +408,15 @@ VERBS = {
 }
 
 
+def _default_seed():
+    """The --seed default: ORDALG_SEED, or 0 when it is unset."""
+    value = os.environ.get("ORDALG_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise PreconditionError(f"ORDALG_SEED must be an integer, got {value!r}") from None
+
+
 def build_parser(verbs=VERBS):
     """The parser for ``verbs``, a part of ``VERBS`` (by default all of it)."""
     parser = argparse.ArgumentParser(
@@ -417,11 +426,7 @@ def build_parser(verbs=VERBS):
         epilog=GRAMMAR_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    value = os.environ.get("ORDALG_SEED", "0")
-    try:
-        seed = int(value)
-    except ValueError:
-        raise PreconditionError(f"ORDALG_SEED must be an integer, got {value!r}") from None
+    seed = _default_seed()
     # a parser for some verbs still names them all in its usage line; the
     # full one keeps "verb" as the name in its invalid-choice message
     metavar = None if verbs.keys() == VERBS.keys() else "{" + ",".join(VERBS) + "}"
@@ -431,14 +436,48 @@ def build_parser(verbs=VERBS):
     return parser
 
 
+class _Declined(Exception):
+    """A usage error or help request met by the standalone parser of a verb."""
+
+
+class _VerbParser(argparse.ArgumentParser):
+    """A parser that prints nothing: it declines errors and help to build_parser."""
+
+    def error(self, message):
+        raise _Declined
+
+    def print_help(self, file=None):
+        raise _Declined
+
+
+def _parse_one_verb(argv):
+    """argv read by a standalone parser of its verb, or None.
+
+    The namespace is the one build_parser gives, ``verb`` included.  None
+    when argv names no verb, or on a usage error, a help request or a bad
+    ORDALG_SEED: build_parser prints those.
+    """
+    if not argv or argv[0] not in VERBS:
+        return None
+    parser = _VerbParser(prog=f"ordalg {argv[0]}")
+    try:
+        VERBS[argv[0]][1](parser, _default_seed())
+        return parser.parse_args(argv[1:], argparse.Namespace(verb=argv[0]))
+    except (_Declined, PreconditionError):
+        return None
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     out = []
     try:
-        # one verb's parser takes a tenth to a quarter of the full one's
-        # build time; help and a missing or unknown verb need every verb
-        verbs = {argv[0]: VERBS[argv[0]]} if argv and argv[0] in VERBS else VERBS
-        args = build_parser(verbs).parse_args(argv)
+        # a standalone parser of the named verb builds and parses in half the
+        # time of the subcommand parser; errors and help keep that parser's
+        # bytes, and those of a missing or unknown verb need every verb
+        args = _parse_one_verb(argv)
+        if args is None:
+            verbs = {argv[0]: VERBS[argv[0]]} if argv and argv[0] in VERBS else VERBS
+            args = build_parser(verbs).parse_args(argv)
         code = VERBS[args.verb][2](args, out)
     except (OrdalgError, OSError, UnicodeDecodeError) as err:
         out.append(f"error: {err}")

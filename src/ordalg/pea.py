@@ -42,7 +42,6 @@ class FinitePea:
             if failure is not None:
                 raise PreconditionError(str(failure))
         self._leq = self._derive_order()
-        self._assert_derived()
 
     # -- construction helpers ------------------------------------------------
 
@@ -66,6 +65,9 @@ class FinitePea:
         return right, left
 
     def _derive_order(self):
+        # a <= b when a + c = b for some c; the axioms make this a partial
+        # order bounded by zero and one that agrees with the left order
+        # d + a = b (the tests check it on every stock and accepted table)
         rel = [[False] * self.size for _ in range(self.size)]
         for (a, _c), s in self.table.items():
             rel[a][s] = True
@@ -73,32 +75,6 @@ class FinitePea:
 
     def leq(self, a, b):
         return self._leq[a][b]
-
-    def _assert_derived(self):
-        # antisymmetry, bounds, cancellativity and the left/right agreement
-        # of the derived order all follow from the axioms; assert them.
-        # a <= b holds when a + c = b for some c (the derived order); the
-        # left order asks for d + a = b.  Cancellation at a means the
-        # defined sums in row a, and in column a, are pairwise distinct.
-        row_sums = [[] for _ in self.elements()]  # a + c over defined c
-        column_sums = [[] for _ in self.elements()]  # d + a over defined d
-        for (d, c), s in self.table.items():
-            row_sums[d].append(s)
-            column_sums[c].append(s)
-        for a in self.elements():
-            if not self.leq(self.zero, a) or not self.leq(a, self.one):
-                raise AssertionError("derived order lost its bounds")
-            left_above = set(column_sums[a])
-            for b in self.elements():
-                if self.leq(a, b) and self.leq(b, a) and a != b:
-                    raise AssertionError(f"derived order not antisymmetric at ({a}, {b})")
-                if self.leq(a, b) != (b in left_above):
-                    raise AssertionError(f"left/right order disagree at ({a}, {b})")
-        for a in self.elements():
-            if len(set(row_sums[a])) != len(row_sums[a]):
-                raise AssertionError(f"left cancellation fails at {a}")
-            if len(set(column_sums[a])) != len(column_sums[a]):
-                raise AssertionError(f"right cancellation fails at {a}")
 
     # -- derived operations ----------------------------------------------------
 

@@ -2,11 +2,14 @@
 
 For a finite algebra the state space is an exact rational polytope: the
 additivity constraints form a linear system, the nonnegativity constraints
-its facets.  :func:`states_finite` solves the system by fraction-free
-integer Gauss-Jordan elimination (rows scaled to integers, combinations
-reduced by their gcd) and enumerates the extreme points with a double
-description pass over integer rays whose zero sets are bitmasks, so
-uniqueness claims are decided exactly.
+its facets.  :func:`states_finite` writes every element's value as an
+integer vector over the generators (the nonzero elements that are not a
+sum of two nonzero elements), so the system has one column per generator.
+It solves that system by fraction-free integer Gauss-Jordan elimination
+(rows scaled to integers, combinations reduced by their gcd) and
+enumerates the extreme points with a double description pass over integer
+rays whose zero sets are bitmasks, so uniqueness claims are decided
+exactly.
 
 Interval algebras over Lex(Scalar(H), G) carry the canonical first
 coordinate state (t, g) -> t.
@@ -187,30 +190,70 @@ class FiniteState:
         return frozenset(i for i, v in enumerate(self.values) if v == 0)
 
 
+def _generator_coordinates(E: FinitePea):
+    """Each element's value under a state as an int vector over the generators.
+
+    Returns (vectors, defining): zero maps to the zero vector, the c-th
+    generator to the c-th unit vector, and every other nonzero element k to
+    the sum of the vectors of the summands of its one defining pair
+    defining[k] = (i, j), a defined i + j = k with i and j nonzero.  The
+    elements are placed by Kahn's algorithm over those pairs.  In an algebra
+    the summands lie strictly below k in the derived order, so the pairs have
+    no cycle; a table that skipped the axiom check may have one, and then
+    this raises.
+    """
+    zero = E.zero
+    defining = {}
+    for (i, j), k in E.table.items():
+        if i != zero and j != zero and k not in defining:
+            defining[k] = (i, j)
+    generators = [x for x in E.elements() if x != zero and x not in defining]
+    vectors = [None] * E.size
+    vectors[zero] = [0] * len(generators)
+    for c, x in enumerate(generators):
+        vectors[x] = [int(c == q) for q in range(len(generators))]
+    # waiting[k] counts the summands of k that are not placed yet
+    users = {k: [] for k in defining}
+    waiting = {}
+    ready = []
+    for k, pair in defining.items():
+        summands = {x for x in pair if x in defining}
+        waiting[k] = len(summands)
+        for x in summands:
+            users[x].append(k)
+        if not summands:
+            ready.append(k)
+    while ready:
+        k = ready.pop()
+        i, j = defining[k]
+        vectors[k] = [a + b for a, b in zip(vectors[i], vectors[j])]
+        for user in users[k]:
+            waiting[user] -= 1
+            if not waiting[user]:
+                ready.append(user)
+    if None in vectors:
+        raise AssertionError("the defining sums of the table form a cycle")
+    return vectors, defining
+
+
 def states_finite(E: FinitePea):
     """Vertices of the state polytope of E as exact rational states.
 
-    Raises when the affine hull has dimension above DIMENSION_CAP; returns
-    an empty list when no state exists.
+    The unknowns are the values on the generators; every defined sum of two
+    nonzero elements other than a defining pair, and s(1) = 1, gives one
+    equation.  The solution set is the same affine space as over one column
+    per element, so the vertices are too.  Raises when its dimension is
+    above DIMENSION_CAP; returns an empty list when no state exists.
     """
-    n = E.size
-    rows, rhs = [], []
-    row = [0] * n
-    row[E.one] = 1
-    rows.append(row)
-    rhs.append(1)
-    row = [0] * n
-    row[E.zero] = 1
-    rows.append(row)
-    rhs.append(0)
-    for (i, j), k in sorted(E.table.items()):
-        row = [0] * n
-        row[i] += 1
-        row[j] += 1
-        row[k] -= 1
-        if any(row):
-            rows.append(row)
-            rhs.append(0)
+    vectors, defining = _generator_coordinates(E)
+    zero = E.zero
+    rows, rhs = [vectors[E.one]], [1]
+    for (i, j), k in E.table.items():
+        if i != zero and j != zero and defining.get(k) != (i, j):
+            row = [a + b - c for a, b, c in zip(vectors[i], vectors[j], vectors[k])]
+            if any(row):
+                rows.append(row)
+                rhs.append(0)
     solved = solve_affine(rows, rhs)
     if solved is None:
         return []
@@ -218,14 +261,17 @@ def states_finite(E: FinitePea):
     k = len(basis)
     if k > DIMENSION_CAP:
         raise UnsupportedError(f"state polytope dimension {k} exceeds cap {DIMENSION_CAP}")
-    if k == 0:
-        if all(v >= 0 for v in particular):
-            return [FiniteState(tuple(particular))]
-        return []
-    # polytope {y: N y + p >= 0} homogenized to the cone over (y, t); row i
-    # is (N_i, p_i) times the common denominator of N and p
+    # basis and particular solution times their common denominator; an
+    # element's cone row is (N y + p) times scale, each entry a dot product
+    # with its generator vector, for the polytope {y: N y + p >= 0}
+    # homogenized to the cone over (y, t)
     scale = lcm(*(v.denominator for vec in (particular, *basis) for v in vec))
-    cone_rows = [[int(v * scale) for v in column] for column in zip(*basis, particular)]
+    columns = [[v.numerator * (scale // v.denominator) for v in vec] for vec in (*basis, particular)]
+    cone_rows = [[_dot(column, vec) for column in columns] for vec in vectors]
+    if k == 0:
+        if all(row[0] >= 0 for row in cone_rows):
+            return [FiniteState(tuple(Fraction(row[0], scale) for row in cone_rows))]
+        return []
     cone_rows.append([0] * k + [1])
     vertices = set()
     for ray in extreme_rays(cone_rows):
@@ -234,7 +280,7 @@ def states_finite(E: FinitePea):
         if t == 0:
             raise AssertionError("state polytope has a recession ray; must be bounded")
         # state value i is (N y + p)_i at y = ray[:-1] / t
-        values = (Fraction(_dot(row, ray), scale * t) for row in cone_rows[:n])
+        values = (Fraction(_dot(row, ray), scale * t) for row in cone_rows[:-1])
         vertices.add(FiniteState(tuple(values)))
     return sorted(vertices, key=lambda s: s.values)
 

@@ -20,8 +20,11 @@ from ordalg.pea import finite_chain
 from ordalg.scalars import QuadraticNumber, ScalarSubgroup
 from fractions import Fraction
 
+from one_verb_parse import assert_one_verb_parse_agrees
+
 
 def run_cli(*argv):
+    assert_one_verb_parse_agrees(argv)
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(list(argv))
@@ -438,6 +441,7 @@ def test_cli_bad_seed_variable_is_an_input_error(tmp_path, monkeypatch):
 def test_cli_vacuous_counts_are_input_errors(argv, message, capsys):
     # no samples checks nothing and a negative box searches nothing, so a
     # verdict on either would be vacuous
+    assert_one_verb_parse_agrees(argv)
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2

@@ -1,7 +1,7 @@
 """The command-line examples print exactly their golden outputs in ``tests/golden/cli``.
 
 Each case runs ``cli.main`` in-process from a directory holding ``chain.pea``,
-``bool.pea`` and ``cube3.pea``; the golden file is its stdout followed by an
+``bool.pea``, ``cube3.pea`` and ``one.pea``; the golden file is its stdout followed by an
 ``exit=<code>`` line, so a change that moves any printed byte or the exit code
 fails here.
 """
@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from ordalg.cli import main
+
+from one_verb_parse import assert_one_verb_parse_agrees
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"
 
@@ -62,6 +64,11 @@ add 7 0 7
 add 7 6 1
 """
 
+# the one-element algebra: zero is one, so no state exists
+ONE_PEA = """pea n=1 zero=0 one=0
+add 0 0 0
+"""
+
 # the README's ten examples, the Z/1 slice printing, a deep oracle, the
 # state polytopes of 2^2 and of the 3-cube and the perfectness flags of the
 # 3-cube, then both lex verbs over a non-central and a central Aff unit, a
@@ -70,7 +77,7 @@ add 7 6 1
 # case whose surjectivity count depends on the probe), the flags of an
 # algebra whose head misses a slice of the requested grid, and meet tables
 # at rdp2 over a partially ordered lex bottom and at rdp1 over a
-# non-Abelian one
+# non-Abelian one, and the states of an algebra without any
 CASES = {
     "01_check_axioms": ["check-axioms", "chain.pea"],
     "02_states": ["states", "chain.pea"],
@@ -149,10 +156,12 @@ CASES = {
         "--a1", "(1, ((2, 0), 0))", "--a2", "(1, ((1, 0), 3))",
         "--b1", "(1, ((1, 0), 2))", "--b2", "(1, ((2, 0), 1))",
     ],
+    "29_states_one_element": ["states", "one.pea"],
 }
 
 
 def run_case(argv):
+    assert_one_verb_parse_agrees(argv)
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(list(argv))
@@ -164,6 +173,7 @@ def test_cli_output_is_golden(name, tmp_path, monkeypatch):
     (tmp_path / "chain.pea").write_text(CHAIN_PEA, encoding="utf-8")
     (tmp_path / "bool.pea").write_text(BOOL_PEA, encoding="utf-8")
     (tmp_path / "cube3.pea").write_text(CUBE3_PEA, encoding="utf-8")
+    (tmp_path / "one.pea").write_text(ONE_PEA, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("ORDALG_SEED", raising=False)
     out = run_case(CASES[name])

@@ -8,21 +8,25 @@ built that moves any byte of them fails here.  The bytes are argparse's
 rendering under Python 3.11 at 80 columns, the version the suite is verified
 on.
 
-The parser ``cli.main`` builds for a named verb holds that verb alone; the
-last tests check that it reads every golden and README command line into
-the same namespace as the parser holding every verb.
+``cli.main`` reads a named verb's argv with a standalone parser of that
+verb and falls back to ``build_parser`` of the verb alone when it declines.
+The last tests check that both read every golden, README and benchmark
+command line into the same namespace as the parser holding every verb.
 """
 
 from contextlib import redirect_stderr, redirect_stdout
+import importlib
 import io
 from pathlib import Path
 import shlex
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from ordalg.cli import VERBS, build_parser, main
 
+from one_verb_parse import assert_one_verb_parse_agrees
 from test_cli_golden import CASES as GOLDEN_CASES, CHAIN_PEA
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_parser"
@@ -46,6 +50,7 @@ CASES = {
 
 
 def run_parser_case(argv):
+    assert_one_verb_parse_agrees(argv)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
@@ -88,11 +93,31 @@ def test_one_verb_parser_reads_as_the_full_parser(name, seed, monkeypatch):
         monkeypatch.setenv("ORDALG_SEED", seed)
     one_verb = build_parser({argv[0]: VERBS[argv[0]]}).parse_args(argv)
     assert one_verb == build_parser(VERBS).parse_args(argv)
+    assert_one_verb_parse_agrees(argv)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("workload", ["finite", "interval"])
+def test_one_verb_parser_reads_the_benchmark_corpora(workload, seed, tmp_path, monkeypatch):
+    # the refine and oracle corpora call the package, not the CLI
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.delenv("ORDALG_SEED", raising=False)
+    workloads = importlib.import_module("workloads")
+    api, argvs = workloads.Api(), []
+    api.cli = SimpleNamespace(main=lambda argv: argvs.append(argv) or 0)
+    files = workloads.TableFiles(str(tmp_path))
+    rounds = workloads.BUILDERS[workload](api, seed, files)
+    for op in [op for ops in rounds for op in ops] + workloads.warmup_ops(api, workload, files):
+        op.call()
+    assert len(argvs) > 100
+    for argv in argvs:
+        assert_one_verb_parse_agrees(argv)
 
 
 def test_main_without_argv_reads_the_command_line(tmp_path, monkeypatch, capsys):
     (tmp_path / "chain.pea").write_text(CHAIN_PEA, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, "argv", ["ordalg", "check-axioms", "chain.pea"])
+    assert_one_verb_parse_agrees(sys.argv[1:])
     assert main() == 0
     assert capsys.readouterr().out == "chain.pea: all axioms hold (n=3)\n#! verdict=pass n=3\n"

@@ -89,7 +89,37 @@ def test_derived_order_agrees_both_sides():
         assert all(E.leq(E.zero, a) and E.leq(a, E.one) for a in E.elements())
 
 
-# tables that skip the axiom check, each tripping one self-check of FinitePea
+def assert_derived(size, zero, one, table):
+    """Assert what the axioms imply of the derived order and the table.
+
+    a <= b holds when a + c = b for some c (the derived order); the left
+    order asks for d + a = b.  The order must be bounded by zero and one,
+    antisymmetric and equal to the left order, and the defined sums in each
+    row, and in each column, pairwise distinct (cancellation).
+    """
+    row_sums = [[] for _ in range(size)]  # a + c over defined c
+    column_sums = [[] for _ in range(size)]  # d + a over defined d
+    for (d, c), s in table.items():
+        row_sums[d].append(s)
+        column_sums[c].append(s)
+    leq = [set(sums) for sums in row_sums]
+    for a in range(size):
+        if a not in leq[zero] or one not in leq[a]:
+            raise AssertionError("derived order lost its bounds")
+        left_above = set(column_sums[a])
+        for b in range(size):
+            if b in leq[a] and a in leq[b] and a != b:
+                raise AssertionError(f"derived order not antisymmetric at ({a}, {b})")
+            if (b in leq[a]) != (b in left_above):
+                raise AssertionError(f"left/right order disagree at ({a}, {b})")
+    for a in range(size):
+        if len(set(row_sums[a])) != len(row_sums[a]):
+            raise AssertionError(f"left cancellation fails at {a}")
+        if len(set(column_sums[a])) != len(column_sums[a]):
+            raise AssertionError(f"right cancellation fails at {a}")
+
+
+# tables that break the axioms, each tripping one check of assert_derived
 SELF_CHECK_FAILURES = [
     (2, {(0, 0): 0, (0, 1): 0, (1, 0): 1}, "derived order lost its bounds"),
     (2, {(0, 0): 0, (0, 1): 1, (1, 0): 0}, r"derived order not antisymmetric at \(0, 1\)"),
@@ -103,7 +133,8 @@ SELF_CHECK_FAILURES = [
 @pytest.mark.parametrize("size, table, message", SELF_CHECK_FAILURES)
 def test_self_checks_name_the_failure(size, table, message):
     with pytest.raises(AssertionError, match=message):
-        FinitePea(size, 0, size - 1, table, _validated=True)
+        assert_derived(size, 0, size - 1, table)
+    assert check_pea_axioms(size, 0, size - 1, table).failure is not None
 
 
 def hsum_table(k):
@@ -233,6 +264,20 @@ def test_axiom_failure_matches_the_exhaustive_scan():
                 assert failure == exhaustive_axiom_failure(size, zero, one, mutated)
                 axioms.add(None if failure is None else failure.axiom)
     assert axioms == {None, "table", "PE1", "PE2", "PE3", "PE4"}
+
+
+def test_accepted_tables_have_the_derived_properties():
+    # FinitePea trusts these consequences of the axioms without re-deriving them
+    rng = random.Random(20261020)
+    accepted = {False: 0, True: 0}  # stock tables, mutated tables
+    for _ in range(12):
+        for size, zero, one, table in stock_tables(rng):
+            for mutated in [table] + [mutate(size, one, table, rng) for _ in range(3)]:
+                if check_pea_axioms(size, zero, one, mutated).valid:
+                    assert_derived(size, zero, one, mutated)
+                    accepted[mutated is not table] += 1
+    # all but the arc tables and the groups Z/n are algebras
+    assert accepted[False] == 12 * 15 and accepted[True] > 20
 
 
 def test_axiom_failure_passes_the_largest_stock_algebras():

@@ -4,7 +4,8 @@
 elimination (the rational reference the integer elimination replaced),
 ``extreme_rays`` with a brute force over every (dim - 1)-subset of rows,
 and ``states_finite`` with the known vertices of chains, Boolean algebras
-and horizontal sums of a chain and 2^2 blocks, under seeded relabellings.
+and horizontal sums of a chain and 2^2 blocks, and with the solver over one
+column per element in ``element_states``, under seeded relabellings.
 """
 
 import itertools
@@ -15,8 +16,10 @@ from math import gcd
 import pytest
 
 from ordalg.errors import UnsupportedError
-from ordalg.pea import boolean_algebra, check_pea_axioms, finite_chain
+from ordalg.pea import FinitePea, boolean_algebra, check_pea_axioms, finite_chain
 from ordalg.states import DIMENSION_CAP, extreme_rays, solve_affine, states_finite
+
+from element_states import element_states
 
 # -- rational reference ------------------------------------------------------
 
@@ -247,7 +250,7 @@ def permuted(values, perm):
     return tuple(out)
 
 
-CASES = [("chain", n) for n in (1, 2, 5, 9)] + [("bool", k) for k in (1, 2, 3, 4)]
+CASES = [("chain", n) for n in (1, 2, 5, 9, 63)] + [("bool", k) for k in (1, 2, 3, 4, 6)]
 CASES += [("hsum", k) for k in (1, 2, 3, 4)] + [("thirds", k) for k in (0, 1, 2, 3)]
 
 
@@ -272,4 +275,36 @@ def test_states_finite_at_the_dimension_cap():
     assert [s.values for s in vertices] == sorted(known_vertices("hsum", DIMENSION_CAP))
     E = relabelled(horizontal_sum(DIMENSION_CAP + 1), list(range(4 + 2 * DIMENSION_CAP)))
     with pytest.raises(UnsupportedError):
+        states_finite(E)
+
+
+# the reference is quadratic in the elements: 0.3-0.4 s on the 63-chain
+REFERENCE_CASES = CASES + [("chain", 40), ("hsum", 7), ("thirds", 5)]
+
+
+@pytest.mark.parametrize("kind, k", REFERENCE_CASES, ids=[f"{kind}{k}" for kind, k in REFERENCE_CASES])
+def test_states_finite_matches_element_coordinates(kind, k):
+    struct = structure(kind, k)
+    rng = random.Random(f"elements-{kind}{k}")
+    for _ in range(4):
+        perm = list(range(struct[0]))
+        rng.shuffle(perm)
+        E = relabelled(struct, perm)
+        assert states_finite(E) == element_states(E)
+
+
+def test_one_element_algebra_has_no_state():
+    # no generator, and s(1) = 1 contradicts s(0) = 0 when one is zero
+    E = check_pea_axioms(1, 0, 0, {(0, 0): 0}).pea
+    assert states_finite(E) == [] == element_states(E)
+
+
+@pytest.mark.parametrize("size, table", [
+    (2, {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1}),
+    (3, {(0, 0): 0, (0, 1): 1, (1, 0): 1, (0, 2): 2, (2, 0): 2, (1, 1): 2, (2, 2): 1}),
+], ids=["self", "pair"])
+def test_defining_sums_in_a_cycle_raise(size, table):
+    # tables that skipped the axiom check: 1 + 1 = 1, and 1 + 1 = 2, 2 + 2 = 1
+    E = FinitePea(size, 0, 1, table, _validated=True)
+    with pytest.raises(AssertionError, match="form a cycle"):
         states_finite(E)
