@@ -20,6 +20,7 @@ from ordalg.pea import FinitePea, boolean_algebra, check_pea_axioms, finite_chai
 from ordalg.states import DIMENSION_CAP, extreme_rays, solve_affine, states_finite
 
 from element_states import element_states
+from test_pea import stock_tables
 
 # -- rational reference ------------------------------------------------------
 
@@ -290,6 +291,16 @@ def test_states_finite_matches_element_coordinates(kind, k):
         perm = list(range(struct[0]))
         rng.shuffle(perm)
         E = relabelled(struct, perm)
+        assert states_finite(E) == element_states(E)
+
+
+def test_states_finite_matches_element_coordinates_on_stock_tables():
+    # the stock tables include the non-commutative cycles of atoms
+    rng = random.Random("elements-stock")
+    algebras = [check_pea_axioms(*table) for _ in range(3) for table in stock_tables(rng)]
+    algebras = [verdict.pea for verdict in algebras if verdict.valid]
+    assert len(algebras) == 3 * 15
+    for E in algebras:
         assert states_finite(E) == element_states(E)
 
 
