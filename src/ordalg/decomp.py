@@ -4,7 +4,10 @@ A decomposition over a scalar subgroup H partitions the algebra into
 nonempty slices (E_t : t in [0,1] of H) compatible with the negations
 (E_t maps to E_{1-t}) and with addition (sums land in the index sum).
 Finite algebras carry explicit slice sets, and their laws are checked
-exhaustively.  An interval E = Gamma(Lex(Scalar(H'), G), (1, g0)) carries
+exhaustively on the algebra's element bitsets: slice t gets the integer
+index t*L, L the common denominator of the indices, so each law is one pass
+over the members or the defined pairs with integer sums and bitset tests,
+and a witness is searched for only once a law fails.  An interval E = Gamma(Lex(Scalar(H'), G), (1, g0)) carries
 the symbolic slices E_t = {(t, g)} with a finite witness grid, and its laws
 are decided by head arithmetic, with no sampling.  For x = (s, gx) and
 y = (t, gy):
@@ -38,14 +41,18 @@ systems, divisibility, torsion-freeness).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import groups as g
 from .errors import PreconditionError, UnsupportedError
 from .pea import (
     FinitePea,
     IntervalPea,
+    _is_normal_ideal,
+    _mask,
     cyclic_elements,
     ideals_enumerate,
     infinitesimals,
@@ -197,11 +204,77 @@ def state_from_decomposition(E, D):
     raise UnsupportedError(f"unsupported decomposition {D!r}")
 
 
+class _SliceBits:
+    """The slices of a finite decomposition as element bitsets, indexed by
+    integers k = t*L, where L is the least common denominator of the t.
+
+    Rational indices give int keys, so the laws add and compare integers.
+    An index a + b*sqrt(d) with b != 0 makes every key a QuadraticNumber
+    with integer coefficients, which adds, compares and hashes exactly too.
+    ``below(k)`` is the union of the slices with a key under k, ``above(k)``
+    of those with a key over k.
+    """
+
+    def __init__(self, D: FiniteDecomposition):
+        ts = [t for t, _ in D.slices]
+        quad = next((t for t in ts if isinstance(t, QuadraticNumber) and t.b != 0), None)
+        if quad is None:
+            ts = [Fraction(t.a if isinstance(t, QuadraticNumber) else t) for t in ts]
+            self.L = lcm(*(t.denominator for t in ts))
+            self.keys = [t.numerator * (self.L // t.denominator) for t in ts]
+        else:
+            ts = [t if isinstance(t, QuadraticNumber) else QuadraticNumber(t, 0, quad.d) for t in ts]
+            self.L = lcm(*(Fraction(c).denominator for t in ts for c in (t.a, t.b)))
+            self.keys = [t * self.L for t in ts]
+        # -k + L: QuadraticNumber has no reflected subtraction
+        self.rest = [-k + self.L for k in self.keys]
+        self.slices = D.slices
+        self.masks = [_mask(members) for _, members in D.slices]
+        self._order = sorted(set(self.keys))
+        at = dict.fromkeys(self._order, 0)
+        for k, m in zip(self.keys, self.masks):
+            at[k] |= m
+        self._prefix, self._suffix = [0], [0]
+        for k in self._order:
+            self._prefix.append(self._prefix[-1] | at[k])
+        for k in reversed(self._order):
+            self._suffix.append(self._suffix[-1] | at[k])
+        self._suffix.reverse()
+
+    def below(self, k):
+        return self._prefix[bisect_left(self._order, k)]
+
+    def above(self, k):
+        return self._suffix[bisect_right(self._order, k)]
+
+    def defined_below_one(self, right) -> bool:
+        """x + y is defined for x in E_s and y in E_t whenever s + t < 1."""
+        partners = [self.below(r) for r in self.rest]
+        return all(right[x] & p == p for (_, ms), p in zip(self.slices, partners) for x in ms)
+
+    def last_unordered_pair(self, up):
+        """The last x in E_s, y in E_t with s < t and not x <= y, in the
+        order of the slices and their members, or None."""
+        keys, slices = self.keys, self.slices
+        for i in reversed(range(len(slices))):
+            for j in reversed(range(len(slices))):
+                if keys[i] < keys[j]:
+                    xs = [x for x in slices[i][1] if self.masks[j] & ~up[x]]
+                    if xs:
+                        x = xs[-1]
+                        return x, [y for y in slices[j][1] if not up[x] >> y & 1][-1]
+        return None
+
+
 def _finite_type_ii_violation(D: FiniteDecomposition):
-    """Exhaustive check of the negation and addition laws; None if clean."""
-    E, H = D.pea, D.H
-    one = H.one()
-    index = {t: members for t, members in D.slices}
+    """The negation and addition laws; None if clean.
+
+    Once the slices partition the algebra, each element carries its slice's
+    key, and each law is one pass: over the elements for the negations, over
+    the defined pairs for the sums.  Only a failing law searches for its
+    witness, the first violation in the order of the slices and members.
+    """
+    E = D.pea
     covered = set()
     for t, members in D.slices:
         if not members:
@@ -211,25 +284,32 @@ def _finite_type_ii_violation(D: FiniteDecomposition):
         covered |= members
     if covered != set(E.elements()):
         return ("cover", None)
-    for t, members in D.slices:
-        mirror = index.get(one - t)
+    bits = _SliceBits(D)
+    keys, L = bits.keys, bits.L
+    pos = [0] * E.size
+    for i, (_, members) in enumerate(D.slices):
         for x in members:
-            ln, rn = E.lneg(x), E.rneg(x)
-            if mirror is None or ln not in mirror or rn not in mirror:
-                return ("negation law", (t, x))
-    for s, ms in D.slices:
-        for t, mt in D.slices:
-            for x in ms:
-                for y in mt:
-                    z = E.add(x, y)
-                    if z is None:
-                        continue
-                    if compare(s + t, one) is Ordering.GT:
-                        return ("sum above one", (s, t, x, y))
-                    target = index.get(s + t)
-                    if target is None or z not in target:
-                        return ("sum slice law", (s, t, x, y))
-    return None
+            pos[x] = i
+    last = {k: i for i, k in enumerate(keys)}  # the slice a lookup by index finds
+    mirror = [last.get(r) for r in bits.rest]
+    lneg, rneg = E._bits.lneg, E._bits.rneg
+    bad = {x for x in E.elements() if not pos[lneg[x]] == pos[rneg[x]] == mirror[pos[x]]}
+    if bad:
+        t, x = next((t, x) for t, members in D.slices for x in members if x in bad)
+        return ("negation law", (t, x))
+    # the negations are bijections, so once they keep the law no two slices
+    # share an index, and z = x + y keeps the sum laws exactly when its key is
+    # key(x) + key(y) <= L
+    key = [keys[i] for i in pos]
+    home = [k if k <= L else None for k in key]
+    bad = {(x, y) for (x, y), z in E.table.items() if key[x] + key[y] != home[z]}
+    if not bad:
+        return None
+    i, j = min((pos[x], pos[y]) for x, y in bad)
+    (s, ms), (t, mt) = D.slices[i], D.slices[j]
+    x, y = next((x, y) for x in ms for y in mt if (x, y) in bad)
+    law = "sum above one" if keys[i] + keys[j] > L else "sum slice law"
+    return (law, (s, t, x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -263,45 +343,45 @@ def check_ordered(E, D) -> OrderedReport:
 
 
 def _check_ordered_finite(E: FinitePea, D: FiniteDecomposition) -> OrderedReport:
-    one = D.H.one()
-    ordered, witness = True, None
-    for s, ms in D.slices:
-        for t, mt in D.slices:
-            if compare(s, t) is Ordering.LT:
-                for x in ms:
-                    for y in mt:
-                        if not E.leq(x, y):
-                            ordered, witness = False, (x, y)
-    defined_all = True
-    for s, ms in D.slices:
-        for t, mt in D.slices:
-            if compare(s + t, one) is Ordering.LT:
-                for x in ms:
-                    for y in mt:
-                        if not E.defined(x, y):
-                            defined_all = False
+    """Each law as bitset tests per member: x lies below the union of the
+    higher slices, and its right-defined set covers the slices it may be
+    added to and misses those past one.  A failure reports the last failing
+    pair in the order of the slices and members."""
+    bits, up, right = _SliceBits(D), E._bits.up, E._bits.right
+    keys, slices = bits.keys, D.slices
+    higher = [bits.above(k) for k in keys]
+    ordered = all(up[x] & h == h for (_, ms), h in zip(slices, higher) for x in ms)
+    defined_all = bits.defined_below_one(right)
     agrees = ordered == defined_all
     if not ordered:
-        return OrderedReport(False, witness, agrees)
-    index = {t: members for t, members in D.slices}
+        return OrderedReport(False, bits.last_unordered_pair(up), agrees)
+    index = {t: members for t, members in slices}
     e0 = index.get(D.H.zero(), frozenset())
     inf_ok = set(e0) == infinitesimals(E)
-    from .pea import _is_normal_ideal
-
     normal_ok = _is_normal_ideal(E, e0)
-    additivity_ok, oversum_ok = True, True
-    for s, ms in D.slices:
-        for t, mt in D.slices:
-            total = s + t
-            if compare(total, one) is Ordering.LT:
-                sums = {E.add(x, y) for x in ms for y in mt}
-                if sums != set(index.get(total, frozenset())):
-                    additivity_ok = False
-            if compare(total, one) is Ordering.GT:
-                for x in ms:
-                    for y in mt:
-                        if E.defined(x, y) or E.defined(y, x):
-                            oversum_ok = False
+    # an undefined pair below one puts None among the sums of its slices
+    additivity_ok = defined_all
+    if additivity_ok:
+        at = {k: m for k, m in zip(keys, bits.masks)}
+        where = [[] for _ in E.elements()]
+        for j, (_, mt) in enumerate(slices):
+            for y in mt:
+                where[y].append(j)
+        rows = E._sum_rows[0]
+        for (_, ms), k in zip(slices, keys):
+            reach = [0] * len(slices)  # reach[j]: the sums x + y, x in ms, y in slice j
+            for x in ms:
+                for y, z in rows[x]:
+                    for j in where[y]:
+                        reach[j] |= 1 << z
+            if any(r != at.get(k + kt, 0) for r, kt in zip(reach, keys) if k + kt < bits.L):
+                additivity_ok = False
+                break
+    # a pair defined in either order past one is a pair defined in the first
+    # order, with the slices swapped
+    oversum_ok = all(
+        right[x] & bits.above(r) == 0 for (_, ms), r in zip(slices, bits.rest) for x in ms
+    )
     return OrderedReport(True, None, agrees, inf_ok, normal_ok, additivity_ok, oversum_ok)
 
 
@@ -322,19 +402,14 @@ def check_type_i(E, D) -> TypeIReport:
     """(Ii) sums below one are defined; (Iii) the bottom slice is the unique
     maximal ideal; plus the bottom-slice idempotence consequence."""
     if isinstance(D, FiniteDecomposition):
-        one = D.H.one()
-        sums_ok = True
-        for s, ms in D.slices:
-            for t, mt in D.slices:
-                if compare(s + t, one) is Ordering.LT:
-                    if any(not E.defined(x, y) for x in ms for y in mt):
-                        sums_ok = False
+        sums_ok = _SliceBits(D).defined_below_one(E._bits.right)
         index = {t: m for t, m in D.slices}
         e0 = index.get(D.H.zero(), frozenset())
         report = ideals_enumerate(E)
         maximal = [i.members for i in report.ideals if i.maximal]
         unique_max = maximal == [e0]
-        idem = {E.add(x, y) for x in e0 for y in e0 if E.defined(x, y)} == set(e0)
+        rows = E._sum_rows[0]
+        idem = {z for x in e0 for y, z in rows[x] if y in e0} == set(e0)
         detail = "" if unique_max else f"maximal ideals: {sorted(map(sorted, maximal))}"
         return TypeIReport(sums_ok and unique_max, sums_ok, unique_max, idem, detail)
     if isinstance(D, LexDecomposition):
@@ -361,23 +436,19 @@ def find_cyclic_system(E, D, strong=False):
         H = D.H
         if H.is_dense:
             return None  # finite algebras cannot meet a dense grid
-        n = H.n
-        from .pea import _finite_commutes_with_all
-
-        for cand in cyclic_elements(E, n):
+        index = dict(D.slices)
+        grid = [Fraction(k, H.n) for k in range(H.n + 1)]
+        for cand in cyclic_elements(E, H.n):
             if strong and not cand.strong:
                 continue
-            entries = []
-            ok = True
-            for k in range(n + 1):
-                ck = E.times(k, cand.element)
-                if ck is None or ck not in dict(D.slices)[Fraction(k, n)]:
-                    ok = False
+            entries, ck = [], E.zero  # ck = k * cand, one sum at a time
+            for t in grid:
+                if ck is None or ck not in index[t]:
                     break
-                entries.append((Fraction(k, n), ck))
-            if ok:
-                strong_flag = _finite_commutes_with_all(E, cand.element)
-                return CyclicSystem(tuple(entries), strong_flag)
+                entries.append((t, ck))
+                ck = E.add(ck, cand.element)
+            else:
+                return CyclicSystem(tuple(entries), cand.strong)
         return None
     if isinstance(D, LexDecomposition):
         E = D.pea
@@ -525,13 +596,13 @@ def _finite_slices(E: FinitePea, H):
 
 
 def _finite_slice_directed(E: FinitePea, members) -> bool:
-    for a in members:
-        for b in members:
-            if not any(E.leq(c, a) and E.leq(c, b) for c in members):
-                return False
-            if not any(E.leq(a, c) and E.leq(b, c) for c in members):
-                return False
-    return True
+    """A finite set is directed both ways exactly when it is empty or has a
+    least and a greatest element, because the order is transitive."""
+    mask = _mask(members)
+    up, down = E._bits.up, E._bits.down
+    return not members or (
+        any(up[c] & mask == mask for c in members) and any(down[c] & mask == mask for c in members)
+    )
 
 
 def _lex_slices(E: IntervalPea, H):

@@ -6,12 +6,19 @@ axioms exhaustively and returns a witness on failure.  An interval algebra
 is the segment [0, u] of a unital po-group with addition defined whenever
 the group sum stays below the unit; its elements are never enumerated, all
 queries go through exact group arithmetic.
+
+The finite kernels read per-element bitsets, filled once per algebra in one
+pass over the defined pairs: the up-set, down-set and right-defined set of
+each element, and its negations.  Ideals are bitsets as well: an ideal is
+normal when it holds the conjugates of its members, and the closure growth
+that enumerates the ideals also tells which are maximal.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import groups as g
 from .errors import PreconditionError, UnsupportedError
@@ -29,6 +36,14 @@ class AxiomFailure:
         return f"{self.axiom} fails at {self.witness}"
 
 
+class _ElementBits(NamedTuple):
+    up: list
+    down: list
+    right: list
+    lneg: list
+    rneg: list
+
+
 class FinitePea:
     """A finite pseudo effect algebra; construct via :func:`check_pea_axioms`."""
 
@@ -41,7 +56,6 @@ class FinitePea:
             failure = _axiom_failure(size, zero, one, table)
             if failure is not None:
                 raise PreconditionError(str(failure))
-        self._leq = self._derive_order()
 
     # -- construction helpers ------------------------------------------------
 
@@ -64,17 +78,47 @@ class FinitePea:
             left[c].append((x, s))
         return right, left
 
-    def _derive_order(self):
-        # a <= b when a + c = b for some c; the axioms make this a partial
-        # order bounded by zero and one that agrees with the left order
-        # d + a = b (the tests check it on every stock and accepted table)
-        rel = [[False] * self.size for _ in range(self.size)]
-        for (a, _c), s in self.table.items():
-            rel[a][s] = True
-        return rel
+    @functools.cached_property
+    def _bits(self):
+        """Per-element bitsets and complements, from one pass over the defined pairs.
+
+        Bit s of ``up[x]`` is set when x + c = s for some c, that is x <= s;
+        the axioms make this a partial order bounded by zero and one that
+        agrees with the left order d + x = s (the tests check it on every
+        stock and accepted table).  ``down[s]`` holds the x <= s and
+        ``right[x]`` the c with x + c defined.  ``rneg[x]`` is the c with
+        x + c = 1 and ``lneg[x]`` the d with d + x = 1; PE2 makes both unique.
+        """
+        n = self.size
+        up, down, right = [0] * n, [0] * n, [0] * n
+        lneg, rneg = [None] * n, [None] * n
+        one, bit = self.one, [1 << x for x in range(n)]
+        for (x, c), s in self.table.items():
+            up[x] |= bit[s]
+            down[s] |= bit[x]
+            right[x] |= bit[c]
+            if s == one:
+                rneg[x], lneg[c] = c, x
+        return _ElementBits(up, down, right, lneg, rneg)
 
     def leq(self, a, b):
-        return self._leq[a][b]
+        return bool(self._bits.up[a] >> b & 1)
+
+    @functools.cached_property
+    def _conjugates(self):
+        """conj[m] holds the c with m + x = x + c, over the x with m + x defined.
+
+        PE3 gives such a c and cancellation makes it unique.  So I holds the
+        conjugates of its members exactly when I + x lies in x + I for every
+        x, and then the two are equal: summed over x, I + x counts the pairs
+        of a member m and an x with m + x defined, x + I those with x + m
+        defined, and conjugation by m matches the two sets of x one to one.
+        """
+        after = [{s: c for c, s in row} for row in self._sum_rows[0]]  # after[x][x + c] = c
+        conj = [0] * self.size
+        for (m, x), s in self.table.items():
+            conj[m] |= 1 << after[x][s]
+        return conj
 
     # -- derived operations ----------------------------------------------------
 
@@ -93,10 +137,10 @@ class FinitePea:
         return None
 
     def lneg(self, a):
-        return self.minus_left(self.one, a)
+        return self._bits.lneg[a]
 
     def rneg(self, a):
-        return self.minus_right(a, self.one)
+        return self._bits.rneg[a]
 
     def times(self, n, a):
         """n-fold sum, or None when undefined."""
@@ -325,12 +369,21 @@ class IntervalPea:
 
 
 def _is_normal_ideal(E: FinitePea, ideal):
-    """x + I = I + x for every x, read from the sum rows of x."""
-    right, left = E._sum_rows
-    return all(
-        {s for m, s in r if m in ideal} == {s for m, s in l if m in ideal}
-        for r, l in zip(right, left)
-    )
+    """x + I = I + x for every x: I holds the conjugates of its members."""
+    mask = _mask(ideal)
+    conj = E._conjugates
+    return all(conj[m] & ~mask == 0 for m in ideal)
+
+
+def _mask(members):
+    mask = 0
+    for x in members:
+        mask |= 1 << x
+    return mask
+
+
+def _members(mask):
+    return frozenset(x for x in range(mask.bit_length()) if mask >> x & 1)
 
 
 @dataclass(frozen=True)
@@ -350,58 +403,64 @@ class IdealsReport:
 def ideals_enumerate(E: FinitePea) -> IdealsReport:
     """All ideals by closure growth, with maximality/normality flags.
 
-    Each ideal grows from a closed base by a worklist: a new member y brings
-    in its down-set and the defined sums y + m and m + y with m already in,
-    read from y's sum rows.
+    Ideals are element bitsets.  Each grows from a closed base by a
+    worklist: a new member y brings in its down-set and the defined sums
+    y + m and m + y with m already in, read from y's sum rows.  An ideal
+    above a base holds an element minimal outside it, so growing every base
+    by those alone reaches every ideal; and a proper ideal is maximal
+    exactly when each ideal grown from it is the whole algebra, so
+    maximality is read off the same growth.
     """
-    down = [[] for _ in E.elements()]  # down[s] = the x <= s
-    for (x, c), s in E.table.items():
-        down[s].append(x)
+    down = E._bits.down
     right, left = E._sum_rows
+    everything, one = (1 << E.size) - 1, 1 << E.one
+    below = [[] for _ in E.elements()]  # below[s] = the x < s
+    for (x, _c), s in E.table.items():
+        if x != s:
+            below[s].append(x)
 
-    def closure(base, x):
-        members = set(base)
+    def closure(members, x):
         work = [x]
-        while work:
-            y = work.pop()
-            if y in members:
+        for y in work:
+            bit = 1 << y
+            if members & bit:
                 continue
-            members.add(y)
-            work += [d for d in down[y] if d not in members]
-            work += [s for m, s in right[y] if m in members and s not in members]
-            work += [s for m, s in left[y] if m in members and s not in members]
-        return frozenset(members)
+            if bit == one:
+                return everything  # every element lies below one
+            members |= bit
+            work += below[y]
+            work += [s for m, s in right[y] if members >> m & 1]
+            work += [s for m, s in left[y] if members >> m & 1]
+        return members
 
-    found = {closure((), E.zero)}
-    frontier = list(found)
+    bottom = closure(0, E.zero)
+    found, maximal = {bottom}, set()
+    generated = {}  # the ideal generated by base | x, which many pairs share
+    frontier = [bottom]
     while frontier:
         base = frontier.pop()
+        tops = True
         for x in E.elements():
-            # an ideal above base holds an element minimal outside base, so
-            # growing by those alone reaches every ideal
-            if x in base or not base.issuperset(d for d in down[x] if d != x):
+            bit = 1 << x
+            if base & bit or down[x] & ~base != bit:
                 continue
-            grown = closure(base, x)
+            grown = generated.get(base | bit)
+            if grown is None:
+                grown = generated[base | bit] = closure(base, x)
+            tops = tops and grown == everything
             if grown not in found:
                 found.add(grown)
                 frontier.append(grown)
+        if tops and base != everything:
+            maximal.add(base)
+    ideals = sorted(map(_members, found), key=lambda s: (len(s), sorted(s)))
+    infos = tuple(IdealInfo(i, _mask(i) in maximal, _is_normal_ideal(E, i)) for i in ideals)
     all_elements = frozenset(E.elements())
-    proper = [i for i in found if i != all_elements]
-    maximal = {
-        i for i in proper if not any(i < j for j in proper)
-    }
-    infos = tuple(
-        IdealInfo(i, i in maximal, _is_normal_ideal(E, i))
-        for i in sorted(found, key=lambda s: (len(s), sorted(s)))
+    radical = all_elements.intersection(*(i.members for i in infos if i.maximal))
+    normal_radical = all_elements.intersection(
+        *(i.members for i in infos if i.maximal and i.normal)
     )
-    radical = all_elements
-    for i in maximal:
-        radical &= i
-    normal_radical = all_elements
-    for info in infos:
-        if info.maximal and info.normal:
-            normal_radical &= info.members
-    return IdealsReport(infos, frozenset(radical), frozenset(normal_radical))
+    return IdealsReport(infos, radical, normal_radical)
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +563,9 @@ class SymmetryVerdict:
 def is_symmetric(E, rng=None, samples=200) -> SymmetryVerdict:
     """Do left and right negation agree everywhere?"""
     if isinstance(E, FinitePea):
-        for a in E.elements():
-            if E.lneg(a) != E.rneg(a):
-                return SymmetryVerdict(False, a)
-        return SymmetryVerdict(True)
+        lneg, rneg = E._bits.lneg, E._bits.rneg
+        witness = next((a for a in E.elements() if lneg[a] != rneg[a]), None)
+        return SymmetryVerdict(witness is None, witness)
     if isinstance(E, IntervalPea) and E.is_lex_scalar:
         if E.tail_group.center_member(E.tail_unit):
             return SymmetryVerdict(True)

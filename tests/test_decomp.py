@@ -1,7 +1,9 @@
 """Slice decompositions, their laws, and perfectness classification."""
 
+import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -20,11 +22,22 @@ from ordalg.decomp import (
     strong_cyclic_vs_divisibility,
 )
 from ordalg.errors import PreconditionError
-from ordalg.pea import FinitePea, IntervalPea, boolean_algebra, finite_chain
-from ordalg.scalars import Ordering, ScalarSubgroup, compare
+from ordalg.pea import (
+    FinitePea,
+    IntervalPea,
+    SymmetryVerdict,
+    boolean_algebra,
+    finite_chain,
+    ideals_enumerate,
+    is_symmetric,
+)
+from ordalg.scalars import Ordering, QuadraticNumber, ScalarSubgroup, compare
 from ordalg.states import FiniteState, FirstCoordinateState, states_finite
 
+import finite_slices as ref
 from lex_probes import lex_type_ii_violation
+from test_pea import cycle_table, hsum_table, relabel, stock_algebras
+from test_states import horizontal_sum
 
 Z = g.ZZ
 Q = g.QQ
@@ -508,3 +521,144 @@ def test_unit_head_other_than_one_is_a_precondition_error():
             state_from_decomposition(E, LexDecomposition(H, E, (f(0), f(1))))
         with pytest.raises(PreconditionError, match=message):
             strong_cyclic_vs_divisibility(E)
+
+
+# -- bitset kernels against the element-pair reference (tests/finite_slices.py)
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:  # both sides must fail alike, e.g. a missing grid slice
+        return type(exc)
+
+
+def assert_kernels_match(E, D, maximal):
+    """Every finite slice kernel returns what the element-pair reference does;
+    ``maximal`` lists E's maximal ideals by the subset definition."""
+    assert decomp._finite_type_ii_violation(D) == ref.type_ii_violation(D)
+    ordered = outcome(check_ordered, E, D)
+    assert ordered == outcome(ref.check_ordered, E, D)
+    assert outcome(check_type_i, E, D) == outcome(ref.check_type_i, E, D, maximal)
+    for _, members in D.slices:
+        assert decomp._finite_slice_directed(E, members) == ref.slice_directed(E, members)
+    for strong in (False, True):
+        got = outcome(find_cyclic_system, E, D, strong)
+        assert got == outcome(ref.find_cyclic_system, E, D, strong)
+    return ordered
+
+
+def test_finite_kernels_match_the_element_pair_reference(monkeypatch):
+    # every extremal state of every stock table and relabelling, read over
+    # Z/L (L the least common denominator of its values), over Z/2L with the
+    # grid points it misses, and over Z[sqrt 2] when its values are 0 and 1
+    # (the 3-chain beside k blocks of 2^2 adds slices in thirds)
+    seen = {"ordered": 0, "unordered": 0, "cyclic": 0, "asymmetric": 0}
+    rng = random.Random("thirds")
+    thirds = [horizontal_sum(k, 3) for k in (1, 2, 3)]
+    thirds += [relabel(*struct, rng) for struct in thirds]
+    for E in itertools.chain(stock_algebras(), (FinitePea(*struct) for struct in thirds)):
+        ideals = ideals_enumerate(E)
+        monkeypatch.setattr(decomp, "ideals_enumerate", lambda F: ideals)  # once per algebra
+        maximal = ref.subset_maximal([i.members for i in ideals.ideals], frozenset(E.elements()))
+        witness = ref.symmetry_witness(E)
+        assert is_symmetric(E) == SymmetryVerdict(witness is None, witness)
+        seen["asymmetric"] += witness is not None
+        assert [(E.lneg(a), E.rneg(a)) for a in E.elements()] == [
+            (ref.lneg(E, a), ref.rneg(E, a)) for a in E.elements()
+        ]
+        for s in states_finite(E):
+            L = lcm(*(v.denominator for v in s.values))
+            subgroups = [ScalarSubgroup.cyclic(L), ScalarSubgroup.cyclic(2 * L)]
+            if L == 1:
+                subgroups.append(ScalarSubgroup.quadratic(2))
+            for H in subgroups:
+                D = decomposition_from_state(E, s, H, allow_subset=True)
+                report = assert_kernels_match(E, D, maximal)
+                seen["ordered" if report.ordered else "unordered"] += 1
+                seen["cyclic"] += find_cyclic_system(E, D) is not None
+    assert min(seen.values()) >= 5, seen
+
+
+def sliced(E, H, *slices):
+    """A hand-built decomposition of E: (index, members) pairs, in order."""
+    return FiniteDecomposition(H, E, tuple((t, frozenset(m)) for t, m in slices), True)
+
+
+def root2(a, b):
+    return QuadraticNumber(a, b, 2)
+
+
+E2, E3, E4, E22 = finite_chain(2), finite_chain(3), finite_chain(4), boolean_algebra(2)
+HR2 = ScalarSubgroup.quadratic(2)
+HALF, QUARTER, THIRD = Fraction(1, 2), Fraction(1, 4), Fraction(1, 3)
+HAND_BUILT = [
+    ("empty slice", sliced(E2, H2, (f(0), {0, 1}), (HALF, ()), (f(1), {2}))),
+    ("overlapping slices", sliced(E2, H2, (f(0), {0, 1}), (HALF, {1}), (f(1), {2}))),
+    ("cover", sliced(E2, H2, (f(0), {0}), (f(1), {2}))),
+    ("negation law", sliced(E2, H2, (f(0), {0}), (HALF, {2}), (f(1), {1}))),
+    # 1 + 1 = 2 at 2/3 + 2/3, and at 1/4 + 1/4, where no slice lies
+    ("sum above one", sliced(E3, H4, (f(0), {0}), (THIRD, {2}), (2 * THIRD, {1}), (f(1), {3}))),
+    ("sum slice law", sliced(E3, H4, (f(0), {0}), (QUARTER, {1}), (3 * QUARTER, {2}), (f(1), {3}))),
+    # ordered, with sums past one; in the first, E_1/2 + E_1/2 is not E_1
+    ("negation law", sliced(E4, H2, (f(0), {0}), (HALF, {1, 2}), (f(1), {3, 4}))),
+    ("negation law", sliced(E4, H2, (f(0), {0}), (HALF, {1}), (f(1), {2, 3, 4}))),
+    # two slices at 3/4: a lookup by index finds the second, which misses lneg(1) = 3
+    ("negation law", sliced(E4, H4, (f(0), {0}), (QUARTER, {1}), (3 * QUARTER, {3}),
+                            (3 * QUARTER, {2}), (f(1), {4}))),
+    ("negation law", sliced(E22, HR2, (root2(0, 0), {0}), (root2(-1, 1), {1, 2}), (root2(1, 0), {3}))),
+    # sqrt 2 - 1 and 2 - sqrt 2 hold the atoms of 2^2
+    (None, sliced(E22, HR2, (root2(0, 0), {0}), (root2(-1, 1), {1}), (root2(2, -1), {2}),
+                  (root2(1, 0), {3}))),
+]
+
+
+@pytest.mark.parametrize("kind, D", HAND_BUILT, ids=[f"{kind}-{i}" for i, (kind, _) in enumerate(HAND_BUILT)])
+def test_hand_built_decompositions_match_the_reference(kind, D):
+    witness = ref.type_ii_violation(D)
+    assert (witness and witness[0]) == kind
+    ideals = [i.members for i in ideals_enumerate(D.pea).ideals]
+    assert_kernels_match(D.pea, D, ref.subset_maximal(ideals, frozenset(D.pea.elements())))
+
+
+def seeded_slicing(E, rng):
+    """Slices over Z/n at random indices that mostly respect the negations:
+    x at k/n puts lneg(x) and rneg(x) at 1 - k/n.  Some elements then move,
+    and some slices split in two at one index."""
+    n = rng.randint(1, 4)
+    index = {}
+    for x in rng.sample(range(E.size), E.size):
+        if x not in index:
+            index[x] = Fraction(rng.randint(0, n), n)
+            for y in (E.lneg(x), E.rneg(x)):
+                index.setdefault(y, 1 - index[x])
+    for x in rng.sample(range(E.size), rng.choice((0, 0, 1, 2))):
+        index[x] = Fraction(rng.randint(0, n), n)
+    slices = {}
+    for x, t in index.items():
+        slices.setdefault(t, set()).add(x)
+    parts = []
+    for t, members in sorted(slices.items()):
+        members = sorted(members)
+        cut = rng.randint(1, len(members)) if rng.random() < 0.1 else len(members)
+        parts += [(t, members[:cut])] + ([(t, members[cut:])] if cut < len(members) else [])
+    return sliced(E, ScalarSubgroup.cyclic(n), *parts)
+
+
+def test_finite_kernels_match_the_reference_on_seeded_slicings():
+    rng = random.Random(2210)
+    algebras = [finite_chain(n) for n in (1, 2, 3, 4, 5, 8)] + [boolean_algebra(k) for k in (2, 3, 4)]
+    algebras += [FinitePea(*hsum_table(k)) for k in (2, 3)] + [FinitePea(*cycle_table(n)) for n in (3, 4)]
+    algebras += [FinitePea(*relabel(E.size, E.zero, E.one, E.table, rng)) for E in algebras]
+    kinds, ordered = set(), set()
+    for E in algebras:
+        ideals = [i.members for i in ideals_enumerate(E).ideals]
+        maximal = ref.subset_maximal(ideals, frozenset(E.elements()))
+        for _ in range(40):
+            D = seeded_slicing(E, rng)
+            witness = ref.type_ii_violation(D)
+            kinds.add(witness and witness[0])
+            report = assert_kernels_match(E, D, maximal)
+            ordered.add(report.ordered)
+    assert kinds == {None, "negation law", "sum above one", "sum slice law"}, kinds
+    assert ordered == {True, False}

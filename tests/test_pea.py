@@ -27,6 +27,7 @@ from ordalg.pea import _axiom_failure, _is_normal_ideal
 from ordalg.scalars import ScalarSubgroup
 from ordalg.states import FiniteState, states_finite
 
+from finite_slices import scan_is_normal_ideal, subset_maximal
 from test_properties import TREES, strong_unit
 
 Z = g.ZZ
@@ -371,16 +372,6 @@ def test_zero_ideal_always_present():
         assert frozenset({E.zero}) in {i.members for i in report.ideals}
 
 
-def scan_is_normal_ideal(E, ideal):
-    """Reference: x + I and I + x by scanning the members through E.defined and E.add."""
-    for x in E.elements():
-        left = {E.add(x, i) for i in ideal if E.defined(x, i)}
-        right = {E.add(j, x) for j in ideal if E.defined(j, x)}
-        if left != right:
-            return False
-    return True
-
-
 def test_normal_ideals_match_the_member_scan():
     rng = random.Random(13)
     algebras = [finite_chain(n) for n in (1, 2, 5, 63)] + [boolean_algebra(k) for k in range(1, 7)]
@@ -429,8 +420,7 @@ def closure_ideals_enumerate(E):
                     found.add(grown)
                     frontier.append(grown)
     all_elements = frozenset(E.elements())
-    proper = [i for i in found if i != all_elements]
-    maximal = {i for i in proper if not any(i < j for j in proper)}
+    maximal = set(subset_maximal(found, all_elements))
     infos = tuple(
         IdealInfo(i, i in maximal, scan_is_normal_ideal(E, i))
         for i in sorted(found, key=lambda s: (len(s), sorted(s)))
@@ -441,15 +431,42 @@ def closure_ideals_enumerate(E):
 
 
 def test_ideals_match_the_closure_search():
+    # up to the caps where the reference takes under about 0.3 s a copy; on
+    # 2^6 it takes over 2 s
     rng = random.Random(9)
-    algebras = [finite_chain(n) for n in (1, 2, 4, 7)] + [boolean_algebra(k) for k in (3, 4)]
-    algebras += [FinitePea(*hsum_table(k)) for k in (3, 4)]
+    algebras = [finite_chain(n) for n in (1, 2, 4, 7, 40, 63)] + [boolean_algebra(k) for k in (3, 4, 5)]
+    algebras += [FinitePea(*hsum_table(k)) for k in (3, 4, 5)]
     algebras += [FinitePea(*cycle_table(n)) for n in (3, 4, 5)]
     for E in algebras:
         for size, zero, one, table in ((E.size, E.zero, E.one, E.table),
                                        relabel(E.size, E.zero, E.one, E.table, rng)):
             F = FinitePea(size, zero, one, table)
             assert ideals_enumerate(F) == closure_ideals_enumerate(F)
+
+
+def stock_algebras():
+    """Each stock table up to the caps, and one seeded relabelling of it."""
+    rng = random.Random("stock-algebras")
+    structs = [(n + 1, 0, n, chain_table(n)) for n in (1, 2, 3, 5, 8, 12, 24, 40, 63)]
+    structs += [(E.size, E.zero, E.one, E.table) for E in map(boolean_algebra, range(1, 7))]
+    structs += [hsum_table(k) for k in range(2, 8)]
+    structs += [cycle_table(n) for n in (3, 4, 5)]
+    for struct in structs:
+        yield FinitePea(*struct)
+        yield FinitePea(*relabel(*struct, rng))
+
+
+def test_maximal_flags_equal_the_subset_definition():
+    counts = set()
+    for E in stock_algebras():
+        report = ideals_enumerate(E)
+        ideals = [info.members for info in report.ideals]
+        assert [info.members for info in report.ideals if info.maximal] == subset_maximal(
+            ideals, frozenset(E.elements())
+        )
+        counts.add(sum(info.maximal for info in report.ideals))
+    # a chain has one maximal ideal, 2^k has k and the sum of k blocks 2^k
+    assert counts == {1, 2, 3, 4, 5, 6, 8, 16, 32, 64, 128}
 
 
 def test_infinitesimals_finite():
