@@ -56,7 +56,7 @@ for label, E2, H in (
     ("lex(Q, Z^2), unit (1,(0,0))", build_lex_pea(HQ, g.IntVector(2)), HQ),
     ("lex(Q, Z),   unit (1,1)", build_lex_pea(HQ, g.ZZ, F(1)), HQ),
 ):
-    report = classify_perfect(E2, H, seed=5)
+    report = classify_perfect(E2, H)
     print(
         f"  {label}: perfect={report.is_h_perfect} strong_cyclic={report.strong_cyclic} "
         f"divisible={report.strong_one_divisible} strong={report.is_strong_h_perfect}"

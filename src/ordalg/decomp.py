@@ -40,7 +40,6 @@ systems, divisibility, torsion-freeness).
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,7 +54,6 @@ from .pea import (
     _mask,
     cyclic_elements,
     ideals_enumerate,
-    infinitesimals,
     is_symmetric,
 )
 from .sampling import sample_element, sample_positive
@@ -147,12 +145,7 @@ def decomposition_from_state(E, s, H: ScalarSubgroup, allow_subset=False):
         buckets = {}
         for a in E.elements():
             buckets.setdefault(H.coerce(s(a)), set()).add(a)
-        proper = True
-        if H.is_dense:
-            proper = False
-        else:
-            full = {Fraction(k, H.n) for k in range(H.n + 1)}
-            proper = set(buckets) == full
+        proper = not H.is_dense and set(buckets) == {Fraction(k, H.n) for k in range(H.n + 1)}
         if not proper and not allow_subset:
             missing = "a dense set" if H.is_dense else "some grid points"
             raise PreconditionError(
@@ -193,8 +186,9 @@ def state_from_decomposition(E, D):
             raise PreconditionError(f"decomposition law fails: {witness}")
         values = [None] * E.size
         for t, members in D.slices:
+            value = _index_value(t)
             for a in members:
-                values[a] = Fraction(t) if not isinstance(t, Fraction) else t
+                values[a] = value
         if any(v is None for v in values):
             raise PreconditionError("slices do not cover the algebra")
         return FiniteState(tuple(values))
@@ -202,6 +196,13 @@ def state_from_decomposition(E, D):
         _require_unit_head(D.pea)  # the laws then hold by head arithmetic
         return FirstCoordinateState(D.pea)
     raise UnsupportedError(f"unsupported decomposition {D!r}")
+
+
+def _index_value(t):
+    """A rational index as a Fraction; a + b*sqrt(d) with b != 0 stays exact."""
+    if isinstance(t, QuadraticNumber):
+        return t if t.b != 0 else Fraction(t.a)
+    return Fraction(t)
 
 
 class _SliceBits:
@@ -216,10 +217,9 @@ class _SliceBits:
     """
 
     def __init__(self, D: FiniteDecomposition):
-        ts = [t for t, _ in D.slices]
-        quad = next((t for t in ts if isinstance(t, QuadraticNumber) and t.b != 0), None)
+        ts = [_index_value(t) for t, _ in D.slices]
+        quad = next((t for t in ts if isinstance(t, QuadraticNumber)), None)
         if quad is None:
-            ts = [Fraction(t.a if isinstance(t, QuadraticNumber) else t) for t in ts]
             self.L = lcm(*(t.denominator for t in ts))
             self.keys = [t.numerator * (self.L // t.denominator) for t in ts]
         else:
@@ -357,7 +357,7 @@ def _check_ordered_finite(E: FinitePea, D: FiniteDecomposition) -> OrderedReport
         return OrderedReport(False, bits.last_unordered_pair(up), agrees)
     index = {t: members for t, members in slices}
     e0 = index.get(D.H.zero(), frozenset())
-    inf_ok = set(e0) == infinitesimals(E)
+    inf_ok = e0 == {E.zero}  # the only infinitesimal of a finite algebra
     normal_ok = _is_normal_ideal(E, e0)
     # an undefined pair below one puts None among the sums of its slices
     additivity_ok = defined_all
@@ -431,7 +431,12 @@ class CyclicSystem:
 
 
 def find_cyclic_system(E, D, strong=False):
-    """A grid family c_t in E_t with c_s + c_t = c_{s+t} and c_1 = 1, or None."""
+    """A grid family c_t in E_t with c_s + c_t = c_{s+t} and c_1 = 1, or None.
+
+    A finite decomposition over Z/n tries the multiples of each cyclic element
+    of order n.  On a lex interval the family is c_t = (t, t*g0), additive by
+    construction, and None when some t*g0 does not exist in G.
+    """
     if isinstance(D, FiniteDecomposition):
         H = D.H
         if H.is_dense:
@@ -451,37 +456,19 @@ def find_cyclic_system(E, D, strong=False):
                 return CyclicSystem(tuple(entries), cand.strong)
         return None
     if isinstance(D, LexDecomposition):
-        E = D.pea
-        H = D.H
-        G = E.tail_group
-        g0 = E.tail_unit
+        # where tau = _integral_action is defined it is t -> t*g0 inside the
+        # one-parameter subgroup of g0 (roots are unique in every descriptor,
+        # and m + k*sqrt(d) acts through m), so tau is additive and c_1 is the
+        # unit; (t, tau(t)) lies in [0, (1, g0)] for every t in [0, 1], since
+        # the lex order reads the head first and tau(0) = 0
+        E, G, g0 = D.pea, D.pea.tail_group, D.pea.tail_unit
         entries = []
-        all_strong = True
         for t in D.grid:
             tail = _integral_action(G, g0, t)
             if tail is None:
                 return None
-            c = (t, tail)
-            if not E.contains(c):
-                return None
-            entries.append((t, c))
-            if not E.group.center_member(c):
-                all_strong = False
-        # additivity of the family on grid pairs; equal scalar values hash
-        # equal once coerced, so the entry at s + t is one lookup
-        by_head = {}
-        for t, c in entries:
-            by_head.setdefault(H.coerce(t), c)
-        one = H.one()
-        for s, cs in entries:
-            hs = H.coerce(s)
-            for t, ct in entries:
-                total = hs + H.coerce(t)
-                if compare(total, one) is Ordering.GT:
-                    continue
-                match = by_head.get(total)
-                if match is not None and E.add(cs, ct) != match:
-                    return None
+            entries.append((t, (t, tail)))
+        all_strong = all(E.group.center_member(c) for _, c in entries)
         if strong and not all_strong:
             return None
         return CyclicSystem(tuple(entries), all_strong)
@@ -523,23 +510,20 @@ class PerfectReport:
     missing_slice: object = None
 
 
-def classify_perfect(E, H: ScalarSubgroup, n_max=6, seed=0) -> PerfectReport:
-    """Full perfectness report for a finite algebra or a lex interval.
-
-    ``seed`` only drives the search for an asymmetry witness on a lex interval.
-    """
+def classify_perfect(E, H: ScalarSubgroup, n_max=6) -> PerfectReport:
+    """Full perfectness report for a finite algebra or a lex interval."""
     if isinstance(E, FinitePea):
         ordered_report, type_i, directness, cyc = _finite_slices(E, H)
         # torsion-freeness of an abstract ambient group is not determinable here
-        missing, tf, rng = None, None, None
+        missing, tf = None, None
     elif isinstance(E, IntervalPea) and E.is_lex_scalar:
         missing, ordered_report, type_i, directness, cyc = _lex_slices(E, H)
-        tf, rng = E.group.is_torsion_free(), random.Random(seed)
+        tf = E.group.is_torsion_free()
     else:
         raise UnsupportedError(f"unsupported algebra {E!r}")
     is_perfect = ordered_report is not None and ordered_report.ordered
     one_div, strong_div, first_fail, unique = _divisibility_scan(E, n_max)
-    sym = is_symmetric(E, rng).symmetric
+    sym = is_symmetric(E).symmetric
     strong_cyclic = bool(cyc and cyc.strong)
     # an undetermined torsion-freeness (None) does not block strong perfectness
     strong = bool(is_perfect and directness and strong_cyclic and tf is not False)

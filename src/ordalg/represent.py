@@ -87,7 +87,7 @@ class PhiMap:
         return (t, self._tail_group.add(gz, self._entry_tails(t)[0]))
 
 
-def phi_represent(E: IntervalPea, n_max=6, seed=0) -> PhiMap:
+def phi_represent(E: IntervalPea, n_max=6) -> PhiMap:
     """The representation map of a strong perfect interval algebra.
 
     The algebra is classified first; the canonical target shares the tail
@@ -96,7 +96,7 @@ def phi_represent(E: IntervalPea, n_max=6, seed=0) -> PhiMap:
     if not (isinstance(E, IntervalPea) and E.is_lex_scalar):
         raise UnsupportedError("representation needs a scalar-headed lex interval")
     H = E.head_subgroup
-    report = classify_perfect(E, H, n_max=n_max, seed=seed)
+    report = classify_perfect(E, H, n_max=n_max)
     if not report.is_strong_h_perfect:
         raise PreconditionError(
             "not a strong perfect algebra: "

@@ -16,7 +16,7 @@ search.
 from fractions import Fraction
 
 from ordalg.decomp import CyclicSystem, OrderedReport, TypeIReport
-from ordalg.pea import cyclic_elements, infinitesimals
+from ordalg.pea import cyclic_elements
 from ordalg.scalars import Ordering, compare
 
 
@@ -41,6 +41,20 @@ def rneg(E, a):
 def symmetry_witness(E):
     """The first element whose negations differ, or None."""
     return next((a for a in E.elements() if lneg(E, a) != rneg(E, a)), None)
+
+
+def infinitesimals(E):
+    """The a with na defined for every n: add a until a sum is undefined or
+    repeats (a finite table repeats or stops within E.size sums)."""
+    out = set()
+    for a in E.elements():
+        acc, seen = E.zero, set()
+        while acc is not None and acc not in seen:
+            seen.add(acc)
+            acc = E.add(acc, a)
+        if acc is not None:
+            out.add(a)
+    return out
 
 
 def scan_is_normal_ideal(E, ideal):

@@ -45,6 +45,7 @@ AFF = g.AffineQ()
 H2 = ScalarSubgroup.cyclic(2)
 H4 = ScalarSubgroup.cyclic(4)
 HQ = ScalarSubgroup.rationals()
+HR2 = ScalarSubgroup.quadratic(2)
 
 
 def f(x):
@@ -208,8 +209,9 @@ def test_cyclic_system_translated_unit():
 
 
 def cyclic_system_by_scan(E, D, strong=False):
-    """The lex branch of ``find_cyclic_system`` as it was, finding the entry at
-    s + t by a scan of all entries: the reference for the keyed lookup."""
+    """The lex branch of ``find_cyclic_system`` as it once was: each entry is
+    checked to lie in E, and additivity on grid pairs by a scan of all
+    entries.  The package takes both from the construction of c_t."""
     E, H = D.pea, D.H
     entries = []
     all_strong = True
@@ -236,55 +238,93 @@ def cyclic_system_by_scan(E, D, strong=False):
     return CyclicSystem(tuple(entries), all_strong)
 
 
-def test_keyed_cyclic_system_check_agrees_with_the_scan(monkeypatch):
-    # seeded lex intervals over Q, Z/n and Q[sqrt 2] heads (Z/n also read
-    # over a finer grid), Z, Z^2 and Aff tails with a central and a
-    # non-central Aff unit; a twisted action that shifts one slice's entry
-    # makes the additivity check itself fail
-    rng = random.Random(1010)
-    HS2 = ScalarSubgroup.quadratic(2)
-    Z2 = g.IntVector(2)
+Z2 = g.IntVector(2)
+PROD_Z_AFF = g.Product(Z, AFF)
+LEX_Z_AFF = g.Lex(Z, AFF)
+
+
+def seeded_lex_decompositions(rng, count):
+    """Lex intervals over Q, Z/n and Q[sqrt 2] heads (Z/n also read over a
+    finer grid) and Z, Z^2, Aff, prod(Z, Aff) and lex(Z, Aff) tails, with
+    central and non-central Aff units; some units are not divisible."""
+    aff = lambda: rng.choice(((f(1), f(0)), (f(2), f(0)), (f(64), f(rng.randint(-3, 3)))))
     units = {
         Z: lambda: f(rng.choice((0, 60, -120, rng.randint(-3, 3)))),
         Z2: lambda: (rng.choice((0, 60, rng.randint(-3, 3))), rng.choice((0, -60, 1))),
-        AFF: lambda: rng.choice(((f(1), f(0)), (f(2), f(0)), (f(64), f(rng.randint(-3, 3))))),
+        AFF: aff,
+        PROD_Z_AFF: lambda: (rng.choice((0, 60, rng.randint(-3, 3))), aff()),
+        LEX_Z_AFF: lambda: (rng.choice((0, 60, rng.randint(-3, 3))), aff()),
     }
-    shifts = {Z: f(1), Z2: (1, 0), AFF: (f(1), f(1))}
+    for _ in range(count):
+        head = rng.choice((HQ, HR2, *(ScalarSubgroup.cyclic(n) for n in range(1, 7))))
+        G = rng.choice(tuple(units))
+        E = lex_pea(head, G, units[G]())
+        H, allow = head, False
+        if not head.is_dense and rng.random() < 0.3:
+            H, allow = ScalarSubgroup.cyclic(head.n * rng.randint(2, 3)), True
+        yield decomposition_from_state(E, FirstCoordinateState(E), H, allow_subset=allow)
+
+
+def test_keyed_cyclic_system_check_agrees_with_the_scan():
+    # find_cyclic_system builds c_t = (t, t*g0) without checking it; the scan
+    # reference checks membership and additivity and must find the same family
+    outcomes = {"system": 0, "strong": 0, "none": 0}
+    for D in seeded_lex_decompositions(random.Random(1010), 60):
+        for strong in (False, True):
+            got = find_cyclic_system(D.pea, D, strong=strong)
+            assert got == cyclic_system_by_scan(D.pea, D, strong=strong), (D.pea, D.H, strong)
+            outcomes["none" if got is None else "strong" if got.strong else "system"] += 1
+    assert min(outcomes.values()) >= 5, outcomes
+
+
+def test_integral_action_is_additive_inside_the_interval():
+    # the reason the package skips the reference's checks: where t*g0 exists
+    # for s and t it exists for s + t and is the sum, and (t, t*g0) lies in
+    # [0, (1, g0)]
+    pairs = 0
+    for D in seeded_lex_decompositions(random.Random(1011), 60):
+        E, G, g0 = D.pea, D.pea.tail_group, D.pea.tail_unit
+        tau = {t: decomp._integral_action(G, g0, t) for t in D.grid}
+        for t, tail in tau.items():
+            assert tail is None or E.contains((t, tail))
+        for s, t in itertools.product(D.grid, repeat=2):
+            total = D.H.coerce(s) + D.H.coerce(t)
+            if tau[s] is None or tau[t] is None or compare(total, D.H.one()) is Ordering.GT:
+                continue
+            assert g.add(G, tau[s], tau[t]) == decomp._integral_action(G, g0, total), (E, s, t)
+            pairs += 1
+    assert pairs >= 500, pairs
+
+
+def test_scan_reference_rejects_a_twisted_action(monkeypatch):
+    # shifting one grid entry off t*g0 breaks membership or additivity, and the
+    # reference sees it: its checks are not vacuous on these cases
+    shifts = {Z: f(1), Z2: (1, 0), AFF: (f(1), f(1)), PROD_Z_AFF: (1, (f(1), f(1))),
+              LEX_Z_AFF: (1, (f(1), f(1)))}
     action = decomp._integral_action
     twist = {}
 
     def twisted(G, g0, t):
         tail = action(G, g0, t)
-        if tail is not None and twist.get("at") == t:
+        if tail is not None and twist["at"] == t:
             tail = g.add(G, tail, shifts[G])
         return tail
 
     monkeypatch.setattr(decomp, "_integral_action", twisted)
-    outcomes = {"system": 0, "none": 0, "twisted_none": 0}
-    for _ in range(48):
-        head = rng.choice((HQ, HS2, *(ScalarSubgroup.cyclic(n) for n in range(1, 7))))
-        G = rng.choice((Z, Z2, AFF))
-        E = lex_pea(head, G, units[G]())
-        H, allow = head, False
-        if not head.is_dense and rng.random() < 0.3:
-            H, allow = ScalarSubgroup.cyclic(head.n * rng.randint(2, 3)), True
-        D = decomposition_from_state(E, FirstCoordinateState(E), H, allow_subset=allow)
-        twist["at"] = rng.choice(D.grid) if rng.random() < 0.4 else None
-        for strong in (False, True):
-            keyed = find_cyclic_system(E, D, strong=strong)
-            assert keyed == cyclic_system_by_scan(E, D, strong=strong), (E, H, twist, strong)
-            if keyed is not None:
-                outcomes["system"] += 1
-            elif twist["at"] is None:
-                outcomes["none"] += 1
-            else:
-                outcomes["twisted_none"] += 1
-    assert min(outcomes.values()) >= 5, outcomes
+    rejected = 0
+    for D in seeded_lex_decompositions(random.Random(1012), 60):
+        twist["at"] = None
+        if cyclic_system_by_scan(D.pea, D) is None:
+            continue
+        twist["at"] = random.Random(len(D.grid)).choice(D.grid)
+        assert cyclic_system_by_scan(D.pea, D) is None, (D.pea, D.H, twist)
+        rejected += 1
+    assert rejected >= 10, rejected
 
 
 def test_classify_strong_q_perfect():
     E = lex_pea(HQ, g.IntVector(2), (0, 0))
-    report = classify_perfect(E, HQ, seed=11)
+    report = classify_perfect(E, HQ)
     assert report.is_h_perfect
     assert report.directness
     assert report.strong_cyclic
@@ -312,13 +352,13 @@ def test_lex_classification_builds_one_grid_per_subgroup(monkeypatch, head, H, G
             return grid(self, max_den, coeff_bound)
 
         monkeypatch.setattr(cls, "grid", counting)
-    classify_perfect(lex_pea(head, G, g0), H, seed=3)
+    classify_perfect(lex_pea(head, G, g0), H)
     assert calls and max(calls.values()) == 1, calls
 
 
 def test_classify_missing_slice():
     E = lex_pea(ScalarSubgroup.cyclic(1), Z, f(0))
-    report = classify_perfect(E, HQ, seed=13)
+    report = classify_perfect(E, HQ)
     assert not report.is_h_perfect
     # a fractional slice index with no members witnesses the failure, and the
     # cyclic-element search fails at the matching order
@@ -351,7 +391,7 @@ def test_classify_reads_each_cyclic_element_list_once(monkeypatch, H, E, expecte
 
 def test_classify_translated_unit_divisibility_failure():
     E = lex_pea(HQ, Z, f(1))
-    report = classify_perfect(E, HQ, seed=17)
+    report = classify_perfect(E, HQ)
     assert not report.strong_one_divisible
     assert report.first_divisibility_failure == 2
     assert not report.is_strong_h_perfect
@@ -360,12 +400,12 @@ def test_classify_translated_unit_divisibility_failure():
 def test_classify_affine_tail_unit_matters():
     H1 = ScalarSubgroup.cyclic(1)
     off_center = lex_pea(H1, AFF, (f(2), f(0)))
-    report = classify_perfect(off_center, H1, seed=19)
+    report = classify_perfect(off_center, H1)
     assert report.is_h_perfect
     assert not report.strong_cyclic
     assert not report.symmetric
     centered = lex_pea(H1, AFF, (f(1), f(0)))
-    report2 = classify_perfect(centered, H1, seed=19)
+    report2 = classify_perfect(centered, H1)
     assert report2.strong_cyclic
     assert report2.symmetric
 
@@ -440,7 +480,7 @@ def test_check_ordered_quadratic_head():
 def test_cyclic_head_gives_n_perfect():
     H3 = ScalarSubgroup.cyclic(3)
     E = lex_pea(H3, g.IntVector(2), (0, 0))
-    report = classify_perfect(E, H3, seed=31)
+    report = classify_perfect(E, H3)
     assert report.is_h_perfect and report.is_strong_h_perfect
 
 
@@ -590,7 +630,6 @@ def root2(a, b):
 
 
 E2, E3, E4, E22 = finite_chain(2), finite_chain(3), finite_chain(4), boolean_algebra(2)
-HR2 = ScalarSubgroup.quadratic(2)
 HALF, QUARTER, THIRD = Fraction(1, 2), Fraction(1, 4), Fraction(1, 3)
 HAND_BUILT = [
     ("empty slice", sliced(E2, H2, (f(0), {0, 1}), (HALF, ()), (f(1), {2}))),
@@ -619,6 +658,23 @@ def test_hand_built_decompositions_match_the_reference(kind, D):
     assert (witness and witness[0]) == kind
     ideals = [i.members for i in ideals_enumerate(D.pea).ideals]
     assert_kernels_match(D.pea, D, ref.subset_maximal(ideals, frozenset(D.pea.elements())))
+
+
+def test_round_trip_over_a_quadratic_subgroup():
+    # rational indices come back as Fractions, irrational ones stay exact
+    E = boolean_algebra(1)
+    s = states_finite(E)[0]
+    D = decomposition_from_state(E, s, HR2, allow_subset=True)
+    back = state_from_decomposition(E, D)
+    assert back.values == s.values and {type(v) for v in back.values} == {Fraction}
+    assert decomposition_from_state(E, back, HR2, allow_subset=True) == D
+    # sqrt 2 - 1 and 2 - sqrt 2 hold the atoms of 2^2
+    D = HAND_BUILT[-1][1]
+    s = state_from_decomposition(E22, D)
+    assert s.values == (f(0), root2(-1, 1), root2(2, -1), f(1))
+    assert [type(v) for v in s.values] == [Fraction, QuadraticNumber, QuadraticNumber, Fraction]
+    back = decomposition_from_state(E22, s, HR2, allow_subset=True)
+    assert back.slices == D.slices and not back.proper
 
 
 def seeded_slicing(E, rng):

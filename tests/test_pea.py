@@ -27,6 +27,7 @@ from ordalg.pea import _axiom_failure, _is_normal_ideal
 from ordalg.scalars import ScalarSubgroup
 from ordalg.states import FiniteState, states_finite
 
+from finite_slices import infinitesimals as scan_infinitesimals
 from finite_slices import scan_is_normal_ideal, subset_maximal
 from test_properties import TREES, strong_unit
 
@@ -472,6 +473,25 @@ def test_maximal_flags_equal_the_subset_definition():
 def test_infinitesimals_finite():
     assert infinitesimals(finite_chain(2)) == {0}
     assert infinitesimals(boolean_algebra(2)) == {0}
+
+
+def test_finite_infinitesimals_are_zero_on_every_accepted_table():
+    # infinitesimals answers {0} on a finite algebra by cancellation; the
+    # element loop agrees on the stock tables, their relabellings and the
+    # mutated tables that pass the axiom check
+    rng = random.Random(20261021)
+    algebras = list(stock_algebras())
+    mutated = 0
+    for _ in range(12):
+        for size, zero, one, table in stock_tables(rng):
+            for _ in range(3):
+                verdict = check_pea_axioms(size, zero, one, mutate(size, one, table, rng))
+                if verdict.valid:
+                    algebras.append(verdict.pea)
+                    mutated += 1
+    assert mutated > 20
+    for E in algebras:
+        assert scan_infinitesimals(E) == infinitesimals(E) == {E.zero}
 
 
 def test_infinitesimals_symbolic():

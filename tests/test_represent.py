@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 
 from ordalg import groups as g
+from ordalg.cli import _parse_hom
 from ordalg.decomp import _integral_action
 from ordalg.errors import PreconditionError, UnsupportedError
 from ordalg.pea import IntervalPea
 from ordalg.represent import (
     DifferenceGroup,
     GroupHom,
+    PeaHom,
     PhiMap,
     build_lex_pea,
     difference_group,
@@ -22,7 +24,10 @@ from ordalg.represent import (
     phi_represent,
     verify_isomorphism,
 )
+from ordalg.parsing import parse_descriptor, parse_subgroup
 from ordalg.scalars import Ordering, ScalarSubgroup, compare, grid_points
+
+from test_cli_golden import CASES
 
 Z = g.ZZ
 Z2 = g.IntVector(2)
@@ -314,6 +319,25 @@ def test_functor_composition_law():
     for _ in range(100):
         x = Eh1.source.sample(rng)
         assert E2(x) == Eh2(Eh1(x))
+
+
+@pytest.mark.parametrize("name", [name for name, argv in CASES.items() if argv[0] == "functor"])
+def test_functor_laws_hold_on_the_golden_cases(name):
+    # `ordalg functor` prints both laws as True by construction; sample them
+    # on each golden case: the identity lift and the lift of h after the
+    # identity, against the lift the verb builds
+    opts = dict(zip(CASES[name][1::2], CASES[name][2::2]))
+    G = parse_descriptor(opts["--G"])
+    h = _parse_hom(opts["--hom"], G)
+    rng = random.Random(0)
+    lifted = functor_map(h, parse_subgroup(opts["--H"]), rng, int(opts.get("--samples", 100)))
+    identity = GroupHom(G, G, ("identity",))
+    ident = PeaHom(lifted.source, lifted.source, identity)
+    composed = PeaHom(lifted.source, lifted.target, hom_compose(h, identity))
+    for _ in range(200):
+        x = lifted.source.sample(rng)
+        assert ident(x) == x
+        assert composed(x) == lifted(x)
 
 
 def test_faithfulness_witness():
