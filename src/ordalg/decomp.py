@@ -435,12 +435,13 @@ def find_cyclic_system(E, D, strong=False):
 
     A finite decomposition over Z/n tries the multiples of each cyclic element
     of order n.  On a lex interval the family is c_t = (t, t*g0), additive by
-    construction, and None when some t*g0 does not exist in G.
+    construction, and None when some t*g0 does not exist in G.  A
+    decomposition that is not proper has an empty slice, with no c_t.
     """
     if isinstance(D, FiniteDecomposition):
         H = D.H
-        if H.is_dense:
-            return None  # finite algebras cannot meet a dense grid
+        if H.is_dense or not D.proper:
+            return None  # a dense grid, or an empty slice: no c_t
         index = dict(D.slices)
         grid = [Fraction(k, H.n) for k in range(H.n + 1)]
         for cand in cyclic_elements(E, H.n):
@@ -461,6 +462,8 @@ def find_cyclic_system(E, D, strong=False):
         # and m + k*sqrt(d) acts through m), so tau is additive and c_1 is the
         # unit; (t, tau(t)) lies in [0, (1, g0)] for every t in [0, 1], since
         # the lex order reads the head first and tau(0) = 0
+        if not D.proper:
+            return None
         E, G, g0 = D.pea, D.pea.tail_group, D.pea.tail_unit
         entries = []
         for t in D.grid:

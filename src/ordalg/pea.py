@@ -158,68 +158,51 @@ class FinitePea:
 def _axiom_failure(size, zero, one, table):
     """The first failing check (range, PE1..PE4) with its smallest witness, or None.
 
-    The witness is the lexicographically smallest failing triple for PE1,
-    pair for PE3 and element for PE2 and PE4.  Only a triple with
-    (a + b) + c or a + (b + c) defined can break PE1, so PE1 goes row by
-    row, a ascending, and returns at the first row with a failure: the
-    smallest failing triple there is the smallest overall.  At row a it
-    walks the left-defined triples (a, b) -> ab, c in rows[ab], and counts
-    them.  If none fails, each is also right-defined, so it is enough that
-    they are as many as the right-defined triples at a: the defined pairs
-    b + c = d over d in rows[a], counted in one pass over the table.  Equal
-    counts certify the row.  Otherwise a walk over the right-defined
-    triples, (b, c) -> d with a + d defined, adds those that are not
-    left-defined; valid tables never take it, and it runs at most once.
-    PE2 and PE3 read the same rows and columns.
+    Raises on a size past the cap or zero/one out of range.  The witness is
+    the lexicographically smallest failing triple for PE1, pair for PE3 and
+    element for PE2 and PE4.  The checks compare byte rows: ``rows[x][c]``
+    is x + c, or the sentinel n where undefined, and ``rows[n]`` and the
+    last column are all sentinel.  PE1 at row a is one ``translate`` of all
+    the rows b + c through row a, giving a + (b + c), against the rows
+    a + b joined, giving (a + b) + c; the first differing byte names (b, c).
+    PE3 holds exactly when every element has the same set of sums in its
+    row as in its column: pairs (x, b) give one inclusion, pairs (a, x) the
+    other.
     """
-    els = range(size)
-    for (i, j), k in table.items():
-        if not (0 <= i < size and 0 <= j < size and 0 <= k < size):
-            return AxiomFailure("table", (i, j, k))
-
-    def add(a, b):
-        return table.get((a, b))
-
-    rows = [{} for _ in els]  # rows[x][c] = x + c
-    cols = [{} for _ in els]  # cols[x][d] = d + x
-    sum_counts = [0] * size  # sum_counts[d] = the number of defined pairs b + c = d
+    n = size
+    if n > MAX_FINITE_SIZE:
+        raise UnsupportedError(f"finite algebras are capped at {MAX_FINITE_SIZE} elements")
+    if not (0 <= zero < n and 0 <= one < n):
+        raise PreconditionError("zero/one designators out of range")
+    rows = [bytearray([n]) * (n + 1) for _ in range(n + 1)]
     for (a, b), s in table.items():
+        if not (0 <= a < n and 0 <= b < n and 0 <= s < n):
+            return AxiomFailure("table", (a, b, s))
         rows[a][b] = s
-        cols[b][a] = s
-        sum_counts[s] += 1
+    rows = [bytes(row) for row in rows]
+    block = b"".join(rows)
+    pad = bytes([n]) * (255 - n)  # completes a row to a 256-byte translate table
     # PE1: associativity of definedness and of values
-    for a in els:
-        row_a = rows[a]
-        failures = []
-        left_defined = 0
-        for b, ab in row_a.items():
-            row_b = rows[b]
-            row_ab = rows[ab]
-            left_defined += len(row_ab)
-            for c, abc in row_ab.items():
-                bc = row_b.get(c)
-                if bc is None or row_a.get(bc) != abc:
-                    failures.append((a, b, c))
-        if failures or left_defined != sum(sum_counts[d] for d in row_a):
-            for (b, c), bc in table.items():
-                if bc in row_a:
-                    ab = row_a.get(b)
-                    if ab is None or c not in rows[ab]:
-                        failures.append((a, b, c))
-            return AxiomFailure("PE1", min(failures))
+    for a, row in enumerate(rows[:n]):
+        left = block.translate(row + pad)
+        right = b"".join(map(rows.__getitem__, row))
+        if left != right:
+            i = next(i for i, (x, y) in enumerate(zip(left, right)) if x != y)
+            return AxiomFailure("PE1", (a, *divmod(i, n + 1)))
+    cols = [block[x :: n + 1] for x in range(n + 1)]  # cols[x][d] = d + x
     # PE2: unique right and left complements to one
-    for a in els:
-        if list(rows[a].values()).count(one) != 1 or list(cols[a].values()).count(one) != 1:
+    for a in range(n):
+        if rows[a].count(one) != 1 or cols[a].count(one) != 1:
             return AxiomFailure("PE2", (a,))
     # PE3: every defined sum shifts to both sides
-    row_sums = [set(row.values()) for row in rows]
-    col_sums = [set(col.values()) for col in cols]
-    failures = [(a, b) for (a, b), s in table.items() if s not in col_sums[a] or s not in row_sums[b]]
-    if failures:
+    row_sums = [set(row) for row in rows]
+    col_sums = [set(col) for col in cols]
+    if row_sums != col_sums:
+        failures = [(a, b) for (a, b), s in table.items() if s not in col_sums[a] or s not in row_sums[b]]
         return AxiomFailure("PE3", min(failures))
     # PE4: one is a forbidden summand except against zero
-    for a in els:
-        if (add(a, one) is not None or add(one, a) is not None) and a != zero:
+    for a in range(n):
+        if a != zero and (rows[one][a] != n or cols[one][a] != n):
             return AxiomFailure("PE4", (a,))
     return None
 
@@ -233,10 +216,6 @@ class AxiomVerdict:
 
 def check_pea_axioms(size, zero, one, table) -> AxiomVerdict:
     """Exhaustively verify PE1-PE4 for a partial addition table."""
-    if size > MAX_FINITE_SIZE:
-        raise UnsupportedError(f"finite algebras are capped at {MAX_FINITE_SIZE} elements")
-    if not (0 <= zero < size and 0 <= one < size):
-        raise PreconditionError("zero/one designators out of range")
     table = dict(table)
     failure = _axiom_failure(size, zero, one, table)
     if failure is not None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import UnsupportedError
 from .pea import FinitePea, IntervalPea
@@ -170,7 +171,7 @@ def extreme_rays(rows):
 
 
 def _dot(row, ray):
-    return sum(a * b for a, b in zip(row, ray))
+    return sum(map(mul, row, ray))
 
 
 # ---------------------------------------------------------------------------

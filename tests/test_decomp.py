@@ -208,10 +208,23 @@ def test_cyclic_system_translated_unit():
     assert entries[Fraction(1)] == E.one
 
 
+def test_cyclic_system_of_an_empty_slice_is_none():
+    # gamma(lex(Z/2, Z), (1, 0)) read over Z/4 has empty slices at 1/4 and
+    # 3/4: no element of E has those heads, so there is no c_t there
+    E = lex_pea(ScalarSubgroup.cyclic(2), Z, 0)
+    D = decomposition_from_state(E, FirstCoordinateState(E), H4, allow_subset=True)
+    assert not D.proper
+    assert find_cyclic_system(E, D) is None
+    assert find_cyclic_system(E, D, strong=True) is None
+    assert classify_perfect(E, H4).missing_slice == Fraction(1, 4)
+
+
 def cyclic_system_by_scan(E, D, strong=False):
     """The lex branch of ``find_cyclic_system`` as it once was: each entry is
     checked to lie in E, and additivity on grid pairs by a scan of all
-    entries.  The package takes both from the construction of c_t."""
+    entries.  The package takes both from the construction of c_t.  A head
+    outside the head subgroup is an empty slice (``E.contains`` reads the
+    order alone), so it has no c_t."""
     E, H = D.pea, D.H
     entries = []
     all_strong = True
@@ -220,7 +233,7 @@ def cyclic_system_by_scan(E, D, strong=False):
         if tail is None:
             return None
         c = (t, tail)
-        if not E.contains(c):
+        if not (E.head_subgroup.contains(t) and E.contains(c)):
             return None
         entries.append((t, c))
         if not E.group.center_member(c):

@@ -1,16 +1,25 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every module imported anywhere is the stdlib's, the package's or a sibling's.
 
 A stdlib ``ast`` scan stands in for a linter: a deleted call site must take
 its import along.  A name counts as used when it appears as a bare name or
-the base of an attribute, or in the module's ``__all__``.
+the base of an attribute, or in the module's ``__all__``.  The second scan
+keeps optional local tools (``hypothesis``, ``sympy``, ``pytest-benchmark``)
+out of the package, the suite, the benchmark and the demos; the tests may
+import ``pytest`` as well.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ordalg"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ordalg"
+SOURCES = sorted(
+    path for folder in (PACKAGE, ROOT / "tests", ROOT / "perfbench", ROOT / "demos") for path in folder.glob("*.py")
+)
 
 
 def unused_imports(source):
@@ -40,3 +49,31 @@ def test_the_scan_finds_an_unused_import():
     assert unused_imports("import random\nimport os\nos.getcwd()\n") == [(1, "random")]
     assert unused_imports("from a import b as c, d\nd()\n") == [(1, "c")]
     assert unused_imports("from a import b\n__all__ = ['b']\n") == []
+
+
+def foreign_imports(source, allowed):
+    """Top-level names of the absolute imports that are not stdlib, ``ordalg`` or in ``allowed``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found.update(name.split(".")[0] for name in names)
+    return sorted(found - set(sys.stdlib_module_names) - {"ordalg"} - allowed)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_imports_are_stdlib_the_package_or_a_sibling(path):
+    allowed = {sibling.stem for sibling in path.parent.glob("*.py")}
+    if path.parent.name == "tests":
+        allowed.add("pytest")
+    assert foreign_imports(path.read_text(encoding="utf-8"), allowed) == []
+
+
+def test_the_scan_finds_a_foreign_import():
+    source = "import os.path\nimport hypothesis.strategies\nfrom sympy import Rational\nfrom . import groups\n"
+    assert foreign_imports(source, set()) == ["hypothesis", "sympy"]
+    assert foreign_imports("import pytest\nimport ordalg.pea\nimport helper\n", {"helper"}) == ["pytest"]

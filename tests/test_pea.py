@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ordalg import groups as g
-from ordalg.errors import PreconditionError
+from ordalg.errors import PreconditionError, UnsupportedError
 from ordalg.pea import (
     AxiomFailure,
     FinitePea,
@@ -288,15 +288,57 @@ def test_axiom_failure_passes_the_largest_stock_algebras():
     assert _axiom_failure(E.size, E.zero, E.one, E.table) is None
 
 
+def out_of_range(size, table, rng):
+    """The table with one key or value replaced by -1 or size."""
+    table = dict(table)
+    (i, j), k = rng.choice(sorted(table.items()))
+    del table[(i, j)]
+    entry = [i, j, k]
+    entry[rng.randrange(3)] = rng.choice((-1, size))
+    table[tuple(entry[:2])] = entry[2]
+    return table
+
+
 def test_axiom_failure_matches_the_exhaustive_scan_at_the_caps():
+    # sizes up to 64, where the byte rows' sentinel is 64; arc tables fail
+    # PE3 alone, the group Z/64 PE4 alone, and the n = 1 tables the range
+    # check, PE2 or nothing
     rng = random.Random(20261019)
     B = boolean_algebra(6)
-    for algebra in ((64, 0, 63, chain_table(63)), (B.size, B.zero, B.one, B.table)):
-        for _ in range(10):
+    algebras = [
+        (64, 0, 63, chain_table(63)), (B.size, B.zero, B.one, B.table), hsum_table(31),
+        cycle_table(62), arc_table(8), arc_table(4), hsum_table(9), (33, 0, 32, chain_table(32)),
+        (64, 0, 1, {(i, j): (i + j) % 64 for i in range(64) for j in range(64)}),
+    ]
+    cases = [(1, 0, 0, table) for table in ({(0, 0): 0}, {}, {(0, 0): 1}, {(0, -1): 0}, {(-1, 0): 0})]
+    for algebra in algebras:
+        for _ in range(3):
             size, zero, one, table = relabel(*algebra, rng)
-            mutated = mutate(size, one, table, rng)
-            failure = _axiom_failure(size, zero, one, mutated)
-            assert failure == exhaustive_axiom_failure(size, zero, one, mutated)
+            mutated = [mutate(size, one, table, rng) for _ in range(3)] + [out_of_range(size, table, rng)]
+            cases += [(size, zero, one, t) for t in [table] + mutated]
+    axioms = set()
+    for size, zero, one, table in cases:
+        failure = _axiom_failure(size, zero, one, table)
+        assert failure == exhaustive_axiom_failure(size, zero, one, table)
+        axioms.add(None if failure is None else failure.axiom)
+    assert axioms == {None, "table", "PE1", "PE2", "PE3", "PE4"}
+
+
+def test_size_cap_and_designators_hold_on_every_route():
+    with pytest.raises(UnsupportedError, match="capped at 64 elements"):
+        check_pea_axioms(65, 0, 64, chain_table(64))
+    with pytest.raises(UnsupportedError, match="capped at 64 elements"):
+        FinitePea(65, 0, 64, chain_table(64))
+    with pytest.raises(UnsupportedError, match="capped at 64 elements"):
+        finite_chain(64)
+    with pytest.raises(UnsupportedError, match="capped at 64 elements"):
+        boolean_algebra(7)
+    assert finite_chain(63).size == boolean_algebra(6).size == 64
+    for zero, one in ((0, 3), (-1, 2), (3, 2)):
+        with pytest.raises(PreconditionError, match="zero/one designators out of range"):
+            check_pea_axioms(3, zero, one, chain_table(2))
+        with pytest.raises(PreconditionError, match="zero/one designators out of range"):
+            FinitePea(3, zero, one, chain_table(2))
 
 
 def pe1_row_failures(size, table, a):
@@ -321,7 +363,7 @@ def without(size, zero, one, table, pair):
 
 
 # (algebra, its PE1 witness, whether the left-defined triples at the
-# witness's row all pass, so that only their count gives the row away)
+# witness's row all pass, so that only its right-defined triples fail)
 PE1_ROWS = [
     # a deleted 0 + 1: the failures at row 0 are right-defined alone
     (without(4, 0, 3, chain_table(3), (0, 1)), (0, 1, 1), True),
