@@ -404,8 +404,8 @@ def _default_seed():
         raise PreconditionError(f"ORDALG_SEED must be an integer, got {value!r}") from None
 
 
-def build_parser(verbs=VERBS):
-    """The parser for ``verbs``, a part of ``VERBS`` (by default all of it)."""
+def build_parser():
+    """The parser holding every verb; main asks it only for the top-level messages."""
     parser = argparse.ArgumentParser(
         prog="ordalg",
         description="Exact checks for ordered groups, refinement tables, "
@@ -414,57 +414,32 @@ def build_parser(verbs=VERBS):
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     seed = _default_seed()
-    # a parser for some verbs still names them all in its usage line; the
-    # full one keeps "verb" as the name in its invalid-choice message
-    metavar = None if verbs.keys() == VERBS.keys() else "{" + ",".join(VERBS) + "}"
-    sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
-    for name, (help_text, add_arguments, _handler) in verbs.items():
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for name, (help_text, add_arguments, _handler) in VERBS.items():
         add_arguments(sub.add_parser(name, help=help_text), seed)
     return parser
 
 
-class _Declined(Exception):
-    """A usage error or help request met by the standalone parser of a verb."""
+def _parse_args(argv):
+    """argv read by the parser of its verb, which prints that verb's help and errors.
 
-
-class _VerbParser(argparse.ArgumentParser):
-    """A parser that prints nothing: it declines errors and help to build_parser."""
-
-    def error(self, message):
-        raise _Declined
-
-    def print_help(self, file=None):
-        raise _Declined
-
-
-def _parse_one_verb(argv):
-    """argv read by a standalone parser of its verb, or None.
-
-    The namespace is the one build_parser gives, ``verb`` included.  None
-    when argv names no verb, or on a usage error, a help request or a bad
-    ORDALG_SEED: build_parser prints those.
+    A missing or unknown verb and leftover arguments go to build_parser,
+    which prints them as the parser of every verb.
     """
-    if not argv or argv[0] not in VERBS:
-        return None
-    parser = _VerbParser(prog=f"ordalg {argv[0]}")
-    try:
+    if argv and argv[0] in VERBS:
+        parser = argparse.ArgumentParser(prog=f"ordalg {argv[0]}")
         VERBS[argv[0]][1](parser, _default_seed())
-        return parser.parse_args(argv[1:], argparse.Namespace(verb=argv[0]))
-    except (_Declined, PreconditionError):
-        return None
+        args, extra = parser.parse_known_args(argv[1:], argparse.Namespace(verb=argv[0]))
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     out = []
     try:
-        # a standalone parser of the named verb builds and parses in half the
-        # time of the subcommand parser; errors and help keep that parser's
-        # bytes, and those of a missing or unknown verb need every verb
-        args = _parse_one_verb(argv)
-        if args is None:
-            verbs = {argv[0]: VERBS[argv[0]]} if argv and argv[0] in VERBS else VERBS
-            args = build_parser(verbs).parse_args(argv)
+        args = _parse_args(argv)
         code = VERBS[args.verb][2](args, out)
     except (OrdalgError, OSError, UnicodeDecodeError) as err:
         out.append(f"error: {err}")

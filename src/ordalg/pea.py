@@ -122,20 +122,6 @@ class FinitePea:
 
     # -- derived operations ----------------------------------------------------
 
-    def minus_right(self, a, b):
-        """The c with a + c = b, or None."""
-        for c in self.elements():
-            if self.add(a, c) == b:
-                return c
-        return None
-
-    def minus_left(self, b, a):
-        """The d with d + a = b, or None."""
-        for d in self.elements():
-            if self.add(d, a) == b:
-                return d
-        return None
-
     def lneg(self, a):
         return self._bits.lneg[a]
 
@@ -481,15 +467,6 @@ def infinitesimals(E):
 # cyclic elements, symmetry, exchange
 
 
-def _finite_commutes_with_all(E: FinitePea, a) -> bool:
-    for x in E.elements():
-        if E.defined(x, a) != E.defined(a, x):
-            return False
-        if E.defined(x, a) and E.add(x, a) != E.add(a, x):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class CyclicElement:
     element: object
@@ -507,8 +484,10 @@ def cyclic_elements(E, n: int):
     if n < 1:
         raise PreconditionError("order must be >= 1")
     if isinstance(E, FinitePea):
+        # a commutes with all of E when its row {x: a + x} is its column {x: x + a}
+        right, left = E._sum_rows
         return [
-            CyclicElement(a, n, _finite_commutes_with_all(E, a))
+            CyclicElement(a, n, dict(right[a]) == dict(left[a]))
             for a in E.elements()
             if E.times(n, a) == E.one
         ]
@@ -566,10 +545,10 @@ def cyclic_exchange_check(E, c, max_order=64, rng=None, samples=200) -> Exchange
     if order is None:
         raise PreconditionError("c is not cyclic (no n <= max_order with nc = 1)")
     if isinstance(E, FinitePea):
-        for x in E.elements():
-            if E.defined(x, c) != E.defined(c, x):
-                return ExchangeVerdict(False, x, exhaustive=True)
-        return ExchangeVerdict(True, exhaustive=True)
+        # the x with exactly one of c + x and x + c defined
+        right, left = E._sum_rows
+        lonely = {x for x, _ in right[c]} ^ {x for x, _ in left[c]}
+        return ExchangeVerdict(not lonely, min(lonely, default=None), exhaustive=True)
     import random
 
     rng = rng or random.Random(0)

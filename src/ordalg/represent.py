@@ -396,6 +396,8 @@ def functor_map(h: GroupHom, H: ScalarSubgroup, rng=None, samples=100) -> PeaHom
     rng = rng or random.Random(0)
     witness = hom_verify(h, rng, samples)
     if witness is not None:
-        raise PreconditionError(f"not a po-group homomorphism: {witness[0]} at {witness[1:]}")
+        law, x, y = witness
+        fmt = h.source.format_element
+        raise PreconditionError(f"not a po-group homomorphism: {law} at ({fmt(x)}, {fmt(y)})")
     return PeaHom(build_lex_pea(H, h.source), build_lex_pea(H, h.target), h)
 

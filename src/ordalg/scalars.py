@@ -413,14 +413,10 @@ class _Quadratic(ScalarSubgroup):
             m_hi = (one - kb).floor() + 1
             for m in range(m_lo, m_hi + 1):
                 x = _quadratic(m, k, self.d)
-                if (x - zero).sign() >= 0 and (x - one).sign() <= 0:
+                if zero <= x <= one:
                     pts.append(x)
-        pts.sort(key=functools.cmp_to_key(lambda u, v: (u - v).sign()))
-        out = []
-        for p in pts:
-            if not out or (p - out[-1]).sign() != 0:
-                out.append(p)
-        return out
+        # distinct (m, k) give distinct m + k*sqrt(d), so nothing repeats
+        return sorted(pts)
 
     def sample(self, rng, bound):
         return _quadratic(rng.randint(-bound, bound), rng.randint(-bound, bound), self.d)

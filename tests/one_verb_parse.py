@@ -1,30 +1,37 @@
-"""The check that ``cli.main``'s standalone verb parser agrees with ``build_parser``.
+"""The check that ``cli.main``'s verb parser agrees with ``build_parser``.
 
-``cli.main`` first reads argv with a parser of the named verb alone and
-falls back to ``build_parser`` when that parser declines.  The CLI tests
-call :func:`assert_one_verb_parse_agrees` on every argv they run.
+``cli.main`` reads argv with the parser of the named verb alone, which
+prints that verb's help and usage errors, and hands a missing or unknown
+verb and leftover arguments to ``build_parser``.  The CLI tests call
+:func:`assert_one_verb_parse_agrees` on every argv they run.
 """
 
 from contextlib import redirect_stderr, redirect_stdout
 import io
 
-from ordalg.cli import _parse_one_verb, build_parser
+from ordalg.cli import _parse_args, build_parser
 from ordalg.errors import PreconditionError
 
 
-def assert_one_verb_parse_agrees(argv):
-    """The standalone parser reads argv into build_parser's namespace, or declines where it fails.
+def parse_outcome(parse, argv):
+    """(namespace or failure, stdout, stderr) of ``parse(argv)``.
 
-    ``build_parser`` fails on a usage error or a help request (SystemExit,
-    after printing, here into a discarded buffer) and on a bad ORDALG_SEED.
+    The failure is the exit code of a usage error or a help request, or
+    the message of a bad ORDALG_SEED.
     """
-    argv = list(argv)
-    fast = _parse_one_verb(argv)
-    discard = io.StringIO()
-    try:
-        with redirect_stdout(discard), redirect_stderr(discard):
-            full = build_parser().parse_args(argv)
-    except (SystemExit, PreconditionError):
-        assert fast is None, argv
-        return
-    assert fast is not None and vars(fast) == vars(full), argv
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        except PreconditionError as exc:
+            result = ("error", str(exc))
+    return result, out.getvalue(), err.getvalue()
+
+
+def assert_one_verb_parse_agrees(argv):
+    """The verb parser gives build_parser's namespace, or its exit code and printed bytes."""
+    expected = parse_outcome(lambda argv: build_parser().parse_args(argv), argv)
+    assert parse_outcome(_parse_args, argv) == expected, argv
+    return expected

@@ -77,7 +77,8 @@ add 0 0 0
 # case whose surjectivity count depends on the probe), the flags of an
 # algebra whose head misses a slice of the requested grid, and meet tables
 # at rdp2 over a partially ordered lex bottom and at rdp1 over a
-# non-Abelian one, and the states of an algebra without any
+# non-Abelian one, the states of an algebra without any, and a map that is
+# not a homomorphism, whose witness prints in the element grammar
 CASES = {
     "01_check_axioms": ["check-axioms", "chain.pea"],
     "02_states": ["states", "chain.pea"],
@@ -157,6 +158,7 @@ CASES = {
         "--b1", "(1, ((1, 0), 2))", "--b2", "(1, ((2, 0), 1))",
     ],
     "29_states_one_element": ["states", "one.pea"],
+    "30_functor_not_a_homomorphism": ["functor", "--hom", "scale(2)", "--G", "Aff", "--H", "Q"],
 }
 
 

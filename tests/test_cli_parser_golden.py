@@ -8,10 +8,11 @@ built that moves any byte of them fails here.  The bytes are argparse's
 rendering under Python 3.11 at 80 columns, the version the suite is verified
 on.
 
-``cli.main`` reads a named verb's argv with a standalone parser of that
-verb and falls back to ``build_parser`` of the verb alone when it declines.
-The last tests check that both read every golden, README and benchmark
-command line into the same namespace as the parser holding every verb.
+``cli.main`` reads a named verb's argv with the parser of that verb alone
+and asks ``build_parser`` only about a missing or unknown verb and leftover
+arguments.  The last tests check that it reads every golden, README and
+benchmark command line into the namespace of the parser holding every verb,
+and fails on each usage error with that parser's exit code and bytes.
 """
 
 from contextlib import redirect_stderr, redirect_stdout
@@ -24,7 +25,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ordalg.cli import VERBS, build_parser, main
+from ordalg.cli import main
 
 from one_verb_parse import assert_one_verb_parse_agrees
 from test_cli_golden import CASES as GOLDEN_CASES, CHAIN_PEA
@@ -91,9 +92,54 @@ def test_one_verb_parser_reads_as_the_full_parser(name, seed, monkeypatch):
         monkeypatch.delenv("ORDALG_SEED", raising=False)
     else:
         monkeypatch.setenv("ORDALG_SEED", seed)
-    one_verb = build_parser({argv[0]: VERBS[argv[0]]}).parse_args(argv)
-    assert one_verb == build_parser(VERBS).parse_args(argv)
     assert_one_verb_parse_agrees(argv)
+
+
+# usage errors and help requests: missing options, a bad type or choice,
+# leftover arguments, help after a verb, a prefix of --help, "--", no verb,
+# an unknown verb and a bad ORDALG_SEED
+FAILING = [
+    (["check-rdp"], None),
+    (["check-axioms"], None),
+    (["represent", "--H", "Q"], None),
+    (["check-rdp", "--group"], None),
+    (["functor", "--hom", "identity", "--G", "Z", "--H", "Q", "--samples", "x"], None),
+    (["represent", "--H", "Q", "--G", "Z", "--samples", "0"], None),
+    (["decompose", "--pea", "gamma(Z, 1)", "--H", "Z", "--seed", "x"], None),
+    (["check-rdp", *INSTANCE, "--level", "rdp3"], None),
+    (["check-rdp", "--b", "1"], None),
+    (["states", "a.pea", "b.pea"], None),
+    (["states", "x", "--bogus"], None),
+    (["interpolate", *INSTANCE, "--box", "3"], None),
+    (["check-rdp", *INSTANCE, "extra"], None),
+    (["ideals", "--bogus"], None),
+    (["states", "--help"], None),
+    (["states", "-h"], None),
+    (["check-rdp", "--group", "Z", "--help"], None),
+    (["functor", "--he"], None),
+    (["states", "--"], None),
+    (["states", "--", "a", "b"], None),
+    ([], None),
+    (["--help"], None),
+    (["--bogus"], None),
+    (["--", "states", "x"], None),
+    (["frobnicate"], None),
+    (["frobnicate", "--help"], None),
+    (["states", "x"], "abc"),
+    ([], "abc"),
+]
+
+
+@pytest.mark.parametrize("argv, seed", FAILING, ids=[" ".join(a) or "-" for a, _ in FAILING])
+def test_verb_parser_fails_as_the_full_parser(argv, seed, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    if seed is None:
+        monkeypatch.delenv("ORDALG_SEED", raising=False)
+    else:
+        monkeypatch.setenv("ORDALG_SEED", seed)
+    result, _out, _err = assert_one_verb_parse_agrees(argv)
+    bad_seed = ("error", "ORDALG_SEED must be an integer, got 'abc'")
+    assert result in (("exit", 0), ("exit", 2), bad_seed)
 
 
 @pytest.mark.parametrize("seed", [1, 7])

@@ -10,6 +10,8 @@ from ordalg import groups as g
 from ordalg.errors import PreconditionError, UnsupportedError
 from ordalg.pea import (
     AxiomFailure,
+    CyclicElement,
+    ExchangeVerdict,
     FinitePea,
     IdealInfo,
     IdealsReport,
@@ -707,6 +709,43 @@ def test_cyclic_exchange_interval_sampled():
     E = IntervalPea(g.Lex(Q, Z), (f(1), f(0)))
     verdict = cyclic_exchange_check(E, (Fraction(1, 2), f(0)), samples=200)
     assert verdict.holds
+
+
+def commutes_by_scan(E, a):
+    return all(E.defined(x, a) == E.defined(a, x) and E.add(x, a) == E.add(a, x)
+               for x in E.elements())
+
+
+def exchange_failure_by_scan(E, c):
+    return next((x for x in E.elements() if E.defined(x, c) != E.defined(c, x)), None)
+
+
+def test_cyclic_flags_and_exchange_match_the_element_loops():
+    # on the stock tables, their relabellings and their mutations, checked
+    # or not: on an algebra the exchange always holds (both complements of
+    # c are (n-1)c), and the stock cyclic elements all commute, so the
+    # False answers come from tables that fail the axioms
+    rng = random.Random(20261019)
+    strong, holds = set(), set()
+    for _ in range(6):
+        for size, zero, one, table in stock_tables(rng):
+            for mutated in [table] + [mutate(size, one, table, rng) for _ in range(3)]:
+                E = FinitePea(size, zero, one, mutated, _validated=True)
+                for n in range(1, size + 1):
+                    cyclic = [a for a in E.elements() if E.times(n, a) == E.one]
+                    assert cyclic_elements(E, n) == [
+                        CyclicElement(a, n, commutes_by_scan(E, a)) for a in cyclic
+                    ]
+                    strong.update(commutes_by_scan(E, a) for a in cyclic)
+                for c in E.elements():
+                    try:
+                        verdict = cyclic_exchange_check(E, c, max_order=size)
+                    except PreconditionError:  # c is not cyclic
+                        continue
+                    witness = exchange_failure_by_scan(E, c)
+                    assert verdict == ExchangeVerdict(witness is None, witness, exhaustive=True)
+                    holds.add(verdict.holds)
+    assert strong == holds == {False, True}
 
 
 def test_exchange_requires_cyclic():

@@ -1,5 +1,6 @@
 """Exact scalar subgroup arithmetic and order."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -209,6 +210,16 @@ def test_grid_points_sorted_and_member():
             assert compare(u, v) is Ordering.LT
         assert compare(pts[0], H.zero()) is Ordering.EQ
         assert compare(pts[-1], H.one()) is Ordering.EQ
+    # the quadratic grid is every m + k*sqrt(d) in [0, 1] with |k| <= the bound
+    for d in (2, 3, 5):
+        for bound in range(1, 6):
+            ref = [
+                (m, k) for k in range(-bound, bound + 1) for m in range(-3 * bound, 3 * bound + 2)
+                if _ref_sign(m, k, d) >= 0 and _ref_sign(m - 1, k, d) <= 0
+            ]
+            ref.sort(key=functools.cmp_to_key(lambda u, v: _ref_sign(u[0] - v[0], u[1] - v[1], d)))
+            pts = grid_points(ScalarSubgroup.quadratic(d), max_den=5, coeff_bound=bound)
+            assert [(p.a, p.b) for p in pts] == ref
 
 
 # ---------------------------------------------------------------------------
