@@ -445,7 +445,13 @@ def main(argv=None):
         out.append(f"error: {err}")
         out.append(f"#! verdict=error message={str(err).replace(' ', '_')}")
         code = 2
-    print("\n".join(out))
+    try:
+        print("\n".join(out), flush=True)
+    except BrokenPipeError:
+        # a reader that closed early (``ordalg ... | head``): point stdout at
+        # devnull so that the exit flush stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
     return code
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, count
 from math import lcm
 
 from . import groups as g
@@ -115,16 +116,16 @@ def _require_unit_head(E: IntervalPea):
         )
 
 
-def _require_head_values_in(E: IntervalPea, H: ScalarSubgroup, head_grid):
-    """Every value of the first coordinate state s((t, g)) = t must lie in H.
+def _point_outside(grid, S: ScalarSubgroup, T: ScalarSubgroup):
+    """A point of [0, 1] in S but not in T, or None exactly when S lies in T.
 
-    ``head_grid`` is the witness grid of the head subgroup.
+    The first point of S's witness ``grid`` outside T, else, for S = Q and
+    T not, 1/n for the least n with 1/n not in T.  A grid of (1/m)Z is
+    complete, and one of Z+Z*sqrt(d) holds sqrt(d) - floor(sqrt(d)), so only
+    Q can hide a point past its grid.
     """
-    for t in head_grid:
-        if not H.contains(t):
-            raise PreconditionError(
-                f"state is not valued in {H}: s({E.group.format_element((t, E.tail_group.zero()))}) = {format_scalar(t)}"
-            )
+    past = (Fraction(1, n) for n in count(2)) if S._divisible and not T._divisible else ()
+    return next((t for t in chain(grid, past) if not T.contains(t)), None)
 
 
 def decomposition_from_state(E, s, H: ScalarSubgroup, allow_subset=False):
@@ -156,8 +157,10 @@ def decomposition_from_state(E, s, H: ScalarSubgroup, allow_subset=False):
             sorted(((t, frozenset(m)) for t, m in buckets.items()), key=lambda p: p[0])
         )
         D = FiniteDecomposition(H, E, slices, proper)
+        # a caller's value table need not be a state
         witness = _finite_type_ii_violation(D)
-        assert witness is None, f"state preimages violate a decomposition law: {witness}"
+        if witness is not None:
+            raise PreconditionError(f"state preimages violate a decomposition law: {witness}")
         return D
     if isinstance(E, IntervalPea) and E.is_lex_scalar:
         if not isinstance(s, FirstCoordinateState):
@@ -165,10 +168,13 @@ def decomposition_from_state(E, s, H: ScalarSubgroup, allow_subset=False):
         _require_unit_head(E)
         head_H = E.head_subgroup
         grid = tuple(grid_points(H))
-        # a head over H itself has the same grid
-        _require_head_values_in(E, H, grid if head_H == H else grid_points(head_H))
+        # every value s((t, g)) = t lies in H; a head over H itself has the same grid
+        t = _point_outside(grid if head_H == H else grid_points(head_H), head_H, H)
+        if t is not None:
+            x = E.group.format_element((t, E.tail_group.zero()))
+            raise PreconditionError(f"state is not valued in {H}: s({x}) = {format_scalar(t)}")
         # every H index must be attained, else slices are empty
-        missing = next((t for t in grid if not head_H.contains(t)), None)
+        missing = _point_outside(grid, H, head_H)
         if missing is not None and not allow_subset:
             raise PreconditionError(
                 f"slice at t = {format_scalar(missing)} is empty; "
@@ -435,7 +441,8 @@ def find_cyclic_system(E, D, strong=False):
 
     A finite decomposition over Z/n tries the multiples of each cyclic element
     of order n.  On a lex interval the family is c_t = (t, t*g0), additive by
-    construction, and None when some t*g0 does not exist in G.  A
+    construction, and None when some t*g0 does not exist in G; over Q that
+    takes every c_{1/n} = (1/n, g0/n), so g0 must be divisible.  A
     decomposition that is not proper has an empty slice, with no c_t.
     """
     if isinstance(D, FiniteDecomposition):
@@ -462,9 +469,9 @@ def find_cyclic_system(E, D, strong=False):
         # and m + k*sqrt(d) acts through m), so tau is additive and c_1 is the
         # unit; (t, tau(t)) lies in [0, (1, g0)] for every t in [0, 1], since
         # the lex order reads the head first and tau(0) = 0
-        if not D.proper:
-            return None
         E, G, g0 = D.pea, D.pea.tail_group, D.pea.tail_unit
+        if not D.proper or (D.H._divisible and not G._divisible(g0)):
+            return None
         entries = []
         for t in D.grid:
             tail = _integral_action(G, g0, t)
@@ -513,7 +520,7 @@ class PerfectReport:
     missing_slice: object = None
 
 
-def classify_perfect(E, H: ScalarSubgroup, n_max=6) -> PerfectReport:
+def classify_perfect(E, H: ScalarSubgroup) -> PerfectReport:
     """Full perfectness report for a finite algebra or a lex interval."""
     if isinstance(E, FinitePea):
         ordered_report, type_i, directness, cyc = _finite_slices(E, H)
@@ -525,7 +532,7 @@ def classify_perfect(E, H: ScalarSubgroup, n_max=6) -> PerfectReport:
     else:
         raise UnsupportedError(f"unsupported algebra {E!r}")
     is_perfect = ordered_report is not None and ordered_report.ordered
-    one_div, strong_div, first_fail, unique = _divisibility_scan(E, n_max)
+    one_div, strong_div, first_fail, unique = _divisibility_scan(E)
     sym = is_symmetric(E).symmetric
     strong_cyclic = bool(cyc and cyc.strong)
     # an undetermined torsion-freeness (None) does not block strong perfectness
@@ -548,23 +555,32 @@ def classify_perfect(E, H: ScalarSubgroup, n_max=6) -> PerfectReport:
     )
 
 
-def _divisibility_scan(E, n_max):
-    """1-divisibility flags, the first failing order and unique roots, all
-    read from one list of cyclic elements per order n <= n_max."""
-    one_div, strong_div, first_fail, unique = True, True, None, True
-    for n in range(1, n_max + 1):
-        found = cyclic_elements(E, n)
-        if len(found) > 1:
-            unique = False
-        if not found:
-            one_div = strong_div = False
-            if first_fail is None:
-                first_fail = n
-        elif not any(c.strong for c in found):
-            strong_div = False
-            if first_fail is None:
-                first_fail = n
-    return one_div, strong_div, first_fail, unique
+def _divisibility_scan(E):
+    """1-divisibility flags, the first order without a strong root of the
+    unit, and unique roots, over every order n >= 1.
+
+    The multiples of a nonzero finite element strictly increase until their
+    sum is undefined or one, so a root has one order, below the size.  The
+    lex root of order n is (1/n, g0/n), unique, and central when the unit
+    is; a unit that is not divisible has roots of the divisors of one
+    number alone, so the scan stops at the first order without one.
+    """
+    if isinstance(E, FinitePea):
+        roots = {}  # order -> whether each root of that order is central
+        for a in E.elements():
+            n, multiple = 1, a
+            while multiple not in (None, E.zero, E.one):
+                n, multiple = n + 1, E.add(multiple, a)
+            if multiple == E.one:
+                roots.setdefault(n, []).append(E._central(a))
+        # no order reaches the size, so only the one-element algebra has no failure
+        fail = next((n for n in range(1, E.size + 1) if not any(roots.get(n, ()))), None)
+        return fail is None, fail is None, fail, all(len(r) == 1 for r in roots.values())
+    central, divisible = E.group.center_member(E.unit), E.group._divisible(E.unit)
+    n = 1
+    while central and not divisible and cyclic_elements(E, n):
+        n += 1
+    return divisible, central and divisible, None if central and divisible else n, True
 
 
 def _finite_slices(E: FinitePea, H):
@@ -593,51 +609,11 @@ def _finite_slice_directed(E: FinitePea, members) -> bool:
 
 
 def _lex_slices(E: IntervalPea, H):
-    """The first grid slice the head misses, or None, and the slice verdicts."""
+    """A slice the head misses, or None, and the slice verdicts."""
     D = decomposition_from_state(E, FirstCoordinateState(E), H, allow_subset=True)
     directness = E.tail_group.is_directed()  # slice directness, module docstring
     if not D.proper:
-        # a head that misses a grid slice is not perfect over H
-        missing = next(t for t in D.grid if not E.head_subgroup.contains(t))
+        # a head that misses a slice is not perfect over H
+        missing = _point_outside(D.grid, H, E.head_subgroup)
         return missing, None, None, directness, None
     return None, check_ordered(E, D), check_type_i(E, D), directness, find_cyclic_system(E, D)
-
-
-# ---------------------------------------------------------------------------
-# strong cyclic property vs strong 1-divisibility
-
-
-@dataclass(frozen=True)
-class EquivalenceVerdict:
-    cyclic_side: bool
-    divisibility_side: bool
-    agree: bool
-    uniqueness_ok: bool
-
-
-def strong_cyclic_vs_divisibility(E: IntervalPea, n_max=6) -> EquivalenceVerdict:
-    """Both sides computed independently and compared; also asserts that a
-    strong cyclic element of order n is the only cyclic element of order n."""
-    if not (isinstance(E, IntervalPea) and E.group.is_torsion_free()):
-        raise PreconditionError("needs an interval algebra over a torsion-free group")
-    strong_side = True
-    div_side = True
-    uniqueness = True
-    for n in range(1, n_max + 1):
-        found = cyclic_elements(E, n)
-        strong_found = [c for c in found if c.strong]
-        if not strong_found:
-            div_side = False
-        if strong_found and len(found) != 1:
-            uniqueness = False
-    # cyclic-system side over the rational grid with denominators <= n_max
-    if E.is_lex_scalar:
-        _require_unit_head(E)
-        D = LexDecomposition(
-            E.head_subgroup, E, tuple(grid_points(E.head_subgroup, max_den=n_max)), True
-        )
-        cyc = find_cyclic_system(E, D, strong=True)
-        strong_side = cyc is not None and cyc.strong
-    else:
-        strong_side = div_side
-    return EquivalenceVerdict(strong_side, div_side, strong_side == div_side, uniqueness)

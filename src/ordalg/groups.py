@@ -223,6 +223,10 @@ class Scalar(GroupDescriptor):
         y = x * Fraction(1, n)
         return H.coerce(y) if H.contains(y) else None
 
+    def _divisible(self, x) -> bool:
+        """Whether x has an n-th part for every n >= 1: every x of Q, else only 0."""
+        return self.H._divisible or x == self.H.zero()
+
     def leq(self, x, y) -> bool:
         return compare(x, y) is not Ordering.GT
 
@@ -338,6 +342,9 @@ class IntVector(GroupDescriptor):
             return tuple(v // n for v in x)
         return None
 
+    def _divisible(self, x) -> bool:
+        return not any(x)
+
     def leq(self, x, y) -> bool:
         return all(map(operator.le, x, y))
 
@@ -426,6 +433,11 @@ class AffineQ(GroupDescriptor):
             return None
         s = sum(c**i for i in range(n))  # 1 + c + ... + c^(n-1)
         return (c, b / s)
+
+    def _divisible(self, x) -> bool:
+        # 1 is the only positive rational with a rational n-th root for every
+        # n, and (1, b) = n * (1, b/n)
+        return x[0] == 1
 
     def leq(self, x, y) -> bool:
         # For x = (a, b) and y = (c, e), y - x = (c/a, e - c*b/a) lies in the
@@ -564,6 +576,10 @@ class _Pair(GroupDescriptor):
         a, b = self.parts
         left, right = a.divide(x[0], n), b.divide(x[1], n)
         return None if left is None or right is None else (left, right)
+
+    def _divisible(self, x) -> bool:
+        a, b = self.parts
+        return a._divisible(x[0]) and b._divisible(x[1])
 
     def leq(self, x, y) -> bool:
         a, b = self.parts

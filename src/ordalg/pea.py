@@ -104,6 +104,11 @@ class FinitePea:
     def leq(self, a, b):
         return bool(self._bits.up[a] >> b & 1)
 
+    def _central(self, a):
+        """Whether a commutes with all of E: its row {x: a + x} is its column {x: x + a}."""
+        right, left = self._sum_rows
+        return dict(right[a]) == dict(left[a])
+
     @functools.cached_property
     def _conjugates(self):
         """conj[m] holds the c with m + x = x + c, over the x with m + x defined.
@@ -484,13 +489,7 @@ def cyclic_elements(E, n: int):
     if n < 1:
         raise PreconditionError("order must be >= 1")
     if isinstance(E, FinitePea):
-        # a commutes with all of E when its row {x: a + x} is its column {x: x + a}
-        right, left = E._sum_rows
-        return [
-            CyclicElement(a, n, dict(right[a]) == dict(left[a]))
-            for a in E.elements()
-            if E.times(n, a) == E.one
-        ]
+        return [CyclicElement(a, n, E._central(a)) for a in E.elements() if E.times(n, a) == E.one]
     if isinstance(E, IntervalPea):
         # all supported descriptors are torsion-free, so the root is unique
         c = g.divide(E.group, E.unit, n)

@@ -67,7 +67,7 @@ class PhiMap:
             tail = _integral_action(G, self.source.tail_unit, t)
             if tail is None:
                 raise PreconditionError(
-                    f"no cyclic-system entry for slice {t}; extend the witness grid"
+                    f"no cyclic-system entry for slice {t}: t * g0 does not exist in {G}"
                 )
             tails = self._tails[t] = (tail, G.neg(tail))
         return tails
@@ -87,7 +87,7 @@ class PhiMap:
         return (t, self._tail_group.add(gz, self._entry_tails(t)[0]))
 
 
-def phi_represent(E: IntervalPea, n_max=6) -> PhiMap:
+def phi_represent(E: IntervalPea) -> PhiMap:
     """The representation map of a strong perfect interval algebra.
 
     The algebra is classified first; the canonical target shares the tail
@@ -96,7 +96,7 @@ def phi_represent(E: IntervalPea, n_max=6) -> PhiMap:
     if not (isinstance(E, IntervalPea) and E.is_lex_scalar):
         raise UnsupportedError("representation needs a scalar-headed lex interval")
     H = E.head_subgroup
-    report = classify_perfect(E, H, n_max=n_max)
+    report = classify_perfect(E, H)
     if not report.is_strong_h_perfect:
         raise PreconditionError(
             "not a strong perfect algebra: "

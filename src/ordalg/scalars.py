@@ -219,6 +219,7 @@ class ScalarSubgroup:
     """
 
     is_dense = True
+    _divisible = False  # every element has an n-th part for every n: Q alone
 
     @staticmethod
     def cyclic(n: int) -> "ScalarSubgroup":
@@ -330,6 +331,8 @@ class _Cyclic(ScalarSubgroup):
 @dataclass(frozen=True)
 class _Rationals(ScalarSubgroup):
     """Q: the smallest-denominator witness, a grid of fractions up to max_den."""
+
+    _divisible = True
 
     def __str__(self):
         return "Q"

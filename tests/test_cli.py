@@ -1,7 +1,11 @@
 """Command-line interface: grammar, verbs, determinism and exit codes."""
 
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -355,6 +359,28 @@ def test_cli_error_exit_code():
                            "--a1", "(0,0)", "--a2", "(0,0)", "--b1", "(0,0)", "--b2", "(0,0)")
     assert code == 2
     assert "error:" in output
+
+
+def test_cli_closed_stdout_exits_quietly():
+    # as in ``ordalg ... | head``: the reader has gone before the output is
+    # written, so main exits 2, as for any other OSError, and stderr stays
+    # empty, without the interpreter's exit-flush message either
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["classify-perfect", "--pea", "gamma(lex(Q, Z), (1, 0))", "--H", "Q"]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ordalg.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, b"")
+    # in process, a StringIO stdout never breaks
+    assert run_cli(*argv)[0] == 0
 
 
 def test_cli_errors_keep_the_contract(tmp_path):

@@ -78,7 +78,11 @@ add 0 0 0
 # algebra whose head misses a slice of the requested grid, and meet tables
 # at rdp2 over a partially ordered lex bottom and at rdp1 over a
 # non-Abelian one, the states of an algebra without any, and a map that is
-# not a homomorphism, whose witness prints in the element grammar
+# not a homomorphism, whose witness prints in the element grammar; then the
+# orders and slices past the Q grid's denominators: a tail unit 720 with no
+# seventh part over Q (flags, and a refused representation), the sixtieths
+# with no root of order 7, and Q and Z/60 each read over the other, which
+# differ at 1/7
 CASES = {
     "01_check_axioms": ["check-axioms", "chain.pea"],
     "02_states": ["states", "chain.pea"],
@@ -159,6 +163,22 @@ CASES = {
     ],
     "29_states_one_element": ["states", "one.pea"],
     "30_functor_not_a_homomorphism": ["functor", "--hom", "scale(2)", "--G", "Aff", "--H", "Q"],
+    "31_classify_perfect_q_unit_720": [
+        "classify-perfect", "--pea", "gamma(lex(Q, Z), (1, 720))", "--H", "Q",
+    ],
+    "32_classify_perfect_sixtieths": [
+        "classify-perfect", "--pea", "gamma(lex(Z/60, Z), (1, 0))", "--H", "Z/60",
+    ],
+    "33_represent_q_unit_720": ["represent", "--H", "Q", "--G", "Z", "--g0", "720"],
+    "34_classify_perfect_q_over_sixtieths": [
+        "classify-perfect", "--pea", "gamma(lex(Q, Z), (1, 0))", "--H", "Z/60",
+    ],
+    "35_decompose_q_over_sixtieths": [
+        "decompose", "--pea", "gamma(lex(Q, Z), (1, 0))", "--H", "Z/60",
+    ],
+    "36_classify_perfect_sixtieths_over_q": [
+        "classify-perfect", "--pea", "gamma(lex(Z/60, Z), (1, 0))", "--H", "Q",
+    ],
 }
 
 

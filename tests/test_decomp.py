@@ -1,9 +1,13 @@
 """Slice decompositions, their laws, and perfectness classification."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +23,6 @@ from ordalg.decomp import (
     decomposition_from_state,
     find_cyclic_system,
     state_from_decomposition,
-    strong_cyclic_vs_divisibility,
 )
 from ordalg.errors import PreconditionError
 from ordalg.pea import (
@@ -27,16 +30,18 @@ from ordalg.pea import (
     IntervalPea,
     SymmetryVerdict,
     boolean_algebra,
+    check_pea_axioms,
+    cyclic_elements,
     finite_chain,
     ideals_enumerate,
     is_symmetric,
 )
-from ordalg.scalars import Ordering, QuadraticNumber, ScalarSubgroup, compare
+from ordalg.scalars import Ordering, QuadraticNumber, ScalarSubgroup, compare, grid_points
 from ordalg.states import FiniteState, FirstCoordinateState, states_finite
 
 import finite_slices as ref
 from lex_probes import lex_type_ii_violation
-from test_pea import cycle_table, hsum_table, relabel, stock_algebras
+from test_pea import cycle_table, hsum_table, mutate, relabel, stock_algebras, stock_tables
 from test_states import horizontal_sum
 
 Z = g.ZZ
@@ -224,8 +229,15 @@ def cyclic_system_by_scan(E, D, strong=False):
     checked to lie in E, and additivity on grid pairs by a scan of all
     entries.  The package takes both from the construction of c_t.  A head
     outside the head subgroup is an empty slice (``E.contains`` reads the
-    order alone), so it has no c_t."""
+    order alone), so it has no c_t.  Over Q the entries c_{1/n} past the
+    grid are checked up to n = 128."""
     E, H = D.pea, D.H
+    # over Q every c_{1/n} = (1/n, g0/n) is needed, also past the grid
+    if H == HQ and any(
+        decomp._integral_action(E.tail_group, E.tail_unit, Fraction(1, n)) is None
+        for n in range(1, 129)
+    ):
+        return None
     entries = []
     all_strong = True
     for t in D.grid:
@@ -383,13 +395,19 @@ def test_classify_missing_slice():
 
 
 @pytest.mark.parametrize("H, E, expected", [
-    (HQ, lex_pea(HQ, Z, f(0)), [1, 2, 3, 4, 5]),  # strongly perfect
-    (HQ, lex_pea(ScalarSubgroup.cyclic(1), Z, f(0)), [1, 2, 3, 4, 5]),  # a missing slice
-    # the 4-chain's cyclic-system search reads order 3 before the scan
-    (ScalarSubgroup.cyclic(3), finite_chain(3), [3, 1, 2, 3, 4, 5]),
+    (HQ, lex_pea(HQ, Z, f(0)), []),  # a divisible unit: a root of every order
+    (HQ, lex_pea(ScalarSubgroup.cyclic(1), Z, f(0)), [1, 2]),  # a missing slice
+    # the 4-chain's cyclic-system search reads order 3; its roots come from
+    # walking the multiples of each element
+    (ScalarSubgroup.cyclic(3), finite_chain(3), [3]),
+    (HQ, lex_pea(HQ, Z, f(720)), [1, 2, 3, 4, 5, 6, 7]),  # 7 does not divide 720
+    (ScalarSubgroup.cyclic(60), lex_pea(ScalarSubgroup.cyclic(60), Z, f(0)), list(range(1, 8))),
+    # a unit off the center has no strong root, so order 1 fails unread
+    (ScalarSubgroup.cyclic(1), lex_pea(ScalarSubgroup.cyclic(1), AFF, (f(2), f(0))), []),
 ])
 def test_classify_reads_each_cyclic_element_list_once(monkeypatch, H, E, expected):
-    # the divisibility flags and unique_roots share one list per order n
+    # a lex interval with a central unit that is not divisible reads one list
+    # per order, from 1 up to the first order without a root
     orders = []
     real = decomp.cyclic_elements
 
@@ -398,7 +416,7 @@ def test_classify_reads_each_cyclic_element_list_once(monkeypatch, H, E, expecte
         return real(E, n)
 
     monkeypatch.setattr(decomp, "cyclic_elements", counting)
-    classify_perfect(E, H, n_max=5)
+    classify_perfect(E, H)
     assert orders == expected
 
 
@@ -432,14 +450,199 @@ def test_classify_finite_chain():
 
 
 def test_strong_cyclic_equivalence():
+    # over a Q head the strong cyclic property and strong 1-divisibility are
+    # the same condition on the unit (1, g0), and roots are unique
+    for G, g0, holds in (
+        (Z, f(0), True),
+        (Z, f(1), False),
+        (Z, f(720), False),  # c_{1/7} = (1/7, 720/7) is missing
+        (Q, f(720), True),
+        (AFF, (f(1), f(0)), True),
+        (AFF, (f(1), f(5)), False),  # divisible, but off the center
+        (AFF, (f(4), f(0)), False),  # 4 has no rational cube root
+    ):
+        report = classify_perfect(lex_pea(HQ, G, g0), HQ)
+        assert report.strong_cyclic == report.strong_one_divisible == holds, (G, g0)
+        assert report.unique_roots
+
+
+def scanned_divisibility(E, n_top):
+    """The four divisibility fields of ``classify_perfect`` read off
+    ``cyclic_elements`` for every order n <= n_top.  Exact on a finite
+    algebra at n_top = size, and on a lex interval once n_top passes the
+    first order without a strong root, or when the unit is divisible."""
+    found = [cyclic_elements(E, n) for n in range(1, n_top + 1)]
+    failures = [n for n, cs in enumerate(found, 1) if not any(c.strong for c in cs)]
+    return (
+        all(found),
+        not failures,
+        failures[0] if failures else None,
+        all(len(cs) <= 1 for cs in found),
+    )
+
+
+def divisibility_fields(report):
+    return (
+        report.one_divisible,
+        report.strong_one_divisible,
+        report.first_divisibility_failure,
+        report.unique_roots,
+    )
+
+
+# 0, one = 1 and two halves 2 and 3 with 2 + 2 = 3 + 3 = 1: two roots of order 2
+TWO_HALVES = (4, 0, 1, {**{(0, x): x for x in range(4)}, **{(x, 0): x for x in range(1, 4)},
+                        (2, 2): 1, (3, 3): 1})
+ONE_ELEMENT = (1, 0, 0, {(0, 0): 0})
+
+
+def test_finite_divisibility_flags_match_the_scan_to_the_size():
+    # a root of order n has n distinct nonzero multiples, so no order reaches
+    # the size, and the scan to n = size is exhaustive
+    rng = random.Random(20261019)
+    tables = [ONE_ELEMENT, TWO_HALVES]
+    for _ in range(3):
+        for size, zero, one, table in stock_tables(rng):
+            tables += [(size, zero, one, t) for t in [table] + [mutate(size, one, table, rng) for _ in range(3)]]
+    seen = set()
+    for size, zero, one, table in tables:
+        verdict = check_pea_axioms(size, zero, one, table)
+        if verdict.valid:
+            fields = divisibility_fields(classify_perfect(verdict.pea, H2))
+            assert fields == scanned_divisibility(verdict.pea, size), (size, table)
+            seen.add(fields)
+    assert {(True, True, None, True), (False, False, 3, False)} <= seen, seen
+    for E in [finite_chain(n) for n in range(1, 64)] + [boolean_algebra(k) for k in range(1, 7)]:
+        assert decomp._divisibility_scan(E) == scanned_divisibility(E, E.size)
+
+
+def test_finite_chain_misses_the_orders_that_do_not_divide_its_length():
+    report = classify_perfect(finite_chain(60), ScalarSubgroup.cyclic(60))
+    assert report.is_strong_h_perfect
+    assert not report.one_divisible and not report.strong_one_divisible
+    assert report.first_divisibility_failure == 7
+
+
+def test_lex_divisibility_flags_match_the_scan_to_128():
+    # heads Q, Z/m and Q[sqrt 2], each read over itself; tails with divisible
+    # and non-divisible units, central and not
+    rng = random.Random(20261020)
+    whole = lambda: rng.choice((0, 720, 2520, rng.randint(-6, 6)))
+    rational = lambda: Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+    aff = lambda: (f(rng.choice((1, 1, 4, 64, 729, Fraction(8, 27)))), rational())
+    tails = {
+        Z: whole,
+        Z2: lambda: (whole(), rng.choice((0, 60, 1))),
+        AFF: aff,
+        Q: rational,
+        g.Lex(Z, Q): lambda: (whole(), rational()),
+        PROD_Z_AFF: lambda: (whole(), aff()),
+    }
+    heads = [HQ, HR2] + [ScalarSubgroup.cyclic(m) for m in (1, 2, 6, 12, 60)]
+    intervals = [lex_pea(head, G, draw()) for head in heads for G, draw in tails.items() for _ in range(3)]
+    # one interval of each kind: divisible and central, divisible off the
+    # center, neither, and central with a first failure past the Q grid
+    intervals += [lex_pea(HQ, AFF, (f(1), f(0))), lex_pea(HQ, AFF, (f(1), f(3))),
+                  lex_pea(HQ, AFF, (f(4), f(3))), lex_pea(HQ, Z, f(720))]
+    seen = set()
+    for E in intervals:
+        head = E.head_subgroup
+        report = classify_perfect(E, head)
+        fields = divisibility_fields(report)
+        assert fields == scanned_divisibility(E, 128), (E.group, E.unit)
+        if head == HQ:
+            assert report.strong_cyclic == report.strong_one_divisible, E.unit
+        seen.add(fields[:3])
+    assert {(True, True, None), (True, False, 1), (False, False, 1), (False, False, 7)} <= seen
+
+
+def test_inclusion_witness_is_exact():
+    # _point_outside(S's grid, S, T) is a point of [0, 1] in S and not in T,
+    # or None exactly when S lies in T; Q past its grid's denominators too
+    subgroups = [HQ, HR2, ScalarSubgroup.quadratic(3)] + [
+        ScalarSubgroup.cyclic(m) for m in (1, 2, 4, 6, 12, 60, 420)
+    ]
+
+    def inside(S, T):
+        if S == T or T == HQ:
+            return S == T or not S.is_dense
+        if S.is_dense:
+            return False
+        return S.n == 1 or (not T.is_dense and T.n % S.n == 0)
+
+    for S, T in itertools.product(subgroups, repeat=2):
+        t = decomp._point_outside(grid_points(S), S, T)
+        assert (t is None) == inside(S, T), (S, T)
+        if t is not None:
+            assert S.contains(t) and not T.contains(t), (S, T, t)
+            assert compare(t, 0) is not Ordering.LT and compare(t, 1) is not Ordering.GT
+    assert decomp._point_outside(grid_points(HQ), HQ, ScalarSubgroup.cyclic(420)) == Fraction(1, 8)
+
+
+def test_q_head_values_past_the_grid_are_checked():
+    # every fraction of the Q grid (denominators up to 6) lies in Z/60, but
+    # 1/7 does not: the state of gamma(lex(Q, Z), (1, 0)) is not Z/60-valued,
+    # and gamma(lex(Z/60, Z), (1, 0)) has no slice at 1/7 over Q
+    H60 = ScalarSubgroup.cyclic(60)
     E = lex_pea(HQ, Z, f(0))
-    verdict = strong_cyclic_vs_divisibility(E, n_max=6)
-    assert verdict.agree and verdict.cyclic_side and verdict.divisibility_side
-    assert verdict.uniqueness_ok
-    bad = lex_pea(HQ, Z, f(1))
-    verdict2 = strong_cyclic_vs_divisibility(bad, n_max=6)
-    assert verdict2.agree
-    assert not verdict2.cyclic_side and not verdict2.divisibility_side
+    message = r"state is not valued in Z/60: s\(\(1/7, 0\)\) = 1/7"
+    with pytest.raises(PreconditionError, match=message):
+        decomposition_from_state(E, FirstCoordinateState(E), H60)
+    with pytest.raises(PreconditionError, match=message):
+        classify_perfect(E, H60)
+    E = lex_pea(H60, Z, f(0))
+    with pytest.raises(PreconditionError, match="slice at t = 1/7 is empty"):
+        decomposition_from_state(E, FirstCoordinateState(E), HQ)
+    D = decomposition_from_state(E, FirstCoordinateState(E), HQ, allow_subset=True)
+    assert not D.proper
+    report = classify_perfect(E, HQ)
+    assert not report.is_h_perfect and report.missing_slice == Fraction(1, 7)
+
+
+def test_q_cyclic_system_needs_every_part_of_the_tail_unit():
+    # the Q grid stops at denominator 6, where 720 is divisible; c_{1/7} is not
+    E = lex_pea(HQ, Z, f(720))
+    D = decomposition_from_state(E, FirstCoordinateState(E), HQ)
+    assert find_cyclic_system(E, D) is None
+    assert cyclic_system_by_scan(E, D) is None
+    E = lex_pea(HQ, Q, f(720))
+    D = decomposition_from_state(E, FirstCoordinateState(E), HQ)
+    assert find_cyclic_system(E, D, strong=True) == cyclic_system_by_scan(E, D, strong=True) is not None
+
+
+# values of no state on the 4-chain: 1 and 3 are complements, yet their
+# values 1/2 and 3/4 do not add to 1
+NOT_A_STATE = ("0", "1/2", "1/2", "3/4", "1")
+
+
+def test_state_preimages_that_break_a_law_are_a_precondition_error():
+    s = FiniteState(tuple(map(Fraction, NOT_A_STATE)))
+    with pytest.raises(PreconditionError, match="negation law"):
+        decomposition_from_state(finite_chain(4), s, H4, allow_subset=True)
+
+
+def test_state_preimage_laws_are_checked_under_optimisation():
+    # python -O strips asserts; the law check is not one
+    script = (
+        "from fractions import Fraction\n"
+        "from ordalg.decomp import decomposition_from_state\n"
+        "from ordalg.errors import PreconditionError\n"
+        "from ordalg.pea import finite_chain\n"
+        "from ordalg.scalars import ScalarSubgroup\n"
+        "from ordalg.states import FiniteState\n"
+        "try:\n"
+        f"    s = FiniteState(tuple(map(Fraction, {NOT_A_STATE!r})))\n"
+        "    decomposition_from_state(finite_chain(4), s, ScalarSubgroup.cyclic(4), allow_subset=True)\n"
+        "except PreconditionError as err:\n"
+        "    print(err)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, check=True, timeout=60
+    ).stdout.decode()
+    assert "negation law" in out, out
 
 
 def test_ordered_implies_type_i():
@@ -548,7 +751,7 @@ def test_decided_lex_verdicts_agree_with_sampled_probes():
                 assert sampled_ordered_report(E, D, rng, rounds=30) == check_ordered(E, D)
                 assert sampled_type_i_report(E, D, rng, rounds=20) == check_type_i(E, D)
                 directed = slices_directed_probe(E, D, rng, rounds=20)
-                assert directed == classify_perfect(E, H, n_max=2).directness
+                assert directed == classify_perfect(E, H).directness
                 checked += 1
     assert checked == 54 and subsets == 24
 
@@ -572,8 +775,6 @@ def test_unit_head_other_than_one_is_a_precondition_error():
             classify_perfect(E, other)  # the branch that reports a missing slice
         with pytest.raises(PreconditionError, match=message):
             state_from_decomposition(E, LexDecomposition(H, E, (f(0), f(1))))
-        with pytest.raises(PreconditionError, match=message):
-            strong_cyclic_vs_divisibility(E)
 
 
 # -- bitset kernels against the element-pair reference (tests/finite_slices.py)

@@ -87,6 +87,15 @@ def test_phi_requires_strong_perfect():
         phi_represent(E)
 
 
+def test_phi_requires_every_entry_of_a_q_cyclic_system():
+    # 720 has an n-th part for n <= 6, the denominators of the Q grid, but
+    # c_{1/7} = (1/7, 720/7) does not exist
+    with pytest.raises(PreconditionError, match="not a strong perfect algebra"):
+        phi_represent(build_lex_pea(HQ, Z, f(720)))
+    phi = phi_represent(build_lex_pea(HQ, g.QQ, f(720)))
+    assert phi((Fraction(1, 7), f(0))) == (Fraction(1, 7), Fraction(-720, 7))
+
+
 @pytest.mark.parametrize(
     "H,G,spec",
     [
