@@ -10,6 +10,7 @@ verdict passes.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import re
@@ -420,15 +421,30 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache
+def _verb_parser(verb, seed):
+    """The parser of one verb alone, with ``seed`` as its --seed default.
+
+    lru_cache's default bound (128 entries) caps what distinct ORDALG_SEED
+    values can keep alive.
+    """
+    parser = argparse.ArgumentParser(prog=f"ordalg {verb}")
+    VERBS[verb][1](parser, seed)
+    return parser
+
+
 def _parse_args(argv):
     """argv read by the parser of its verb, which prints that verb's help and errors.
 
-    A missing or unknown verb and leftover arguments go to build_parser,
-    which prints them as the parser of every verb.
+    Each (verb, seed) parser is built once per process and reused, since
+    parsing leaves it unchanged and argparse reads COLUMNS only when it
+    prints.  ORDALG_SEED is read on every call, so a changed value is
+    honoured and a bad one fails every verb.  A missing or unknown verb and
+    leftover arguments go to build_parser, which prints them as the parser
+    of every verb and is built afresh each time.
     """
     if argv and argv[0] in VERBS:
-        parser = argparse.ArgumentParser(prog=f"ordalg {argv[0]}")
-        VERBS[argv[0]][1](parser, _default_seed())
+        parser = _verb_parser(argv[0], _default_seed())
         args, extra = parser.parse_known_args(argv[1:], argparse.Namespace(verb=argv[0]))
         if not extra:
             return args

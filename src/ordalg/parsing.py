@@ -168,7 +168,12 @@ def _rational(toks: _Tokens) -> Fraction:
         pass
     num = toks.take_int()
     if toks.try_symbol("/"):
+        toks._skip_ws()
+        start = toks.pos
         den = toks.take_int()
+        if den == 0:
+            toks.pos = start
+            toks.error("zero denominator")
         return Fraction(sign * num, den)
     return Fraction(sign * num)
 

@@ -19,6 +19,7 @@ from ordalg.parsing import (
     parse_interval_pea,
     parse_pea_file,
     parse_subgroup,
+    parse_value,
 )
 from ordalg.pea import finite_chain
 from ordalg.scalars import QuadraticNumber, ScalarSubgroup
@@ -67,6 +68,42 @@ def test_parse_error_has_position():
     with pytest.raises(ParseError) as err:
         parse_descriptor("lex(Q,")
     assert err.value.line == 1
+
+
+# (text, column of the zero denominator); parse_value let each end in a
+# ZeroDivisionError traceback
+ZERO_DENOMINATORS = [
+    ("1/0", 3),
+    ("-7/00", 4),
+    ("1 / 0", 5),
+    ("(1/0, 0)", 4),
+    ("(1, (2, 3/0))", 11),
+    ("1 + 1/0*sqrt(2)", 7),
+    ("1/0*sqrt(2)", 3),
+]
+
+
+@pytest.mark.parametrize("text, column", ZERO_DENOMINATORS)
+def test_parse_value_zero_denominator_is_a_parse_error(text, column):
+    with pytest.raises(ParseError) as err:
+        parse_value(text)
+    assert (err.value.line, err.value.column) == (1, column)
+    assert str(err.value) == f"1:{column}: zero denominator"
+
+
+@pytest.mark.parametrize("argv, column", [
+    (("check-rdp", "--group", "Z", "--a1", "1/0", "--a2", "1", "--b1", "1", "--b2", "1"), 3),
+    (("interpolate", "--group", "Q", "--a1", "1/0", "--a2", "1", "--b1", "1", "--b2", "1"), 3),
+    (("decompose", "--pea", "gamma(lex(Q, Z), (1/0, 0))", "--H", "Q"), 21),
+    (("represent", "--H", "Q", "--G", "Q", "--shuffle", "translate(1/0)"), 3),
+    (("check-rdp", "--group", "Q[sqrt 2]", "--a1", "1 + 1/0*sqrt(2)",
+      "--a2", "1", "--b1", "1", "--b2", "1"), 7),
+])
+def test_cli_zero_denominator_is_an_input_error(argv, column):
+    assert run_cli(*argv) == (
+        2, f"error: 1:{column}: zero denominator\n"
+        f"#! verdict=error message=1:{column}:_zero_denominator\n"
+    )
 
 
 def test_pea_file_round_trip(tmp_path):

@@ -82,7 +82,7 @@ add 0 0 0
 # orders and slices past the Q grid's denominators: a tail unit 720 with no
 # seventh part over Q (flags, and a refused representation), the sixtieths
 # with no root of order 7, and Q and Z/60 each read over the other, which
-# differ at 1/7
+# differ at 1/7; and a zero denominator, an input error
 CASES = {
     "01_check_axioms": ["check-axioms", "chain.pea"],
     "02_states": ["states", "chain.pea"],
@@ -179,6 +179,9 @@ CASES = {
     "36_classify_perfect_sixtieths_over_q": [
         "classify-perfect", "--pea", "gamma(lex(Z/60, Z), (1, 0))", "--H", "Q",
     ],
+    "37_check_rdp_zero_denominator": [
+        "check-rdp", "--group", "Z", "--a1", "1/0", "--a2", "1", "--b1", "1", "--b2", "1",
+    ],
 }
 
 
@@ -190,13 +193,27 @@ def run_case(argv):
     return f"{buf.getvalue()}exit={code}\n"
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_is_golden(name, tmp_path, monkeypatch):
+@pytest.fixture
+def table_dir(tmp_path, monkeypatch):
+    """A working directory holding the four table files, with ORDALG_SEED unset."""
     (tmp_path / "chain.pea").write_text(CHAIN_PEA, encoding="utf-8")
     (tmp_path / "bool.pea").write_text(BOOL_PEA, encoding="utf-8")
     (tmp_path / "cube3.pea").write_text(CUBE3_PEA, encoding="utf-8")
     (tmp_path / "one.pea").write_text(ONE_PEA, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("ORDALG_SEED", raising=False)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_is_golden(name, table_dir):
     out = run_case(CASES[name])
     assert out.encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+def test_cli_goldens_hold_across_calls_in_one_process(table_dir):
+    # main reuses each verb's parser, so no call may leave state that a
+    # later call reads: every case, in order and then reversed
+    names = sorted(CASES)
+    for name in names + names[::-1]:
+        out = run_case(CASES[name])
+        assert out.encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes(), name

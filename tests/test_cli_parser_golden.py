@@ -25,7 +25,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ordalg.cli import main
+from ordalg.cli import _verb_parser, main
 
 from one_verb_parse import assert_one_verb_parse_agrees
 from test_cli_golden import CASES as GOLDEN_CASES, CHAIN_PEA
@@ -140,6 +140,77 @@ def test_verb_parser_fails_as_the_full_parser(argv, seed, monkeypatch):
     result, _out, _err = assert_one_verb_parse_agrees(argv)
     bad_seed = ("error", "ORDALG_SEED must be an integer, got 'abc'")
     assert result in (("exit", 0), ("exit", 2), bad_seed)
+
+
+# main builds each verb's parser once per process and reuses it; the tests
+# below run several calls in one process and compare each with a parser
+# built for that call alone
+
+
+def test_verb_help_follows_the_columns_of_each_call(monkeypatch):
+    monkeypatch.delenv("ORDALG_SEED", raising=False)
+    argv = ["check-rdp", "--help"]
+    printed = []
+    for columns in ("80", "120", "80"):
+        monkeypatch.setenv("COLUMNS", columns)
+        # run_parser_case also checks the bytes of a freshly built parser
+        printed.append(run_parser_case(argv))
+    assert printed[0] == printed[2] != printed[1]
+    assert max(map(len, printed[1].splitlines())) > 80 >= max(map(len, printed[0].splitlines()))
+
+
+# a usage error or help request, then a call of the same verb that passes
+AFTER_A_FAILURE = [
+    (["check-rdp", *INSTANCE, "--level", "rdp3"], ["check-rdp", *INSTANCE, "--level", "rdp1"]),
+    (["check-rdp"], ["check-rdp", *INSTANCE]),
+    (["check-rdp", "--group", "Z", "--help"], ["check-rdp", *INSTANCE, "--oracle"]),
+    (["functor", "--hom", "identity", "--G", "Z", "--H", "Q", "--samples", "x"],
+     ["functor", "--hom", "identity", "--G", "Z", "--H", "Q"]),
+    (["states", "chain.pea", "--bogus"], ["states", "chain.pea"]),
+]
+
+
+@pytest.mark.parametrize("failing, passing", AFTER_A_FAILURE,
+                         ids=[" ".join(a) for a, _ in AFTER_A_FAILURE])
+def test_a_usage_error_leaves_the_next_call_as_it_would_be_alone(
+    failing, passing, tmp_path, monkeypatch
+):
+    (tmp_path / "chain.pea").write_text(CHAIN_PEA, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("ORDALG_SEED", raising=False)
+    alone = []
+    for argv in (failing, passing):
+        _verb_parser.cache_clear()
+        alone.append(run_parser_case(argv))
+    assert alone[0].startswith(("exit=2\n", "exit=0\n--- stdout\nusage:"))
+    assert alone[1].startswith("exit=0\n")
+    _verb_parser.cache_clear()
+    assert [run_parser_case(argv) for argv in (failing, passing)] == alone
+
+
+def test_seed_default_follows_ordalg_seed_across_calls(monkeypatch, capsys):
+    # the verbs that take --seed, then one that does not
+    argvs = [
+        ["decompose", "--pea", "gamma(Z, 1)", "--H", "Z"],
+        ["classify-perfect", "--pea", "gamma(Z, 1)", "--H", "Z"],
+        ["represent", "--H", "Q", "--G", "Z"],
+        ["functor", "--hom", "identity", "--G", "Z", "--H", "Q"],
+        ["states", "x"],
+    ]
+    bad_seed = "ORDALG_SEED must be an integer, got 'abc'"
+    for value in ("5", "7", "abc", "5"):
+        monkeypatch.setenv("ORDALG_SEED", value)
+        for argv in argvs:
+            result, _out, _err = assert_one_verb_parse_agrees(argv)
+            if value == "abc":
+                assert result == ("error", bad_seed)
+                assert main(list(argv)) == 2
+                assert capsys.readouterr().out == (
+                    f"error: {bad_seed}\n#! verdict=error message={bad_seed.replace(' ', '_')}\n"
+                )
+            else:
+                assert result.get("seed", int(value)) == int(value)
 
 
 @pytest.mark.parametrize("seed", [1, 7])
