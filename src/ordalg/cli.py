@@ -22,12 +22,13 @@ from .decomp import (
     classify_perfect,
     decomposition_from_state,
 )
-from .errors import OrdalgError, ParseError, PreconditionError
+from .errors import OrdalgError, PreconditionError
 from .parsing import (
     parse_descriptor,
     parse_element,
     parse_interval_pea,
     parse_pea_file,
+    parse_spec,
     parse_subgroup,
 )
 from .pea import IntervalPea, ideals_enumerate
@@ -63,20 +64,29 @@ def _machine(out, **kv):
     out.append("#! " + " ".join(f"{k}={v}" for k, v in kv.items()))
 
 
-def _read_pea_arg(value):
-    """--pea accepts a gamma(...) descriptor or a path to a table file."""
-    if re.match(r"\s*gamma\s*\(", value):
-        return parse_interval_pea(value)
-    with open(value, "r", encoding="utf-8") as fh:
-        verdict = parse_pea_file(fh.read())
+def _read_table(path):
+    """The axiom verdict of a table file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_pea_file(fh.read())
+
+
+def _read_algebra(path):
+    """The algebra of a table file, which must pass the axioms."""
+    verdict = _read_table(path)
     if not verdict.valid:
         raise OrdalgError(f"invalid algebra file: {verdict.failure}")
     return verdict.pea
 
 
+def _read_pea_arg(value):
+    """--pea accepts a gamma(...) descriptor or a path to a table file."""
+    if re.match(r"\s*gamma\s*\(", value):
+        return parse_interval_pea(value)
+    return _read_algebra(value)
+
+
 def cmd_check_axioms(args, out):
-    with open(args.file, "r", encoding="utf-8") as fh:
-        verdict = parse_pea_file(fh.read())
+    verdict = _read_table(args.file)
     if verdict.valid:
         out.append(f"{args.file}: all axioms hold (n={verdict.pea.size})")
         _machine(out, verdict="pass", n=verdict.pea.size)
@@ -92,8 +102,7 @@ def cmd_check_axioms(args, out):
 
 
 def cmd_states(args, out):
-    verdict = _read_pea_arg(args.file)
-    vertices = states_finite(verdict)
+    vertices = states_finite(_read_algebra(args.file))
     out.append(f"extremal states: {len(vertices)}")
     for idx, s in enumerate(vertices):
         vals = " ".join(str(v) for v in s.values)
@@ -104,8 +113,7 @@ def cmd_states(args, out):
 
 
 def cmd_ideals(args, out):
-    E = _read_pea_arg(args.file)
-    report = ideals_enumerate(E)
+    report = ideals_enumerate(_read_algebra(args.file))
     out.append(f"ideals: {len(report.ideals)}")
     for info in report.ideals:
         members = ",".join(str(m) for m in sorted(info.members))
@@ -228,36 +236,11 @@ def cmd_classify_perfect(args, out):
     return 0
 
 
-def _int_args(text, name):
-    """The integers i, j, ... of ``name(i,j,...)``."""
-    inner = text[len(name) + 1 : -1]
-    try:
-        return tuple(int(p) for p in inner.split(","))
-    except ValueError:
-        raise ParseError(
-            f"{name}(...) takes integers, got {inner!r}", column=len(name) + 2
-        ) from None
-
-
-def _parse_shuffle(spec_text, G):
-    text = spec_text.strip()
-    if text == "identity":
-        return ("identity",)
-    if text.startswith("permute(") and text.endswith(")"):
-        return ("permute", _int_args(text, "permute"))
-    if text.startswith("translate(") and text.endswith(")"):
-        return ("translate", parse_element(G, text[len("translate(") : -1]))
-    if text.startswith("conjugate(") and text.endswith(")"):
-        return ("conjugate", parse_element(G, text[len("conjugate(") : -1]))
-    raise OrdalgError(f"unknown shuffle spec {spec_text!r}")
-
-
 def cmd_represent(args, out):
     H = parse_subgroup(args.H)
     G = parse_descriptor(args.G)
     if args.shuffle:
-        spec = _parse_shuffle(args.shuffle, G)
-        E, _alpha = make_shuffled(H, G, spec)
+        E, _alpha = make_shuffled(H, G, parse_spec("shuffle", args.shuffle, G))
     elif args.g0:
         E = build_lex_pea(H, G, parse_element(G, args.g0))
     else:
@@ -280,24 +263,10 @@ def cmd_represent(args, out):
     return 0 if report.clean else 1
 
 
-def _parse_hom(text, G):
-    text = text.strip()
-    if text == "identity":
-        return GroupHom(G, G, ("identity",))
-    if text.startswith("scale(") and text.endswith(")"):
-        factors = _int_args(text, "scale")
-        if len(factors) != 1:
-            raise ParseError(f"scale(...) takes one integer, got {len(factors)}", column=7)
-        return GroupHom(G, G, ("scale", factors[0]))
-    if text.startswith("permute(") and text.endswith(")"):
-        return GroupHom(G, G, ("permute", _int_args(text, "permute")))
-    raise OrdalgError(f"unknown homomorphism spec {text!r}")
-
-
 def cmd_functor(args, out):
     H = parse_subgroup(args.H)
     G = parse_descriptor(args.G)
-    h = _parse_hom(args.hom, G)
+    h = GroupHom(G, G, parse_spec("homomorphism", args.hom, G))
     # raises unless h passes the sampled homomorphism check
     functor_map(h, H, random.Random(args.seed), args.samples)
     # the identity lift returns its argument, and h after the identity lifts

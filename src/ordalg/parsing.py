@@ -3,7 +3,8 @@
 Descriptor syntax:  Z | Z/n | Z^k | Q | Q[sqrt d] | Aff | lex(A, B) |
 prod(A, B) | gamma(DESC, ELEMENT) for interval algebras.
 Scalars print and parse as p/q or p/q + r/s*sqrt(d); composite elements are
-nested tuples (x, y).  Finite algebras load from a line-based file:
+nested tuples (x, y).  Shuffle and homomorphism specs are NAME or NAME(ARG)
+(``parse_spec``).  Finite algebras load from a line-based file:
 
     pea n=<size> zero=<id> one=<id>
     add <i> <j> <k>
@@ -21,6 +22,7 @@ from .scalars import QuadraticNumber, ScalarSubgroup
 
 class _Tokens:
     SYMBOLS = "()[]^/,+-*"
+    DIGITS = "0123456789"
 
     def __init__(self, text: str):
         self.text = text
@@ -46,7 +48,7 @@ class _Tokens:
         ch = self.text[self.pos]
         if ch in self.SYMBOLS:
             return ch
-        if ch.isdigit():
+        if ch in self.DIGITS:
             return "int"
         if ch.isalpha():
             return "name"
@@ -67,7 +69,7 @@ class _Tokens:
         if self.peek() != "int":
             self.error("expected an integer")
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in self.DIGITS:
             self.pos += 1
         return int(self.text[start : self.pos])
 
@@ -79,9 +81,22 @@ class _Tokens:
             self.pos += 1
         return self.text[start : self.pos]
 
-    def expect_end(self):
-        if self.peek() is not None:
-            self.error("trailing input")
+
+def _whole(text: str, rule):
+    """What rule reads from the tokens of text, which it must use up."""
+    toks = _Tokens(text)
+    result = rule(toks)
+    if toks.peek() is not None:
+        toks.error("trailing input")
+    return result
+
+
+def _items(toks: _Tokens, item):
+    """item, then one more after each comma, as a list."""
+    items = [item(toks)]
+    while toks.try_symbol(","):
+        items.append(item(toks))
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +104,7 @@ class _Tokens:
 
 
 def parse_subgroup(text: str) -> ScalarSubgroup:
-    toks = _Tokens(text)
-    H = _subgroup(toks, toks.take_name())
-    toks.expect_end()
-    return H
+    return _whole(text, lambda toks: _subgroup(toks, toks.take_name()))
 
 
 def _subgroup(toks: _Tokens, name: str) -> ScalarSubgroup:
@@ -113,10 +125,7 @@ def _subgroup(toks: _Tokens, name: str) -> ScalarSubgroup:
 
 
 def parse_descriptor(text: str) -> g.GroupDescriptor:
-    toks = _Tokens(text)
-    desc = _descriptor(toks)
-    toks.expect_end()
-    return desc
+    return _whole(text, _descriptor)
 
 
 def _descriptor(toks: _Tokens) -> g.GroupDescriptor:
@@ -143,30 +152,34 @@ def _descriptor(toks: _Tokens) -> g.GroupDescriptor:
 
 def parse_interval_pea(text: str) -> IntervalPea:
     """gamma(DESC, UNIT)."""
-    toks = _Tokens(text)
-    name = toks.take_name()
-    if name != "gamma":
+    desc, value = _whole(text, _gamma)
+    return IntervalPea(desc, desc.from_parsed(value))
+
+
+def _gamma(toks: _Tokens):
+    if toks.take_name() != "gamma":
         toks.error("expected gamma(DESC, UNIT)")
     toks.take_symbol("(")
     desc = _descriptor(toks)
     toks.take_symbol(",")
     value = _value(toks)
     toks.take_symbol(")")
-    toks.expect_end()
-    return IntervalPea(desc, desc.from_parsed(value))
+    return desc, value
 
 
 # ---------------------------------------------------------------------------
 # elements
 
 
-def _rational(toks: _Tokens) -> Fraction:
-    sign = 1
+def _signed_int(toks: _Tokens) -> int:
     if toks.try_symbol("-"):
-        sign = -1
-    elif toks.try_symbol("+"):
-        pass
-    num = toks.take_int()
+        return -toks.take_int()
+    toks.try_symbol("+")
+    return toks.take_int()
+
+
+def _rational(toks: _Tokens) -> Fraction:
+    num = _signed_int(toks)
     if toks.try_symbol("/"):
         toks._skip_ws()
         start = toks.pos
@@ -174,40 +187,36 @@ def _rational(toks: _Tokens) -> Fraction:
         if den == 0:
             toks.pos = start
             toks.error("zero denominator")
-        return Fraction(sign * num, den)
-    return Fraction(sign * num)
+        return Fraction(num, den)
+    return Fraction(num)
+
+
+def _sqrt(toks: _Tokens, message: str) -> int:
+    """sqrt(d), or message after a name other than sqrt; returns d."""
+    if toks.take_name() != "sqrt":
+        toks.error(message)
+    toks.take_symbol("(")
+    d = toks.take_int()
+    toks.take_symbol(")")
+    return d
 
 
 def _scalar_term(toks: _Tokens):
     """rational [* sqrt(d)] or sqrt(d); returns (rational, d or None)."""
     if toks.peek() == "name":
-        if toks.take_name() != "sqrt":
-            toks.error("expected sqrt")
-        toks.take_symbol("(")
-        d = toks.take_int()
-        toks.take_symbol(")")
-        return Fraction(1), d
+        return Fraction(1), _sqrt(toks, "expected sqrt")
     q = _rational(toks)
     if toks.try_symbol("*"):
-        if toks.take_name() != "sqrt":
-            toks.error("expected sqrt after *")
-        toks.take_symbol("(")
-        d = toks.take_int()
-        toks.take_symbol(")")
-        return q, d
+        return q, _sqrt(toks, "expected sqrt after *")
     return q, None
 
 
 def _value(toks: _Tokens):
     """A value tree: scalar expression or tuple of value trees."""
     if toks.try_symbol("("):
-        items = [_value(toks)]
-        while toks.try_symbol(","):
-            items.append(_value(toks))
+        items = _items(toks, _value)
         toks.take_symbol(")")
-        if len(items) == 1:
-            return items[0]
-        return tuple(items)
+        return items[0] if len(items) == 1 else tuple(items)
     rat, d = _scalar_term(toks)
     if d is None:
         a, b = rat, None
@@ -230,14 +239,60 @@ def _value(toks: _Tokens):
 
 
 def parse_value(text: str):
-    toks = _Tokens(text)
-    value = _value(toks)
-    toks.expect_end()
-    return value
+    return _whole(text, _value)
 
 
 def parse_element(desc, text: str):
     return desc.from_parsed(parse_value(text))
+
+
+# ---------------------------------------------------------------------------
+# shuffle and homomorphism specs
+
+
+def _element(toks: _Tokens, G):
+    return G.from_parsed(_value(toks))
+
+
+def _int_list(toks: _Tokens, G):
+    return tuple(_items(toks, _signed_int))
+
+
+def _one_int(toks: _Tokens, G):
+    return _signed_int(toks)
+
+
+# spec kind -> rule name -> what its parentheses hold, read given the tail G;
+# None for a name without parentheses
+_RULES = {
+    "shuffle": {"identity": None, "permute": _int_list,
+                "translate": _element, "conjugate": _element},
+    "homomorphism": {"identity": None, "scale": _one_int, "permute": _int_list},
+}
+
+
+def parse_spec(kind: str, text: str, G: g.GroupDescriptor) -> tuple:
+    """A "shuffle" or "homomorphism" spec on the tail G as the rule tuple of
+    ``represent.make_shuffled`` and ``GroupHom``: NAME reads as (NAME,) and
+    NAME(ARG) as (NAME, ARG), e.g. ``permute(1,0)`` as ("permute", (1, 0))."""
+    return _whole(text, lambda toks: _rule(toks, kind, G))
+
+
+def _rule(toks: _Tokens, kind: str, G):
+    rules = _RULES[kind]
+    toks._skip_ws()
+    start = toks.pos
+    name = toks.take_name()
+    if name not in rules:
+        toks.pos = start
+        toks.error(f"{name!r} is not a {kind} name ({', '.join(rules)})")
+    read = rules[name]
+    if read is None:
+        return (name,)
+    toks.take_symbol("(")
+    arg = read(toks, G)
+    toks.take_symbol(")")
+    return (name, arg)
 
 
 # ---------------------------------------------------------------------------

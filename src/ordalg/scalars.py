@@ -391,9 +391,8 @@ class _Quadratic(ScalarSubgroup):
         return x.a.denominator == 1 and x.b.denominator == 1
 
     def admits(self, x) -> bool:
-        # Rational coefficients are still taken: whether Q[sqrt d] means
-        # Z + Z*sqrt(d) or Q + Q*sqrt(d) for elements is not decided yet.
-        return True
+        # a coefficient is an int exactly when it is integral
+        return type(x.a) is int and type(x.b) is int
 
     def pick_between(self, lo, hi):
         """m + k*(sqrt(d) - floor(sqrt(d))) with the smallest k >= 0, then smallest |m|."""

@@ -197,11 +197,10 @@ def _generator_coordinates(E: FinitePea):
     Returns (vectors, defining): zero maps to the zero vector, the c-th
     generator to the c-th unit vector, and every other nonzero element k to
     the sum of the vectors of the summands of its one defining pair
-    defining[k] = (i, j), a defined i + j = k with i and j nonzero.  The
-    elements are placed by Kahn's algorithm over those pairs.  In an algebra
-    the summands lie strictly below k in the derived order, so the pairs have
-    no cycle; a table that skipped the axiom check may have one, and then
-    this raises.
+    defining[k] = (i, j), a defined i + j = k with i and j nonzero, placed
+    after its summands by memoised recursion.  In an algebra the summands lie
+    strictly below k in the derived order, so the pairs have no cycle; a
+    table that skipped the axiom check may have one, and then this raises.
     """
     zero = E.zero
     defining = {}
@@ -213,27 +212,19 @@ def _generator_coordinates(E: FinitePea):
     vectors[zero] = [0] * len(generators)
     for c, x in enumerate(generators):
         vectors[x] = [int(c == q) for q in range(len(generators))]
-    # waiting[k] counts the summands of k that are not placed yet
-    users = {k: [] for k in defining}
-    waiting = {}
-    ready = []
-    for k, pair in defining.items():
-        summands = {x for x in pair if x in defining}
-        waiting[k] = len(summands)
-        for x in summands:
-            users[x].append(k)
-        if not summands:
-            ready.append(k)
-    while ready:
-        k = ready.pop()
-        i, j = defining[k]
-        vectors[k] = [a + b for a, b in zip(vectors[i], vectors[j])]
-        for user in users[k]:
-            waiting[user] -= 1
-            if not waiting[user]:
-                ready.append(user)
-    if None in vectors:
-        raise AssertionError("the defining sums of the table form a cycle")
+    placing = set()
+
+    def place(k):
+        if vectors[k] is None:
+            if k in placing:
+                raise AssertionError("the defining sums of the table form a cycle")
+            placing.add(k)
+            i, j = defining[k]
+            vectors[k] = [a + b for a, b in zip(place(i), place(j))]
+        return vectors[k]
+
+    for k in defining:
+        place(k)
     return vectors, defining
 
 

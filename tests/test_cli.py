@@ -1,7 +1,9 @@
 """Command-line interface: grammar, verbs, determinism and exit codes."""
 
+import ast
 import io
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -11,13 +13,14 @@ import pytest
 
 from ordalg import groups as g
 from ordalg.cli import main
-from ordalg.errors import ParseError
+from ordalg.errors import OrdalgError, ParseError, ShapeError
 from ordalg.parsing import (
     format_pea_file,
     parse_descriptor,
     parse_element,
     parse_interval_pea,
     parse_pea_file,
+    parse_spec,
     parse_subgroup,
     parse_value,
 )
@@ -26,6 +29,7 @@ from ordalg.scalars import QuadraticNumber, ScalarSubgroup
 from fractions import Fraction
 
 from one_verb_parse import assert_one_verb_parse_agrees
+from test_cli_golden import CASES as GOLDEN_CASES
 
 
 def run_cli(*argv):
@@ -54,8 +58,20 @@ def test_parse_elements():
     assert parse_element(desc, "(1/2, -3)") == (Fraction(1, 2), Fraction(-3))
     vec = parse_element(parse_descriptor("Z^3"), "(1, 2, -3)")
     assert vec == (1, 2, -3)
-    q = parse_element(parse_descriptor("Q[sqrt 2]"), "1/2 + 3*sqrt(2)")
-    assert q == QuadraticNumber(Fraction(1, 2), Fraction(3), 2)
+    q = parse_element(parse_descriptor("Q[sqrt 2]"), "-1 + 3*sqrt(2)")
+    assert q == QuadraticNumber(-1, 3, 2)
+
+
+@pytest.mark.parametrize("text", ["1/2 + 3*sqrt(2)", "1/2*sqrt(2)", "1/3", "2 - 5/4*sqrt(2)"])
+def test_quadratic_elements_are_lattice_points(text):
+    # Q[sqrt d] is the lattice Z + Z*sqrt(d); rational coefficients were taken
+    with pytest.raises(ShapeError, match="is not an element of Q\\[sqrt 2\\]"):
+        parse_element(parse_descriptor("Q[sqrt 2]"), text)
+    with pytest.raises(ShapeError):
+        parse_element(parse_descriptor("lex(Q[sqrt 2], Z)"), f"({text}, 0)")
+    code, output = run_cli("interpolate", "--group", "Q[sqrt 2]",
+                           "--a1", text, "--a2", "0", "--b1", "10", "--b2", "10")
+    assert code == 2 and output.startswith("error: ")
 
 
 def test_parse_subgroups():
@@ -95,7 +111,7 @@ def test_parse_value_zero_denominator_is_a_parse_error(text, column):
     (("check-rdp", "--group", "Z", "--a1", "1/0", "--a2", "1", "--b1", "1", "--b2", "1"), 3),
     (("interpolate", "--group", "Q", "--a1", "1/0", "--a2", "1", "--b1", "1", "--b2", "1"), 3),
     (("decompose", "--pea", "gamma(lex(Q, Z), (1/0, 0))", "--H", "Q"), 21),
-    (("represent", "--H", "Q", "--G", "Q", "--shuffle", "translate(1/0)"), 3),
+    (("represent", "--H", "Q", "--G", "Q", "--shuffle", "translate(1/0)"), 13),
     (("check-rdp", "--group", "Q[sqrt 2]", "--a1", "1 + 1/0*sqrt(2)",
       "--a2", "1", "--b1", "1", "--b2", "1"), 7),
 ])
@@ -104,6 +120,30 @@ def test_cli_zero_denominator_is_an_input_error(argv, column):
         2, f"error: 1:{column}: zero denominator\n"
         f"#! verdict=error message=1:{column}:_zero_denominator\n"
     )
+
+
+@pytest.mark.parametrize("text, column", [("\u00b2", 1), ("(1, \u0663)", 5), ("1/\u00b2", 3)])
+def test_parse_value_reads_ascii_digits_only(text, column):
+    # str.isdigit passed the superscript two, and int() then ended in a
+    # ValueError traceback; other digits that int() reads are refused alike
+    with pytest.raises(ParseError) as err:
+        parse_value(text)
+    assert err.value.column == column
+    assert "unexpected character" in str(err.value)
+    code, output = run_cli("check-rdp", "--group", "lex(Z, Z)", "--a1", f"({text}, 0)",
+                           "--a2", "(0, 0)", "--b1", "(1, 0)", "--b2", "(0, 0)")
+    assert code == 2 and output.startswith(f"error: 1:{column + 1}: unexpected character")
+
+
+@pytest.mark.parametrize("verb", ["check-axioms", "states", "ideals"])
+def test_file_verbs_take_a_table_file_only(verb, tmp_path, monkeypatch):
+    # states and ideals read their file as --pea is read, so a gamma(...)
+    # argument reached the finite kernels and ended in an AttributeError
+    monkeypatch.chdir(tmp_path)
+    code, output = run_cli(verb, "gamma(lex(Q,Z),(1,0))")
+    assert code == 2
+    assert output.splitlines()[0].startswith("error: [Errno 2] No such file or directory")
+    assert output.splitlines()[1].startswith("#! verdict=error message=")
 
 
 def test_pea_file_round_trip(tmp_path):
@@ -359,16 +399,106 @@ def test_cli_shuffle_permute_names_its_fault():
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("functor", "--hom", "permute(a)"), "error: 1:9: permute(...) takes integers, got 'a'"),
-    (("functor", "--hom", "scale(x)"), "error: 1:7: scale(...) takes integers, got 'x'"),
-    (("functor", "--hom", "scale(1,2)"), "error: 1:7: scale(...) takes one integer, got 2"),
-    (("represent", "--shuffle", "permute(x)"), "error: 1:9: permute(...) takes integers, got 'x'"),
+    (("functor", "--hom", "permute(a)"), "error: 1:9: expected an integer"),
+    (("functor", "--hom", "scale(x)"), "error: 1:7: expected an integer"),
+    (("functor", "--hom", "scale(1,2)"), "error: 1:8: expected ')'"),
+    (("represent", "--shuffle", "permute(x)"), "error: 1:9: expected an integer"),
 ])
 def test_cli_integer_arguments_that_are_not_integers_are_parse_errors(argv, message):
     # a bare int() let these end in a ValueError traceback
     code, output = run_cli(*argv, "--G", "Z^2", "--H", "Q")
     assert code == 2
     assert output.splitlines()[0] == message
+
+
+# (verb, spec, column, message): each fault is reported at its token inside
+# the spec, not inside the text between its parentheses
+SPEC_FAULTS = [
+    ("represent", "translate(1/0)", 13, "zero denominator"),
+    ("represent", "translate((1,x))", 15, "expected sqrt"),
+    ("represent", "conjugate((1, 1/0))", 17, "zero denominator"),
+    ("represent", "conjugate((1,x))", 15, "expected sqrt"),
+    ("represent", "permute(0,a)", 11, "expected an integer"),
+    ("represent", "permute(0,1", 12, "expected ')'"),
+    ("represent", "  shift(1)", 3,
+     "'shift' is not a shuffle name (identity, permute, translate, conjugate)"),
+    ("functor", "scale(1,2)", 8, "expected ')'"),
+    ("functor", "scale(1_000)", 8, "unexpected character '_'"),
+    ("functor", "permute(0,\u0661)", 11, "unexpected character '\u0661'"),
+    ("functor", "identity()", 9, "trailing input"),
+    ("functor", "rotate", 1, "'rotate' is not a homomorphism name (identity, scale, permute)"),
+]
+
+
+@pytest.mark.parametrize("verb, spec, column, message", SPEC_FAULTS)
+def test_cli_spec_faults_point_into_the_spec(verb, spec, column, message):
+    option = "--shuffle" if verb == "represent" else "--hom"
+    code, output = run_cli(verb, option, spec, "--G", "Z^2", "--H", "Z/3")
+    assert code == 2
+    assert output.splitlines()[0] == f"error: 1:{column}: {message}"
+
+
+def _reference_rule(kind, spec_text, G):
+    """The rule that cli's string-slicing spec parsers returned, kept as a
+    reference: a stripped NAME or NAME(...), integers read by int()."""
+    text = spec_text.strip()
+    if text == "identity":
+        return ("identity",)
+    for name in ("permute", "scale", "translate", "conjugate"):
+        if text.startswith(f"{name}(") and text.endswith(")"):
+            inner = text[len(name) + 1 : -1]
+            if name == "permute":
+                return (name, tuple(int(p) for p in inner.split(",")))
+            if name == "scale" and kind == "homomorphism":
+                (factor,) = (int(p) for p in inner.split(","))
+                return (name, factor)
+            if name != "scale" and kind == "shuffle":
+                return (name, parse_element(G, inner))
+    raise ValueError(f"not a {kind} spec: {spec_text!r}")
+
+
+def _documented_specs():
+    """Every (kind, spec) of the README, the CLI goldens and the benchmark corpora."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    specs = set(re.findall(r"--(shuffle|hom)\s+'([^']*)'", readme))
+    specs |= {(opt[2:], spec) for argv in GOLDEN_CASES.values()
+              for opt, spec in zip(argv, argv[1:]) if opt in ("--shuffle", "--hom")}
+    tree = ast.parse((root / "perfbench" / "workloads.py").read_text(encoding="utf-8"))
+    corpora = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+               if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+               and node.targets[0].id in ("REPRESENT_CASES", "FUNCTOR_CASES")}
+    specs |= {("shuffle", spec) for _H, _G, spec in corpora["REPRESENT_CASES"]}
+    specs |= {("hom", spec) for spec, _G, _H in corpora["FUNCTOR_CASES"]}
+    return sorted(("homomorphism" if kind == "hom" else kind, spec) for kind, spec in specs)
+
+
+def _spellings(spec):
+    """spec; then with spaces around it, inside each parenthesis and around each
+    comma; then also with a + before each unsigned integer."""
+    spaced = "  " + re.sub(r"\s*,\s*", " , ", spec.replace("(", "( ").replace(")", " )")) + " "
+    return [spec, spaced, re.sub(r"(?<=[(,] )(\d)", r"+\1", spaced)]
+
+
+def test_documented_specs_parse_to_the_rules_of_the_reference():
+    specs = _documented_specs()
+    assert {spec for _, spec in specs} >= {
+        "identity", "permute(1,0)", "translate(1)", "translate((1, 2))", "scale(2)",
+    }
+    tails = [parse_descriptor(text) for text in ("Z", "Z^2", "Z^3", "Q", "lex(Q, Z)")]
+    checked = 0
+    for kind, spec in specs:
+        for text in _spellings(spec):
+            for G in tails:
+                try:
+                    expected = _reference_rule(kind, text, G)
+                except (ValueError, OrdalgError):
+                    with pytest.raises(OrdalgError):
+                        parse_spec(kind, text, G)
+                    continue
+                assert parse_spec(kind, text, G) == expected, (kind, text, G)
+                checked += 1
+    assert checked >= 3 * len(specs)
 
 
 @pytest.mark.parametrize("H, shuffle", [("Z/3", "translate((1, 2))"), ("Q", "conjugate((1, 2))")])

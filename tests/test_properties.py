@@ -355,9 +355,10 @@ def test_scalar_samples_and_picks_are_members():
 
 
 def test_quadratic_interval_sampler_falls_back_to_the_pick():
-    # no m + k*sqrt(2) with |k| <= 8 lies in (0, 1/100], so every random try misses
+    # no m + k*sqrt(2) with |k| <= 8 lies in (0, 17 - 12*sqrt(2)], about 0.029,
+    # so every random try misses
     desc = g.Scalar(ScalarSubgroup.quadratic(2))
-    H, hi = desc.H, desc.check_element(Fraction(1, 100))
+    H, hi = desc.H, desc.check_element(QuadraticNumber(17, -12, 2))
     x = sample_interval(desc, hi, random.Random(7))
     assert H.contains(x)
     assert compare(H.zero(), x) is Ordering.LT and compare(x, hi) is Ordering.LT

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from ordalg import groups as g
-from ordalg.cli import _parse_hom
 from ordalg.decomp import _integral_action
 from ordalg.errors import PreconditionError, UnsupportedError
 from ordalg.pea import IntervalPea
@@ -24,7 +23,7 @@ from ordalg.represent import (
     phi_represent,
     verify_isomorphism,
 )
-from ordalg.parsing import parse_descriptor, parse_element, parse_subgroup
+from ordalg.parsing import parse_descriptor, parse_element, parse_spec, parse_subgroup
 from ordalg.scalars import Ordering, ScalarSubgroup, compare, grid_points
 
 from test_cli_golden import CASES
@@ -339,7 +338,7 @@ def test_functor_laws_hold_on_the_golden_cases(name):
     # identity, against the lift the verb builds
     opts = dict(zip(CASES[name][1::2], CASES[name][2::2]))
     G = parse_descriptor(opts["--G"])
-    h = _parse_hom(opts["--hom"], G)
+    h = GroupHom(G, G, parse_spec("homomorphism", opts["--hom"], G))
     rng = random.Random(0)
     lifted = functor_map(h, parse_subgroup(opts["--H"]), rng, int(opts.get("--samples", 100)))
     identity = GroupHom(G, G, ("identity",))
@@ -364,7 +363,7 @@ def test_faithfulness_witness():
 def test_non_homomorphism_witness_reads_back(hom, desc):
     # the message, and so the #! line, names the witness in the element grammar
     G = parse_descriptor(desc)
-    h = _parse_hom(hom, G)
+    h = GroupHom(G, G, parse_spec("homomorphism", hom, G))
     law, x, y = hom_verify(h, random.Random(0), 100)
     with pytest.raises(PreconditionError) as exc:
         functor_map(h, HQ, random.Random(0))
