@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from ordalg import cli, riesz
 from ordalg import groups as g
 from ordalg.cli import main
 from ordalg.errors import OrdalgError, ParseError, ShapeError
@@ -259,6 +260,73 @@ def test_cli_check_rdp_matches_worked_example():
     assert "(2, 5)" in output  # c12 of the meet table
     assert "#! verdict=pass" in output
     assert "oracle=found" in output
+
+
+WORKED_INSTANCE = ("--group", "lex(Z, Z)", "--a1", "(3, 7)", "--a2", "(0, 4)",
+                   "--b1", "(1, 2)", "--b2", "(2, 9)", "--box", "45")
+
+
+def test_check_rdp_verifies_each_table_once(monkeypatch):
+    # rdp_decompose returns its table unverified, check-rdp verifies it
+    # once, and the oracle verifies only candidates of its own search
+    verify, decompose = riesz.rdp_table_verify, riesz.rdp_decompose
+    verified, solved = [], []
+
+    def counting_verify(*args, **kwargs):
+        verified.append(args[5])
+        return verify(*args, **kwargs)
+
+    def recording_decompose(*args, **kwargs):
+        solved.append(decompose(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(riesz, "rdp_table_verify", counting_verify)
+    monkeypatch.setattr(cli, "rdp_table_verify", counting_verify)
+    monkeypatch.setattr(cli, "rdp_decompose", recording_decompose)
+    riesz.rdp_decompose(g.ZZ, 3, 1, 2, 2)
+    assert verified == []
+    for oracle in ((), ("--oracle",)):
+        verified.clear()
+        solved.clear()
+        code, output = run_cli("check-rdp", *WORKED_INSTANCE, *oracle)
+        assert code == 0 and "verification: valid" in output
+        assert [t for t in verified if t is solved[0]] == solved
+        assert len({id(t) for t in verified}) == len(verified) == 1 + len(oracle)
+
+
+def test_check_rdp_reports_a_wrong_table_as_invalid(monkeypatch):
+    # the solver's table is verified by check-rdp alone, so a wrong
+    # construction is a failed verdict, not an internal error
+    monkeypatch.setattr(riesz, "_meet_table", lambda desc, a1, a2, b1, b2: (a1, a2, b1, b2))
+    code, output = run_cli("check-rdp", *WORKED_INSTANCE)
+    assert code == 1
+    assert "verification: invalid\n#! verdict=fail level=rdp side=-\n" in output
+
+
+@pytest.mark.parametrize("group, a, zero", [
+    ("Z", "30", "0"),
+    ("lex(Z, Z^2)", "(1, (30, 0))", "(0, (0, 0))"),
+])
+def test_check_rdp_oracle_outside_the_box_is_inconclusive(group, a, zero):
+    # a1 = b1 = a and a2 = b2 = 0 leave one table, whose c11 = a lies
+    # outside box 20, so the oracle's "not found" proves nothing
+    instance = ("--group", group, "--a1", a, "--a2", zero, "--b1", a, "--b2", zero)
+    code, output = run_cli("check-rdp", *instance, "--oracle")
+    assert code == 0
+    assert output.endswith(
+        "oracle: not found (box 20)\n"
+        f"agreement: inconclusive, the solver's c11 = {a} lies outside box 20\n"
+        "#! oracle=absent agree=inconclusive\n"
+    )
+    code, output = run_cli("check-rdp", *instance, "--oracle", "--box", "30")
+    assert code == 0 and output.endswith("#! oracle=found agree=True\n")
+
+
+def test_check_rdp_oracle_missing_a_table_in_the_box_disagrees(monkeypatch):
+    monkeypatch.setattr(cli, "rdp_oracle_search", lambda *a, **k: riesz.OracleResult(False))
+    code, output = run_cli("check-rdp", *WORKED_INSTANCE, "--oracle")
+    assert code == 1
+    assert output.endswith("oracle: not found (box 45)\n#! oracle=absent agree=False\n")
 
 
 def test_cli_interpolate():

@@ -82,7 +82,8 @@ add 0 0 0
 # orders and slices past the Q grid's denominators: a tail unit 720 with no
 # seventh part over Q (flags, and a refused representation), the sixtieths
 # with no root of order 7, and Q and Z/60 each read over the other, which
-# differ at 1/7; and a zero denominator, an input error
+# differ at 1/7; a zero denominator, an input error; and an oracle whose
+# box misses the only table, which leaves the agreement inconclusive
 CASES = {
     "01_check_axioms": ["check-axioms", "chain.pea"],
     "02_states": ["states", "chain.pea"],
@@ -181,6 +182,10 @@ CASES = {
     ],
     "37_check_rdp_zero_denominator": [
         "check-rdp", "--group", "Z", "--a1", "1/0", "--a2", "1", "--b1", "1", "--b2", "1",
+    ],
+    "38_check_rdp_oracle_outside_box": [
+        "check-rdp", "--group", "Z", "--a1", "30", "--a2", "30", "--b1", "30", "--b2", "30",
+        "--level", "rdp2", "--oracle",
     ],
 }
 

@@ -4,9 +4,10 @@ These are the surfaces argparse prints before any verb runs: the top-level
 help, each verb's help, and the usage errors for a missing or unknown verb,
 an unrecognized argument and a missing or invalid option.  Each golden file
 holds the exit code, stdout and stderr, so a change to how the parser is
-built that moves any byte of them fails here.  The bytes are argparse's
-rendering under Python 3.11 at 80 columns, the version the suite is verified
-on.
+built that moves any byte of them fails here.  The bytes are those of 80
+columns, the same on Python 3.10 through 3.13: ``cli`` wraps the usage
+lines itself, by argparse's rule up to 3.12, and argparse renders the rest
+alike on each of them.
 
 ``cli.main`` reads a named verb's argv with the parser of that verb alone
 and asks ``build_parser`` only about a missing or unknown verb and leftover
@@ -15,6 +16,7 @@ benchmark command line into the namespace of the parser holding every verb,
 and fails on each usage error with that parser's exit code and bytes.
 """
 
+import argparse
 from contextlib import redirect_stderr, redirect_stdout
 import importlib
 import io
@@ -25,7 +27,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from ordalg.cli import _verb_parser, main
+from ordalg import cli
+from ordalg.cli import VERBS, _verb_parser, build_parser, main
 
 from one_verb_parse import assert_one_verb_parse_agrees
 from test_cli_golden import CASES as GOLDEN_CASES, CHAIN_PEA
@@ -140,6 +143,24 @@ def test_verb_parser_fails_as_the_full_parser(argv, seed, monkeypatch):
     result, _out, _err = assert_one_verb_parse_agrees(argv)
     bad_seed = ("error", "ORDALG_SEED must be an integer, got 'abc'")
     assert result in (("exit", 0), ("exit", 2), bad_seed)
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse keeps an option with its value")
+def test_usage_wraps_as_argparse_does_up_to_3_12(monkeypatch):
+    # at every width, not only the goldens' 80 columns; the verb parsers of
+    # build_parser print what each verb's own parser prints (above)
+    def every_parser():
+        return [build_parser(), *(_verb_parser.__wrapped__(verb, 0) for verb in VERBS)]
+
+    for columns in range(10, 161):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        ours = every_parser()
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_Formatter", argparse.RawDescriptionHelpFormatter)
+            theirs = every_parser()
+        for a, b in zip(ours, theirs):
+            assert a.format_help() == b.format_help(), (columns, a.prog)
+            assert a.format_usage() == b.format_usage(), (columns, a.prog)
 
 
 # main builds each verb's parser once per process and reuses it; the tests

@@ -168,7 +168,8 @@ def test_quadratic_dense_heads():
 def test_linear_min_tables_have_zero_meet():
     # on total orders the meet table is the min refinement; lattice orders
     # (a partial lex bottom, a product, a non-Abelian lex bottom) share it,
-    # and so does every seeded property tree at every level
+    # and so does every seeded property tree at every level, where the
+    # table verifies with the level's side condition holding
     rng = random.Random(57)
     for desc in (
         Z,
@@ -189,6 +190,9 @@ def test_linear_min_tables_have_zero_meet():
                 a1, a2, b1, b2 = random_instance(desc, rng, 6)
                 table = rdp_decompose(desc, a1, a2, b1, b2, level=level)
                 assert desc.meet(table.c12, table.c21) == desc.zero()
+                res = rdp_table_verify(desc, a1, a2, b1, b2, table, level=level)
+                assert res.ok
+                assert res.side_condition == ("holds" if level in ("rdp1", "rdp2") else None)
 
 
 def test_lex_rdp2_on_partial_bottom_gets_a_verified_table():
