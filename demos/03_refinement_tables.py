@@ -37,6 +37,7 @@ a1, a2 = (F(1), F(2)), (F(0), F(3))
 b1, b2 = (F(1), F(5)), (F(0), F(0))
 table = rdp_decompose(LZ, a1, a2, b1, b2)
 show(LZ, a1, a2, b1, b2, table)
+print(f"  verification: {rdp_table_verify(LZ, a1, a2, b1, b2, table).ok}")
 
 print()
 print("=== dense heads: the same meet table, with no reduction ===")
@@ -60,6 +61,8 @@ b1 = (F(3), F(1))
 b2 = g.sub_left(AFF, b1, g.add(AFF, a1, a2))
 table = rdp_decompose(AFF, a1, a2, b1, b2, level="rdp2")
 show(AFF, a1, a2, b1, b2, table)
+res = rdp_table_verify(AFF, a1, a2, b1, b2, table, level="rdp2")
+print(f"  verification: {res.ok}, disjointness side condition: {res.side_condition}")
 print(f"  meet(c12, c21) = {AFF.format_element(AFF.meet(table.c12, table.c21))}")
 
 print()

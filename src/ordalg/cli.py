@@ -170,8 +170,10 @@ def cmd_oracle_rdp(args, out):
         _print_table(desc, *vals, res.table, out)
         _machine(out, verdict="pass", oracle="found")
         return 0
-    out.append(f"no table within box {args.box}")
-    _machine(out, verdict="fail", oracle="absent")
+    # every instance over the grammar's l-groups has a table, the meet
+    # table, so a miss says only that the box did not reach one
+    out.append(f"no table within box {args.box}: the search covers c11 inside --box only")
+    _machine(out, verdict="inconclusive", oracle="absent")
     return 1
 
 

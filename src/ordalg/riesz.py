@@ -14,8 +14,8 @@ paper's head case tables for lexicographic products are needed only over a
 bottom that is not a lattice.  The grammar has none, so they live in
 ``tests/lex_tables.py`` as a reference construction.
 
-``rdp_oracle_search`` is an independent exhaustive oracle over discrete
-descriptors used to cross-validate the constructive solver.
+``rdp_oracle_search`` is an exhaustive oracle over discrete descriptors,
+independent of the solver, whose loop proves all but the side condition.
 """
 
 from __future__ import annotations
@@ -98,6 +98,10 @@ def rdp_table_verify(desc, a1, a2, b1, b2, table, level=None):
         return VerifyResult(False, "column 1 sum")
     if g.add(desc, c12, c22) != b2:
         return VerifyResult(False, "column 2 sum")
+    return _side_condition(desc, lv, c12, c21)
+
+
+def _side_condition(desc, lv, c12, c21):
     if lv == "rdp1":
         res = g.com_check(desc, c12, c21)
         if res.status == "fails":
@@ -180,10 +184,10 @@ class OracleResult:
 def rdp_oracle_search(desc, a1, a2, b1, b2, level="rdp", box=20):
     """Exhaustive candidate search for a decomposition table.
 
-    Enumerates c11 over [max(0, b1 - a2), min(a1, b1)] within the coordinate
-    box (the enumerable descriptors are Abelian, so c22 = c11 + a2 - b1, and
-    any other c11 leaves c12, c21 or c22 outside the positive cone), derives
-    the rest by group subtraction; complete for discrete descriptors in the box.
+    Walks c11 >= 0 over [max(0, b1 - a2), min(a1, b1)] in the box (the
+    enumerable descriptors are Abelian, so any other c11 fails): complete for
+    discrete descriptors there.  The walk and the loop prove the entries of a
+    candidate members, positive and summing right; the side condition is left.
     """
     lv = _norm_level(level)
     a1, a2, b1, b2 = check_instance(desc, a1, a2, b1, b2)
@@ -199,8 +203,6 @@ def rdp_oracle_search(desc, a1, a2, b1, b2, level="rdp", box=20):
             continue
         if g.add(desc, c12, c22) != b2:
             continue
-        table = DecompositionTable(c11, c12, c21, c22, level=lv)
-        res = rdp_table_verify(desc, a1, a2, b1, b2, table, level=lv)
-        if res.ok:
-            return OracleResult(True, table)
+        if _side_condition(desc, lv, c12, c21).ok:
+            return OracleResult(True, DecompositionTable(c11, c12, c21, c22, level=lv))
     return OracleResult(False, None)

@@ -268,7 +268,8 @@ WORKED_INSTANCE = ("--group", "lex(Z, Z)", "--a1", "(3, 7)", "--a2", "(0, 4)",
 
 def test_check_rdp_verifies_each_table_once(monkeypatch):
     # rdp_decompose returns its table unverified, check-rdp verifies it
-    # once, and the oracle verifies only candidates of its own search
+    # once, and the oracle checks the table it finds for the side condition
+    # only, since its own loop proves the rest
     verify, decompose = riesz.rdp_table_verify, riesz.rdp_decompose
     verified, solved = [], []
 
@@ -290,8 +291,8 @@ def test_check_rdp_verifies_each_table_once(monkeypatch):
         solved.clear()
         code, output = run_cli("check-rdp", *WORKED_INSTANCE, *oracle)
         assert code == 0 and "verification: valid" in output
-        assert [t for t in verified if t is solved[0]] == solved
-        assert len({id(t) for t in verified}) == len(verified) == 1 + len(oracle)
+        assert ("#! oracle=found agree=True" in output) == bool(oracle)
+        assert len(verified) == 1 and verified[0] is solved[0]
 
 
 def test_check_rdp_reports_a_wrong_table_as_invalid(monkeypatch):
@@ -320,6 +321,13 @@ def test_check_rdp_oracle_outside_the_box_is_inconclusive(group, a, zero):
     )
     code, output = run_cli("check-rdp", *instance, "--oracle", "--box", "30")
     assert code == 0 and output.endswith("#! oracle=found agree=True\n")
+    # oracle-rdp reads the same miss as inconclusive, and still exits 1
+    code, output = run_cli("oracle-rdp", *instance)
+    assert code == 1
+    assert output == ("no table within box 20: the search covers c11 inside --box only\n"
+                      "#! verdict=inconclusive oracle=absent\n")
+    code, output = run_cli("oracle-rdp", *instance, "--box", "30")
+    assert code == 0 and output.endswith("#! verdict=pass oracle=found\n")
 
 
 def test_check_rdp_oracle_missing_a_table_in_the_box_disagrees(monkeypatch):

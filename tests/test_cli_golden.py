@@ -83,7 +83,8 @@ add 0 0 0
 # seventh part over Q (flags, and a refused representation), the sixtieths
 # with no root of order 7, and Q and Z/60 each read over the other, which
 # differ at 1/7; a zero denominator, an input error; and an oracle whose
-# box misses the only table, which leaves the agreement inconclusive
+# box misses the only table, which leaves the agreement inconclusive under
+# check-rdp and the verdict inconclusive under oracle-rdp
 CASES = {
     "01_check_axioms": ["check-axioms", "chain.pea"],
     "02_states": ["states", "chain.pea"],
@@ -186,6 +187,10 @@ CASES = {
     "38_check_rdp_oracle_outside_box": [
         "check-rdp", "--group", "Z", "--a1", "30", "--a2", "30", "--b1", "30", "--b2", "30",
         "--level", "rdp2", "--oracle",
+    ],
+    "39_oracle_rdp_outside_box": [
+        "oracle-rdp", "--group", "Z", "--a1", "30", "--a2", "30", "--b1", "30", "--b2", "30",
+        "--level", "rdp2",
     ],
 }
 

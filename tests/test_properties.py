@@ -34,6 +34,7 @@ from ordalg.scalars import (
 )
 
 from lex_tables import case_table, uses_case_table
+from reference_oracle import verified_oracle_search
 
 SCALARS = [
     g.ZZ,
@@ -424,15 +425,18 @@ def test_strong_units_are_positive_and_nonzero():
 def test_oracle_finds_a_table_wherever_the_solver_does(level):
     # both directions: the solver answers every instance with a verified
     # table, so it answers wherever the oracle finds one, and its c11 lies in
-    # the oracle's window once the box holds c11.  At rdp2 the only table has
-    # c11 = a1 ^ b1, the top of the window, so the oracle walks all of it;
-    # four grid coordinates keep that walk under a second.
-    max_coords = 4 if level == "rdp2" else 5
+    # the oracle's window once the box holds c11.  The oracle checks a found
+    # table for the side condition only, so it must return what the
+    # reference that verifies every candidate in full returns, and its table
+    # must verify.  At rdp2 the only table has c11 = a1 ^ b1, the top of the
+    # window, so both walk all of it; five grid coordinates, as at the other
+    # levels, keep the two walks at about three seconds.
+    side = {"rdp0": {None}, "rdp": {None}, "rdp1": {"holds", "inconclusive"}, "rdp2": {"holds"}}
     rng = random.Random(800)
     checked = non_scalar_heads = partial_lex = 0
     while checked < 300:
         desc = discrete_descriptor(rng, rng.randint(1, 3))
-        if len(grid_coords(desc, desc.zero())) > max_coords:
+        if len(grid_coords(desc, desc.zero())) > 5:
             continue
         non_scalar_heads += any(not isinstance(h, g.Scalar) for h, _ in lex_parts(desc))
         partial_lex += isinstance(desc, g.Lex) and not desc.is_linearly_ordered()
@@ -443,7 +447,11 @@ def test_oracle_finds_a_table_wherever_the_solver_does(level):
         table = rdp_decompose(desc, a1, a2, b1, b2, level=level)
         assert rdp_table_verify(desc, a1, a2, b1, b2, table, level=level).ok
         box = max(abs(k) for k in grid_coords(desc, table.c11))
-        assert rdp_oracle_search(desc, a1, a2, b1, b2, level=level, box=box).found
+        oracle = rdp_oracle_search(desc, a1, a2, b1, b2, level=level, box=box)
+        assert oracle.found
+        assert oracle == verified_oracle_search(desc, a1, a2, b1, b2, level=level, box=box)
+        res = rdp_table_verify(desc, a1, a2, b1, b2, oracle.table, level=level)
+        assert res.ok and res.side_condition in side[level]
         checked += 1
     assert non_scalar_heads >= 30 and partial_lex >= 30
 

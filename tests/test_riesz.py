@@ -19,6 +19,7 @@ from ordalg.sampling import sample_interval, sample_positive
 from ordalg.scalars import QuadraticNumber, ScalarSubgroup
 
 from lex_tables import case_table
+from reference_oracle import verified_oracle_search
 from test_properties import TREES
 
 Z = g.ZZ
@@ -324,23 +325,6 @@ def test_oracle_agreement_lex_zz2():
         assert rdp_oracle_search(desc, a1, a2, b1, b2, box=15).found
 
 
-def zero_window_search(desc, a1, a2, b1, b2, level, box):
-    """The oracle over its former window, c11 >= 0 only, with the same checks."""
-    a1, a2, b1, b2 = check_instance(desc, a1, a2, b1, b2)
-    for c11 in desc.iter_bounded([desc.zero()], [a1, b1], box):
-        c12 = g.sub_left(desc, c11, a1)
-        c21 = g.sub_left(desc, c11, b1)
-        c22 = g.sub_left(desc, c21, a2)
-        if not all(g.positive_cone_member(desc, c) for c in (c12, c21, c22)):
-            continue
-        if g.add(desc, c12, c22) != b2:
-            continue
-        table = DecompositionTable(c11, c12, c21, c22, level=level)
-        if rdp_table_verify(desc, a1, a2, b1, b2, table, level=level).ok:
-            return table
-    return None
-
-
 WINDOW_DESCS = [
     Z,
     g.Scalar(ScalarSubgroup.cyclic(2)),
@@ -363,8 +347,9 @@ def test_oracle_window_returns_the_zero_window_table():
             for level in ("rdp", "rdp1", "rdp2"):
                 for box in (2, 6):
                     res = rdp_oracle_search(desc, a1, a2, b1, b2, level=level, box=box)
-                    expected = zero_window_search(desc, a1, a2, b1, b2, level, box)
-                    assert res.table == expected and res.found == (expected is not None)
+                    assert res == verified_oracle_search(
+                        desc, a1, a2, b1, b2, level=level, box=box, from_zero=True
+                    )
                     outcomes.add(res.found)
     assert outcomes == {True, False}
 
