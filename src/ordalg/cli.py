@@ -66,7 +66,7 @@ def _machine(out, **kv):
 
 def _read_table(path):
     """The axiom verdict of a table file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_pea_file(fh.read())
 
 

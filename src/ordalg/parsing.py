@@ -12,11 +12,12 @@ nested tuples (x, y).  Shuffle and homomorphism specs are NAME or NAME(ARG)
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from . import groups as g
 from .errors import ParseError
-from .pea import FinitePea, IntervalPea, check_pea_axioms
+from .pea import MAX_FINITE_SIZE, FinitePea, IntervalPea, check_pea_axioms
 from .scalars import QuadraticNumber, ScalarSubgroup
 
 
@@ -299,11 +300,102 @@ def _rule(toks: _Tokens, kind: str, G):
 # finite algebra files
 
 
+_COMMENT = re.compile(r"#[^\n]*")
+# the whitespace that starts a line, blank lines included
+_LINE_START_SPACE = re.compile(r"^\s+", re.MULTILINE)
+# the canonical numerals of the elements up to the size cap
+_NUMERALS = tuple(str(v) for v in range(MAX_FINITE_SIZE))
+
+
+class _Index(dict):
+    """Element numerals -> their values in [0, size).  A canonical numeral is
+    one lookup; any other token reads as int() reads it ("03", "+3", "1_0",
+    non-ASCII digits), and one that names no element raises ValueError."""
+
+    def __init__(self, size):
+        super().__init__(zip(_NUMERALS, range(size)))
+        self.size = size
+
+    def __missing__(self, token):
+        value = int(token)
+        if not 0 <= value < self.size:
+            raise ValueError(f"element {value} out of range")
+        return value
+
+
 def parse_pea_file(text: str):
-    """Parse the line-based finite-algebra format; returns an AxiomVerdict."""
+    """Parse the line-based finite-algebra format; returns an AxiomVerdict.
+
+    A line ends at "\\n" alone; any other whitespace, "\\r" included,
+    separates tokens within a line, so CRLF files read alike.  "#" starts a
+    comment, and blank lines are skipped.  (The CLI reads a table file as
+    UTF-8 and skips a leading byte-order mark.)  A well-formed file is read
+    in bulk; a rejected one is rescanned line by line to raise the
+    ParseError that names its first bad line.
+    """
+    read = _read_bulk(text)
+    if read is None:
+        _read_lines(text)  # raises the ParseError of the first bad line
+        raise AssertionError("the bulk read rejected a file that the line loop reads")
+    return check_pea_axioms(*read)
+
+
+def _read_bulk(text: str):
+    """(size, zero, one, table) of a well-formed file, or None; the table
+    lists its pairs in the order of their lines."""
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    tokens = text.split()
+    records, rest = divmod(len(tokens), 4)
+    if rest or not records or tokens[0] != "pea" or tokens[4::4].count("add") != records - 1:
+        return None
+    if not _one_record_a_line(text, records):
+        text = _LINE_START_SPACE.sub("", text)
+        if not _one_record_a_line(text, records):
+            return None
+    try:
+        size, zero, one = _header(tokens[1:4])
+        index = _Index(size).__getitem__
+        I, J, K = (list(map(index, tokens[c::4])) for c in (5, 6, 7))
+    except ValueError:
+        return None
+    del tokens  # freed before the table is built: together they would set the peak
+    table = dict(zip(zip(I, J), K))
+    if len(table) < len(K) and len(set(zip(I, J, K))) > len(table):
+        return None  # a pair given two different sums
+    return size, zero, one, table
+
+
+def _one_record_a_line(text, records):
+    # the text has one line per record (a final empty line aside) and every
+    # line but the first starts with "add": the lines then start exactly at
+    # the records' directives, which the caller has checked stand every
+    # fourth token, so each line holds one record
+    return text.count("\nadd") == text.count("\n") - text.endswith("\n") == records - 1
+
+
+def _header(fields):
+    """(n, zero, one) of the fields of a pea header; ValueError says what is wrong."""
+    values = {}
+    for field in fields:
+        key, eq, value = field.partition("=")
+        if not eq or key not in ("n", "zero", "one"):
+            raise ValueError(f"pea header field {field!r} is not n=, zero= or one=")
+        if key in values:
+            raise ValueError(f"repeated pea header field {key!r}")
+        values[key] = value
+    try:
+        return int(values["n"]), int(values["zero"]), int(values["one"])
+    except (KeyError, ValueError):
+        raise ValueError("pea header needs n=, zero=, one=") from None
+
+
+def _read_lines(text: str):
+    """(size, zero, one, table) of a file read one line at a time; raises the
+    ParseError of its first bad line.  The reference for ``_read_bulk``."""
     size = None
     table = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not parts:
             continue
@@ -326,25 +418,15 @@ def parse_pea_file(text: str):
         elif directive == "pea":
             if size is not None:
                 raise ParseError("second pea header", lineno, 1)
-            fields = {}
-            for field in parts[1:]:
-                key, eq, value = field.partition("=")
-                if not eq or key not in ("n", "zero", "one"):
-                    raise ParseError(f"pea header field {field!r} is not n=, zero= or one=", lineno, 1)
-                if key in fields:
-                    raise ParseError(f"repeated pea header field {key!r}", lineno, 1)
-                fields[key] = value
             try:
-                size = int(fields["n"])
-                zero = int(fields["zero"])
-                one = int(fields["one"])
-            except (KeyError, ValueError):
-                raise ParseError("pea header needs n=, zero=, one=", lineno, 1)
+                size, zero, one = _header(parts[1:])
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno, 1) from None
         else:
             raise ParseError(f"unknown directive {directive!r}", lineno, 1)
     if size is None:
         raise ParseError("missing pea header")
-    return check_pea_axioms(size, zero, one, table)
+    return size, zero, one, table
 
 
 def format_pea_file(E: FinitePea) -> str:

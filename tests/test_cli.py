@@ -3,6 +3,7 @@
 import ast
 import io
 import os
+import random
 import re
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from ordalg import groups as g
 from ordalg.cli import main
 from ordalg.errors import OrdalgError, ParseError, ShapeError
 from ordalg.parsing import (
+    _read_lines,
     format_pea_file,
     parse_descriptor,
     parse_element,
@@ -25,12 +27,13 @@ from ordalg.parsing import (
     parse_subgroup,
     parse_value,
 )
-from ordalg.pea import finite_chain
+from ordalg.pea import check_pea_axioms, finite_chain
 from ordalg.scalars import QuadraticNumber, ScalarSubgroup
 from fractions import Fraction
 
 from one_verb_parse import assert_one_verb_parse_agrees
 from test_cli_golden import CASES as GOLDEN_CASES
+from test_pea import stock_algebras, stock_tables
 
 
 def run_cli(*argv):
@@ -147,11 +150,14 @@ def test_file_verbs_take_a_table_file_only(verb, tmp_path, monkeypatch):
     assert output.splitlines()[1].startswith("#! verdict=error message=")
 
 
-def test_pea_file_round_trip(tmp_path):
-    E = finite_chain(2)
-    text = format_pea_file(E)
-    verdict = parse_pea_file(text)
-    assert verdict.valid and verdict.pea.size == 3
+def test_pea_file_round_trip():
+    # every stock algebra up to the 64-element cap, and a seeded relabelling
+    for E in stock_algebras():
+        verdict = parse_pea_file(format_pea_file(E))
+        assert verdict.valid
+        F = verdict.pea
+        assert (F.size, F.zero, F.one, F.table) == (E.size, E.zero, E.one, E.table)
+        assert list(F.table) == sorted(E.table)
 
 
 HEADER = "pea n=2 zero=0 one=1\n"
@@ -176,6 +182,9 @@ PEA_FILE_ERRORS = [
     ("pea n=2 zero=0 one=1 n=3\n", 1, "repeated pea header field 'n'"),
     ("pea n=2 zero=0 one=1 3\n", 1, "pea header field '3' is not n=, zero= or one="),
     ("pea n=2 zero=0 size=2 one=1\n", 1, "pea header field 'size=2' is not n=, zero= or one="),
+    # a line ends at "\n" alone: a form feed is whitespace within a line
+    (HEADER + "\x0c\nadd 0 5 0\n", 3, "add arguments out of range"),
+    ("pea n=2 zero=0 one=1 \x0c\nadd 0 5 0\n", 2, "add arguments out of range"),
 ]
 
 
@@ -190,6 +199,115 @@ def test_pea_file_errors_name_line_and_message(tmp_path, text, line, message):
     expected = f"error: {line}:1: {message}\n#! verdict=error message={line}:1:_{message.replace(' ', '_')}\n"
     for verb in ("check-axioms", "states"):
         assert run_cli(verb, str(path)) == (2, expected)
+
+
+def test_cli_skips_a_byte_order_mark(tmp_path, monkeypatch):
+    text = format_pea_file(finite_chain(2))
+    outputs = []
+    for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "chain.pea").write_text(text, encoding=encoding)
+        monkeypatch.chdir(tmp_path / name)
+        outputs.append(run_cli("check-axioms", "chain.pea"))
+    assert (tmp_path / "bom" / "chain.pea").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and "#! verdict=pass n=3" in outputs[0][1]
+
+
+def table_text(size, zero, one, table):
+    """A table file with its add lines in the table's order."""
+    lines = [f"pea n={size} zero={zero} one={one}"] + [f"add {i} {j} {k}" for (i, j), k in table.items()]
+    return "\n".join(lines) + "\n"
+
+
+def respelled(token, rng):
+    """The numeral as int() also reads it: a leading 0 or +, or Arabic-Indic digits."""
+    how = rng.randrange(3)
+    if how == 0:
+        return "0" + token
+    if how == 1:
+        return "+" + token
+    return "".join(chr(0x0660 + int(d)) for d in token)
+
+
+def perturbed(text, rng):
+    """Seeded variants of a table file: those the format accepts, then broken ones."""
+    head, *adds = text.splitlines()
+    out = []
+
+    def put(lines, end="\n"):
+        out.append(end.join(lines) + end)
+
+    def some(lines, change):
+        lines = list(lines)
+        i = rng.randrange(len(lines))
+        lines[i] = change(lines[i])
+        return lines
+
+    put([head] + adds, "\r\n")
+    put([head] + [line.replace(" ", rng.choice((" ", "\t", " \t "))) for line in adds])
+    put(["   " + head] + ["\t" + line for line in adds])
+    blank = [head] + adds
+    for _ in range(3):
+        blank.insert(rng.randrange(1, len(blank) + 1), rng.choice(("", "  ", "\t", "\r")))
+    put(blank)
+    put(["# a table file", "", head + "  # the header", "# the sums"]
+        + [line + " # sum" if rng.randrange(2) else line for line in adds] + ["# end"])
+    fields = head.split()[1:]
+    rng.shuffle(fields)
+    put(["pea " + " ".join(fields)] + adds)
+    put(["", "\t", "# before the header", head] + adds)
+    if adds:
+        again = list(adds)
+        for _ in range(2):
+            again.insert(rng.randrange(len(again) + 1), rng.choice(adds))
+        put([head] + again)
+        shuffled = list(adds)
+        rng.shuffle(shuffled)
+        put([head] + shuffled)
+        put([head] + some(adds, lambda line: " ".join(
+            [t if k == 0 or rng.randrange(2) else respelled(t, rng) for k, t in enumerate(line.split())])))
+        sep = rng.choice(("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"))
+        put([head] + some(adds, lambda line: line.replace(" ", sep, 1)))
+        # rejected: each names its line
+        put([head] + some(adds, lambda line: line.rsplit(" ", 1)[0]))
+        put([head] + some(adds, lambda line: line + " 0"))
+        i = rng.randrange(len(adds))
+        put([head] + adds[:i] + [adds[i] + " " + (adds + [head])[i + 1]] + adds[i + 2:])
+        put([head] + adds[:i] + [adds[i] + "\r" + (adds + [head])[i + 1]] + adds[i + 2:])
+        n = int(head.split("n=")[1].split()[0])
+        at = rng.randrange(1, 4)
+        put([head] + some(adds, lambda line: " ".join(line.split()[:at] + [str(n)] + line.split()[at + 1:])))
+        _, a, b, c = rng.choice(adds).split()
+        put([head] + adds + [f"add {a} {b} {(int(c) + 1) % n}"])
+    return out
+
+
+def pea_file_outcome(parse, text):
+    try:
+        verdict = parse(text)
+    except OrdalgError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+    E = verdict.pea
+    return verdict.valid, verdict.failure, E and (E.size, E.zero, E.one, list(E.table.items()))
+
+
+def test_bulk_read_of_pea_files_equals_the_line_loop():
+    # the bulk read accepts what the line loop accepts, with the same table
+    # in the same order, and the line loop names the error of the rest
+    rng = random.Random("pea-file-texts")
+    texts = [text for text, _, _ in PEA_FILE_ERRORS]
+    for E in stock_algebras():
+        texts += [format_pea_file(E)] + perturbed(format_pea_file(E), rng)
+    for struct in stock_tables(rng):
+        texts += [table_text(*struct)] + perturbed(table_text(*struct), rng)
+    outcomes = set()
+    for text in texts:
+        bulk = pea_file_outcome(parse_pea_file, text)
+        assert bulk == pea_file_outcome(lambda t: check_pea_axioms(*_read_lines(t)), text), repr(text)
+        outcomes.add(bulk[0] if bulk[0] in (True, False) else bulk[1].split(": ", 1)[1])
+    assert {True, False, "add lines read: add <i> <j> <k>", "add arguments out of range"} <= outcomes
+    assert any(message.startswith("conflicting sum") for message in outcomes if isinstance(message, str))
 
 
 def test_gamma_parsing():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ordalg import groups as g
-from ordalg.errors import PreconditionError, UnsupportedError
+from ordalg.errors import ParseError, PreconditionError, UnsupportedError
 from ordalg.pea import (
     AxiomFailure,
     CyclicElement,
@@ -26,6 +26,7 @@ from ordalg.pea import (
     is_symmetric,
 )
 from ordalg.pea import _axiom_failure, _is_normal_ideal
+from ordalg.parsing import format_pea_file, parse_pea_file
 from ordalg.scalars import ScalarSubgroup
 from ordalg.states import FiniteState, states_finite
 
@@ -336,6 +337,18 @@ def test_size_cap_and_designators_hold_on_every_route():
     with pytest.raises(UnsupportedError, match="capped at 64 elements"):
         boolean_algebra(7)
     assert finite_chain(63).size == boolean_algebra(6).size == 64
+    # the file route: the cap, an element numeral equal to n, the largest files
+    body = "".join(f"add {i} {j} {k}\n" for (i, j), k in chain_table(64).items())
+    with pytest.raises(UnsupportedError, match="capped at 64 elements"):
+        parse_pea_file("pea n=65 zero=0 one=64\n" + body)
+    lines = format_pea_file(finite_chain(63)).splitlines()
+    lines[100] = "add 0 64 63"
+    with pytest.raises(ParseError) as err:
+        parse_pea_file("\n".join(lines))
+    assert str(err.value) == "101:1: add arguments out of range"
+    for E in (finite_chain(63), boolean_algebra(6)):
+        verdict = parse_pea_file(format_pea_file(E))
+        assert verdict.valid and verdict.pea.size == 64 and verdict.pea.table == E.table
     for zero, one in ((0, 3), (-1, 2), (3, 2)):
         with pytest.raises(PreconditionError, match="zero/one designators out of range"):
             check_pea_axioms(3, zero, one, chain_table(2))
