@@ -66,7 +66,8 @@ def _machine(out, **kv):
 
 def _read_table(path):
     """The axiom verdict of a table file."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    # newline="" keeps a lone "\r" inside its line, as parse_pea_file reads text
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         return parse_pea_file(fh.read())
 
 

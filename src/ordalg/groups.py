@@ -131,8 +131,16 @@ class GroupDescriptor:
         return self._sample_interval(hi, rng, bound)
 
     def _sample_head(self, hi, rng, bound):
-        """A lex head in [0, hi] for hi > 0: one of the two endpoints."""
-        return rng.choice([self.zero(), hi])
+        """A lex head s in [0, hi] for 0 <= hi, with whether s = 0 and whether s = hi.
+
+        Here s is one of the two endpoints: hi itself when hi = 0, with no draw.
+        """
+        zero = self.zero()
+        if hi == zero:
+            return hi, True, True
+        if rng.choice((False, True)):
+            return hi, False, True
+        return zero, True, False
 
     # -- commutation ----------------------------------------------------------
 
@@ -271,8 +279,9 @@ class Scalar(GroupDescriptor):
         # callers pass hi > 0: a zero bound returns before it reaches here
         return self.H.sample_between(self.H.zero(), hi, rng)
 
-    # a scalar lex head is drawn like any scalar of [0, hi]
-    _sample_head = _sample_interval
+    def _sample_head(self, hi, rng, bound):
+        # a scalar lex head is drawn like any scalar of [0, hi]
+        return self.H._sample_head(hi, rng)
 
     def _points(self, ks):
         """The grid values k/n of a discrete H for the indices ks: ints on Z."""
@@ -720,15 +729,16 @@ class Lex(_Pair):
     def _sample_interval(self, hi, rng, bound):
         top, bottom = self.parts
         h_hi, t_hi = hi
-        if h_hi == top.zero():
-            return (h_hi, bottom.sample_interval(t_hi, rng, bound))
-        s = top._sample_head(h_hi, rng, bound)
-        if s == top.zero():
-            return (s, bottom.sample_positive(rng, bound))
-        if s == h_hi:
+        # the head draw says which ends it hit: head values are not compared
+        s, at_zero, at_hi = top._sample_head(h_hi, rng, bound)
+        if at_hi:
+            if at_zero:  # h_hi = 0: the tail alone is drawn
+                return (s, bottom.sample_interval(t_hi, rng, bound))
             # tail must be <= hi tail: hi_tail - positive
             delta = bottom.sample_positive(rng, bound)
             return (s, bottom.add(t_hi, bottom.neg(delta)))
+        if at_zero:
+            return (s, bottom.sample_positive(rng, bound))
         return (s, bottom.sample_element(rng, bound))
 
     def iter_bounded(self, lowers, uppers, box):

@@ -23,7 +23,7 @@ from .decomp import _integral_action, classify_perfect
 from .errors import PreconditionError, UnsupportedError
 from .pea import IntervalPea
 from .sampling import sample_element
-from .scalars import ScalarSubgroup
+from .scalars import QuadraticNumber, ScalarSubgroup
 
 
 def build_lex_pea(H: ScalarSubgroup, G, g0=None) -> IntervalPea:
@@ -45,9 +45,12 @@ def build_lex_pea(H: ScalarSubgroup, G, g0=None) -> IntervalPea:
 class PhiMap:
     """x in slice t maps to (t, x - c_t), with c_t from the cyclic system.
 
-    c_t depends on the head t only, so each map keeps the tails c_t and -c_t
-    by head, and one map call is one tail addition; a head without an entry
-    is not kept and raises again on every call.
+    c_t depends on the head t only, so each map keeps the tails (c_t, -c_t)
+    in a dict keyed by the value of t in a form that hashes and compares in
+    C: ``t.as_integer_ratio()`` for an int or Fraction head, so equal ints
+    and Fractions share an entry, and the int coefficients ``(a, b, d)`` for
+    a head a + b*sqrt(d).  One map call is one lookup and one tail addition;
+    a head without an entry is not kept and raises again on every call.
     """
 
     source: IntervalPea
@@ -59,32 +62,35 @@ class PhiMap:
     def __post_init__(self):
         object.__setattr__(self, "_tail_group", self.source.tail_group)
 
-    def _entry_tails(self, t):
-        """The tails (c_t, -c_t) of the entry at head t."""
-        tails = self._tails.get(t)
-        if tails is None:
-            G = self._tail_group
-            tail = _integral_action(G, self.source.tail_unit, t)
-            if tail is None:
-                raise PreconditionError(
-                    f"no cyclic-system entry for slice {t}: t * g0 does not exist in {G}"
-                )
-            tails = self._tails[t] = (tail, G.neg(tail))
+    def _entry_tails(self, t, key):
+        """The tails (c_t, -c_t) of the entry at head t, kept under key."""
+        G = self._tail_group
+        tail = _integral_action(G, self.source.tail_unit, t)
+        if tail is None:
+            raise PreconditionError(
+                f"no cyclic-system entry for slice {t}: t * g0 does not exist in {G}"
+            )
+        tails = self._tails[key] = (tail, G.neg(tail))
         return tails
 
     def cyclic_entry(self, t):
-        return (t, self._entry_tails(t)[0])
+        return self.preimage((t, self._tail_group.zero()))
 
     def __call__(self, x):
         t, gx = x
         if self.corrupt:
             return (t, gx)
+        # the key is built inline so that a kept entry costs no further call
+        key = (t.a, t.b, t.d) if type(t) is QuadraticNumber else t.as_integer_ratio()
+        tails = self._tails.get(key) or self._entry_tails(t, key)
         # c_t is central, so left and right differences agree
-        return (t, self._tail_group.add(gx, self._entry_tails(t)[1]))
+        return (t, self._tail_group.add(gx, tails[1]))
 
     def preimage(self, z):
         t, gz = z
-        return (t, self._tail_group.add(gz, self._entry_tails(t)[0]))
+        key = (t.a, t.b, t.d) if type(t) is QuadraticNumber else t.as_integer_ratio()
+        tails = self._tails.get(key) or self._entry_tails(t, key)
+        return (t, self._tail_group.add(gz, tails[0]))
 
 
 def phi_represent(E: IntervalPea) -> PhiMap:
@@ -149,35 +155,38 @@ def verify_isomorphism(phi, E: IntervalPea, F: IntervalPea, samples=500, seed=0,
     report = PeaIsomorphismReport()
     if preimage is None and isinstance(phi, PhiMap):
         preimage = phi.preimage
+    e_sample, e_add, e_leq, e_lneg, e_rneg = E.sample, E.add, E.leq, E.lneg, E.rneg
+    f_sample, f_add, f_leq, f_lneg, f_rneg = F.sample, F.add, F.leq, F.lneg, F.rneg
+    e_contains, f_contains = E.contains, F.contains
     for _ in range(samples):
         report.sample_count += 1
-        x, y = E.sample(rng), E.sample(rng)
+        x, y = e_sample(rng), e_sample(rng)
         fx, fy = phi(x), phi(y)
-        if not (F.contains(fx) and F.contains(fy)):
+        if not (f_contains(fx) and f_contains(fy)):
             report.homomorphism_failures += 1
             continue
         # addition: definedness both ways and equality of values
-        z = E.add(x, y)
-        fz = F.add(fx, fy)
+        z = e_add(x, y)
+        fz = f_add(fx, fy)
         if (z is None) != (fz is None):
             report.homomorphism_failures += 1
         elif z is not None and phi(z) != fz:
             report.homomorphism_failures += 1
         # negations
-        if phi(E.lneg(x)) != F.lneg(fx) or phi(E.rneg(x)) != F.rneg(fx):
+        if phi(e_lneg(x)) != f_lneg(fx) or phi(e_rneg(x)) != f_rneg(fx):
             report.homomorphism_failures += 1
         # injectivity
         if x != y and fx == fy:
             report.injectivity_failures += 1
         # order preservation and reflection
-        if E.leq(x, y) != F.leq(fx, fy):
+        if e_leq(x, y) != f_leq(fx, fy):
             report.order_reflection_failures += 1
         if preimage is None:
             continue
-        target = F.sample(rng)
+        target = f_sample(rng)
         report.surjectivity_probes += 1
         w = preimage(target)
-        if E.contains(w) and phi(w) == target:
+        if e_contains(w) and phi(w) == target:
             report.surjectivity_probes_hit += 1
     return report
 

@@ -213,9 +213,11 @@ class ScalarSubgroup:
     by the three constructors below.  Besides the value rules (the defaults
     here are those of the kinds with Fraction values) each one has
     ``pick_between(lo, hi)``, the deterministic witness for coerced lo < hi;
-    ``grid(max_den, coeff_bound)``, a witness grid of [0, 1]; and the
+    ``grid(max_den, coeff_bound)``, a witness grid of [0, 1]; the
     samplers ``sample(rng, bound)`` and ``sample_between(lo, hi, rng)``,
-    a member of [lo, hi] for lo < hi.
+    a member of [lo, hi] for lo < hi; and ``_sample_head(hi, rng)``, the
+    draw of ``sample_between(zero, hi, rng)`` (none when hi = 0) with
+    whether it is 0 and whether it is hi, read off the draw.
     """
 
     is_dense = True
@@ -327,6 +329,14 @@ class _Cyclic(ScalarSubgroup):
             raise NoElementError(f"no point of (1/{n})Z inside [{lo}, {hi}]")
         return self._point(rng.randint(k_lo, k_hi))
 
+    def _sample_head(self, hi, rng):
+        # hi >= 0 lies on the grid, so hi = k_hi / n
+        k_hi = hi.numerator * self.n // hi.denominator
+        if k_hi == 0:
+            return hi, True, True
+        k = rng.randint(0, k_hi)
+        return self._point(k), k == 0, k == k_hi
+
 
 @dataclass(frozen=True)
 class _Rationals(ScalarSubgroup):
@@ -351,6 +361,13 @@ class _Rationals(ScalarSubgroup):
         p, q, r, s = lo.numerator, lo.denominator, hi.numerator, hi.denominator
         k = rng.randint(0, 16)
         return Fraction(16 * p * s + (r * q - p * s) * k, 16 * q * s)
+
+    def _sample_head(self, hi, rng):
+        r, s = hi.numerator, hi.denominator
+        if r == 0:
+            return hi, True, True
+        k = rng.randint(0, 16)
+        return Fraction(r * k, 16 * s), k == 0, k == 16
 
 
 @dataclass(frozen=True)
@@ -439,6 +456,13 @@ class _Quadratic(ScalarSubgroup):
                 m = rng.randint(m_lo, m_hi - 1)
                 return _quadratic(m, k, d)
         return pick_strictly_between(self, lo, hi)
+
+    def _sample_head(self, hi, rng):
+        hi = self.coerce(hi)
+        if hi.is_zero():
+            return hi, True, True
+        # sample_between draws strictly inside (lo, hi)
+        return self.sample_between(self._zero, hi, rng), False, False
 
 
 _BY_SIGN = (Ordering.EQ, Ordering.GT, Ordering.LT)  # indexed by a sign -1, 0, 1

@@ -185,6 +185,8 @@ PEA_FILE_ERRORS = [
     # a line ends at "\n" alone: a form feed is whitespace within a line
     (HEADER + "\x0c\nadd 0 5 0\n", 3, "add arguments out of range"),
     ("pea n=2 zero=0 one=1 \x0c\nadd 0 5 0\n", 2, "add arguments out of range"),
+    # and so is a lone carriage return, in the file route too
+    ("pea n=1 zero=0 one=0\radd 0 0 0\r", 1, "pea header field 'add' is not n=, zero= or one="),
 ]
 
 
@@ -210,6 +212,19 @@ def test_cli_skips_a_byte_order_mark(tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path / name)
         outputs.append(run_cli("check-axioms", "chain.pea"))
     assert (tmp_path / "bom" / "chain.pea").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and "#! verdict=pass n=3" in outputs[0][1]
+
+
+def test_cli_reads_a_crlf_file_as_its_lf_twin(tmp_path, monkeypatch):
+    text = format_pea_file(finite_chain(2))
+    outputs = []
+    for name, end in (("lf", "\n"), ("crlf", "\r\n")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "chain.pea").write_bytes(text.replace("\n", end).encode())
+        monkeypatch.chdir(tmp_path / name)
+        outputs.append(run_cli("check-axioms", "chain.pea"))
+    assert b"\r\n" in (tmp_path / "crlf" / "chain.pea").read_bytes()
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == 0 and "#! verdict=pass n=3" in outputs[0][1]
 

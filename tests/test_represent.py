@@ -24,7 +24,7 @@ from ordalg.represent import (
     verify_isomorphism,
 )
 from ordalg.parsing import parse_descriptor, parse_element, parse_spec, parse_subgroup
-from ordalg.scalars import Ordering, ScalarSubgroup, compare, grid_points
+from ordalg.scalars import Ordering, QuadraticNumber, ScalarSubgroup, compare, grid_points
 
 from test_cli_golden import CASES
 
@@ -159,6 +159,31 @@ def test_cyclic_entries_by_head_equal_the_integral_action(H, G, g0):
     for _ in range(2):  # the second pass reads the kept entries
         for t in grid_points(H):
             assert phi.cyclic_entry(t) == (t, _integral_action(G, g0, t))
+
+
+@pytest.mark.parametrize(
+    "H, G, g0, heads",
+    [
+        (H4, Z, f(4), [1, f(1), 0, f(0), Fraction(1, 4), Fraction(3, 4), f(1), 1]),
+        # 1/2 and 1 + 2*sqrt(2) share the numbers 1 and 2 but not their c_t
+        (HS2, Z2, (2, -4), [HS2.coerce(1), 1, Fraction(1, 2), QuadraticNumber(1, 2, 2),
+                            QuadraticNumber(2, -1, 2), QuadraticNumber(0, 1, 2), 2, HS2.coerce(0)]),
+    ],
+    ids=["Z/4-Z", "sqrt2-Z^2"],
+)
+def test_phi_keeps_entries_by_head_value(H, G, g0, heads):
+    E = build_lex_pea(H, G, g0)
+    phi = PhiMap(E, build_lex_pea(H, G))
+    rng = random.Random(f"heads-{H}")
+    for _ in range(2):  # the second pass reads the kept entries
+        for t in heads:
+            tail = G.sample_element(rng)
+            c_t = _integral_action(G, g0, t)
+            assert phi((t, tail)) == (t, G.add(tail, G.neg(c_t)))
+            assert phi.preimage((t, tail)) == (t, G.add(tail, c_t))
+            assert phi.cyclic_entry(t) == (t, c_t)
+    # an int head and the equal Fraction head give equal images
+    assert phi((1, G.zero())) == phi((f(1), G.zero())) == (1, G.neg(_integral_action(G, g0, 1)))
 
 
 def test_missing_cyclic_entry_raises_on_every_call():

@@ -6,16 +6,20 @@ reference: every seeded sampled check then keeps its draws.  Covered are
 ``sample_between`` of each subgroup kind on bounds of its own grid,
 ``sample_interval`` below product bounds with a zero part, and
 ``IntervalPea.sample`` on the property trees with strong units and on the
-four algebras that the ``represent`` verb checks.  Quadratic results built
-without validation equal, hash and print like the validating constructor's.
+four algebras that the ``represent`` verb checks.  Digests pin the first
+200 draws on those four algebras, on ``gamma(lex(Z, Aff), (1, (2, 0)))``
+and below lex heads that are lex pairs.  Quadratic results built without
+validation equal, hash and print like the validating constructor's.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from ordalg import groups as g
+from ordalg.parsing import parse_interval_pea
 from ordalg.pea import IntervalPea
 from ordalg.represent import build_lex_pea, make_shuffled
 from ordalg.scalars import QuadraticNumber, ScalarSubgroup
@@ -113,6 +117,43 @@ def test_represent_algebra_samples_draw_as_the_reference(H, G, spec):
     shuffled, _ = make_shuffled(H, G, spec)
     for E in (shuffled, build_lex_pea(H, G)):
         assert_same_draws(E.sample, lambda r: ref.sample_interval(E.group, E.unit, r, 8), count=20)
+
+
+def draw_digest(values):
+    return hashlib.sha256("\n".join(map(repr, values)).encode()).hexdigest()[:16]
+
+
+# sha256 prefixes of the reprs of 200 draws at seed 32: the four algebras
+# that the benchmark's represent ops sample, and a lex head of Aff
+@pytest.mark.parametrize(
+    "algebra, digest",
+    [
+        (lambda: make_shuffled(ScalarSubgroup.rationals(), g.ZZ, ("identity",))[0],
+         "fe5892a988191b06"),
+        (lambda: make_shuffled(ScalarSubgroup.rationals(), g.IntVector(2), ("permute", (1, 0)))[0],
+         "2a841ac7393e5adc"),
+        (lambda: make_shuffled(ScalarSubgroup.cyclic(4), g.ZZ, ("translate", 1))[0],
+         "11acaa7aae674e20"),
+        (lambda: make_shuffled(ScalarSubgroup.quadratic(2), g.IntVector(2), ("permute", (1, 0)))[0],
+         "41476a73721bc1f0"),
+        (lambda: parse_interval_pea("gamma(lex(Z, Aff), (1, (2, 0)))"), "a0526065beaa91f9"),
+    ],
+    ids=["lex(Q, Z)", "lex(Q, Z^2)", "lex(Z/4, Z) translate", "lex(Q[sqrt 2], Z^2)",
+         "gamma(lex(Z, Aff), (1, (2, 0)))"],
+)
+def test_interval_draws_are_pinned(algebra, digest):
+    E, rng = algebra(), random.Random(32)
+    assert draw_digest([E.sample(rng) for _ in range(200)]) == digest
+
+
+def test_lex_over_lex_heads_draws_are_pinned():
+    # a head that is itself a lex pair is drawn at one of its two ends
+    desc, rng = g.Lex(g.Lex(g.AffineQ(), g.ZZ), g.AffineQ()), random.Random(32)
+    draws = []
+    for _ in range(200):
+        hi = desc.sample_positive(rng, 5)
+        draws.append((hi, desc.sample_interval(hi, rng, 5)))
+    assert draw_digest(draws) == "c456f39b9d999ac7"
 
 
 def test_quadratic_arithmetic_results_match_the_validating_constructor():
