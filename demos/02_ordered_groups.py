@@ -44,11 +44,11 @@ print(f"  Z lex Z below (0,4) and (1,-7): {LZ.format_element(lb)}")
 print()
 print("=== commutation probes below positive bounds ===")
 res = g.com_check(Z2, (1, 1), (2, 0))
-print(f"  Z^2:            {res.status} (exhaustive={res.exhaustive})")
+print(f"  Z^2:            {res.status}")
 res = g.com_check(AFF, (F(2), F(0)), (F(2), F(1)))
 print(f"  affine example: {res.status}, witness = {res.witness}")
 res = g.com_check(LZ, (F(0), F(2)), (F(0), F(3)))
-print(f"  finite lex interval: {res.status} (exhaustive={res.exhaustive})")
+print(f"  finite lex interval: {res.status}")
 
 print()
 print("=== center membership ===")

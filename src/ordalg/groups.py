@@ -20,8 +20,8 @@ int tuples for ``IntVector``, pairs of Fractions for ``AffineQ`` and
 including the non-commutative ``AffineQ``.
 
 Each descriptor class is the one place that knows its element format: shape
-checks, arithmetic, order, sampling, interval enumeration and formatting
-are its methods.  ``Lex`` and ``Product`` share the componentwise rules
+checks, arithmetic, order, commutation, sampling and formatting are its
+methods.  ``Lex`` and ``Product`` share the componentwise rules
 through a private pair base, which reads the two factors from ``parts``;
 ``Lex`` overrides only the rules that depend on the order.  Callers call
 the methods.  A module function stays only where it adds a rule to them
@@ -40,7 +40,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -84,8 +83,8 @@ class GroupDescriptor:
         return self.check_element(value)
 
     def center_member(self, x) -> bool:
-        """Structural membership in the commutative center."""
-        return True
+        """Membership in the center: x commutes with the cone, which generates the group."""
+        return self._commutant(x) is None
 
     # -- order ----------------------------------------------------------------
 
@@ -143,30 +142,22 @@ class GroupDescriptor:
         return zero, True, False
 
     # -- commutation ----------------------------------------------------------
+    # Abelian descriptors keep these defaults; AffineQ and the pairs override.
+
+    def _commutant(self, x):
+        """A y >= 0 with x + y != y + x, or None when x is central."""
+        return None
+
+    def _central_below(self, hi=None):
+        """None when every x in [0, hi] is central (hi = None: the whole cone).
+
+        Otherwise a pair (x, y) with 0 <= x <= hi, y >= 0 and x + y != y + x.
+        """
+        return None
 
     def _commute(self, a, b):
-        """``com_check`` on checked positive endpoints a and b."""
-        if self.is_abelian() or self.meet(a, b) == self.zero():
-            return ComResult("holds", exhaustive=True)
-        return self._commute_search(a, b)
-
-    def _commute_search(self, a, b):
-        """Enumerate two finite intervals, else sample 200 seeded pairs."""
-        if self.interval_is_finite(a) and self.interval_is_finite(b):
-            for x in self.enumerate_interval(a):
-                for y in self.enumerate_interval(b):
-                    if self.add(x, y) != self.add(y, x):
-                        return ComResult("fails", witness=(x, y), exhaustive=True)
-            return ComResult("holds", exhaustive=True)
-        rng = random.Random(0)
-        if self.add(a, b) != self.add(b, a):
-            return ComResult("fails", witness=(a, b))
-        for _ in range(200):
-            x = self.sample_interval(a, rng)
-            y = self.sample_interval(b, rng)
-            if self.add(x, y) != self.add(y, x):
-                return ComResult("fails", witness=(x, y))
-        return ComResult("inconclusive")
+        """``com_check`` on checked positive endpoints a and b, zero ones included."""
+        return _HOLDS
 
     # -- exhaustive enumeration (the refinement oracle) -----------------------
 
@@ -249,20 +240,6 @@ class Scalar(GroupDescriptor):
         if H.is_dense:
             return pick_strictly_between(H, H.zero(), H.one())
         return H.one()
-
-    def interval_is_finite(self, hi) -> bool:
-        """Whether the order interval [0, hi] has finitely many elements."""
-        return not self.H.is_dense or compare(hi, self.H.zero()) is Ordering.EQ
-
-    def enumerate_interval(self, hi):
-        """All elements of [0, hi]; only valid when interval_is_finite holds."""
-        H = self.H
-        if compare(hi, H.zero()) is Ordering.EQ:
-            return [H.zero()]
-        if H.is_dense:
-            raise UnsupportedError(f"infinite interval in {self}")
-        top = Fraction(hi) * H.n
-        return list(self._points(range(int(top) + 1)))
 
     def is_strong_unit(self, u) -> bool:
         """Whether u is positive and bounds every element up to a multiple."""
@@ -368,17 +345,6 @@ class IntVector(GroupDescriptor):
             return (1,)
         return super().a_positive_element()
 
-    def interval_is_finite(self, hi) -> bool:
-        return True
-
-    def enumerate_interval(self, hi):
-        out = [()]
-        for v in hi:
-            if v < 0:
-                return []
-            out = [t + (w,) for t in out for w in range(v + 1)]
-        return out
-
     def is_strong_unit(self, u) -> bool:
         return all(v >= 1 for v in u)
 
@@ -458,19 +424,33 @@ class AffineQ(GroupDescriptor):
     def _positive(self, x) -> bool:
         return x >= _AFF_ZERO
 
-    def center_member(self, x) -> bool:
-        return x == self.zero()
-
     def a_positive_element(self):
         return (Fraction(2), Fraction(0))
 
-    def interval_is_finite(self, hi) -> bool:
-        return hi == self.zero()
+    # (a, b) + (c, e) = (c, e) + (a, b) exactly when b(1 - c) = e(1 - a), so
+    # the center is {0}, the translations (1, b) commute with each other, and
+    # (1, 1) and (2, 0) fail against every x off the translations and every
+    # nonzero translation respectively
 
-    def enumerate_interval(self, hi):
-        if hi == self.zero():
-            return [self.zero()]
-        raise UnsupportedError("infinite interval in Aff")
+    def _commutant(self, x):
+        a, b = x
+        if a != 1:
+            return (Fraction(1), Fraction(1))
+        return None if b == 0 else (Fraction(2), Fraction(0))
+
+    def _central_below(self, hi=None):
+        hi = self.a_positive_element() if hi is None else hi
+        y = self._commutant(hi)
+        return None if y is None else (hi, y)
+
+    def _commute(self, a, b):
+        if a == _AFF_ZERO or b == _AFF_ZERO or a[0] == b[0] == 1:
+            return _HOLDS
+        if self.add(a, b) != self.add(b, a):
+            return ComResult("fails", (a, b))
+        # commuting endpoints off the translations have heads above 1, and
+        # (1, 1) <= a fails against b
+        return ComResult("fails", ((Fraction(1), Fraction(1)), b))
 
     def is_strong_unit(self, u) -> bool:
         return u[0] > 1
@@ -602,17 +582,19 @@ class _Pair(GroupDescriptor):
         a, b = self.parts
         return (a.meet(x[0], y[0]), b.meet(x[1], y[1]))
 
-    def center_member(self, x) -> bool:
+    def _pad(self, i, xs):
+        """Each x of part i as an element, with zero in the other part."""
         a, b = self.parts
-        return a.center_member(x[0]) and b.center_member(x[1])
+        return tuple((x, b.zero()) if i == 0 else (a.zero(), x) for x in xs)
 
-    def interval_is_finite(self, hi) -> bool:
-        a, b = self.parts
-        return a.interval_is_finite(hi[0]) and b.interval_is_finite(hi[1])
-
-    def enumerate_interval(self, hi):
-        a, b = self.parts
-        return [(l, r) for l in a.enumerate_interval(hi[0]) for r in b.enumerate_interval(hi[1])]
+    def _commutant(self, x):
+        # the elements commute exactly when both parts do, and a part's
+        # witness padded with zero is positive in both orders
+        for i, part in enumerate(self.parts):
+            y = part._commutant(x[i])
+            if y is not None:
+                return self._pad(i, [y])[0]
+        return None
 
     def is_strong_unit(self, u) -> bool:
         a, b = self.parts
@@ -701,18 +683,6 @@ class Lex(_Pair):
         delta = top.a_positive_element()
         return (top.add(head_min, top.neg(delta)), bottom.zero())
 
-    def interval_is_finite(self, hi) -> bool:
-        top, bottom = self.parts
-        if hi[0] == top.zero():
-            return bottom.interval_is_finite(hi[1])
-        return False  # a strictly positive head lets all of {0} x bottom+ below
-
-    def enumerate_interval(self, hi):
-        top, bottom = self.parts
-        if hi[0] != top.zero():
-            raise UnsupportedError("infinite lex interval")
-        return [(hi[0], t) for t in bottom.enumerate_interval(hi[1])]
-
     def is_strong_unit(self, u) -> bool:
         # multiples of a head strong unit eventually strictly dominate any head
         return self.top.is_strong_unit(u[0])
@@ -750,17 +720,45 @@ class Lex(_Pair):
             for t in bottom.iter_bounded(tail_lowers, tail_uppers, box):
                 yield (h, t)
 
-    def _commute_search(self, a, b):
+    # An interval [0, (h, t)] with h > 0 holds (0, y) for every y >= 0 of the
+    # bottom, and that cone generates the bottom; with h = 0 it is {0} x [0, t].
+
+    def _lift(self, x, hi):
+        """A head x of [0, hi[0]] as an element of [0, hi]: hi itself at the top head."""
+        return hi if hi is not None and x == hi[0] else (x, self.bottom.zero())
+
+    def _central_below(self, hi=None):
+        top, bottom = self.parts
+        if hi is not None and hi[0] == top.zero():
+            found = bottom._central_below(hi[1])
+            return None if found is None else self._pad(1, found)
+        found = top._central_below(None if hi is None else hi[0])
+        if found is not None:
+            x, y = found
+            return (self._lift(x, hi), (y, bottom.zero()))
+        found = bottom._central_below()
+        return None if found is None else self._pad(1, found)
+
+    def _commute(self, a, b):
         top, bottom = self.parts
         zt = top.zero()
-        if a[0] != zt or b[0] != zt:
-            return super()._commute_search(a, b)
-        # both intervals lie in {0} x bottom+, so the bottom decides
-        res = bottom._commute(a[1], b[1])
-        if res.status != "fails":
-            return res
-        x, y = res.witness
-        return ComResult("fails", witness=((zt, x), (zt, y)), exhaustive=res.exhaustive)
+        if a[0] == zt and b[0] == zt:
+            # both intervals lie in {0} x bottom+, so the bottom decides
+            res = bottom._commute(a[1], b[1])
+            return res if res.holds else ComResult("fails", self._pad(1, res.witness))
+        if a[0] == zt or b[0] == zt:
+            # the zero-headed interval must be central in the bottom
+            found = bottom._central_below((a if a[0] == zt else b)[1])
+            if found is None:
+                return _HOLDS
+            x, y = self._pad(1, found)
+            return ComResult("fails", (x, y) if a[0] == zt else (y, x))
+        res = top._commute(a[0], b[0])
+        if not res.holds:
+            x, y = res.witness
+            return ComResult("fails", (self._lift(x, a), self._lift(y, b)))
+        found = bottom._central_below()
+        return _HOLDS if found is None else ComResult("fails", self._pad(1, found))
 
 
 @dataclass(frozen=True)
@@ -770,18 +768,22 @@ class Product(_Pair):
 
     syntax, noun = "prod", "product"
 
-    def _commute_search(self, a, b):
-        # elements commute exactly when each part's components do
-        settled = True
+    # elements commute exactly when each part's components do, and the order
+    # is componentwise: every rule is decided part by part
+
+    def _central_below(self, hi=None):
+        for i, part in enumerate(self.parts):
+            found = part._central_below(None if hi is None else hi[i])
+            if found is not None:
+                return self._pad(i, found)
+        return None
+
+    def _commute(self, a, b):
         for i, part in enumerate(self.parts):
             res = part._commute(a[i], b[i])
-            if res.status == "fails":
-                zero = self.zero()
-                x, y = list(zero), list(zero)
-                x[i], y[i] = res.witness
-                return ComResult("fails", witness=(tuple(x), tuple(y)), exhaustive=res.exhaustive)
-            settled = settled and res.holds
-        return ComResult("holds", exhaustive=True) if settled else ComResult("inconclusive")
+            if not res.holds:
+                return ComResult("fails", self._pad(i, res.witness))
+        return _HOLDS
 
 
 ZZ = Scalar(ScalarSubgroup.cyclic(1))
@@ -879,28 +881,36 @@ def lower_bound(desc, xs):
 
 @dataclass(frozen=True)
 class ComResult:
-    status: str  # "holds", "fails", "inconclusive"
-    witness: tuple | None = None
-    exhaustive: bool = False
+    status: str  # "holds" or "fails"
+    witness: tuple | None = None  # for "fails": x in [0, a], y in [0, b], x + y != y + x
 
     @property
     def holds(self):
         return self.status == "holds"
 
 
+_HOLDS = ComResult("holds")
+
+
 def com_check(desc, a, b) -> ComResult:
-    """Do all x in [0,a] and y in [0,b] commute?
+    """Do all x in [0,a] and y in [0,b] commute?  Decided exactly.
 
     Abelian descriptors and disjoint endpoints decide it at once: every
     descriptor is an l-group, so a ^ b = 0 (a zero endpoint included) makes
-    every such x and y disjoint, and disjoint elements commute.  A product
-    is decided part by part (a failing part's witness is padded with
-    zeros), and a lex pair of endpoints with zero heads by its bottom.
-    Finite intervals are enumerated exhaustively; otherwise 200 seeded
-    pairs are sampled and the answer is a witness or "inconclusive".
+    every such x and y disjoint, and disjoint elements commute.  Otherwise
+    each descriptor class applies its rule, and a failure carries a
+    constructed witness pair.  ``Aff`` holds exactly when both heads are 1
+    (translations commute).  A product is decided part by part, a failing
+    part's witness padded with zeros.  A lex pair with zero heads is decided
+    by its bottom.  Against a nonzero head, whose interval holds the whole
+    cone of the bottom (and so generates it), a zero-headed interval must be
+    central in the bottom.  Two nonzero heads need the heads' intervals to
+    commute and the bottom to be Abelian.
     """
     a = desc.check_element(a)
     b = desc.check_element(b)
     if not positive_cone_member(desc, a) or not positive_cone_member(desc, b):
         raise PreconditionError("com_check needs positive endpoints")
+    if desc.is_abelian() or desc.meet(a, b) == desc.zero():
+        return _HOLDS
     return desc._commute(a, b)

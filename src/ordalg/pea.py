@@ -506,24 +506,22 @@ class SymmetryVerdict:
     witness: object = None
 
 
-def is_symmetric(E, rng=None, samples=200) -> SymmetryVerdict:
-    """Do left and right negation agree everywhere?"""
+def is_symmetric(E) -> SymmetryVerdict:
+    """Do left and right negation agree everywhere?
+
+    On an interval algebra u - x = -x + u exactly when x commutes with the
+    unit u = (h, g0), that is when the tail of x commutes with g0.  As h > 0
+    the interval holds (0, y) for every y >= 0, and that cone generates the
+    tail group.  So it is symmetric exactly when g0 is central, and
+    otherwise (0, y) is a witness for a y >= 0 that fails against g0.
+    """
     if isinstance(E, FinitePea):
         lneg, rneg = E._bits.lneg, E._bits.rneg
         witness = next((a for a in E.elements() if lneg[a] != rneg[a]), None)
         return SymmetryVerdict(witness is None, witness)
     if isinstance(E, IntervalPea) and E.is_lex_scalar:
-        if E.tail_group.center_member(E.tail_unit):
-            return SymmetryVerdict(True)
-        # produce a concrete witness by sampling
-        import random
-
-        rng = rng or random.Random(0)
-        for _ in range(samples):
-            x = E.sample(rng)
-            if E.lneg(x) != E.rneg(x):
-                return SymmetryVerdict(False, x)
-        raise AssertionError("center test says asymmetric but no witness sampled")
+        y = E.tail_group._commutant(E.tail_unit)
+        return SymmetryVerdict(True) if y is None else SymmetryVerdict(False, (E.zero[0], y))
     raise UnsupportedError(f"unsupported algebra {E!r}")
 
 
@@ -534,8 +532,13 @@ class ExchangeVerdict:
     exhaustive: bool = False
 
 
-def cyclic_exchange_check(E, c, max_order=64, rng=None, samples=200) -> ExchangeVerdict:
-    """x + c defined iff c + x defined, for a cyclic element c."""
+def cyclic_exchange_check(E, c, max_order=64) -> ExchangeVerdict:
+    """x + c defined iff c + x defined, for a cyclic element c.
+
+    Decided exactly.  A finite table is scanned.  On an interval algebra nc = u
+    makes c commute with u, so u - c = -c + u, and x + c <= u iff
+    x <= u - c iff c + x <= u: the exchange always holds.
+    """
     order = None
     for n in range(1, max_order + 1):
         if E.times(n, c) == E.one:
@@ -548,11 +551,4 @@ def cyclic_exchange_check(E, c, max_order=64, rng=None, samples=200) -> Exchange
         right, left = E._sum_rows
         lonely = {x for x, _ in right[c]} ^ {x for x, _ in left[c]}
         return ExchangeVerdict(not lonely, min(lonely, default=None), exhaustive=True)
-    import random
-
-    rng = rng or random.Random(0)
-    for _ in range(samples):
-        x = E.sample(rng)
-        if (E.add(x, c) is not None) != (E.add(c, x) is not None):
-            return ExchangeVerdict(False, x)
-    return ExchangeVerdict(True)
+    return ExchangeVerdict(True, exhaustive=True)

@@ -60,7 +60,7 @@ class DecompositionTable:
 class VerifyResult:
     ok: bool
     reason: str | None = None
-    side_condition: str | None = None  # "holds" / "inconclusive" for rdp1
+    side_condition: str | None = None  # "holds" for a verified rdp1 or rdp2 table
 
     def __bool__(self):
         return self.ok
@@ -104,9 +104,9 @@ def rdp_table_verify(desc, a1, a2, b1, b2, table, level=None):
 def _side_condition(desc, lv, c12, c21):
     if lv == "rdp1":
         res = g.com_check(desc, c12, c21)
-        if res.status == "fails":
+        if not res.holds:
             return VerifyResult(False, f"com(c12, c21) fails at {res.witness}")
-        return VerifyResult(True, side_condition="holds" if res.holds else "inconclusive")
+        return VerifyResult(True, side_condition="holds")
     if lv == "rdp2":
         if desc.meet(c12, c21) != desc.zero():
             return VerifyResult(False, "c12 and c21 have a nonzero meet")

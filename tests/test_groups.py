@@ -12,6 +12,8 @@ from ordalg.sampling import sample_element, sample_positive
 from ordalg.scalars import QuadraticNumber, ScalarSubgroup
 from test_properties import discrete_descriptor, grid_coords
 
+import com_reference as search
+
 Z = g.ZZ
 Q = g.QQ
 Z2 = g.IntVector(2)
@@ -135,7 +137,7 @@ def test_center_affine():
 
 def test_com_abelian_immediate():
     res = g.com_check(Z2, (1, 1), (2, 0))
-    assert res.holds and res.exhaustive
+    assert res.holds and res.witness is None
 
 
 def test_com_affine_witness():
@@ -144,9 +146,9 @@ def test_com_affine_witness():
     assert res.witness == ((f(2), f(0)), (f(2), f(1)))
 
 
-def test_com_lex_finite_exhaustive():
+def test_com_lex_abelian_holds():
     res = g.com_check(LEX_ZZ, (f(0), f(2)), (f(0), f(3)))
-    assert res.holds and res.exhaustive
+    assert res.holds
 
 
 def test_com_disjoint_endpoints_hold():
@@ -154,7 +156,7 @@ def test_com_disjoint_endpoints_hold():
     # although neither interval is finite
     desc = g.Product(AFF, AFF)
     res = g.com_check(desc, ((f(2), f(0)), (f(1), f(0))), ((f(1), f(0)), (f(2), f(0))))
-    assert res.holds and res.exhaustive
+    assert res.holds
 
 
 def test_com_product_holds_part_by_part():
@@ -162,7 +164,7 @@ def test_com_product_holds_part_by_part():
     # pair commutes, although the product as a whole is neither
     desc = g.Product(AFF, LEX_QZ)
     res = g.com_check(desc, ((Fraction(3, 2), f(-2)), (f(1), f(0))), ((f(1), f(0)), (f(2), f(3))))
-    assert res.holds and res.exhaustive
+    assert res.holds
 
 
 def test_com_product_failure_witness_is_padded_with_zeros():
@@ -175,12 +177,12 @@ def test_com_product_failure_witness_is_padded_with_zeros():
 
 
 def test_com_lex_zero_heads_decided_by_the_bottom():
-    # both intervals lie in {0} x lex(Z, Z)+, which is Abelian; the intervals
-    # themselves are infinite, so sampling could only say "inconclusive"
+    # both intervals lie in {0} x lex(Z, Z)+, which is Abelian, although the
+    # intervals themselves are infinite
     desc = g.Lex(AFF, LEX_ZZ)
     zero_head = (f(1), f(0))
     res = g.com_check(desc, (zero_head, (f(1), f(0))), (zero_head, (f(2), f(5))))
-    assert res.holds and res.exhaustive
+    assert res.holds
 
 
 def test_com_lex_zero_heads_lift_the_bottom_witness():
@@ -188,6 +190,118 @@ def test_com_lex_zero_heads_lift_the_bottom_witness():
     res = g.com_check(desc, (f(0), (f(2), f(0))), (f(0), (f(2), f(1))))
     assert res.status == "fails"
     assert res.witness == ((0, (f(2), f(0))), (0, (f(2), f(1))))
+
+
+def test_com_affine_translations_commute():
+    # [0, (1, b)] holds translations only, which the search cannot decide
+    assert g.com_check(AFF, (f(1), f(2)), (f(1), f(3))).holds
+    assert g.com_check(g.Lex(Z, AFF), (0, (f(1), f(1))), (0, (f(1), f(3)))).holds
+    assert search.searched_com_check(AFF, (f(1), f(2)), (f(1), f(3)))[0] == "inconclusive"
+
+
+def test_com_affine_commuting_endpoints_fail_below():
+    # (3, 0) commutes with itself, but (1, 1) <= (3, 0) does not
+    res = g.com_check(AFF, (f(3), f(0)), (f(3), f(0)))
+    assert res == g.ComResult("fails", ((f(1), f(1)), (f(3), f(0))))
+
+
+def test_com_lex_nonzero_heads_lift_the_head_witness():
+    # ((1, 1), 0) <= ((3, 0), 0), which the search does not draw, and a head
+    # witness at the top head keeps the endpoint's tail
+    desc = g.Lex(AFF, Z)
+    a, b = ((f(3), f(0)), 0), ((f(3), f(0)), 1)
+    res = g.com_check(desc, a, b)
+    assert res == g.ComResult("fails", (((f(1), f(1)), 0), b))
+    assert search.searched_com_check(desc, a, b)[0] == "inconclusive"
+
+
+def test_com_lex_nonzero_heads_need_an_abelian_bottom():
+    desc = g.Lex(Z, AFF)
+    res = g.com_check(desc, (1, (f(1), f(0))), (2, (f(5), f(-3))))
+    assert res == g.ComResult("fails", ((0, (f(2), f(0))), (0, (f(1), f(1)))))
+
+
+def test_com_central_endpoint_over_a_non_central_interval():
+    # (1, (1, 0)) is central in lex(Z, Aff), but [0, (1, (1, 0))] holds
+    # (0, (2, 0)); against a nonzero head the whole interval must be central
+    desc = g.Lex(Z, g.Lex(Z, AFF))
+    a = (0, (1, (f(1), f(0))))
+    assert desc.center_member(a)
+    b = (1, (0, (f(1), f(0))))
+    x, y = (0, (0, (f(2), f(0)))), (0, (0, (f(1), f(1))))
+    assert g.com_check(desc, a, b) == g.ComResult("fails", (x, y))
+    assert g.com_check(desc, b, a) == g.ComResult("fails", (y, x))
+
+
+NON_ABELIAN = {
+    str(desc): desc
+    for desc in (
+        AFF,
+        g.Lex(Z, AFF),
+        g.Lex(Q, AFF),
+        g.Lex(AFF, Z),
+        g.Lex(AFF, AFF),
+        g.Lex(AFF, g.Lex(Z, AFF)),
+        g.Product(AFF, Z),
+        g.Product(AFF, AFF),
+        g.Lex(Z, g.Product(AFF, Z)),
+        g.Lex(Z, g.Lex(Z, AFF)),
+        g.Product(g.Lex(Z, AFF), Z2),
+        g.Lex(LEX_ZZ, AFF),
+    )
+}
+
+
+def endpoint(desc, rng):
+    """A positive element, with zero lex heads and translations of Aff often."""
+    if isinstance(desc, g.Product):
+        return tuple(endpoint(part, rng) for part in desc.parts)
+    if isinstance(desc, g.Lex):
+        top, bottom = desc.parts
+        if rng.random() < 0.5:
+            return (top.zero(), endpoint(bottom, rng))
+        head = endpoint(top, rng)
+        return (top.a_positive_element() if head == top.zero() else head, sample_element(bottom, rng, 4))
+    if isinstance(desc, g.AffineQ) and rng.random() < 0.5:
+        return (f(1), f(rng.randint(0, 3)))
+    return sample_positive(desc, rng, 4)
+
+
+def in_interval(desc, x, hi):
+    return desc._positive(x) and desc.leq(x, hi)
+
+
+def fails_to_commute(desc, x, y):
+    return desc.add(x, y) != desc.add(y, x)
+
+
+@pytest.mark.parametrize("name", NON_ABELIAN)
+def test_com_check_exact_rule_against_the_search(name):
+    # no sampled witness meets an exact "holds", every exact witness lies in
+    # its intervals and fails to commute, and every decided search verdict
+    # is the exact one; the centre test answers by a checked witness too
+    desc = NON_ABELIAN[name]
+    rng = random.Random(name)
+    seen = {"holds": 0, "fails": 0, "inconclusive": 0}
+    for _ in range(200):
+        a, b = endpoint(desc, rng), endpoint(desc, rng)
+        res = g.com_check(desc, a, b)
+        status, witness = search.searched_com_check(desc, a, b, draws=60, seed=rng.random())
+        seen[status] += 1
+        assert status in (res.status, "inconclusive"), (a, b, witness)
+        if res.holds:
+            assert res.witness is None
+            continue
+        assert res.status == "fails"
+        x, y = res.witness
+        assert in_interval(desc, x, a) and in_interval(desc, y, b)
+        assert fails_to_commute(desc, x, y)
+        for z in (a, b):
+            y = desc._commutant(z)
+            assert desc.center_member(z) == (y is None)
+            if y is not None:
+                assert desc._positive(y) and fails_to_commute(desc, z, y)
+    assert seen["holds"] and seen["fails"]
 
 
 def test_com_requires_positive():

@@ -6,7 +6,8 @@ its import along.  A name counts as used when it appears as a bare name or
 the base of an attribute, or in the module's ``__all__``.  The second scan
 keeps optional local tools (``hypothesis``, ``sympy``, ``pytest-benchmark``)
 out of the package, the suite, the benchmark and the demos; the tests may
-import ``pytest`` as well.
+import ``pytest`` as well.  A third scan names the package modules that
+import ``random``: only the seeded verbs draw.
 """
 
 import ast
@@ -51,8 +52,8 @@ def test_the_scan_finds_an_unused_import():
     assert unused_imports("from a import b\n__all__ = ['b']\n") == []
 
 
-def foreign_imports(source, allowed):
-    """Top-level names of the absolute imports that are not stdlib, ``ordalg`` or in ``allowed``."""
+def imported_modules(source):
+    """Top-level names of the absolute imports anywhere in a source, local ones included."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -62,7 +63,12 @@ def foreign_imports(source, allowed):
         else:
             continue
         found.update(name.split(".")[0] for name in names)
-    return sorted(found - set(sys.stdlib_module_names) - {"ordalg"} - allowed)
+    return found
+
+
+def foreign_imports(source, allowed):
+    """Top-level names of the absolute imports that are not stdlib, ``ordalg`` or in ``allowed``."""
+    return sorted(imported_modules(source) - set(sys.stdlib_module_names) - {"ordalg"} - allowed)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(ROOT).as_posix())
@@ -77,3 +83,12 @@ def test_the_scan_finds_a_foreign_import():
     source = "import os.path\nimport hypothesis.strategies\nfrom sympy import Rational\nfrom . import groups\n"
     assert foreign_imports(source, set()) == ["hypothesis", "sympy"]
     assert foreign_imports("import pytest\nimport ordalg.pea\nimport helper\n", {"helper"}) == ["pytest"]
+
+
+def test_only_the_seeded_verbs_import_random():
+    # functor and represent check on seeded draws; every other verdict of the
+    # package is decided without them, so this set may only shrink
+    importers = {
+        path.name for path in PACKAGE.glob("*.py") if "random" in imported_modules(path.read_text(encoding="utf-8"))
+    }
+    assert importers == {"cli.py", "represent.py"}

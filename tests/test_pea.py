@@ -701,6 +701,7 @@ def test_symmetry_lex_affine_depends_on_unit_tail():
     verdict = is_symmetric(bad)
     assert not verdict.symmetric
     x = verdict.witness
+    assert x == (0, (f(1), f(1))) and bad.contains(x)
     assert bad.lneg(x) != bad.rneg(x)
     good = IntervalPea(g.Lex(Z, AFF), (f(1), (f(1), f(0))))
     assert is_symmetric(good).symmetric
@@ -720,8 +721,25 @@ def test_cyclic_exchange_one():
 
 def test_cyclic_exchange_interval_sampled():
     E = IntervalPea(g.Lex(Q, Z), (f(1), f(0)))
-    verdict = cyclic_exchange_check(E, (Fraction(1, 2), f(0)), samples=200)
-    assert verdict.holds
+    verdict = cyclic_exchange_check(E, (Fraction(1, 2), f(0)))
+    assert verdict == ExchangeVerdict(True, exhaustive=True)
+
+
+@pytest.mark.parametrize("desc,unit,order", [
+    (AFF, (f(16), f(5)), 4),
+    (g.Lex(g.Scalar(ScalarSubgroup.cyclic(6)), AFF), (f(1), (f(64), f(7))), 6),
+])
+def test_cyclic_exchange_holds_at_non_central_cyclic_elements(desc, unit, order):
+    # nc = u makes c commute with u, whether or not c is central; seeded
+    # draws cross-check the exact answer
+    E = IntervalPea(desc, unit)
+    c = g.divide(desc, unit, order)
+    assert not desc.center_member(c) and E.times(order, c) == E.one
+    assert cyclic_exchange_check(E, c) == ExchangeVerdict(True, exhaustive=True)
+    rng = random.Random(order)
+    for _ in range(200):
+        x = E.sample(rng)
+        assert E.defined(x, c) == E.defined(c, x)
 
 
 def commutes_by_scan(E, a):

@@ -26,6 +26,7 @@ from ordalg.represent import (
 from ordalg.parsing import parse_descriptor, parse_element, parse_spec, parse_subgroup
 from ordalg.scalars import Ordering, QuadraticNumber, ScalarSubgroup, compare, grid_points
 
+from com_reference import enumerate_interval
 from test_cli_golden import CASES
 
 Z = g.ZZ
@@ -281,7 +282,7 @@ def test_difference_classes_keyed_like_the_scan(G, hi):
     # the pairwise scan is the reference: make returns the same first
     # representative of each class as the scan does
     E = build_lex_pea(HQ, G)
-    grid = [(HQ.zero(), x) for x in G.enumerate_interval(hi)]
+    grid = [(HQ.zero(), x) for x in enumerate_interval(G, hi)]
     keyed, scan = DifferenceGroup(E, grid), DifferenceGroup(E, grid)
     scan._by_key = None
     rng = random.Random(29)

@@ -4,7 +4,7 @@ Inputs are given with Fraction leaves, as the parser produces them; every
 rule that returns an element must hand back exact ``int`` values at each
 leaf of the subgroup Z, and ``Fraction`` values at each leaf of (1/n)Z for
 n >= 2 and of Q, through the group operations, the samplers, the
-enumerations, the constructive solver and the exhaustive oracle.
+constructive solver and the exhaustive oracle.
 """
 
 import random
@@ -59,15 +59,6 @@ def as_fractions(desc, x):
     return x
 
 
-def finite_interval_top(desc, rng):
-    """A positive element whose interval [0, hi] is finite."""
-    if not isinstance(desc, g.Lex):
-        return sample_positive(desc, rng, 3)
-    bottom = desc.bottom
-    tail = sample_positive(bottom, rng, 3)
-    return (desc.top.zero(), tail if bottom.interval_is_finite(tail) else bottom.zero())
-
-
 @pytest.mark.parametrize("name", DESCS)
 def test_z_leaves_stay_int_through_group_operations(name):
     desc = DESCS[name]
@@ -91,9 +82,6 @@ def test_z_leaves_stay_int_through_group_operations(name):
             *(g.scale(desc, x, n) for n in range(-3, 4)),
             *(g.divide(desc, g.scale(desc, x, n), n) for n in (1, 2, 3)),
         )
-        hi = finite_interval_top(desc, rng)
-        assert desc.interval_is_finite(hi)
-        assert_value_types(desc, *desc.enumerate_interval(hi))
         if name in DISCRETE:
             walk = desc.iter_bounded([zero], [g.add(desc, p, p)], 3)
             assert_value_types(desc, *(v for _, v in zip(range(50), walk)))
@@ -114,7 +102,6 @@ def test_scalar_rules_return_int_on_z_and_fractions_elsewhere():
         values += grid_points(H) + [H.sample(rng, 5) for _ in range(20)]
         values += [H.sample_between(0, 3, rng) for _ in range(20)]
         values += [g.divide(desc, H.coerce(6), 3), desc.a_positive_element()]
-        values += desc.enumerate_interval(H.coerce(2)) if not H.is_dense else []
         assert all(type(v) is want for v in values), (str(H), values)
     # non-integer values of (1/n)Z and Q are Fractions, and Z keeps them out
     assert Z.divide(3, 2) is None
