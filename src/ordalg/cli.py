@@ -17,6 +17,7 @@ import re
 import sys
 
 from .decomp import (
+    _level_state,
     check_ordered,
     check_type_i,
     classify_perfect,
@@ -200,8 +201,7 @@ def cmd_decompose(args, out):
         _machine(out, verdict="pass" if ordered.ordered and type_i.is_type_i else "fail",
                  slices=len(grid), ordered=ordered.ordered, type_i=type_i.is_type_i)
         return 0 if ordered.ordered and type_i.is_type_i else 1
-    candidates = states_finite(E)
-    for s in candidates:
+    for s in _finite_candidates(E, H):
         try:
             D = decomposition_from_state(E, s, H)
         except OrdalgError:
@@ -214,9 +214,18 @@ def cmd_decompose(args, out):
         out.append(f"ordered: {ordered.ordered}")
         _machine(out, verdict="pass", slices=len(D.slices), ordered=ordered.ordered)
         return 0
-    out.append(f"no {H}-valued state on this algebra")
+    out.append(f"no decomposition over {H} from the order's levels or from an extremal state")
     _machine(out, verdict="fail", reason="no-valued-state")
     return 1
+
+
+def _finite_candidates(E, H):
+    """The level map over H, the one ordered decomposition if any (``decomp``),
+    then the extremal states, enumerated only if they are reached."""
+    level = _level_state(E, H)
+    if level is not None:
+        yield level
+    yield from states_finite(E)
 
 
 def cmd_classify_perfect(args, out):

@@ -36,6 +36,19 @@ and the slice index is the state value.  The checks in this module verify
 the correspondence, the ordered/type-I properties with their consequences,
 and classify perfectness (ordered decomposition, directness, cyclic
 systems, divisibility, torsion-freeness).
+
+A finite algebra has at most one ordered decomposition, and its order
+names it.  In an ordered one E_0 = {0}: a nonzero x in E_0 lies below its
+negation in E_1, so x + x is defined and lies in E_0 again, and the
+multiples of x would rise forever.  So each slice is an antichain, since
+x < y in one slice gives y = x + z with a nonzero z in E_0, and the
+comparable slices make E the ordinal sum of its slices.  A finite poset
+splits into an ordinal sum of antichains L_0 < ... < L_n in at most one
+way (L_0 holds the minimal elements, and so on up), so E has an ordered
+(1/n)Z decomposition exactly when its order is such a sum of n + 1 levels
+and the level map k/n is a state; a dense H has too many slices for any.
+``classify_perfect`` reads the levels off the downsets and leaves the
+verdicts to the slice checks.
 """
 
 from __future__ import annotations
@@ -66,7 +79,7 @@ from .scalars import (
     format_scalar,
     grid_points,
 )
-from .states import FiniteState, FirstCoordinateState, states_finite
+from .states import FiniteState, FirstCoordinateState
 
 
 # ---------------------------------------------------------------------------
@@ -583,19 +596,44 @@ def _divisibility_scan(E):
     return divisible, central and divisible, None if central and divisible else n, True
 
 
+def _level_state(E: FinitePea, H: ScalarSubgroup):
+    """The map k/n on the levels L_0 < ... < L_n of E, when its order is an
+    ordinal sum of n + 1 antichains and H is (1/n)Z; else None.
+
+    In such a sum the elements below x are those of the lower levels and x,
+    so the size of that downset numbers the levels, and a downset of any
+    other shape refutes the sum.  The map need not be a state.
+    """
+    if H.is_dense:
+        return None
+    down = E._bits.down
+    levels = {}
+    for x in E.elements():
+        levels.setdefault(down[x].bit_count(), []).append(x)
+    if len(levels) != H.n + 1:
+        return None
+    values, below = [None] * E.size, 0
+    for k, (_, level) in enumerate(sorted(levels.items())):
+        for x in level:
+            if down[x] != below | 1 << x:
+                return None
+            values[x] = Fraction(k, H.n)
+        below |= _mask(level)
+    return FiniteState(tuple(values))
+
+
 def _finite_slices(E: FinitePea, H):
-    """Verdicts on the first ordered decomposition by a state, if there is one."""
-    for s in states_finite(E):
-        try:
-            D = decomposition_from_state(E, s, H)
-        except PreconditionError:
-            continue
-        ordered_report = check_ordered(E, D)
-        if ordered_report.ordered:
-            type_i = check_type_i(E, D)
-            directness = all(_finite_slice_directed(E, members) for _, members in D.slices)
-            return ordered_report, type_i, directness, find_cyclic_system(E, D)
-    return None, None, False, None
+    """Verdicts on the level decomposition over H, the only ordered one there
+    can be (module docstring), when it is one."""
+    s = _level_state(E, H)
+    try:
+        D = None if s is None else decomposition_from_state(E, s, H)
+    except PreconditionError:  # the level map is not additive
+        D = None
+    if D is None:
+        return None, None, False, None
+    directness = all(_finite_slice_directed(E, members) for _, members in D.slices)
+    return check_ordered(E, D), check_type_i(E, D), directness, find_cyclic_system(E, D)
 
 
 def _finite_slice_directed(E: FinitePea, members) -> bool:

@@ -265,16 +265,16 @@ def states_finite(E: FinitePea):
             return [FiniteState(tuple(Fraction(row[0], scale) for row in cone_rows))]
         return []
     cone_rows.append([0] * k + [1])
-    vertices = set()
-    for ray in extreme_rays(cone_rows):
-        ray = [v.numerator for v in ray]
-        t = ray[-1]
-        if t == 0:
-            raise AssertionError("state polytope has a recession ray; must be bounded")
-        # state value i is (N y + p)_i at y = ray[:-1] / t
-        values = (Fraction(_dot(row, ray), scale * t) for row in cone_rows[:-1])
-        vertices.add(FiniteState(tuple(values)))
-    return sorted(vertices, key=lambda s: s.values)
+    rays = [[v.numerator for v in ray] for ray in extreme_rays(cone_rows)]
+    if any(ray[-1] == 0 for ray in rays):
+        raise AssertionError("state polytope has a recession ray; must be bounded")
+    # state value i is (N y + p)_i at y = ray[:-1] / t, t = ray[-1]: the int
+    # _dot(row, ray) over scale * t, or that times D // t over scale * D for
+    # one common multiple D of the t, so the int tuples dedup and sort as the
+    # values do
+    D = lcm(*(ray[-1] for ray in rays))
+    vertices = {tuple(_dot(row, ray) * (D // ray[-1]) for row in cone_rows[:-1]) for ray in rays}
+    return [FiniteState(tuple(Fraction(v, scale * D) for v in vertex)) for vertex in sorted(vertices)]
 
 
 @dataclass(frozen=True)

@@ -205,3 +205,43 @@ def find_cyclic_system(E, D, strong=False):
         if ok:
             return CyclicSystem(tuple(entries), commutes_with_all(E, cand.element))
     return None
+
+
+def grid_states(E, n):
+    """Every state of E valued in (1/n)Z, as value tuples, by brute force.
+
+    Walks the elements in label order through every value k/n, and prunes a
+    partial assignment once some defined sum x + y = z among the labels
+    assigned so far is not additive; zero takes 0 and one takes 1.
+    """
+    checks = [[] for _ in E.elements()]  # the sums whose last label is i
+    for (x, y), z in E.table.items():
+        checks[max(x, y, z)].append((x, y, z))
+    values = [None] * E.size
+
+    def walk(i):
+        if i == E.size:
+            yield tuple(Fraction(v, n) for v in values)
+            return
+        for v in range(n + 1):
+            if (i == E.zero and v != 0) or (i == E.one and v != n):
+                continue
+            values[i] = v
+            if all(values[x] + values[y] == values[z] for x, y, z in checks[i]):
+                yield from walk(i + 1)
+        values[i] = None
+
+    return list(walk(0))
+
+
+def grid_decompositions(E, n):
+    """(every (1/n)Z decomposition, the ordered ones): the states of
+    ``grid_states`` that take every value k/n, and those of them with x <= y
+    wherever s(x) < s(y)."""
+    leq = order_matrix(E)
+    onto = [s for s in grid_states(E, n) if len(set(s)) == n + 1]
+    ordered = [
+        s for s in onto
+        if all(leq[x][y] for x in E.elements() for y in E.elements() if s[x] < s[y])
+    ]
+    return onto, ordered

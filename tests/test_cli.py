@@ -27,12 +27,14 @@ from ordalg.parsing import (
     parse_subgroup,
     parse_value,
 )
-from ordalg.pea import check_pea_axioms, finite_chain
+from ordalg.pea import boolean_algebra, check_pea_axioms, finite_chain
 from ordalg.scalars import QuadraticNumber, ScalarSubgroup
 from fractions import Fraction
 
+from finite_slices import grid_decompositions
 from one_verb_parse import assert_one_verb_parse_agrees
 from test_cli_golden import CASES as GOLDEN_CASES
+from test_decomp import SMALL_TABLES
 from test_pea import stock_algebras, stock_tables
 
 
@@ -783,6 +785,68 @@ def test_cli_decompose_finite_file(tmp_path):
     assert code == 0
     assert "E_0 = {0}" in output
     assert "E_1/2 = {1}" in output
+
+
+def printed_state(E, output):
+    """The values of the state whose preimages ``decompose`` printed."""
+    values = [None] * E.size
+    for line in output.splitlines():
+        if line.startswith("  E_"):
+            t, members = line[4:].split(" = {")
+            for m in members.rstrip("}").split(","):
+                values[int(m)] = Fraction(t)
+    return tuple(values)
+
+
+def test_decompose_agrees_with_every_grid_state(tmp_path):
+    # decompose prints the ordered decomposition exactly when the brute force
+    # finds one, and every decomposition it prints is a grid state's; for an
+    # unordered one it still reads the extremal states alone, and so misses
+    # those off them, such as (0, 1/3, 2/3, 1) on 2^2 over Z/3
+    missed = []
+    for name, E in SMALL_TABLES:
+        path = tmp_path / f"{name}.pea"
+        path.write_text(format_pea_file(E), encoding="utf-8")
+        for n in range(1, 7):
+            onto, ordered = grid_decompositions(E, n)
+            code, output = run_cli("decompose", "--pea", str(path), "--H", f"Z/{n}")
+            if code == 1:
+                assert output.endswith("#! verdict=fail reason=no-valued-state\n")
+                assert not ordered, (name, n)
+                if onto:
+                    missed.append((name, n))
+                continue
+            values = printed_state(E, output)
+            assert values in onto, (name, n)
+            assert output.endswith(f"#! verdict=pass slices={n + 1} ordered={values in ordered}\n")
+            if ordered:
+                assert values == ordered[0], (name, n)
+    assert len(missed) == 20, missed
+
+
+def test_decompose_one_element_algebra_answers_are_unchanged(tmp_path):
+    path = tmp_path / "one.pea"
+    path.write_text("pea n=1 zero=0 one=0\nadd 0 0 0\n", encoding="utf-8")
+    for H in ("Z", "Z/2", "Q"):
+        code, output = run_cli("decompose", "--pea", str(path), "--H", H)
+        assert code == 1 and output.endswith("#! verdict=fail reason=no-valued-state\n")
+
+
+@pytest.mark.parametrize("E, H, perfect, slices", [
+    (finite_chain(63), "Z/63", True, 64),
+    (boolean_algebra(6), "Z/1", False, 2),
+], ids=["chain63", "bool6"])
+def test_slice_verbs_at_the_size_caps(tmp_path, E, H, perfect, slices):
+    # the table size cap, where a slice kernel that turns into a search runs
+    # into the CI job's timeout: the 63-chain stops at its levels, and 2^6
+    # over Z reaches the extremal states; goldens 42 and 43 hold the ten-block
+    # sum over Z/2, at the state dimension cap
+    path = tmp_path / "cap.pea"
+    path.write_text(format_pea_file(E), encoding="utf-8")
+    code, output = run_cli("classify-perfect", "--pea", str(path), "--H", H)
+    assert code == 0 and output.startswith(f"h_perfect: {perfect}\n")
+    code, output = run_cli("decompose", "--pea", str(path), "--H", H)
+    assert code == 0 and output.endswith(f"#! verdict=pass slices={slices} ordered={perfect}\n")
 
 
 def test_cli_oracle_rdp():

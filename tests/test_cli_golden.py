@@ -1,7 +1,7 @@
 """The command-line examples print exactly their golden outputs in ``tests/golden/cli``.
 
 Each case runs ``cli.main`` in-process from a directory holding ``chain.pea``,
-``bool.pea``, ``cube3.pea`` and ``one.pea``; the golden file is its stdout followed by an
+``bool.pea``, ``cube3.pea``, ``hsum10.pea`` and ``one.pea``; the golden file is its stdout followed by an
 ``exit=<code>`` line, so a change that moves any printed byte or the exit code
 fails here.
 """
@@ -39,30 +39,23 @@ add 2 1 3
 add 3 0 3
 """
 
-# horizontal sum of three copies of 2^2: the atoms 2+2i and 3+2i add to 1
-CUBE3_PEA = """pea n=8 zero=0 one=1
-add 0 0 0
-add 0 1 1
-add 0 2 2
-add 0 3 3
-add 0 4 4
-add 0 5 5
-add 0 6 6
-add 0 7 7
-add 1 0 1
-add 2 0 2
-add 2 3 1
-add 3 0 3
-add 3 2 1
-add 4 0 4
-add 4 5 1
-add 5 0 5
-add 5 4 1
-add 6 0 6
-add 6 7 1
-add 7 0 7
-add 7 6 1
-"""
+
+def hsum_pea(k):
+    """The horizontal sum of k copies of 2^2, one add line per sum in order:
+    the atoms 2 + 2i and 3 + 2i add to 1."""
+    size = 2 + 2 * k
+    table = {(0, x): x for x in range(size)} | {(x, 0): x for x in range(size)}
+    table |= {(a, a ^ 1): 1 for a in range(2, size)}
+    return "".join(
+        [f"pea n={size} zero=0 one=1\n"] + [f"add {i} {j} {s}\n" for (i, j), s in sorted(table.items())]
+    )
+
+
+# three blocks, the ordinal sum {0} < six atoms < {1}
+CUBE3_PEA = hsum_pea(3)
+
+# ten blocks: 22 elements, and a state polytope at the dimension cap
+HSUM10_PEA = hsum_pea(10)
 
 # the one-element algebra: zero is one, so no state exists
 ONE_PEA = """pea n=1 zero=0 one=0
@@ -82,9 +75,11 @@ add 0 0 0
 # orders and slices past the Q grid's denominators: a tail unit 720 with no
 # seventh part over Q (flags, and a refused representation), the sixtieths
 # with no root of order 7, and Q and Z/60 each read over the other, which
-# differ at 1/7; a zero denominator, an input error; and an oracle whose
+# differ at 1/7; a zero denominator, an input error; an oracle whose
 # box misses the only table, which leaves the agreement inconclusive under
-# check-rdp and the verdict inconclusive under oracle-rdp
+# check-rdp and the verdict inconclusive under oracle-rdp; and the level
+# decompositions over Z/2 of 2^2 and of the ten-block sum, whose ordered
+# (1/2)Z-valued states are no extremal states
 CASES = {
     "01_check_axioms": ["check-axioms", "chain.pea"],
     "02_states": ["states", "chain.pea"],
@@ -192,6 +187,10 @@ CASES = {
         "oracle-rdp", "--group", "Z", "--a1", "30", "--a2", "30", "--b1", "30", "--b2", "30",
         "--level", "rdp2",
     ],
+    "40_decompose_bool_halves": ["decompose", "--pea", "bool.pea", "--H", "Z/2"],
+    "41_classify_perfect_bool_halves": ["classify-perfect", "--pea", "bool.pea", "--H", "Z/2"],
+    "42_decompose_hsum10_halves": ["decompose", "--pea", "hsum10.pea", "--H", "Z/2"],
+    "43_classify_perfect_hsum10_halves": ["classify-perfect", "--pea", "hsum10.pea", "--H", "Z/2"],
 }
 
 
@@ -205,10 +204,11 @@ def run_case(argv):
 
 @pytest.fixture
 def table_dir(tmp_path, monkeypatch):
-    """A working directory holding the four table files, with ORDALG_SEED unset."""
+    """A working directory holding the five table files, with ORDALG_SEED unset."""
     (tmp_path / "chain.pea").write_text(CHAIN_PEA, encoding="utf-8")
     (tmp_path / "bool.pea").write_text(BOOL_PEA, encoding="utf-8")
     (tmp_path / "cube3.pea").write_text(CUBE3_PEA, encoding="utf-8")
+    (tmp_path / "hsum10.pea").write_text(HSUM10_PEA, encoding="utf-8")
     (tmp_path / "one.pea").write_text(ONE_PEA, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("ORDALG_SEED", raising=False)

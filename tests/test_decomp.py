@@ -11,12 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from ordalg import decomp
+from ordalg import decomp, states
 from ordalg import groups as g
 from ordalg.decomp import (
     CyclicSystem,
     FiniteDecomposition,
     LexDecomposition,
+    PerfectReport,
     check_ordered,
     check_type_i,
     classify_perfect,
@@ -932,3 +933,61 @@ def test_finite_kernels_match_the_reference_on_seeded_slicings():
             ordered.add(report.ordered)
     assert kinds == {None, "negation law", "sum above one", "sum slice law"}, kinds
     assert ordered == {True, False}
+
+
+# -- finite perfectness against every grid state -------------------------------
+
+# every stock shape of at most eight elements: chains, 2^1-2^3, k blocks of
+# 2^2 beside an n-chain, and the cycles of 2 to 5 atoms (non-commutative
+# from 3 on)
+SMALL_TABLES = [(f"chain{n}", finite_chain(n)) for n in range(1, 8)]
+SMALL_TABLES += [(f"bool{k}", boolean_algebra(k)) for k in (1, 2, 3)]
+SMALL_TABLES += [
+    (f"hsum{k}-{n}", FinitePea(*horizontal_sum(k, n)))
+    for k in (1, 2, 3) for n in range(1, 8) if n + 1 + 2 * k <= 8
+]
+SMALL_TABLES += [(f"cycle{n}", FinitePea(*cycle_table(n))) for n in (2, 3, 4, 5)]
+
+
+def test_h_perfectness_matches_every_grid_state():
+    # E is (1/n)Z-perfect exactly when one of its (1/n)Z-valued states takes
+    # every value k/n and is ordered; the brute force finds at most one, the
+    # level decomposition, and classify_perfect decides it without a search
+    perfect = []
+    for name, E in SMALL_TABLES:
+        for n in range(1, 7):
+            _, ordered = ref.grid_decompositions(E, n)
+            assert len(ordered) <= 1, (name, n)
+            report = classify_perfect(E, ScalarSubgroup.cyclic(n))
+            assert report.is_h_perfect == bool(ordered), (name, n)
+            if ordered:
+                perfect.append((name, n))
+            else:  # no slices to report on
+                slices = (report.ordered, report.type_i, report.directness, report.cyclic_system)
+                assert slices == (None, None, False, None), (name, n)
+    # the chains of 1 to 6 steps, 2^1 and 2^2, the horizontal sums and the
+    # cycles at Z/2, eight of which the extremal states answered False
+    assert len(perfect) == 17, perfect
+    assert sum(n == 2 for _, n in perfect) == 11
+
+
+def test_classify_perfect_never_enumerates_the_state_polytope(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the state polytope was enumerated")
+
+    monkeypatch.setattr(states, "states_finite", refuse)
+    monkeypatch.setattr(states, "solve_affine", refuse)  # the first step of any copy of it
+    for E in stock_algebras():
+        for H in (ScalarSubgroup.cyclic(1), H2, ScalarSubgroup.cyclic(E.size - 1), HQ):
+            classify_perfect(E, H)
+
+
+def test_one_element_algebra_answers_are_unchanged():
+    # zero is one: no level above the bottom, so no state and no slices, while
+    # the unit is its own root of every order
+    E = check_pea_axioms(1, 0, 0, {(0, 0): 0}).pea
+    expected = PerfectReport(
+        False, None, None, False, None, False, True, True, None, True, None, True, False
+    )
+    for H in (ScalarSubgroup.cyclic(1), H2, HQ, HR2):
+        assert classify_perfect(E, H) == expected

@@ -11,13 +11,14 @@ column per element in ``element_states``, under seeded relabellings.
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
+from ordalg import states
 from ordalg.errors import UnsupportedError
 from ordalg.pea import FinitePea, boolean_algebra, check_pea_axioms, finite_chain
-from ordalg.states import DIMENSION_CAP, extreme_rays, solve_affine, states_finite
+from ordalg.states import DIMENSION_CAP, FiniteState, _dot, extreme_rays, solve_affine, states_finite
 
 from element_states import element_states
 from test_pea import stock_tables
@@ -302,6 +303,53 @@ def test_states_finite_matches_element_coordinates_on_stock_tables():
     assert len(algebras) == 3 * 15
     for E in algebras:
         assert states_finite(E) == element_states(E)
+
+
+def former_vertex_stage(cone_rows, rays, scale):
+    """The vertex stage as it was: a set of FiniteStates of Fractions, one
+    per ray, sorted by their value tuples."""
+    vertices = set()
+    for ray in rays:
+        ray = [v.numerator for v in ray]
+        t = ray[-1]
+        values = (Fraction(_dot(row, ray), scale * t) for row in cone_rows[:-1])
+        vertices.add(FiniteState(tuple(values)))
+    return sorted(vertices, key=lambda s: s.values)
+
+
+def test_vertex_stage_matches_the_former_fraction_stage(monkeypatch):
+    # the integer keys dedup and sort as the Fraction tuples did, and the
+    # values come out as the same Fractions, fed the same solved system and rays
+    seen = {}
+
+    def recording(name, fn):
+        def wrapper(*args):
+            seen[name] = (args, fn(*args))
+            return seen[name][1]
+        return wrapper
+
+    monkeypatch.setattr(states, "solve_affine", recording("solve", solve_affine))
+    monkeypatch.setattr(states, "extreme_rays", recording("rays", extreme_rays))
+    structs = [structure(kind, k) for kind, k in CASES]
+    structs += [t for t in stock_tables(random.Random("vertex-stage")) if check_pea_axioms(*t).valid]
+    rng = random.Random("vertex-stage")
+    staged = 0
+    for struct in structs:
+        perms = [list(range(struct[0]))]
+        for _ in range(3):
+            perms.append(rng.sample(perms[0], len(perms[0])))
+        for perm in perms:
+            seen.clear()
+            got = states_finite(relabelled(struct, perm))
+            if "rays" not in seen:
+                continue  # a single state, solved without the stage
+            particular, basis = seen["solve"][1]
+            scale = lcm(*(v.denominator for vec in (particular, *basis) for v in vec))
+            (cone_rows,), rays = seen["rays"]
+            assert got == former_vertex_stage(cone_rows, rays, scale)
+            assert all(type(v) is Fraction for s in got for v in s.values)
+            staged += 1
+    assert staged >= 70, staged
 
 
 def test_one_element_algebra_has_no_state():
