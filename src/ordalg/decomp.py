@@ -64,10 +64,11 @@ from .errors import PreconditionError, UnsupportedError
 from .pea import (
     FinitePea,
     IntervalPea,
+    _ideal_closure,
     _is_normal_ideal,
     _mask,
+    _members,
     cyclic_elements,
-    ideals_enumerate,
     is_symmetric,
 )
 from .sampling import sample_element, sample_positive
@@ -112,7 +113,7 @@ class LexDecomposition:
             return (head, sample_positive(G, rng, bound))
         if compare(head, H.one()) is Ordering.EQ:
             extra = sample_positive(G, rng, bound)
-            return (head, g.add(G, E.tail_unit, g.neg(G, extra)))
+            return (head, G.sub_right(E.tail_unit, extra))
         return (head, sample_element(G, rng, bound))
 
 
@@ -424,12 +425,9 @@ def check_type_i(E, D) -> TypeIReport:
         sums_ok = _SliceBits(D).defined_below_one(E._bits.right)
         index = {t: m for t, m in D.slices}
         e0 = index.get(D.H.zero(), frozenset())
-        report = ideals_enumerate(E)
-        maximal = [i.members for i in report.ideals if i.maximal]
-        unique_max = maximal == [e0]
+        unique_max, detail = _unique_maximal(E, e0)
         rows = E._sum_rows[0]
         idem = {z for x in e0 for y, z in rows[x] if y in e0} == set(e0)
-        detail = "" if unique_max else f"maximal ideals: {sorted(map(sorted, maximal))}"
         return TypeIReport(sums_ok and unique_max, sums_ok, unique_max, idem, detail)
     if isinstance(D, LexDecomposition):
         # sums below one and the idempotent E_0 hold by head arithmetic; E_0
@@ -437,6 +435,30 @@ def check_type_i(E, D) -> TypeIReport:
         directed = E.tail_group.is_directed()
         return TypeIReport(directed, True, directed, True)
     raise UnsupportedError(f"unsupported decomposition {D!r}")
+
+
+def _unique_maximal(E: FinitePea, e0):
+    """Whether e0 is the unique maximal ideal of E, and a detail when not.
+
+    Every proper ideal of a finite algebra lies in a maximal one, so e0 is
+    the unique maximal ideal exactly when it is a proper ideal and every x
+    outside it generates all of E.  An x above y generates at least what y
+    does, so the elements minimal outside e0 decide, and the detail names
+    the first of them that generates a proper ideal.
+    """
+    closure = _ideal_closure(E)
+    everything, mask, grown = (1 << E.size) - 1, _mask(e0), 0
+    for x in e0:
+        grown = closure(grown, x)
+    if not e0 or grown != mask or mask == everything:
+        return False, "E_0 is not a proper ideal"
+    bottom, down, outside = closure(0, E.zero), E._bits.down, everything & ~mask
+    for x in E.elements():
+        if down[x] & outside == 1 << x:  # x is minimal outside e0
+            grown = closure(bottom, x)
+            if grown != everything:
+                return False, f"{x} generates a proper ideal: {sorted(_members(grown))}"
+    return True, ""
 
 
 # ---------------------------------------------------------------------------
@@ -507,12 +529,12 @@ def _integral_action(G, g0, t):
     if isinstance(t, QuadraticNumber):
         if t.a.denominator != 1 or t.b.denominator != 1:
             return None
-        return g.scale(G, g0, int(t.a))
+        return G.scale(g0, int(t.a))
     t = Fraction(t)
     part = g.divide(G, g0, t.denominator)
     if part is None:
         return None
-    return g.scale(G, part, t.numerator)
+    return G.scale(part, t.numerator)
 
 
 @dataclass(frozen=True)

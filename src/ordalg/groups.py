@@ -23,16 +23,19 @@ Each descriptor class is the one place that knows its element format: shape
 checks, arithmetic, order, commutation, sampling and formatting are its
 methods.  ``Lex`` and ``Product`` share the componentwise rules
 through a private pair base, which reads the two factors from ``parts``;
-``Lex`` overrides only the rules that depend on the order.  Callers call
-the methods.  A module function stays only where it adds a rule to them
-(``sub_right``, ``sub_left``, ``scale``, ``divide``, ``join``,
-``lower_bound``, ``com_check``) or where ``perfbench`` counts a leaf op by
-wrapping it (``add``, ``neg``, ``leq``, ``check_element``,
-``positive_cone_member``).  The refinement solver takes meets and needs no
-directedness witness; ``lower_bound`` (with the ``lower_bound`` and
-``a_positive_element`` methods behind it) stays for the paper's lex case
-tables in the tests, for demo 02, and because ``perfbench`` counts it as a
-leaf op.
+``Lex`` overrides only the rules that depend on the order.  The
+differences ``sub_right`` (x - y) and ``sub_left`` (-y + x) and the
+multiple ``scale`` (n x) are methods as well, each one step: a subtraction
+or a multiplication on the scalars and Z^k, part by part on pairs, closed
+forms for the differences on ``Aff``, whose ``scale`` doubles.  Callers
+call the methods.  A module function stays only where it adds a rule to
+them (``divide``, ``join``, ``lower_bound``, ``com_check``) or where
+``perfbench`` counts a leaf op by wrapping it (``add``, ``neg``, ``leq``,
+``sub_left``, ``check_element``, ``positive_cone_member``).  The
+refinement solver takes meets and needs no directedness witness;
+``lower_bound`` (with the ``lower_bound`` and ``a_positive_element``
+methods behind it) stays for the paper's lex case tables in the tests, for
+demo 02, and because ``perfbench`` counts it as a leaf op.
 """
 
 from __future__ import annotations
@@ -85,6 +88,21 @@ class GroupDescriptor:
     def center_member(self, x) -> bool:
         """Membership in the center: x commutes with the cone, which generates the group."""
         return self._commutant(x) is None
+
+    # -- arithmetic -------------------------------------------------------------
+    # built from add and neg; descriptors with a one-step rule override them
+
+    def sub_right(self, x, y):
+        """x - y, i.e. x + (-y)."""
+        return self.add(x, self.neg(y))
+
+    def sub_left(self, y, x):
+        """-y + x."""
+        return self.add(self.neg(y), x)
+
+    def scale(self, x, n: int):
+        """n-fold sum of x (n may be negative)."""
+        return _doubling(self, x, n)
 
     # -- order ----------------------------------------------------------------
 
@@ -217,6 +235,15 @@ class Scalar(GroupDescriptor):
     def neg(self, x):
         return -x
 
+    def sub_right(self, x, y):
+        return x - y
+
+    def sub_left(self, y, x):
+        return x - y
+
+    def scale(self, x, n):
+        return x * n
+
     def divide(self, x, n):
         H = self.H
         y = x * Fraction(1, n)
@@ -323,6 +350,15 @@ class IntVector(GroupDescriptor):
     def neg(self, x):
         return tuple(map(operator.neg, x))
 
+    def sub_right(self, x, y):
+        return tuple(map(operator.sub, x, y))
+
+    def sub_left(self, y, x):
+        return tuple(map(operator.sub, x, y))
+
+    def scale(self, x, n):
+        return tuple(v * n for v in x)
+
     def divide(self, x, n):
         if all(v % n == 0 for v in x):
             return tuple(v // n for v in x)
@@ -400,6 +436,16 @@ class AffineQ(GroupDescriptor):
     def neg(self, x):
         a, b = x
         return (1 / a, -b / a)
+
+    # the two differences in closed form; scale keeps the doubling
+
+    def sub_right(self, x, y):
+        (c, e), (a, b) = x, y
+        return (c / a, e - c * b / a)
+
+    def sub_left(self, y, x):
+        (a, b), (c, e) = y, x
+        return (c / a, (e - b) / a)
 
     def divide(self, x, n):
         a, b = x
@@ -561,6 +607,18 @@ class _Pair(GroupDescriptor):
         a, b = self.parts
         return (a.neg(x[0]), b.neg(x[1]))
 
+    def sub_right(self, x, y):
+        a, b = self.parts
+        return (a.sub_right(x[0], y[0]), b.sub_right(x[1], y[1]))
+
+    def sub_left(self, y, x):
+        a, b = self.parts
+        return (a.sub_left(y[0], x[0]), b.sub_left(y[1], x[1]))
+
+    def scale(self, x, n):
+        a, b = self.parts
+        return (a.scale(x[0], n), b.scale(x[1], n))
+
     def divide(self, x, n):
         a, b = self.parts
         left, right = a.divide(x[0], n), b.divide(x[1], n)
@@ -681,7 +739,7 @@ class Lex(_Pair):
         if all(x[0] == head_min for x in xs):
             return (head_min, bottom.lower_bound([x[1] for x in xs]))
         delta = top.a_positive_element()
-        return (top.add(head_min, top.neg(delta)), bottom.zero())
+        return (top.sub_right(head_min, delta), bottom.zero())
 
     def is_strong_unit(self, u) -> bool:
         # multiples of a head strong unit eventually strictly dominate any head
@@ -706,7 +764,7 @@ class Lex(_Pair):
                 return (s, bottom.sample_interval(t_hi, rng, bound))
             # tail must be <= hi tail: hi_tail - positive
             delta = bottom.sample_positive(rng, bound)
-            return (s, bottom.add(t_hi, bottom.neg(delta)))
+            return (s, bottom.sub_right(t_hi, delta))
         if at_zero:
             return (s, bottom.sample_positive(rng, bound))
         return (s, bottom.sample_element(rng, bound))
@@ -807,24 +865,19 @@ def neg(desc, x):
     return desc.neg(x)
 
 
-def sub_right(desc, x, y):
-    """x - y, i.e. x + (-y)."""
-    return desc.add(x, desc.neg(y))
-
-
 def sub_left(desc, y, x):
     """-y + x."""
-    return desc.add(desc.neg(y), x)
+    return desc.sub_left(y, x)
 
 
-def scale(desc, x, n: int):
+def _doubling(desc, x, n: int):
     """n-fold sum of x (n may be negative), by binary doubling.
 
     O(log n) additions; powers of one x commute, so the value equals the
     left-to-right sum by associativity, in non-abelian groups too.
     """
     if n < 0:
-        return desc.neg(scale(desc, x, -n))
+        return desc.neg(_doubling(desc, x, -n))
     acc = desc.zero()
     while n:
         if n & 1:

@@ -245,8 +245,8 @@ def boolean_algebra(k: int) -> FinitePea:
 class IntervalPea:
     """The interval [0, unit] of a unital po-group.
 
-    The operations call the group's ``add``, ``neg`` and ``leq`` methods,
-    bound once here.
+    The operations call the group's ``add``, ``leq`` and difference
+    methods, bound once here.
     """
 
     def __init__(self, group: g.GroupDescriptor, unit):
@@ -255,7 +255,8 @@ class IntervalPea:
         if not group.is_strong_unit(self.unit):
             raise PreconditionError("interval algebras need a strong unit")
         self.zero = group.zero()
-        self._add, self._neg, self._leq = group.add, group.neg, group.leq
+        self._add, self._leq = group.add, group.leq
+        self._sub_right, self._sub_left = group.sub_right, group.sub_left
 
     @property
     def one(self):
@@ -275,22 +276,22 @@ class IntervalPea:
         return self._leq(a, b)
 
     def lneg(self, a):
-        return self._add(self.unit, self._neg(a))
+        return self._sub_right(self.unit, a)
 
     def rneg(self, a):
-        return self._add(self._neg(a), self.unit)
+        return self._sub_left(a, self.unit)
 
     def minus_left(self, b, a):
         """d with d + a = b, defined iff a <= b."""
         if not self._leq(a, b):
             return None
-        return self._add(b, self._neg(a))  # b - a
+        return self._sub_right(b, a)
 
     def minus_right(self, a, b):
         """c with a + c = b, defined iff a <= b."""
         if not self._leq(a, b):
             return None
-        return self._add(self._neg(a), b)  # -a + b
+        return self._sub_left(a, b)
 
     def times(self, n, a):
         acc = self.zero
@@ -370,18 +371,13 @@ class IdealsReport:
     normal_radical: frozenset
 
 
-def ideals_enumerate(E: FinitePea) -> IdealsReport:
-    """All ideals by closure growth, with maximality/normality flags.
+def _ideal_closure(E: FinitePea):
+    """closure(members, x): the ideal generated by an ideal and x, as bitsets.
 
-    Ideals are element bitsets.  Each grows from a closed base by a
-    worklist: a new member y brings in its down-set and the defined sums
-    y + m and m + y with m already in, read from y's sum rows.  An ideal
-    above a base holds an element minimal outside it, so growing every base
-    by those alone reaches every ideal; and a proper ideal is maximal
-    exactly when each ideal grown from it is the whole algebra, so
-    maximality is read off the same growth.
+    It grows by a worklist: a new member y brings in its down-set and the
+    defined sums y + m and m + y with m already in, read from y's sum rows.
+    Once one is reached the answer is the whole algebra.
     """
-    down = E._bits.down
     right, left = E._sum_rows
     everything, one = (1 << E.size) - 1, 1 << E.one
     below = [[] for _ in E.elements()]  # below[s] = the x < s
@@ -403,6 +399,21 @@ def ideals_enumerate(E: FinitePea) -> IdealsReport:
             work += [s for m, s in left[y] if members >> m & 1]
         return members
 
+    return closure
+
+
+def ideals_enumerate(E: FinitePea) -> IdealsReport:
+    """All ideals by closure growth, with maximality/normality flags.
+
+    Ideals are element bitsets, each grown from a closed base by
+    ``_ideal_closure``.  An ideal above a base holds an element minimal
+    outside it, so growing every base by those alone reaches every ideal;
+    and a proper ideal is maximal exactly when each ideal grown from it is
+    the whole algebra, so maximality is read off the same growth.
+    """
+    down = E._bits.down
+    everything = (1 << E.size) - 1
+    closure = _ideal_closure(E)
     bottom = closure(0, E.zero)
     found, maximal = {bottom}, set()
     generated = {}  # the ideal generated by base | x, which many pairs share
@@ -495,7 +506,7 @@ def cyclic_elements(E, n: int):
         c = g.divide(E.group, E.unit, n)
         if c is None or not E.contains(c):
             return []
-        assert g.scale(E.group, c, n) == E.unit
+        assert E.group.scale(c, n) == E.unit
         return [CyclicElement(c, n, E.group.center_member(c))]
     raise UnsupportedError(f"unsupported algebra {E!r}")
 

@@ -7,10 +7,10 @@ same laws with element bitsets and integer slice indices, and must return
 the same reports and witnesses: the first violation for the type-II laws,
 the last failing pair for ``ordered``.
 
-``check_type_i`` takes the maximal ideals from the caller, who finds them
-by the subset definition (``subset_maximal``) among the ideals that
-``ideals_enumerate`` lists; ``test_pea`` checks that list against a closure
-search.
+``check_type_i`` takes the ideals from the caller, as ``ideals_enumerate``
+lists them (``test_pea`` checks that list against a closure search), and
+reads the ideal an element generates as the intersection of the ideals
+that hold it.
 """
 
 from fractions import Fraction
@@ -150,7 +150,12 @@ def check_ordered(E, D):
     return OrderedReport(True, None, agrees, inf_ok, normal_ok, additivity_ok, oversum_ok)
 
 
-def check_type_i(E, D, maximal):
+def generated_ideal(x, ideals):
+    """The least ideal holding x: the intersection of those that do."""
+    return frozenset.intersection(*(i for i in ideals if x in i))
+
+
+def check_type_i(E, D, ideals):
     one = D.H.one()
     sums_ok = True
     for s, ms in D.slices:
@@ -160,9 +165,21 @@ def check_type_i(E, D, maximal):
                     sums_ok = False
     index = {t: m for t, m in D.slices}
     e0 = index.get(D.H.zero(), frozenset())
-    unique_max = maximal == [e0]
+    # e0 is the unique maximal ideal exactly when it is a proper ideal and
+    # every x outside it generates all of E; the detail names the first
+    # element minimal outside e0 among those that do not
+    everything = frozenset(E.elements())
+    if e0 not in ideals or e0 == everything:
+        unique_max, detail = False, "E_0 is not a proper ideal"
+    else:
+        leq = order_matrix(E)
+        outside = [x for x in E.elements() if x not in e0]
+        failing = [x for x in outside if generated_ideal(x, ideals) != everything]
+        unique_max, detail = not failing, ""
+        if failing:
+            x = next(x for x in failing if not any(leq[y][x] for y in outside if y != x))
+            detail = f"{x} generates a proper ideal: {sorted(generated_ideal(x, ideals))}"
     idem = {E.add(x, y) for x in e0 for y in e0 if E.defined(x, y)} == set(e0)
-    detail = "" if unique_max else f"maximal ideals: {sorted(map(sorted, maximal))}"
     return TypeIReport(sums_ok and unique_max, sums_ok, unique_max, idem, detail)
 
 

@@ -110,7 +110,7 @@ def _decompose_lex(desc, a1, a2, b1, b2, level):
             )
         # n1 == 0 (so n2 == m2): shift the second row by d <= a2, b2
         d = g.lower_bound(bottom, [ta2, tb2])
-        x2, y2 = g.sub_right(bottom, ta2, d), g.sub_right(bottom, tb2, d)
+        x2, y2 = bottom.sub_right(ta2, d), bottom.sub_right(tb2, d)
         e11, e12, e21, e22 = _decompose(bottom, ta1, x2, tb1, y2, level)
         return (
             (zt, e11),
@@ -129,8 +129,8 @@ def _decompose_lex(desc, a1, a2, b1, b2, level):
         return _decompose_lex_dense(desc, a1, a2, b1, b2, level)
 
     d = g.lower_bound(bottom, [ta1, ta2, tb1, tb2])
-    x1, x2 = g.sub_left(bottom, d, ta1), g.sub_right(bottom, ta2, d)
-    y1, y2 = g.sub_left(bottom, d, tb1), g.sub_right(bottom, tb2, d)
+    x1, x2 = g.sub_left(bottom, d, ta1), bottom.sub_right(ta2, d)
+    y1, y2 = g.sub_left(bottom, d, tb1), bottom.sub_right(tb2, d)
     e11, e12, e21, e22 = _decompose(bottom, x1, x2, y1, y2, level)
     if g.leq(top, n1, m1):  # m1 >= n1
         return (

@@ -11,13 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from ordalg import decomp, states
+from ordalg import decomp, pea, states
 from ordalg import groups as g
 from ordalg.decomp import (
     CyclicSystem,
     FiniteDecomposition,
     LexDecomposition,
     PerfectReport,
+    TypeIReport,
     check_ordered,
     check_type_i,
     classify_perfect,
@@ -788,13 +789,13 @@ def outcome(call, *args):
         return type(exc)
 
 
-def assert_kernels_match(E, D, maximal):
+def assert_kernels_match(E, D, ideals):
     """Every finite slice kernel returns what the element-pair reference does;
-    ``maximal`` lists E's maximal ideals by the subset definition."""
+    ``ideals`` lists E's ideals."""
     assert decomp._finite_type_ii_violation(D) == ref.type_ii_violation(D)
     ordered = outcome(check_ordered, E, D)
     assert ordered == outcome(ref.check_ordered, E, D)
-    assert outcome(check_type_i, E, D) == outcome(ref.check_type_i, E, D, maximal)
+    assert outcome(check_type_i, E, D) == outcome(ref.check_type_i, E, D, ideals)
     for _, members in D.slices:
         assert decomp._finite_slice_directed(E, members) == ref.slice_directed(E, members)
     for strong in (False, True):
@@ -803,7 +804,7 @@ def assert_kernels_match(E, D, maximal):
     return ordered
 
 
-def test_finite_kernels_match_the_element_pair_reference(monkeypatch):
+def test_finite_kernels_match_the_element_pair_reference():
     # every extremal state of every stock table and relabelling, read over
     # Z/L (L the least common denominator of its values), over Z/2L with the
     # grid points it misses, and over Z[sqrt 2] when its values are 0 and 1
@@ -813,9 +814,7 @@ def test_finite_kernels_match_the_element_pair_reference(monkeypatch):
     thirds = [horizontal_sum(k, 3) for k in (1, 2, 3)]
     thirds += [relabel(*struct, rng) for struct in thirds]
     for E in itertools.chain(stock_algebras(), (FinitePea(*struct) for struct in thirds)):
-        ideals = ideals_enumerate(E)
-        monkeypatch.setattr(decomp, "ideals_enumerate", lambda F: ideals)  # once per algebra
-        maximal = ref.subset_maximal([i.members for i in ideals.ideals], frozenset(E.elements()))
+        ideals = [i.members for i in ideals_enumerate(E).ideals]
         witness = ref.symmetry_witness(E)
         assert is_symmetric(E) == SymmetryVerdict(witness is None, witness)
         seen["asymmetric"] += witness is not None
@@ -829,7 +828,7 @@ def test_finite_kernels_match_the_element_pair_reference(monkeypatch):
                 subgroups.append(ScalarSubgroup.quadratic(2))
             for H in subgroups:
                 D = decomposition_from_state(E, s, H, allow_subset=True)
-                report = assert_kernels_match(E, D, maximal)
+                report = assert_kernels_match(E, D, ideals)
                 seen["ordered" if report.ordered else "unordered"] += 1
                 seen["cyclic"] += find_cyclic_system(E, D) is not None
     assert min(seen.values()) >= 5, seen
@@ -871,8 +870,7 @@ HAND_BUILT = [
 def test_hand_built_decompositions_match_the_reference(kind, D):
     witness = ref.type_ii_violation(D)
     assert (witness and witness[0]) == kind
-    ideals = [i.members for i in ideals_enumerate(D.pea).ideals]
-    assert_kernels_match(D.pea, D, ref.subset_maximal(ideals, frozenset(D.pea.elements())))
+    assert_kernels_match(D.pea, D, [i.members for i in ideals_enumerate(D.pea).ideals])
 
 
 def test_round_trip_over_a_quadratic_subgroup():
@@ -924,12 +922,11 @@ def test_finite_kernels_match_the_reference_on_seeded_slicings():
     kinds, ordered = set(), set()
     for E in algebras:
         ideals = [i.members for i in ideals_enumerate(E).ideals]
-        maximal = ref.subset_maximal(ideals, frozenset(E.elements()))
         for _ in range(40):
             D = seeded_slicing(E, rng)
             witness = ref.type_ii_violation(D)
             kinds.add(witness and witness[0])
-            report = assert_kernels_match(E, D, maximal)
+            report = assert_kernels_match(E, D, ideals)
             ordered.add(report.ordered)
     assert kinds == {None, "negation law", "sum above one", "sum slice law"}, kinds
     assert ordered == {True, False}
@@ -980,6 +977,35 @@ def test_classify_perfect_never_enumerates_the_state_polytope(monkeypatch):
     for E in stock_algebras():
         for H in (ScalarSubgroup.cyclic(1), H2, ScalarSubgroup.cyclic(E.size - 1), HQ):
             classify_perfect(E, H)
+
+
+def test_type_i_reads_generated_ideals_without_listing_them(monkeypatch):
+    # (Iii) on the level decomposition of every stock table, over the
+    # subgroups that make some of them perfect, equals the reference on the
+    # ideals listed beforehand; after that nothing lists them
+    cases = []
+    for E in stock_algebras():
+        ideals = [i.members for i in ideals_enumerate(E).ideals]
+        for H in (ScalarSubgroup.cyclic(1), H2, ScalarSubgroup.cyclic(E.size - 1)):
+            s = decomp._level_state(E, H)
+            D = None if s is None else outcome(decomposition_from_state, E, s, H)
+            if isinstance(D, FiniteDecomposition):
+                cases.append((E, H, D, ref.check_type_i(E, D, ideals)))
+
+    def refuse(*args):
+        raise AssertionError("the ideals were listed")
+
+    monkeypatch.setattr(pea, "ideals_enumerate", refuse)
+    for E, H, D, want in cases:
+        assert check_type_i(E, D) == classify_perfect(E, H).type_i == want
+    details = {want.detail.split(" ")[1] if want.detail else "" for *_, want in cases}
+    assert details == {"", "generates"}, details
+    # the ten-block sum over Z/2, whose atom 2 generates the ideal {0, 2}
+    E = FinitePea(*hsum_table(10))
+    report = classify_perfect(E, H2)
+    assert report.is_h_perfect and report.type_i == TypeIReport(
+        False, True, False, True, "2 generates a proper ideal: [0, 2]"
+    )
 
 
 def test_one_element_algebra_answers_are_unchanged():

@@ -350,7 +350,7 @@ def test_torsion_freeness_sampled(desc):
         if x == zero:
             continue
         for n in range(1, 11):
-            assert g.scale(desc, x, n) != zero
+            assert desc.scale(x, n) != zero
 
 
 def test_lex_head_must_be_linear():

@@ -7,7 +7,9 @@ positivity test against 0 <= x, the element-format round trips, the
 interval sampler's bounds, and that every strong unit is positive and
 nonzero.  ``scale`` equals the repeated
 sum, ``divide`` inverts it, and the exact n-th root round trips on values of
-100 to 400 bits.  The six scalar groups are also checked for membership of
+100 to 400 bits.  On a fixed roster of descriptors the one-step methods
+``sub_right``, ``sub_left`` and ``scale`` equal, in value and type, the
+rules built from ``add``, ``neg`` and binary doubling.  The six scalar groups are also checked for membership of
 every sample and of strictly-between picks.  On discrete trees (the ones the exhaustive oracle
 enumerates), at every level, the oracle finds a table wherever the constructive solver does,
 and the solver answers wherever the oracle finds a table.  The paper's lex case tables
@@ -21,7 +23,7 @@ import pytest
 
 from ordalg import groups as g
 from ordalg.errors import PreconditionError
-from ordalg.parsing import parse_element
+from ordalg.parsing import parse_descriptor, parse_element
 from ordalg.pea import IntervalPea
 from ordalg.riesz import rdp_decompose, rdp_oracle_search, rdp_table_verify
 from ordalg.sampling import sample_element, sample_interval, sample_positive
@@ -250,7 +252,7 @@ def test_divide_inverts_scale(seed):
         for _ in range(4):
             x = sample_element(desc, rng, 5)
             for n in (2, 3):
-                assert g.divide(desc, g.scale(desc, x, n), n) == x
+                assert g.divide(desc, desc.scale(x, n), n) == x
 
 
 SCALE_DESCRIPTORS = [
@@ -272,14 +274,54 @@ def test_scale_by_doubling_equals_the_repeated_sum(desc):
         x = sample_element(desc, rng, 5)
         total = desc.zero()
         for n in range(18):
-            assert g.scale(desc, x, n) == total
-            assert g.scale(desc, x, -n) == g.neg(desc, total)
+            assert desc.scale(x, n) == total
+            assert desc.scale(x, -n) == g.neg(desc, total)
             total = g.add(desc, total, x)
 
 
 def test_scale_reaches_large_factors():
-    assert g.scale(g.ZZ, Fraction(3), 10**12) == 3 * 10**12
-    assert g.scale(g.IntVector(2), (1, -2), -(10**15)) == (-(10**15), 2 * 10**15)
+    assert g.ZZ.scale(Fraction(3), 10**12) == 3 * 10**12
+    assert g.IntVector(2).scale((1, -2), -(10**15)) == (-(10**15), 2 * 10**15)
+
+
+ONE_STEP_ROSTER = ("Z", "Z/4", "Q", "Q[sqrt 2]", "Z^2", "Aff", "lex(Z, Aff)", "lex(Aff, Z)",
+                   "prod(Aff, Aff)", "lex(Q[sqrt 2], Z^2)")
+
+
+def exactly(x, y):
+    """x == y with equal types at every leaf and in every quadratic coefficient."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, tuple):
+        return len(x) == len(y) and all(map(exactly, x, y))
+    if isinstance(x, QuadraticNumber):
+        return x.d == y.d and exactly(x.a, y.a) and exactly(x.b, y.b)
+    return x == y
+
+
+def translations(desc, x):
+    """x with each Aff leaf (a, b) moved to (1, b), whose multiples stay small."""
+    if isinstance(desc, g.AffineQ):
+        return (Fraction(1), x[1])
+    if isinstance(desc, (g.Lex, g.Product)):
+        return tuple(translations(part, v) for part, v in zip(desc.parts, x))
+    return x
+
+
+@pytest.mark.parametrize("text", ONE_STEP_ROSTER)
+def test_one_step_differences_and_multiples_equal_the_two_step_rules(text):
+    desc = parse_descriptor(text)
+    rng = random.Random(f"one-step-{text}")
+    xs = [desc.zero()] + [sample_element(desc, rng, 6) for _ in range(12)]
+    for x in xs:
+        for y in xs:
+            assert exactly(desc.sub_right(x, y), desc.add(x, desc.neg(y))), (x, y)
+            assert exactly(desc.sub_left(y, x), desc.add(desc.neg(y), x)), (x, y)
+        for n in range(-3, 4):
+            assert exactly(desc.scale(x, n), g._doubling(desc, x, n)), (x, n)
+        # an Aff head a != 1 has a**(10**12) beyond reach, by either rule
+        t = translations(desc, x)
+        assert exactly(desc.scale(t, 10**12), g._doubling(desc, t, 10**12)), t
 
 
 def big_int(rng):
@@ -310,7 +352,7 @@ def test_divide_inverts_scale_on_big_values(desc):
     for _ in range(20):
         x = big_element(desc, rng)
         for n in (2, 3, 5):
-            assert g.divide(desc, g.scale(desc, x, n), n) == x
+            assert g.divide(desc, desc.scale(x, n), n) == x
 
 
 def test_affine_nth_root_round_trip_on_big_values():

@@ -27,6 +27,7 @@ from ordalg.parsing import parse_descriptor, parse_element, parse_spec, parse_su
 from ordalg.scalars import Ordering, QuadraticNumber, ScalarSubgroup, compare, grid_points
 
 from com_reference import enumerate_interval
+from isomorphism_reference import reference_verify_isomorphism
 from test_cli_golden import CASES
 
 Z = g.ZZ
@@ -117,7 +118,7 @@ def test_verify_isomorphism_clean(H, G, spec):
         x = shuffled.sample(rng)
         t, tail = x
         fx = phi(x)
-        assert fx == (t, g.sub_right(G, tail, phi.cyclic_entry(t)[1]))
+        assert fx == (t, G.sub_right(tail, phi.cyclic_entry(t)[1]))
         assert phi.preimage(fx) == x
         z = phi.target.sample(rng)
         assert phi(phi.preimage(z)) == z
@@ -147,6 +148,53 @@ def test_corrupted_phi_reports_failures():
     bad = PhiMap(shuffled, target, corrupt=True)
     report = verify_isomorphism(bad, shuffled, target, samples=300, seed=11)
     assert report.homomorphism_failures > 0
+
+
+def represent_maps():
+    """(name, phi, E, F): the benchmark's four representations, its corrupt
+    map, and maps over the non-Abelian tail Aff, one of them off a unit
+    that is not central, so that no theorem makes it clean."""
+    aff = g.AffineQ()
+    for name, H, G, spec in (
+        ("Q-Z", HQ, Z, ("identity",)),
+        ("Q-Z^2", HQ, Z2, ("permute", (1, 0))),
+        ("Z/4-Z", H4, Z, ("translate", f(1))),
+        ("sqrt2-Z^2", HS2, Z2, ("permute", (1, 0))),
+        ("Q-Aff", HQ, aff, ("identity",)),
+    ):
+        E, _ = make_shuffled(H, G, spec)
+        phi = phi_represent(E)
+        yield name, phi, E, phi.target
+    E, _ = make_shuffled(H4, Z, ("translate", f(1)))
+    yield "Z/4-Z-corrupt", PhiMap(E, build_lex_pea(H4, Z), corrupt=True), E, build_lex_pea(H4, Z)
+    E, F = build_lex_pea(H4, aff, (f(1), f(1))), build_lex_pea(H4, aff)
+    yield "Z/4-Aff-translation", PhiMap(E, F), E, F
+    yield "Z/4-Aff-translation-corrupt", PhiMap(E, F, corrupt=True), E, F
+
+
+def test_verify_isomorphism_reports_as_the_loop_with_both_negations():
+    # field for field at several seeds; the right negations are compared as
+    # often as there exactly when a group is not Abelian, and never otherwise
+    failing, compared = set(), set()
+    for name, phi, E, F in represent_maps():
+        calls = {"reference": [], "package": []}
+        rneg = E.rneg
+        for seed in (0, 1, 7, 11):
+            reports = {}
+            for side, check in (("reference", reference_verify_isomorphism), ("package", verify_isomorphism)):
+                E.rneg = lambda a, seen=calls[side]: seen.append(a) or rneg(a)
+                reports[side] = check(phi, E, F, samples=80, seed=seed)
+                del E.rneg
+            assert reports["package"] == reports["reference"], (name, seed)
+            if not reports["reference"].clean:
+                failing.add(name)
+        abelian = E.group.is_abelian() and F.group.is_abelian()
+        assert calls["package"] == ([] if abelian else calls["reference"]), name
+        if calls["package"]:
+            compared.add(name)
+    # a corrupt map fails the left negation first, so its right one never runs
+    assert compared == {"Q-Aff", "Z/4-Aff-translation"}
+    assert failing == {"Z/4-Z-corrupt", "Z/4-Aff-translation", "Z/4-Aff-translation-corrupt"}
 
 
 @pytest.mark.parametrize(
@@ -415,12 +463,12 @@ def test_lattice_positive_negative_parts_of_slice_differences():
     for _ in range(150):
         x = E.sample(rng)
         c = phi.cyclic_entry(x[0])
-        diff = g.sub_right(G, x, c)
-        pos = g.sub_right(G, g.join(G, x, c), c)  # (x v c) - c
-        neg_part = g.sub_right(G, c, G.meet(x, c))  # c - (x ^ c)
+        diff = G.sub_right(x, c)
+        pos = G.sub_right(g.join(G, x, c), c)  # (x v c) - c
+        neg_part = G.sub_right(c, G.meet(x, c))  # c - (x ^ c)
         assert pos == g.join(G, diff, zero)
         assert neg_part == g.neg(G, G.meet(diff, zero))
-        assert g.sub_right(G, pos, neg_part) == diff
+        assert G.sub_right(pos, neg_part) == diff
         assert g.positive_cone_member(G, pos) and pos[0] == HQ.zero()
         assert g.positive_cone_member(G, neg_part) and neg_part[0] == HQ.zero()
 
@@ -445,7 +493,7 @@ def reconstruct_hom(f, source: IntervalPea, target: IntervalPea):
         lower = g.lower_bound(G, [x, G.zero()])
         g2 = g.neg(G, lower)
         g1 = g.add(G, x, g2)
-        return g.sub_right(Gt, on_positive(g1), on_positive(g2))
+        return Gt.sub_right(on_positive(g1), on_positive(g2))
 
     return hom
 

@@ -79,8 +79,8 @@ def test_z_leaves_stay_int_through_group_operations(name):
             g.sub_left(desc, x, y),
             desc.meet(x, y),
             g.lower_bound(desc, [x, y]),
-            *(g.scale(desc, x, n) for n in range(-3, 4)),
-            *(g.divide(desc, g.scale(desc, x, n), n) for n in (1, 2, 3)),
+            *(desc.scale(x, n) for n in range(-3, 4)),
+            *(g.divide(desc, desc.scale(x, n), n) for n in (1, 2, 3)),
         )
         if name in DISCRETE:
             walk = desc.iter_bounded([zero], [g.add(desc, p, p)], 3)
