@@ -71,7 +71,6 @@ from .pea import (
     cyclic_elements,
     is_symmetric,
 )
-from .sampling import sample_element, sample_positive
 from .scalars import (
     Ordering,
     QuadraticNumber,
@@ -103,18 +102,6 @@ class LexDecomposition:
     pea: IntervalPea
     grid: tuple  # witness grid of [0,1]_H
     proper: bool = True
-
-    def sample_slice(self, t, rng, bound=6):
-        E = self.pea
-        H = E.head_subgroup
-        head = H.coerce(t)
-        G = E.tail_group
-        if compare(head, H.zero()) is Ordering.EQ:
-            return (head, sample_positive(G, rng, bound))
-        if compare(head, H.one()) is Ordering.EQ:
-            extra = sample_positive(G, rng, bound)
-            return (head, G.sub_right(E.tail_unit, extra))
-        return (head, sample_element(G, rng, bound))
 
 
 # ---------------------------------------------------------------------------

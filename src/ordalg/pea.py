@@ -462,6 +462,8 @@ class SymbolicInfinitesimals:
             and g.positive_cone_member(self.pea.tail_group, tail)
         )
 
+    __contains__ = contains
+
     def __str__(self):
         return "{(0, g): g in G+}"
 

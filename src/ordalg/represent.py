@@ -6,8 +6,9 @@ subtracting the cyclic-system entry of each slice, and ``PhiMap.preimage``
 adds it back.  ``verify_isomorphism`` stress-tests such a map on seeded
 samples (homomorphism, injectivity, order both ways) and probes
 surjectivity through the map's own preimage, or one the caller supplies.
-``difference_group`` builds the group of formal differences of a
-grid-restricted bottom slice and ``functor_map`` lifts a sampled group
+``difference_group`` builds the group of formal differences of the bottom
+slice from a grid of it: a class [a - b] is the group difference a - b and
+is positive exactly when b <= a.  ``functor_map`` lifts a sampled group
 homomorphism to interval-algebra homomorphisms; ``permute`` rules must
 permute the coordinates of a Z^k group.
 """
@@ -21,7 +22,7 @@ from fractions import Fraction
 from . import groups as g
 from .decomp import _integral_action, classify_perfect
 from .errors import PreconditionError, UnsupportedError
-from .pea import IntervalPea
+from .pea import IntervalPea, infinitesimals
 from .sampling import sample_element
 from .scalars import QuadraticNumber, ScalarSubgroup
 
@@ -256,10 +257,15 @@ class DifferenceClass:
 
 
 class DifferenceGroup:
-    """Formal differences of a commutative cancellative grid with zero.
+    """Formal differences [a - b] of a commutative bottom slice.
 
-    The grid must be closed enough that positivity can be decided inside it:
-    a class [a - b] is positive exactly when a = c + b for some grid c.
+    Every grid point must be infinitesimal, so sums of grid points stay in
+    the bottom slice E_0, which is closed under sums and downward closed.
+    On a scalar-headed lex interval a class is the group difference a - b,
+    and its first representative is kept under that key; a finite
+    algebra's only infinitesimal is 0, so its one class is [0 - 0].  A
+    class [a - b] is positive exactly when b <= a; by cancellation every
+    representative gives the same answer.
     """
 
     def __init__(self, pea, grid):
@@ -267,44 +273,28 @@ class DifferenceGroup:
         self.grid = list(grid)
         if pea.zero not in self.grid:
             self.grid.insert(0, pea.zero)
+        bottom = infinitesimals(pea)
+        if isinstance(pea, IntervalPea):
+            self._difference, fmt = pea.group.sub_right, pea.group.format_element
+        else:
+            self._difference, fmt = (lambda a, b: (a, b)), str
+        for a in self.grid:
+            if a not in bottom:
+                raise PreconditionError(
+                    f"grid point {fmt(a)} is not infinitesimal; "
+                    "difference groups need a grid in the bottom slice"
+                )
         for a in self.grid:
             for b in self.grid:
-                sab, sba = pea.add(a, b), pea.add(b, a)
-                if sab is None or sba is None:
-                    raise UnsupportedError("grid addition must be total on the slice")
-                if sab != sba:
+                if pea.add(a, b) != pea.add(b, a):
                     raise UnsupportedError(
-                        f"slice addition is not commutative at ({a}, {b}); "
+                        f"slice addition is not commutative at ({fmt(a)}, {fmt(b)}); "
                         "difference groups need a commutative bottom slice"
                     )
-        self._reps = []
-        # an interval algebra's group is a lattice, so its classes are keyed;
-        # a finite algebra offers no meet and keeps the scan
-        self._by_key = {} if isinstance(pea, IntervalPea) else None
-
-    def _equivalent(self, p: DifferenceClass, q: DifferenceClass) -> bool:
-        return self.pea.add(p.plus, q.minus) == self.pea.add(q.plus, p.minus)
-
-    def _key(self, plus, minus):
-        """The disjoint pair (plus - m, minus - m) with m = plus ^ minus.
-
-        In a lattice-ordered abelian group x = x+ - x- with x+ ^ x- = 0 in
-        exactly one way (Goodearl 1986, ch. 1), so two pairs are equivalent
-        exactly when their keys agree.  The key uses only the algebra's order
-        and partial difference.
-        """
-        m = self.pea.group.meet(plus, minus)
-        return (self.pea.minus_left(plus, m), self.pea.minus_left(minus, m))
+        self._classes = {}
 
     def make(self, plus, minus) -> DifferenceClass:
-        cand = DifferenceClass(plus, minus)
-        if self._by_key is not None:
-            return self._by_key.setdefault(self._key(plus, minus), cand)
-        for rep in self._reps:
-            if self._equivalent(cand, rep):
-                return rep
-        self._reps.append(cand)
-        return cand
+        return self._classes.setdefault(self._difference(plus, minus), DifferenceClass(plus, minus))
 
     def embed(self, x) -> DifferenceClass:
         return self.make(x, self.pea.zero)
@@ -320,17 +310,18 @@ class DifferenceGroup:
         return self.make(p.minus, p.plus)
 
     def is_positive(self, p) -> bool:
-        return any(self.pea.add(c, p.minus) == p.plus for c in self.grid)
+        return self.pea.leq(p.minus, p.plus)
 
     def leq(self, p, q) -> bool:
         return self.is_positive(self.add(q, self.neg(p)))
 
 
 def difference_group(E, grid):
-    """Difference group of a grid-restricted bottom slice plus the embedding.
+    """Difference group of the bottom slice, seeded by a grid, plus the embedding.
 
-    Returns (group, embed); errors on non-commutative slices, which are out
-    of range for this construction.
+    Returns (group, embed); refuses grid points outside the bottom slice and
+    errors on non-commutative slices, which are out of range for this
+    construction.
     """
     dg = DifferenceGroup(E, grid)
     return dg, dg.embed

@@ -14,9 +14,24 @@ from ordalg import groups as g
 from ordalg.decomp import LexDecomposition, OrderedReport, TypeIReport
 from ordalg.errors import NoElementError
 from ordalg.pea import IntervalPea, infinitesimals
+from ordalg.sampling import sample_element, sample_positive
 from ordalg.scalars import Ordering, compare, pick_strictly_between
 
 from lex_tables import floor_multiple_below
+
+
+def sample_slice(D: LexDecomposition, t, rng, bound=6):
+    """A seeded element of the slice E_t: a positive tail at 0, a tail below g0 at 1."""
+    E = D.pea
+    H = E.head_subgroup
+    head = H.coerce(t)
+    G = E.tail_group
+    if compare(head, H.zero()) is Ordering.EQ:
+        return (head, sample_positive(G, rng, bound))
+    if compare(head, H.one()) is Ordering.EQ:
+        extra = sample_positive(G, rng, bound)
+        return (head, G.sub_right(E.tail_unit, extra))
+    return (head, sample_element(G, rng, bound))
 
 
 def upper_bound(G, xs):
@@ -34,7 +49,7 @@ def lex_type_ii_violation(D: LexDecomposition, rng, rounds=150):
         t = rng.choice(grid)
         if not E.head_subgroup.contains(t):
             continue
-        x = D.sample_slice(t, rng)
+        x = sample_slice(D, t, rng)
         if not E.contains(x):
             return ("slice sample escaped the interval", (t, x))
         ln, rn = E.lneg(x), E.rneg(x)
@@ -46,7 +61,7 @@ def lex_type_ii_violation(D: LexDecomposition, rng, rounds=150):
         s = rng.choice(grid)
         if not E.head_subgroup.contains(s):
             continue
-        y = D.sample_slice(s, rng)
+        y = sample_slice(D, s, rng)
         z = E.add(x, y)
         if z is not None:
             if compare(H.coerce(t) + H.coerce(s), one) is Ordering.GT:
@@ -68,7 +83,7 @@ def sampled_ordered_report(E: IntervalPea, D: LexDecomposition, rng, rounds=200)
     additivity_ok, oversum_ok = True, True
     for _ in range(rounds):
         s, t = rng.choice(grid), rng.choice(grid)
-        x, y = D.sample_slice(s, rng), D.sample_slice(t, rng)
+        x, y = sample_slice(D, s, rng), sample_slice(D, t, rng)
         if compare(s, t) is Ordering.LT and not E.leq(x, y):
             ordered, witness = False, (x, y)
         total = H.coerce(s) + H.coerce(t)
@@ -82,7 +97,7 @@ def sampled_ordered_report(E: IntervalPea, D: LexDecomposition, rng, rounds=200)
                     additivity_ok = False
                 if compare(H.coerce(t), zero) is Ordering.GT:
                     # reverse inclusion: any w in the sum slice splits past x
-                    w = D.sample_slice(total, rng)
+                    w = sample_slice(D, total, rng)
                     if not E.leq(x, w):
                         ordered, witness = False, (x, w)
                     else:
@@ -93,7 +108,7 @@ def sampled_ordered_report(E: IntervalPea, D: LexDecomposition, rng, rounds=200)
             if E.add(x, y) is not None or E.add(y, x) is not None:
                 oversum_ok = False
         # infinitesimal agreement and normality probes at the bottom slice
-        i = D.sample_slice(zero, rng)
+        i = sample_slice(D, zero, rng)
         if not inf.contains(i) or E.times(8, i) is None:
             inf_ok = False
         v = E.sample(rng)
@@ -125,7 +140,7 @@ def sampled_type_i_report(E: IntervalPea, D: LexDecomposition, rng, rounds=120) 
     for _ in range(rounds):
         s, t = rng.choice(grid), rng.choice(grid)
         if compare(H.coerce(s) + H.coerce(t), one) is Ordering.LT:
-            x, y = D.sample_slice(s, rng), D.sample_slice(t, rng)
+            x, y = sample_slice(D, s, rng), sample_slice(D, t, rng)
             if E.add(x, y) is None:
                 sums_ok = False
     e0_max = True
@@ -133,13 +148,13 @@ def sampled_type_i_report(E: IntervalPea, D: LexDecomposition, rng, rounds=120) 
         if compare(t, zero) is Ordering.EQ:
             continue
         for _ in range(4):
-            x = D.sample_slice(t, rng)
+            x = sample_slice(D, t, rng)
             if not maximality_probe(E, x):
                 e0_max = False
     idem = True
     for _ in range(rounds // 2):
-        x = D.sample_slice(zero, rng)
-        y = D.sample_slice(zero, rng)
+        x = sample_slice(D, zero, rng)
+        y = sample_slice(D, zero, rng)
         z = E.add(x, y)
         if z is None or compare(z[0], zero) is not Ordering.EQ:
             idem = False
@@ -203,7 +218,7 @@ def slices_directed_probe(E: IntervalPea, D: LexDecomposition, rng, rounds=60) -
     grid = [t for t in D.grid if E.head_subgroup.contains(t)]
     for _ in range(rounds):
         t = rng.choice(grid)
-        a, b = D.sample_slice(t, rng), D.sample_slice(t, rng)
+        a, b = sample_slice(D, t, rng), sample_slice(D, t, rng)
         lo = (t, g.lower_bound(G, [a[1], b[1]]))
         hi = (t, upper_bound(G, [a[1], b[1]]))
         if not (E.leq(lo, a) and E.leq(lo, b) and E.leq(a, hi) and E.leq(b, hi)):

@@ -7,7 +7,8 @@ the base of an attribute, or in the module's ``__all__``.  The second scan
 keeps optional local tools (``hypothesis``, ``sympy``, ``pytest-benchmark``)
 out of the package, the suite, the benchmark and the demos; the tests may
 import ``pytest`` as well.  A third scan names the package modules that
-import ``random``: only the seeded verbs draw.
+import ``random``: only the seeded verbs draw.  A fourth names those that
+import ``ordalg.sampling``: test-only samplers stay out of the package.
 """
 
 import ast
@@ -92,3 +93,34 @@ def test_only_the_seeded_verbs_import_random():
         path.name for path in PACKAGE.glob("*.py") if "random" in imported_modules(path.read_text(encoding="utf-8"))
     }
     assert importers == {"cli.py", "represent.py"}
+
+
+def imports_sampling(source):
+    """Whether a package source imports ``ordalg.sampling``, relatively or absolutely."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "ordalg" if node.level else ""
+            base = ".".join(part for part in (base, node.module) if part)
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if "ordalg.sampling" in names:
+            return True
+    return False
+
+
+def test_the_scan_finds_a_sampling_import():
+    assert imports_sampling("from .sampling import sample_element\n")
+    assert imports_sampling("from . import sampling\n")
+    assert imports_sampling("import ordalg.sampling\n")
+    assert imports_sampling("from ordalg.sampling import sample_positive\n")
+    assert not imports_sampling("from .scalars import grid_points\nimport random\n")
+
+
+def test_only_represent_imports_the_samplers():
+    # represent's sampled checks draw through ordalg.sampling; every other
+    # module decides without it, and the slice sampler is test-side
+    importers = {path.name for path in PACKAGE.glob("*.py") if imports_sampling(path.read_text(encoding="utf-8"))}
+    assert importers == {"represent.py"}

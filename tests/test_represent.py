@@ -10,6 +10,7 @@ from ordalg.decomp import _integral_action
 from ordalg.errors import PreconditionError, UnsupportedError
 from ordalg.pea import IntervalPea
 from ordalg.represent import (
+    DifferenceClass,
     DifferenceGroup,
     GroupHom,
     PeaHom,
@@ -325,20 +326,109 @@ def test_difference_group_matches_vector_group():
             )
 
 
+def scan_make(E, reps, plus, minus):
+    """The pairwise scan over first representatives: [a - b] = [c - d] iff a + d = c + b."""
+    for rep in reps:
+        if E.add(plus, rep.minus) == E.add(rep.plus, minus):
+            return rep
+    reps.append(DifferenceClass(plus, minus))
+    return reps[-1]
+
+
 @pytest.mark.parametrize("G,hi", [(Z, f(3)), (Z2, (3, 3)), (g.Product(Z, Z), (f(3), f(2)))])
 def test_difference_classes_keyed_like_the_scan(G, hi):
     # the pairwise scan is the reference: make returns the same first
     # representative of each class as the scan does
     E = build_lex_pea(HQ, G)
     grid = [(HQ.zero(), x) for x in enumerate_interval(G, hi)]
-    keyed, scan = DifferenceGroup(E, grid), DifferenceGroup(E, grid)
-    scan._by_key = None
+    keyed, reps = DifferenceGroup(E, grid), []
     rng = random.Random(29)
     for _ in range(300):
         w, x, y, z = (rng.choice(keyed.grid) for _ in range(4))
         plus, minus = E.add(w, x), E.add(y, z)
-        assert keyed.make(plus, minus) == scan.make(plus, minus)
-    assert len(keyed._by_key) == len(scan._reps)
+        assert keyed.make(plus, minus) == scan_make(E, reps, plus, minus)
+    assert len(keyed._classes) == len(reps)
+
+
+def test_difference_group_positivity_past_the_grid():
+    E = build_lex_pea(HQ, Z)
+    dg, embed = difference_group(E, [(HQ.zero(), f(k)) for k in range(3)])
+    two = embed((HQ.zero(), f(2)))
+    four = dg.add(two, two)  # [(0, 4) - 0] lies past the grid
+    assert dg.is_positive(four)
+    assert dg.leq(dg.zero, four)
+    assert not dg.is_positive(dg.neg(four))
+
+
+def test_difference_group_refuses_a_finite_grid_past_zero():
+    from ordalg.pea import finite_chain
+
+    with pytest.raises(PreconditionError, match="grid point 1 "):
+        difference_group(finite_chain(4), [0, 1])
+
+
+def test_difference_group_refuses_a_grid_point_outside_the_bottom_slice():
+    E = build_lex_pea(HQ, Z)
+    with pytest.raises(PreconditionError, match=r"grid point \(1/2, 0\) "):
+        difference_group(E, [(HQ.zero(), f(1)), (Fraction(1, 2), f(0))])
+
+
+@pytest.mark.parametrize(
+    "H,G,hi",
+    [(HQ, Z, f(3)), (HQ, Z2, (2, 2)), (H4, g.Product(Z, Z), (f(2), f(1)))],
+    ids=["lex(Q,Z)", "lex(Q,Z^2)", "lex(Z/4,prod(Z,Z))"],
+)
+def test_difference_group_agrees_with_the_tail_group(H, G, hi):
+    # sums and negations of grid classes reach past the grid; the tail group
+    # decides each class by the difference of its tails
+    E = build_lex_pea(H, G)
+    dg, embed = difference_group(E, [(H.zero(), x) for x in enumerate_interval(G, hi)])
+    classes = [embed(x) for x in dg.grid]
+    rng = random.Random(36)
+    for _ in range(200):
+        p = rng.choice(classes)
+        classes.append(dg.neg(p) if rng.random() < 0.3 else dg.add(p, rng.choice(classes)))
+
+    def tail(p):
+        return g.add(G, p.plus[1], g.neg(G, p.minus[1]))
+
+    by_tail = {}
+    for p in classes:
+        assert by_tail.setdefault(tail(p), p) == p
+        assert dg.is_positive(p) == g.positive_cone_member(G, tail(p))
+    for _ in range(300):
+        p, q = rng.choice(classes), rng.choice(classes)
+        assert dg.leq(p, q) == g.leq(G, tail(p), tail(q))
+
+
+@pytest.mark.parametrize(
+    "G,hi,rule",
+    [
+        (Z2, (2, 2), ("identity",)),
+        (Z2, (2, 2), ("scale", 2)),
+        (Z2, (2, 2), ("permute", (1, 0))),
+        (Z, f(3), ("scale", 3)),
+    ],
+    ids=["identity", "scale(2)", "permute(1,0)", "scale(3) on Z"],
+)
+def test_functor_lift_restricted_to_the_bottom_slice_gives_the_homomorphism_back(G, hi, rule):
+    # each class [a - b] of the source goes to the class of h(a - b), with
+    # its positivity; the only draws are functor_map's own seeded check
+    h = GroupHom(G, G, rule)
+    Eh = functor_map(h, HQ)
+    source, target = Eh.source, Eh.target
+    grid = [(HQ.zero(), x) for x in enumerate_interval(G, hi)]
+    dg, embed = difference_group(source, grid)
+    dh, _ = difference_group(target, [Eh(x) for x in grid])
+    images = {}
+    for a in grid:
+        for b in grid:
+            cls = dg.add(embed(a), dg.neg(embed(b)))
+            image = dh.make(Eh(cls.plus), Eh(cls.minus))
+            assert images.setdefault(cls, image) == image
+            difference = source.group.sub_right(cls.plus, cls.minus)
+            assert target.group.sub_right(image.plus, image.minus) == Eh(difference)
+            assert dh.is_positive(image) == dg.is_positive(cls)
 
 
 def test_difference_group_trivial():
