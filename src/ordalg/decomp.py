@@ -299,8 +299,8 @@ def _finite_type_ii_violation(D: FiniteDecomposition):
             pos[x] = i
     last = {k: i for i, k in enumerate(keys)}  # the slice a lookup by index finds
     mirror = [last.get(r) for r in bits.rest]
-    lneg, rneg = E._bits.lneg, E._bits.rneg
-    bad = {x for x in E.elements() if not pos[lneg[x]] == pos[rneg[x]] == mirror[pos[x]]}
+    lneg, rneg = E.lneg, E.rneg
+    bad = {x for x in E.elements() if not pos[lneg(x)] == pos[rneg(x)] == mirror[pos[x]]}
     if bad:
         t, x = next((t, x) for t, members in D.slices for x in members if x in bad)
         return ("negation law", (t, x))

@@ -9,9 +9,11 @@ queries go through exact group arithmetic.
 
 The finite kernels read per-element bitsets, filled once per algebra in one
 pass over the defined pairs: the up-set, down-set and right-defined set of
-each element, and its negations.  Ideals are bitsets as well: an ideal is
-normal when it holds the conjugates of its members, and the closure growth
-that enumerates the ideals also tells which are maximal.
+each element.  Complements, conjugates and commutation are looked up in the
+byte rows and columns that the axiom check compared, which each algebra
+keeps.  Ideals are bitsets as well: an ideal is normal when it holds the
+conjugates of its members, and the closure growth that enumerates the
+ideals also tells which are maximal.
 """
 
 from __future__ import annotations
@@ -40,22 +42,25 @@ class _ElementBits(NamedTuple):
     up: list
     down: list
     right: list
-    lneg: list
-    rneg: list
 
 
 class FinitePea:
-    """A finite pseudo effect algebra; construct via :func:`check_pea_axioms`."""
+    """A finite pseudo effect algebra; construct via :func:`check_pea_axioms`.
 
-    def __init__(self, size, zero, one, table, _validated=False):
+    ``table`` maps each defined pair (i, j) to i + j, copied from the caller;
+    ``rows`` and ``cols`` are the byte rows and columns it was checked on.
+    """
+
+    def __init__(self, size, zero, one, table, _rows=None):
+        if _rows is None:
+            failure, _rows = _axiom_failure(size, zero, one, table)
+            if failure is not None:
+                raise PreconditionError(str(failure))
         self.size = size
         self.zero = zero
         self.one = one
-        self.table = table  # dict (i, j) -> k for defined sums
-        if not _validated:
-            failure = _axiom_failure(size, zero, one, table)
-            if failure is not None:
-                raise PreconditionError(str(failure))
+        self.table = dict(table)
+        self.rows, self.cols = _rows
 
     # -- construction helpers ------------------------------------------------
 
@@ -80,34 +85,29 @@ class FinitePea:
 
     @functools.cached_property
     def _bits(self):
-        """Per-element bitsets and complements, from one pass over the defined pairs.
+        """Per-element bitsets, from one pass over the defined pairs.
 
         Bit s of ``up[x]`` is set when x + c = s for some c, that is x <= s;
         the axioms make this a partial order bounded by zero and one that
         agrees with the left order d + x = s (the tests check it on every
         stock and accepted table).  ``down[s]`` holds the x <= s and
-        ``right[x]`` the c with x + c defined.  ``rneg[x]`` is the c with
-        x + c = 1 and ``lneg[x]`` the d with d + x = 1; PE2 makes both unique.
+        ``right[x]`` the c with x + c defined.
         """
         n = self.size
         up, down, right = [0] * n, [0] * n, [0] * n
-        lneg, rneg = [None] * n, [None] * n
-        one, bit = self.one, [1 << x for x in range(n)]
+        bit = [1 << x for x in range(n)]
         for (x, c), s in self.table.items():
             up[x] |= bit[s]
             down[s] |= bit[x]
             right[x] |= bit[c]
-            if s == one:
-                rneg[x], lneg[c] = c, x
-        return _ElementBits(up, down, right, lneg, rneg)
+        return _ElementBits(up, down, right)
 
     def leq(self, a, b):
         return bool(self._bits.up[a] >> b & 1)
 
     def _central(self, a):
-        """Whether a commutes with all of E: its row {x: a + x} is its column {x: x + a}."""
-        right, left = self._sum_rows
-        return dict(right[a]) == dict(left[a])
+        """Whether a commutes with all of E: its row a + x is its column x + a."""
+        return self.rows[a] == self.cols[a]
 
     @functools.cached_property
     def _conjugates(self):
@@ -119,19 +119,19 @@ class FinitePea:
         of a member m and an x with m + x defined, x + I those with x + m
         defined, and conjugation by m matches the two sets of x one to one.
         """
-        after = [{s: c for c, s in row} for row in self._sum_rows[0]]  # after[x][x + c] = c
-        conj = [0] * self.size
+        rows, conj = self.rows, [0] * self.size
         for (m, x), s in self.table.items():
-            conj[m] |= 1 << after[x][s]
+            conj[m] |= 1 << rows[x].find(s)  # the c with x + c = s
         return conj
 
     # -- derived operations ----------------------------------------------------
 
+    # PE2 makes each complement the one place of one in its column or row
     def lneg(self, a):
-        return self._bits.lneg[a]
+        return self.cols[a].find(self.one)
 
     def rneg(self, a):
-        return self._bits.rneg[a]
+        return self.rows[a].find(self.one)
 
     def times(self, n, a):
         """n-fold sum, or None when undefined."""
@@ -147,18 +147,19 @@ class FinitePea:
 
 
 def _axiom_failure(size, zero, one, table):
-    """The first failing check (range, PE1..PE4) with its smallest witness, or None.
+    """(failure, (rows, cols)): the first failing check (range, PE1..PE4) with
+    its smallest witness or None, and the byte rows and columns compared.
 
     Raises on a size past the cap or zero/one out of range.  The witness is
     the lexicographically smallest failing triple for PE1, pair for PE3 and
-    element for PE2 and PE4.  The checks compare byte rows: ``rows[x][c]``
-    is x + c, or the sentinel n where undefined, and ``rows[n]`` and the
-    last column are all sentinel.  PE1 at row a is one ``translate`` of all
-    the rows b + c through row a, giving a + (b + c), against the rows
-    a + b joined, giving (a + b) + c; the first differing byte names (b, c).
-    PE3 holds exactly when every element has the same set of sums in its
-    row as in its column: pairs (x, b) give one inclusion, pairs (a, x) the
-    other.
+    element for PE2 and PE4.  ``rows[x][c]`` and ``cols[c][x]`` are x + c,
+    or the sentinel n where undefined, and ``rows[n]`` and ``cols[n]`` are
+    all sentinel; an entry out of range leaves None in their place.  PE1 at
+    row a is one ``translate`` of all the rows b + c through row a, giving
+    a + (b + c), against the rows a + b joined, giving (a + b) + c; the
+    first differing byte names (b, c).  PE3 holds exactly when every
+    element has the same set of sums in its row as in its column: pairs
+    (x, b) give one inclusion, pairs (a, x) the other.
     """
     n = size
     if n > MAX_FINITE_SIZE:
@@ -168,10 +169,12 @@ def _axiom_failure(size, zero, one, table):
     rows = [bytearray([n]) * (n + 1) for _ in range(n + 1)]
     for (a, b), s in table.items():
         if not (0 <= a < n and 0 <= b < n and 0 <= s < n):
-            return AxiomFailure("table", (a, b, s))
+            return AxiomFailure("table", (a, b, s)), None
         rows[a][b] = s
     rows = [bytes(row) for row in rows]
     block = b"".join(rows)
+    cols = [block[x :: n + 1] for x in range(n + 1)]
+    checked = rows, cols
     pad = bytes([n]) * (255 - n)  # completes a row to a 256-byte translate table
     # PE1: associativity of definedness and of values
     for a, row in enumerate(rows[:n]):
@@ -179,23 +182,22 @@ def _axiom_failure(size, zero, one, table):
         right = b"".join(map(rows.__getitem__, row))
         if left != right:
             i = next(i for i, (x, y) in enumerate(zip(left, right)) if x != y)
-            return AxiomFailure("PE1", (a, *divmod(i, n + 1)))
-    cols = [block[x :: n + 1] for x in range(n + 1)]  # cols[x][d] = d + x
+            return AxiomFailure("PE1", (a, *divmod(i, n + 1))), checked
     # PE2: unique right and left complements to one
     for a in range(n):
         if rows[a].count(one) != 1 or cols[a].count(one) != 1:
-            return AxiomFailure("PE2", (a,))
+            return AxiomFailure("PE2", (a,)), checked
     # PE3: every defined sum shifts to both sides
     row_sums = [set(row) for row in rows]
     col_sums = [set(col) for col in cols]
     if row_sums != col_sums:
         failures = [(a, b) for (a, b), s in table.items() if s not in col_sums[a] or s not in row_sums[b]]
-        return AxiomFailure("PE3", min(failures))
+        return AxiomFailure("PE3", min(failures)), checked
     # PE4: one is a forbidden summand except against zero
     for a in range(n):
         if a != zero and (rows[one][a] != n or cols[one][a] != n):
-            return AxiomFailure("PE4", (a,))
-    return None
+            return AxiomFailure("PE4", (a,)), checked
+    return None, checked
 
 
 @dataclass(frozen=True)
@@ -207,11 +209,10 @@ class AxiomVerdict:
 
 def check_pea_axioms(size, zero, one, table) -> AxiomVerdict:
     """Exhaustively verify PE1-PE4 for a partial addition table."""
-    table = dict(table)
-    failure = _axiom_failure(size, zero, one, table)
+    failure, rows = _axiom_failure(size, zero, one, table)
     if failure is not None:
         return AxiomVerdict(False, failure=failure)
-    return AxiomVerdict(True, pea=FinitePea(size, zero, one, table, _validated=True))
+    return AxiomVerdict(True, pea=FinitePea(size, zero, one, table, _rows=rows))
 
 
 # ---------------------------------------------------------------------------
@@ -374,29 +375,26 @@ class IdealsReport:
 def _ideal_closure(E: FinitePea):
     """closure(members, x): the ideal generated by an ideal and x, as bitsets.
 
-    It grows by a worklist: a new member y brings in its down-set and the
-    defined sums y + m and m + y with m already in, read from y's sum rows.
-    Once one is reached the answer is the whole algebra.
+    It grows by a worklist: an element y brings in the part of its down-set
+    not yet in, and each new member z the defined sums z + m and m + z with
+    m already in, read from z's sum rows.  Once one is reached the answer is
+    the whole algebra.
     """
     right, left = E._sum_rows
-    everything, one = (1 << E.size) - 1, 1 << E.one
-    below = [[] for _ in E.elements()]  # below[s] = the x < s
-    for (x, _c), s in E.table.items():
-        if x != s:
-            below[s].append(x)
+    down, everything, one = E._bits.down, (1 << E.size) - 1, 1 << E.one
 
     def closure(members, x):
         work = [x]
         for y in work:
-            bit = 1 << y
-            if members & bit:
-                continue
-            if bit == one:
+            fresh = down[y] & ~members
+            if fresh & one:
                 return everything  # every element lies below one
-            members |= bit
-            work += below[y]
-            work += [s for m, s in right[y] if members >> m & 1]
-            work += [s for m, s in left[y] if members >> m & 1]
+            members |= fresh
+            while fresh:
+                z = (fresh & -fresh).bit_length() - 1
+                fresh &= fresh - 1
+                work += [s for m, s in right[z] if members >> m & 1]
+                work += [s for m, s in left[z] if members >> m & 1]
         return members
 
     return closure
@@ -529,8 +527,7 @@ def is_symmetric(E) -> SymmetryVerdict:
     otherwise (0, y) is a witness for a y >= 0 that fails against g0.
     """
     if isinstance(E, FinitePea):
-        lneg, rneg = E._bits.lneg, E._bits.rneg
-        witness = next((a for a in E.elements() if lneg[a] != rneg[a]), None)
+        witness = next((a for a in E.elements() if E.lneg(a) != E.rneg(a)), None)
         return SymmetryVerdict(witness is None, witness)
     if isinstance(E, IntervalPea) and E.is_lex_scalar:
         y = E.tail_group._commutant(E.tail_unit)
@@ -560,8 +557,8 @@ def cyclic_exchange_check(E, c, max_order=64) -> ExchangeVerdict:
     if order is None:
         raise PreconditionError("c is not cyclic (no n <= max_order with nc = 1)")
     if isinstance(E, FinitePea):
-        # the x with exactly one of c + x and x + c defined
-        right, left = E._sum_rows
-        lonely = {x for x, _ in right[c]} ^ {x for x, _ in left[c]}
-        return ExchangeVerdict(not lonely, min(lonely, default=None), exhaustive=True)
+        # the least x with exactly one of c + x and x + c defined
+        row, col, undefined = E.rows[c], E.cols[c], E.size
+        lonely = next((x for x in E.elements() if (row[x] == undefined) != (col[x] == undefined)), None)
+        return ExchangeVerdict(lonely is None, lonely, exhaustive=True)
     return ExchangeVerdict(True, exhaustive=True)
