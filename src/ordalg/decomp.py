@@ -72,10 +72,9 @@ from .pea import (
     is_symmetric,
 )
 from .scalars import (
-    Ordering,
     QuadraticNumber,
     ScalarSubgroup,
-    compare,
+    _order_sign,
     format_scalar,
     grid_points,
 )
@@ -111,7 +110,7 @@ class LexDecomposition:
 def _require_unit_head(E: IntervalPea):
     """The slices E_t = {(t, g)} index [0, 1] only under a unit (1, g0)."""
     head = E.unit[0]
-    if compare(head, E.head_subgroup.one()) is not Ordering.EQ:
+    if _order_sign(head, E.head_subgroup.one()) != 0:
         raise PreconditionError(
             f"lex slice decompositions need the unit head 1, got {format_scalar(head)}"
         )
@@ -365,7 +364,7 @@ def _check_ordered_finite(E: FinitePea, D: FiniteDecomposition) -> OrderedReport
     index = {t: members for t, members in slices}
     e0 = index.get(D.H.zero(), frozenset())
     inf_ok = e0 == {E.zero}  # the only infinitesimal of a finite algebra
-    normal_ok = _is_normal_ideal(E, e0)
+    normal_ok = _is_normal_ideal(E, _mask(e0))
     # an undefined pair below one puts None among the sums of its slices
     additivity_ok = defined_all
     if additivity_ok:

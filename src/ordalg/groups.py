@@ -48,9 +48,8 @@ from fractions import Fraction
 
 from .errors import ParseError, PreconditionError, ShapeError, UnsupportedError
 from .scalars import (
-    Ordering,
     ScalarSubgroup,
-    compare,
+    _order_sign,
     format_scalar,
     pick_strictly_between,
 )
@@ -106,11 +105,11 @@ class GroupDescriptor:
 
     # -- order ----------------------------------------------------------------
 
-    def _linear_compare(self, x, y) -> Ordering:
-        """Total-order comparison; only valid on linearly ordered descriptors."""
+    def _sign(self, x, y) -> int:
+        """Sign of x - y in a total order (-1, 0 or 1); only valid on linearly ordered descriptors."""
         if x == y:
-            return Ordering.EQ
-        return Ordering.LT if self.leq(x, y) else Ordering.GT
+            return 0
+        return -1 if self.leq(x, y) else 1
 
     def _positive(self, x) -> bool:
         """Whether 0 <= x, for a checked element x."""
@@ -187,7 +186,7 @@ class GroupDescriptor:
         """The lex heads the oracle enumerates, in ascending order."""
         return sorted(
             self.iter_bounded(lowers, uppers, box),
-            key=functools.cmp_to_key(lambda x, y: int(self._linear_compare(x, y))),
+            key=functools.cmp_to_key(self._sign),
         )
 
 
@@ -253,14 +252,13 @@ class Scalar(GroupDescriptor):
         """Whether x has an n-th part for every n >= 1: every x of Q, else only 0."""
         return self.H._divisible or x == self.H.zero()
 
-    def leq(self, x, y) -> bool:
-        return compare(x, y) is not Ordering.GT
+    _sign = staticmethod(_order_sign)  # a lex head is compared in one call
 
-    def _linear_compare(self, x, y) -> Ordering:
-        return compare(x, y)
+    def leq(self, x, y) -> bool:
+        return _order_sign(x, y) <= 0
 
     def _positive(self, x) -> bool:
-        return compare(x, self.H.zero()) is not Ordering.LT
+        return _order_sign(x, self.H.zero()) >= 0
 
     def a_positive_element(self):
         H = self.H
@@ -270,7 +268,7 @@ class Scalar(GroupDescriptor):
 
     def is_strong_unit(self, u) -> bool:
         """Whether u is positive and bounds every element up to a multiple."""
-        return compare(u, self.H.zero()) is Ordering.GT
+        return _order_sign(u, self.H.zero()) > 0
 
     def format_element(self, x) -> str:
         return format_scalar(x)
@@ -703,24 +701,24 @@ class Lex(_Pair):
 
     def leq(self, x, y) -> bool:
         top, bottom = self.parts
-        c = top._linear_compare(x[0], y[0])
-        if c is Ordering.EQ:
+        c = top._sign(x[0], y[0])
+        if c == 0:
             return bottom.leq(x[1], y[1])
-        return c is Ordering.LT
+        return c < 0
 
     def _positive(self, x) -> bool:
         top, bottom = self.parts
-        c = top._linear_compare(top.zero(), x[0])
-        if c is Ordering.EQ:
+        c = top._sign(top.zero(), x[0])
+        if c == 0:
             return bottom._positive(x[1])
-        return c is Ordering.LT
+        return c < 0
 
     def meet(self, x, y):
         top, bottom = self.parts
-        c = top._linear_compare(x[0], y[0])
-        if c is Ordering.EQ:
+        c = top._sign(x[0], y[0])
+        if c == 0:
             return (x[0], bottom.meet(x[1], y[1]))
-        return x if c is Ordering.LT else y
+        return x if c < 0 else y
 
     def a_positive_element(self):
         top, bottom = self.parts
@@ -734,7 +732,7 @@ class Lex(_Pair):
         top, bottom = self.parts
         head_min = xs[0][0]
         for x in xs[1:]:
-            if top._linear_compare(x[0], head_min) is Ordering.LT:
+            if top._sign(x[0], head_min) < 0:
                 head_min = x[0]
         if all(x[0] == head_min for x in xs):
             return (head_min, bottom.lower_bound([x[1] for x in xs]))

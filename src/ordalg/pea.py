@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from . import groups as g
 from .errors import PreconditionError, UnsupportedError
-from .scalars import Ordering, ScalarSubgroup, compare
+from .scalars import ScalarSubgroup, _order_sign
 
 MAX_FINITE_SIZE = 64
 
@@ -340,11 +340,9 @@ class IntervalPea:
 # ideals and radicals (finite)
 
 
-def _is_normal_ideal(E: FinitePea, ideal):
-    """x + I = I + x for every x: I holds the conjugates of its members."""
-    mask = _mask(ideal)
-    conj = E._conjugates
-    return all(conj[m] & ~mask == 0 for m in ideal)
+def _is_normal_ideal(E: FinitePea, mask: int):
+    """x + I = I + x for every x: the bitset I holds the conjugates of its members."""
+    return all(c & ~mask == 0 for m, c in enumerate(E._conjugates) if mask >> m & 1)
 
 
 def _mask(members):
@@ -432,8 +430,10 @@ def ideals_enumerate(E: FinitePea) -> IdealsReport:
                 frontier.append(grown)
         if tops and base != everything:
             maximal.add(base)
-    ideals = sorted(map(_members, found), key=lambda s: (len(s), sorted(s)))
-    infos = tuple(IdealInfo(i, _mask(i) in maximal, _is_normal_ideal(E, i)) for i in ideals)
+    # by size, then by the ascending member lists; each frozenset is built once
+    members = {mask: [x for x in E.elements() if mask >> x & 1] for mask in found}
+    infos = tuple(IdealInfo(frozenset(members[m]), m in maximal, _is_normal_ideal(E, m))
+                  for m in sorted(found, key=lambda m: (len(members[m]), members[m])))
     all_elements = frozenset(E.elements())
     radical = all_elements.intersection(*(i.members for i in infos if i.maximal))
     normal_radical = all_elements.intersection(
@@ -456,7 +456,7 @@ class SymbolicInfinitesimals:
         head, tail = x
         H = self.pea.head_subgroup
         return (
-            compare(head, H.zero()) is Ordering.EQ
+            _order_sign(head, H.zero()) == 0
             and g.positive_cone_member(self.pea.tail_group, tail)
         )
 

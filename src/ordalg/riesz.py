@@ -30,7 +30,7 @@ from .errors import (
     ShapeError,
     UnsupportedError,
 )
-from .scalars import Ordering, compare, pick_strictly_between
+from .scalars import _order_sign, pick_strictly_between
 
 LEVELS = ("rdp0", "rdp", "rdp1", "rdp2")
 
@@ -160,9 +160,9 @@ def rip_interpolate(desc, a1, a2, b1, b2):
                 raise PreconditionError("interpolation hypothesis a_i <= b_j violated")
     if isinstance(desc, g.Lex) and isinstance(desc.top, g.Scalar):
         H = desc.top.H
-        ha = a1[0] if compare(a1[0], a2[0]) is Ordering.GT else a2[0]
-        hb = b1[0] if compare(b1[0], b2[0]) is Ordering.LT else b2[0]
-        if compare(ha, hb) is Ordering.LT:
+        ha = a1[0] if _order_sign(a1[0], a2[0]) > 0 else a2[0]
+        hb = b1[0] if _order_sign(b1[0], b2[0]) < 0 else b2[0]
+        if _order_sign(ha, hb) < 0:
             try:
                 t = pick_strictly_between(H, ha, hb)
                 return (t, desc.bottom.zero())

@@ -7,7 +7,8 @@ under int arithmetic; the other rational values are plain
 ``fractions.Fraction``.  Quadratic values are :class:`QuadraticNumber`, whose
 coefficients take the same canonical form: an ``int`` when integral and a
 ``Fraction`` otherwise.
-Every order decision is made exactly; no floating point is used anywhere.
+Every order decision is one call of the integer kernel ``_order_sign``,
+which ``compare`` wraps; no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -465,26 +466,34 @@ class _Quadratic(ScalarSubgroup):
         return self.sample_between(self._zero, hi, rng), False, False
 
 
+def _order_sign(x, y) -> int:
+    """Sign of x - y (-1, 0 or 1): the one scalar order kernel of the package.
+
+    Exact ints and Fractions cross-multiply their integer ratios, a quadratic
+    operand goes to ``_cmp``, and the rest takes the numerator/denominator
+    route: bools order as ints, and floats, strings and None raise AttributeError.
+    """
+    tx, ty = type(x), type(y)
+    if tx is int and ty is int:  # the values of Z
+        return (x > y) - (x < y)
+    if (tx is int or tx is Fraction) and (ty is int or ty is Fraction):
+        (p, q), (r, s) = x.as_integer_ratio(), y.as_integer_ratio()
+        u, v = p * s, r * q  # denominators are positive, so the order is kept
+        return (u > v) - (u < v)
+    if isinstance(x, QuadraticNumber):
+        return x._cmp(y)
+    if isinstance(y, QuadraticNumber):
+        return -y._cmp(x)
+    u, v = x.numerator * y.denominator, y.numerator * x.denominator
+    return (u > v) - (u < v)
+
+
 _BY_SIGN = (Ordering.EQ, Ordering.GT, Ordering.LT)  # indexed by a sign -1, 0, 1
 
 
 def compare(x, y) -> Ordering:
-    """Exact order of two values of the same scalar domain.
-
-    The domain is ``int``, ``Fraction`` and ``QuadraticNumber``: ints and
-    Fractions are ordered by their numerators and denominators, and a
-    quadratic operand decides by the sign of the difference of coefficients.
-    Floats and strings are not scalar values.
-    """
-    if type(x) is int and type(y) is int:  # the values of Z
-        return _BY_SIGN[(x > y) - (x < y)]
-    if isinstance(x, QuadraticNumber):
-        return _BY_SIGN[x._cmp(y)]
-    if isinstance(y, QuadraticNumber):
-        return _BY_SIGN[-y._cmp(x)]
-    # denominators are positive, so cross-multiplying keeps the order
-    u, v = x.numerator * y.denominator, y.numerator * x.denominator
-    return _BY_SIGN[(u > v) - (u < v)]
+    """Exact order of two int, Fraction or QuadraticNumber values: ``_order_sign``'s."""
+    return _BY_SIGN[_order_sign(x, y)]
 
 
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
@@ -546,7 +555,7 @@ def pick_strictly_between(H: ScalarSubgroup, lo, hi):
     smallest k >= 0 (so integers first) and then smallest |m|.
     """
     lo, hi = H.coerce(lo), H.coerce(hi)
-    if compare(lo, hi) is not Ordering.LT:
+    if _order_sign(lo, hi) >= 0:
         raise PreconditionError(f"empty open interval ({lo}, {hi})")
     return H.pick_between(lo, hi)
 

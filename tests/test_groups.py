@@ -97,6 +97,40 @@ def test_lex_cone_two_case_description_sampled():
             assert g.positive_cone_member(desc, x) == expected
 
 
+def ref_leq(desc, x, y):
+    """The lex order read head then tail, down to leq on the non-lex parts."""
+    if not isinstance(desc, g.Lex):
+        return desc.leq(x, y)
+    if x[0] == y[0]:
+        return ref_leq(desc.bottom, x[1], y[1])
+    return ref_leq(desc.top, x[0], y[0])
+
+
+@pytest.mark.parametrize("desc", [g.Lex(AFF, Z), g.Lex(LEX_ZZ, Z), g.Lex(AFF, Z2)], ids=str)
+def test_lex_order_over_non_scalar_heads_reads_head_then_tail(desc):
+    rng = random.Random(19)
+    top, bottom = desc.parts
+    for _ in range(300):
+        xs = [sample_element(desc, rng, 3) for _ in range(3)]
+        if rng.random() < 0.5:  # a shared head, so that the tails decide
+            xs = [(xs[0][0], t) for _, t in xs]
+        x, y = xs[0], xs[1]
+        assert desc.leq(x, y) == ref_leq(desc, x, y)
+        assert desc._positive(x) == ref_leq(desc, desc.zero(), x)
+        if x[0] == y[0]:
+            assert desc.meet(x, y) == (x[0], bottom.meet(x[1], y[1]))
+        else:
+            assert desc.meet(x, y) == (x if ref_leq(top, x[0], y[0]) else y)
+        head = xs[0][0]
+        for z in xs[1:]:
+            head = z[0] if ref_leq(top, z[0], head) else head
+        if all(z[0] == head for z in xs):
+            expected = (head, bottom.lower_bound([z[1] for z in xs]))
+        else:
+            expected = (top.sub_right(head, top.a_positive_element()), bottom.zero())
+        assert desc.lower_bound(xs) == expected
+
+
 def test_lower_bound_meet_on_vectors():
     assert g.lower_bound(Z2, [(1, 5), (3, 2)]) == (1, 2)
 

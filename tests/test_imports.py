@@ -8,7 +8,10 @@ keeps optional local tools (``hypothesis``, ``sympy``, ``pytest-benchmark``)
 out of the package, the suite, the benchmark and the demos; the tests may
 import ``pytest`` as well.  A third scan names the package modules that
 import ``random``: only the seeded verbs draw.  A fourth names those that
-import ``ordalg.sampling``: test-only samplers stay out of the package.
+import ``ordalg.sampling``: test-only samplers stay out of the package.  A
+fifth keeps one scalar order path: no package module but ``scalars`` (and
+the re-exporting ``__init__``) imports ``compare`` or ``Ordering``, and no
+descriptor class defines the ``_linear_compare`` that ``_sign`` replaced.
 """
 
 import ast
@@ -124,3 +127,34 @@ def test_only_represent_imports_the_samplers():
     # module decides without it, and the slice sampler is test-side
     importers = {path.name for path in PACKAGE.glob("*.py") if imports_sampling(path.read_text(encoding="utf-8"))}
     assert importers == {"represent.py"}
+
+
+def imported_names(source):
+    """Names bound by the ``from ... import`` statements of a source."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_the_scan_finds_an_imported_name():
+    assert imported_names("from .scalars import Ordering, compare as c\nimport enum\n") == {"Ordering", "compare"}
+
+
+def test_scalar_order_decisions_go_through_one_kernel():
+    # every other module decides order by scalars._order_sign, and a lex head
+    # by its descriptor's int-valued _sign
+    importers = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if imported_names(path.read_text(encoding="utf-8")) & {"compare", "Ordering"}
+    }
+    assert importers == {"__init__.py"}
+    # defined, assigned or called: a def, a bare name or an attribute
+    names = {
+        getattr(node, "name", None) or getattr(node, "id", None) or getattr(node, "attr", None)
+        for node in ast.walk(ast.parse((PACKAGE / "groups.py").read_text(encoding="utf-8")))
+    }
+    assert "_sign" in names and "_linear_compare" not in names

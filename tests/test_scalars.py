@@ -14,6 +14,7 @@ from ordalg.scalars import (
     QuadraticNumber,
     ScalarSubgroup,
     _floor,
+    _order_sign,
     compare,
     grid_points,
     pick_strictly_between,
@@ -297,6 +298,62 @@ def test_compare_matches_the_sign_of_the_difference():
         if isinstance(x, QuadraticNumber):
             assert (x < y, x <= y, x > y, x >= y) == (s < 0, s <= 0, s > 0, s >= 0)
             assert (x - y).sign() == s
+
+
+def _exact_pair(rng):
+    """Two ints or Fractions, past 2**64 at times, equal in value often."""
+    def value():
+        big = rng.random() < 0.3
+        n = rng.randint(-2**70, 2**70) if big else rng.randint(-40, 40)
+        if rng.random() < 0.4:
+            return n
+        return Fraction(n, rng.randint(1, 2**66 if big else 12))
+
+    x = value()
+    if rng.random() < 0.2:  # the same value in the other type when it has one
+        y = Fraction(x) if type(x) is int else (x.numerator if x.denominator == 1 else x)
+    else:
+        y = value()
+    return x, y
+
+
+def test_order_sign_matches_python_order_on_ints_and_fractions():
+    rng = random.Random(37)
+    members = {-1: Ordering.LT, 0: Ordering.EQ, 1: Ordering.GT}
+    kinds, signs = set(), set()
+    for _ in range(4000):
+        x, y = _exact_pair(rng)
+        s = _order_sign(x, y)
+        assert s == (x > y) - (x < y) and (s == 0) == (x == y)
+        assert _order_sign(y, x) == -s
+        assert compare(x, y) is members[s]
+        kinds.add((type(x), type(y))), signs.add(s)
+    assert len(kinds) == 4 and signs == {-1, 0, 1}
+    for x, y in ((1, Fraction(1)), (Fraction(-3), -3), (Fraction(2**65, 3), Fraction(2**66, 6))):
+        assert _order_sign(x, y) == _order_sign(y, x) == 0
+
+
+def test_order_sign_matches_the_reference_on_quadratic_values():
+    rng = random.Random(41)
+    for _ in range(3000):
+        d = rng.choice((2, 3, 5))
+        x = _sample_scalar(rng, d)
+        y = x if rng.random() < 0.1 else _sample_scalar(rng, d)
+        s = _order_sign(x, y)
+        assert s == _ref_compare_sign(x, y) == (x > y) - (x < y)
+        assert _order_sign(y, x) == -s
+    q = QuadraticNumber(Fraction(7, 2), 0, 3)
+    assert _order_sign(q, Fraction(7, 2)) == _order_sign(Fraction(7, 2), q) == 0
+
+
+def test_compare_keeps_its_refusals():
+    # floats, strings and None are not scalar values; bools order as ints
+    for x, y in ((0.5, Fraction(1, 2)), ("1/2", 1), (None, 1), (1, 0.5)):
+        with pytest.raises(AttributeError):
+            compare(x, y)
+        with pytest.raises(AttributeError):
+            _order_sign(x, y)
+    assert compare(True, 1) is Ordering.EQ and compare(False, Fraction(1, 2)) is Ordering.LT
 
 
 def test_floor_matches_bisection():
