@@ -131,11 +131,28 @@ class GroupDescriptor:
         return out
 
     # -- sampling -------------------------------------------------------------
+    # ``sample_element`` and ``sample_positive`` draw once.  Repeated draws
+    # go through plans: ``_interval_draw(hi, bound)`` and a lex head's
+    # ``_head_draw(hi)`` fix everything that depends only on their bounds
+    # (head tables, integer windows, widths), and the plan's ``draw(rng)``
+    # does only the bounded integer draws, as ``rng.randrange`` calls, and
+    # a lookup or one value build.  ``IntervalPea`` keeps one interval plan
+    # per bound; ``sample_interval`` builds one per call.  A lex plan draws
+    # its tails through ``_element_draw(bound)`` and ``_positive_draw(bound)``:
+    # these defaults call the samplers, and scalars and Z^k take fewer calls.
 
     def sample_positive(self, rng, bound: int = 10):
         """A random element of the positive cone (a total order flips negatives)."""
         x = self.sample_element(rng, bound)
         return x if self._positive(x) else self.neg(x)
+
+    def _element_draw(self, bound):
+        sample = self.sample_element
+        return lambda rng: sample(rng, bound)
+
+    def _positive_draw(self, bound):
+        sample = self.sample_positive
+        return lambda rng: sample(rng, bound)
 
     def sample_interval(self, hi, rng, bound: int = 10):
         """A random element x with 0 <= x <= hi."""
@@ -144,19 +161,15 @@ class GroupDescriptor:
             return zero
         if not self._positive(hi):
             raise PreconditionError("sample_interval needs 0 <= hi")
-        return self._sample_interval(hi, rng, bound)
+        return self._interval_draw(hi, bound)(rng)
 
-    def _sample_head(self, hi, rng, bound):
-        """A lex head s in [0, hi] for 0 <= hi, with whether s = 0 and whether s = hi.
+    def _head_draw(self, hi):
+        """The plan of a lex head s in [0, hi] for 0 < hi, drawn as ``(s, at_zero, at_hi)``.
 
-        Here s is one of the two endpoints: hi itself when hi = 0, with no draw.
+        Here s is one of the two endpoints.
         """
-        zero = self.zero()
-        if hi == zero:
-            return hi, True, True
-        if rng.choice((False, True)):
-            return hi, False, True
-        return zero, True, False
+        ends = ((self.zero(), True, False), (hi, False, True))
+        return lambda rng: ends[rng.randrange(2)]
 
     # -- commutation ----------------------------------------------------------
     # Abelian descriptors keep these defaults; AffineQ and the pairs override.
@@ -277,13 +290,27 @@ class Scalar(GroupDescriptor):
         """A random element of the group, integer data bounded by ``bound``."""
         return self.H.sample(rng, bound)
 
-    def _sample_interval(self, hi, rng, bound):
-        # callers pass hi > 0: a zero bound returns before it reaches here
-        return self.H.sample_between(self.H.zero(), hi, rng)
+    def _element_draw(self, bound):
+        sample = self.H.sample
+        return lambda rng: sample(rng, bound)
 
-    def _sample_head(self, hi, rng, bound):
+    def _positive_draw(self, bound):
+        # the rule of sample_positive: a total order flips negatives
+        element, zero = self._element_draw(bound), self.H.zero()
+
+        def draw(rng):
+            x = element(rng)
+            return x if _order_sign(x, zero) >= 0 else -x
+
+        return draw
+
+    def _interval_draw(self, hi, bound):
+        # callers pass hi > 0: a zero bound returns before it reaches here
+        return self.H._between_draw(self.H.zero(), hi)
+
+    def _head_draw(self, hi):
         # a scalar lex head is drawn like any scalar of [0, hi]
-        return self.H._sample_head(hi, rng)
+        return self.H._head_draw(hi)
 
     def _points(self, ks):
         """The grid values k/n of a discrete H for the indices ks: ints on Z."""
@@ -386,13 +413,17 @@ class IntVector(GroupDescriptor):
         return "(" + ", ".join(str(v) for v in x) + ")"
 
     def sample_element(self, rng, bound: int = 10):
-        return tuple(rng.randint(-bound, bound) for _ in range(self.k))
+        return tuple([rng.randrange(2 * bound + 1) - bound for _ in range(self.k)])
 
     def sample_positive(self, rng, bound: int = 10):
-        return tuple(rng.randint(0, bound) for _ in range(self.k))
+        return tuple([rng.randrange(bound + 1) for _ in range(self.k)])
 
-    def _sample_interval(self, hi, rng, bound):
-        return tuple(rng.randint(0, v) for v in hi)
+    def _positive_draw(self, bound):
+        return self._interval_draw((bound,) * self.k, bound)
+
+    def _interval_draw(self, hi, bound):
+        widths = tuple(v + 1 for v in hi)
+        return lambda rng: tuple(map(rng.randrange, widths))
 
     def iter_bounded(self, lowers, uppers, box):
         def rec(i):
@@ -503,27 +534,33 @@ class AffineQ(GroupDescriptor):
         return f"({x[0]}, {x[1]})"
 
     def sample_element(self, rng, bound: int = 10):
-        a = Fraction(rng.randint(1, bound), rng.randint(1, bound))
-        b = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+        a = Fraction(1 + rng.randrange(bound), 1 + rng.randrange(bound))
+        b = Fraction(rng.randrange(2 * bound + 1) - bound, 1 + rng.randrange(bound))
         return (a, b)
 
-    def _sample_interval(self, hi, rng, bound):
+    def _interval_draw(self, hi, bound):
         a1, b1 = hi
+        one = Fraction(1)
         if a1 == 1:  # [0, (1,b1)] = {(1, e): 0 <= e <= b1}
-            return (Fraction(1), b1 * Fraction(rng.randint(0, 16), 16))
-        choice = rng.randint(0, 3)
-        if choice == 0:
-            return self.zero()
-        if choice == 1:
-            return hi
-        if choice == 2:  # boundary heads
-            if rng.random() < 0.5:
-                return (Fraction(1), Fraction(rng.randint(0, bound)))
-            return (a1, b1 - Fraction(rng.randint(0, bound)))
-        # interior head: any tail is allowed
-        c = Fraction(1) + (a1 - 1) * Fraction(rng.randint(1, 15), 16)
-        e = Fraction(rng.randint(-bound, bound), rng.randint(1, 4))
-        return (c, e)
+            tails = tuple((one, b1 * Fraction(k, 16)) for k in range(17))
+            return lambda rng: tails[rng.randrange(17)]
+        # the interior heads 1 + (a1 - 1) * k/16 for k = 1..15
+        heads = tuple(one + (a1 - 1) * Fraction(k, 16) for k in range(1, 16))
+        ends, width, wide = (_AFF_ZERO, hi), bound + 1, 2 * bound + 1
+
+        def draw(rng):
+            choice = rng.randrange(4)
+            if choice < 2:
+                return ends[choice]
+            if choice == 2:  # boundary heads
+                if rng.random() < 0.5:
+                    return (one, Fraction(rng.randrange(width)))
+                return (a1, b1 - Fraction(rng.randrange(width)))
+            # interior head: any tail is allowed
+            c = heads[rng.randrange(15)]
+            return (c, Fraction(rng.randrange(wide) - bound, 1 + rng.randrange(4)))
+
+        return draw
 
 
 _AFF_ZERO = (Fraction(1), Fraction(0))
@@ -668,14 +705,15 @@ class _Pair(GroupDescriptor):
         a, b = self.parts
         return (a.sample_positive(rng, bound), b.sample_positive(rng, bound))
 
-    def _sample_interval(self, hi, rng, bound):
+    def _interval_draw(self, hi, bound):
         # each part of a positive hi is positive in the product order; a zero
-        # part draws nothing, as a randint(0, 0) would still consume rng bits
+        # part draws nothing, as a randrange(1) would still consume rng bits
         a, b = self.parts
         h0, h1 = hi
         za, zb = a.zero(), b.zero()
-        return (za if h0 == za else a._sample_interval(h0, rng, bound),
-                zb if h1 == zb else b._sample_interval(h1, rng, bound))
+        left = (lambda rng: za) if h0 == za else a._interval_draw(h0, bound)
+        right = (lambda rng: zb) if h1 == zb else b._interval_draw(h1, bound)
+        return lambda rng: (left(rng), right(rng))
 
     def iter_bounded(self, lowers, uppers, box):
         a, b = self.parts
@@ -752,20 +790,25 @@ class Lex(_Pair):
             return (head, bottom.sample_positive(rng, bound))
         return (head, bottom.sample_element(rng, bound))
 
-    def _sample_interval(self, hi, rng, bound):
+    def _interval_draw(self, hi, bound):
         top, bottom = self.parts
         h_hi, t_hi = hi
-        # the head draw says which ends it hit: head values are not compared
-        s, at_zero, at_hi = top._sample_head(h_hi, rng, bound)
-        if at_hi:
-            if at_zero:  # h_hi = 0: the tail alone is drawn
-                return (s, bottom.sample_interval(t_hi, rng, bound))
-            # tail must be <= hi tail: hi_tail - positive
-            delta = bottom.sample_positive(rng, bound)
-            return (s, bottom.sub_right(t_hi, delta))
-        if at_zero:
-            return (s, bottom.sample_positive(rng, bound))
-        return (s, bottom.sample_element(rng, bound))
+        if h_hi == top.zero():
+            # the tail alone is drawn; t_hi > 0, as hi is positive and nonzero
+            tail = bottom._interval_draw(t_hi, bound)
+            return lambda rng: (h_hi, tail(rng))
+        head = top._head_draw(h_hi)
+        positive, element = bottom._positive_draw(bound), bottom._element_draw(bound)
+        sub_right = bottom.sub_right
+
+        def draw(rng):
+            # the head draw says which end it hit: head values are not compared
+            s, at_zero, at_hi = head(rng)
+            if at_hi:  # tail must be <= hi tail: hi_tail - positive
+                return (s, sub_right(t_hi, positive(rng)))
+            return (s, positive(rng) if at_zero else element(rng))
+
+        return draw
 
     def iter_bounded(self, lowers, uppers, box):
         top, bottom = self.parts

@@ -258,6 +258,7 @@ class IntervalPea:
         self.zero = group.zero()
         self._add, self._leq = group.add, group.leq
         self._sub_right, self._sub_left = group.sub_right, group.sub_left
+        self._draws = {}  # bound -> the interval draw plan, built by the first sample
 
     @property
     def one(self):
@@ -303,9 +304,12 @@ class IntervalPea:
         return acc
 
     def sample(self, rng, bound=8):
-        # every strong unit of the grammar is positive and nonzero, and
-        # __init__ checked that the unit is one, so no draw checks it again
-        return self.group._sample_interval(self.unit, rng, bound)
+        draw = self._draws.get(bound)
+        if draw is None:
+            # every strong unit of the grammar is positive and nonzero, and
+            # __init__ checked that the unit is one, so no plan checks it again
+            draw = self._draws[bound] = self.group._interval_draw(self.unit, bound)
+        return draw(rng)
 
     # -- lexicographic structure helpers ------------------------------------
 

@@ -1,10 +1,15 @@
 """Seeded random generation of group elements.
 
 Sampled checks draw with an explicit ``random.Random`` instance so every
-run is reproducible.  The rules for each descriptor are methods of its
-class in :mod:`ordalg.groups`; the scalar rules they build on are methods
-of the subgroup classes in :mod:`ordalg.scalars`.  ``IntervalPea.sample``
-calls its descriptor's interval rule directly, on a unit checked once.
+run is reproducible, and only through its public methods.  The rules for
+each descriptor are methods of its class in :mod:`ordalg.groups`; the
+scalar rules they build on are methods of the subgroup classes in
+:mod:`ordalg.scalars`.  An interval draw is a plan: the descriptor's
+``_interval_draw(hi, bound)`` fixes what depends only on hi and bound (the
+head table or windows of a lex head, the widths of the tails) and returns
+``draw(rng)``, which makes only the bounded integer draws.
+``IntervalPea.sample`` builds the plan of each bound on first use, on a
+unit checked once, and keeps it; ``sample_interval`` builds one per call.
 
 The three functions only forward to those methods.  The module stays because
 ``perfbench`` counts the ``sampling`` layer by wrapping them: its tracer

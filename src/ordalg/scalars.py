@@ -214,11 +214,16 @@ class ScalarSubgroup:
     by the three constructors below.  Besides the value rules (the defaults
     here are those of the kinds with Fraction values) each one has
     ``pick_between(lo, hi)``, the deterministic witness for coerced lo < hi;
-    ``grid(max_den, coeff_bound)``, a witness grid of [0, 1]; the
-    samplers ``sample(rng, bound)`` and ``sample_between(lo, hi, rng)``,
-    a member of [lo, hi] for lo < hi; and ``_sample_head(hi, rng)``, the
-    draw of ``sample_between(zero, hi, rng)`` (none when hi = 0) with
-    whether it is 0 and whether it is hi, read off the draw.
+    ``grid(max_den, coeff_bound)``, a witness grid of [0, 1];
+    ``sample(rng, bound)``, a value with integer data in [-bound, bound];
+    and two draw plans.  A plan is built once from its bounds and then
+    called as ``draw(rng)``, which does only the bounded integer draws
+    (``rng.randrange``) and a lookup or one value build.
+    ``_between_draw(lo, hi)`` draws a member of [lo, hi] for lo < hi, and
+    ``sample_between(lo, hi, rng)`` builds it to draw once.
+    ``_head_draw(hi)`` for 0 < hi draws as ``_between_draw(zero, hi)``
+    does and returns ``(s, at_zero, at_hi)``: whether s is 0 and whether
+    it is hi are read off the draw.
     """
 
     is_dense = True
@@ -270,6 +275,9 @@ class ScalarSubgroup:
         """Return ("cyclic", n) for (1/n)Z and ("dense", None) otherwise."""
         return ("dense", None)
 
+    def sample_between(self, lo, hi, rng):
+        return self._between_draw(lo, hi)(rng)
+
 
 @dataclass(frozen=True)
 class _Cyclic(ScalarSubgroup):
@@ -320,23 +328,29 @@ class _Cyclic(ScalarSubgroup):
         return [self._point(k) for k in range(self.n + 1)]
 
     def sample(self, rng, bound):
-        return self._point(rng.randint(-bound, bound))
+        return self._point(rng.randrange(2 * bound + 1) - bound)
 
-    def sample_between(self, lo, hi, rng):
+    def _between_draw(self, lo, hi):
         n = self.n
         k_lo = -(-lo.numerator * n // lo.denominator)  # ceil(lo*n)
         k_hi = hi.numerator * n // hi.denominator  # floor(hi*n)
         if k_lo > k_hi:
             raise NoElementError(f"no point of (1/{n})Z inside [{lo}, {hi}]")
-        return self._point(rng.randint(k_lo, k_hi))
+        point, width = self._point, k_hi - k_lo + 1
+        return lambda rng: point(k_lo + rng.randrange(width))
 
-    def _sample_head(self, hi, rng):
-        # hi >= 0 lies on the grid, so hi = k_hi / n
-        k_hi = hi.numerator * self.n // hi.denominator
-        if k_hi == 0:
-            return hi, True, True
-        k = rng.randint(0, k_hi)
-        return self._point(k), k == 0, k == k_hi
+    def _head_draw(self, hi):
+        # hi > 0 lies on the grid, so hi = k_hi / n; the grid is never listed,
+        # so a plan is O(1) however large k_hi is
+        n = self.n
+        k_hi = hi.numerator * n // hi.denominator
+        width = k_hi + 1
+
+        def draw(rng):
+            k = rng.randrange(width)
+            return (k if n == 1 else Fraction(k, n)), k == 0, k == k_hi
+
+        return draw
 
 
 @dataclass(frozen=True)
@@ -355,20 +369,18 @@ class _Rationals(ScalarSubgroup):
         return sorted({Fraction(p, q) for q in range(1, max_den + 1) for p in range(q + 1)})
 
     def sample(self, rng, bound):
-        return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+        return Fraction(rng.randrange(2 * bound + 1) - bound, 1 + rng.randrange(bound))
 
-    def sample_between(self, lo, hi, rng):
+    def _between_draw(self, lo, hi):
         # lo + (hi - lo) * k/16 over the common denominator 16 * lo.d * hi.d
         p, q, r, s = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-        k = rng.randint(0, 16)
-        return Fraction(16 * p * s + (r * q - p * s) * k, 16 * q * s)
+        base, step, den = 16 * p * s, r * q - p * s, 16 * q * s
+        return lambda rng: Fraction(base + step * rng.randrange(17), den)
 
-    def _sample_head(self, hi, rng):
+    def _head_draw(self, hi):
         r, s = hi.numerator, hi.denominator
-        if r == 0:
-            return hi, True, True
-        k = rng.randint(0, 16)
-        return Fraction(r * k, 16 * s), k == 0, k == 16
+        heads = tuple((Fraction(r * k, 16 * s), k == 0, k == 16) for k in range(17))
+        return lambda rng: heads[rng.randrange(17)]
 
 
 @dataclass(frozen=True)
@@ -439,31 +451,41 @@ class _Quadratic(ScalarSubgroup):
         return sorted(pts)
 
     def sample(self, rng, bound):
-        return _quadratic(rng.randint(-bound, bound), rng.randint(-bound, bound), self.d)
+        width = 2 * bound + 1
+        return _quadratic(rng.randrange(width) - bound, rng.randrange(width) - bound, self.d)
 
-    def sample_between(self, lo, hi, rng):
-        """A random sqrt(d)-coefficient, then an integer part inside; after 40 misses, the pick."""
+    def _between_draw(self, lo, hi):
+        """A random sqrt(d)-coefficient, then an integer part inside; after 40 misses, the pick.
+
+        The plan holds the integer window of each coefficient k in -8..8.
+        """
         lo, hi = self.coerce(lo), self.coerce(hi)
         d = self.d
         p, s, r, q = lo.a.numerator, lo.a.denominator, lo.b.numerator, lo.b.denominator
         hp, hs, hr, hq = hi.a.numerator, hi.a.denominator, hi.b.numerator, hi.b.denominator
-        for _ in range(40):
-            k = rng.randint(-8, 8)
+        windows = []
+        for k in range(-8, 9):
             # lo < m + k*sqrt(d) < hi for floor(lo - k*sqrt(d)) < m < ceil(hi - k*sqrt(d)),
             # where ceil(hi - k*sqrt(d)) = -floor(k*sqrt(d) - hi)
             m_lo = _floor(p, s, r - k * q, q, d) + 1
             m_hi = -_floor(-hp, hs, k * hq - hr, hq, d)
-            if m_lo < m_hi:
-                m = rng.randint(m_lo, m_hi - 1)
-                return _quadratic(m, k, d)
-        return pick_strictly_between(self, lo, hi)
+            windows.append((m_lo, m_hi - m_lo, k) if m_lo < m_hi else None)
+        windows = tuple(windows)
 
-    def _sample_head(self, hi, rng):
-        hi = self.coerce(hi)
-        if hi.is_zero():
-            return hi, True, True
-        # sample_between draws strictly inside (lo, hi)
-        return self.sample_between(self._zero, hi, rng), False, False
+        def draw(rng):
+            for _ in range(40):
+                window = windows[rng.randrange(17)]
+                if window is not None:
+                    m_lo, width, k = window
+                    return _quadratic(m_lo + rng.randrange(width), k, d)
+            return pick_strictly_between(self, lo, hi)
+
+        return draw
+
+    def _head_draw(self, hi):
+        # the between draw lands strictly inside (0, hi)
+        between = self._between_draw(self._zero, hi)
+        return lambda rng: (between(rng), False, False)
 
 
 def _order_sign(x, y) -> int:

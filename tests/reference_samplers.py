@@ -1,4 +1,4 @@
-"""The interval samplers as they were before their integer kernels: the test-side reference.
+"""The samplers as they were before their integer kernels and draw plans: the test-side reference.
 
 ``IntervalPea.sample`` draws through the descriptor's ``_sample_interval``
 on its checked strong unit, and the scalar samplers find their windows by
@@ -7,6 +7,9 @@ draw through the checked ``sample_interval``, re-wrap every bound as a
 ``Fraction`` and find the quadratic window by ``QuadraticNumber``
 arithmetic.  The tests require both to return equal values from the same
 ``random.Random`` calls, so every seeded sampled check keeps its draws.
+The element and positive samplers here, which the lex tails draw from,
+call ``randint`` as the package did before its samplers became plans of
+``randrange`` calls.
 
 The cyclic sampler here truncates lo*n and hi*n toward zero: that equals
 ceil(lo*n) and floor(hi*n) only for bounds on the grid (1/n)Z, which are
@@ -58,6 +61,49 @@ def sample_between(H, lo, hi, rng):
     return pick_strictly_between(H, lo, hi)
 
 
+def sample_element(desc, rng, bound):
+    """A random element with integer data in [-bound, bound], drawn the way each descriptor did."""
+    if isinstance(desc, g.Scalar):
+        H = desc.H
+        kind, n = H.classify()
+        if kind == "cyclic":
+            k = rng.randint(-bound, bound)
+            return k if n == 1 else Fraction(k, n)
+        if not hasattr(H, "d"):  # Q
+            return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+        return QuadraticNumber(rng.randint(-bound, bound), rng.randint(-bound, bound), H.d)
+    if isinstance(desc, g.IntVector):
+        return tuple(rng.randint(-bound, bound) for _ in range(desc.k))
+    if isinstance(desc, g.AffineQ):
+        a = Fraction(rng.randint(1, bound), rng.randint(1, bound))
+        b = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+        return (a, b)
+    a, b = desc.parts
+    return (sample_element(a, rng, bound), sample_element(b, rng, bound))
+
+
+def sample_positive(desc, rng, bound):
+    """A random element of the positive cone, drawn the way each descriptor did."""
+    if isinstance(desc, g.IntVector):
+        return tuple(rng.randint(0, bound) for _ in range(desc.k))
+    if isinstance(desc, g.Product):
+        a, b = desc.parts
+        return (sample_positive(a, rng, bound), sample_positive(b, rng, bound))
+    if isinstance(desc, g.Lex):
+        top, bottom = desc.parts
+        head = _flipped_element(top, rng, bound)
+        if head == top.zero():
+            return (head, sample_positive(bottom, rng, bound))
+        return (head, sample_element(bottom, rng, bound))
+    return _flipped_element(desc, rng, bound)
+
+
+def _flipped_element(desc, rng, bound):
+    """An element of a linearly ordered desc, negated when negative."""
+    x = sample_element(desc, rng, bound)
+    return x if desc._positive(x) else desc.neg(x)
+
+
 def sample_interval(desc, hi, rng, bound=10):
     """A random x with 0 <= x <= hi, checking hi on every call."""
     zero = desc.zero()
@@ -91,11 +137,11 @@ def _sample_interval(desc, hi, rng, bound):
             return (h_hi, sample_interval(bottom, t_hi, rng, bound))
         s = _sample_head(top, h_hi, rng, bound)
         if s == top.zero():
-            return (s, bottom.sample_positive(rng, bound))
+            return (s, sample_positive(bottom, rng, bound))
         if s == h_hi:
-            delta = bottom.sample_positive(rng, bound)
+            delta = sample_positive(bottom, rng, bound)
             return (s, bottom.add(t_hi, bottom.neg(delta)))
-        return (s, bottom.sample_element(rng, bound))
+        return (s, sample_element(bottom, rng, bound))
     a, b = desc.parts  # Product
     return (sample_interval(a, hi[0], rng, bound), sample_interval(b, hi[1], rng, bound))
 

@@ -555,6 +555,24 @@ def test_cli_represent_and_corrupt():
     assert "hom_failures=0" not in output2
 
 
+def test_cli_represent_refuses_g0_beside_shuffle(monkeypatch):
+    # a shuffle re-encodes the unit (1, 0), and --g0 used to be dropped unread
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("represent sampled despite an input error")
+
+    monkeypatch.setattr(cli, "verify_isomorphism", no_sampling)
+    for g0 in ("garbage", "3"):
+        code, output = run_cli("represent", "--H", "Z/2", "--G", "Z", "--g0", g0,
+                               "--shuffle", "identity", "--samples", "5")
+        assert code == 2
+        lines = output.splitlines()
+        assert len(lines) == 2 and lines[1].startswith("#! verdict=error")
+        assert "--g0" in lines[1] and "--shuffle" in lines[1]
+    # an empty --g0 is read, and refused, like any other element
+    code, output = run_cli("represent", "--H", "Z/2", "--G", "Z", "--g0", "", "--samples", "5")
+    assert code == 2 and output.startswith("error: 1:1: ")
+
+
 def test_cli_functor():
     code, output = run_cli(
         "functor", "--hom", "scale(2)", "--G", "Z", "--H", "Q", "--samples", "60"

@@ -191,6 +191,10 @@ CASES = {
     "41_classify_perfect_bool_halves": ["classify-perfect", "--pea", "bool.pea", "--H", "Z/2"],
     "42_decompose_hsum10_halves": ["decompose", "--pea", "hsum10.pea", "--H", "Z/2"],
     "43_classify_perfect_hsum10_halves": ["classify-perfect", "--pea", "hsum10.pea", "--H", "Z/2"],
+    "44_represent_g0_beside_shuffle": [
+        "represent", "--H", "Z/2", "--G", "Z", "--g0", "garbage", "--shuffle", "identity",
+        "--samples", "5",
+    ],
 }
 
 

@@ -12,9 +12,14 @@ import ``ordalg.sampling``: test-only samplers stay out of the package.  A
 fifth keeps one scalar order path: no package module but ``scalars`` (and
 the re-exporting ``__init__``) imports ``compare`` or ``Ordering``, and no
 descriptor class defines the ``_linear_compare`` that ``_sign`` replaced.
+A sixth keeps the package's draws on the public ``random.Random`` API: no
+module reads a private attribute such as ``_randbelow``, so the draw plans'
+``randrange`` calls equal the ``randint`` stream on every interpreter that
+the suite runs on.
 """
 
 import ast
+import random
 import sys
 from pathlib import Path
 
@@ -158,3 +163,31 @@ def test_scalar_order_decisions_go_through_one_kernel():
         for node in ast.walk(ast.parse((PACKAGE / "groups.py").read_text(encoding="utf-8")))
     }
     assert "_sign" in names and "_linear_compare" not in names
+
+
+RANDOM_PRIVATE = frozenset(name for name in dir(random.Random) if name.startswith("_") and not name.endswith("__"))
+
+
+def random_private_reads(source):
+    """(line, name) of each read of a private ``random.Random`` attribute, as an attribute or a string."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in RANDOM_PRIVATE:
+            found.add((node.lineno, node.attr))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in RANDOM_PRIVATE:
+            found.add((node.lineno, node.value))
+    return sorted(found)
+
+
+def test_the_scan_finds_a_private_random_read():
+    assert "_randbelow" in RANDOM_PRIVATE
+    assert random_private_reads("k = m + rng._randbelow(17)\n") == [(1, "_randbelow")]
+    assert random_private_reads("draw = getattr(rng, '_randbelow')\n") == [(1, "_randbelow")]
+    assert random_private_reads("k = m + rng.randrange(17)\n_randbelow = 3\n") == []
+
+
+def test_no_module_reads_a_private_random_attribute():
+    reads = {
+        path.name: random_private_reads(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")
+    }
+    assert {name: found for name, found in reads.items() if found} == {}

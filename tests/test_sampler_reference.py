@@ -1,24 +1,35 @@
-"""The interval samplers draw exactly as the reference copies in ``reference_samplers``.
+"""The samplers draw exactly as the reference copies in ``reference_samplers``.
 
 Over many seeds each sampler must return equal values with equal reprs (so
 equal value types too) and leave ``random.Random`` in the same state as its
 reference: every seeded sampled check then keeps its draws.  Covered are
 ``sample_between`` of each subgroup kind on bounds of its own grid,
-``sample_interval`` below product bounds with a zero part, and
-``IntervalPea.sample`` on the property trees with strong units and on the
-four algebras that the ``represent`` verb checks.  Digests pin the first
-200 draws on those four algebras, on ``gamma(lex(Z, Aff), (1, (2, 0)))``
-and below lex heads that are lex pairs.  Quadratic results built without
-validation equal, hash and print like the validating constructor's.
+``sample_element`` and ``sample_positive`` on the property trees (lex tails
+draw from them), ``sample_interval`` below product bounds with a zero part
+and below affine translations, and ``IntervalPea.sample`` on the property
+trees with strong units and on the four algebras that the ``represent``
+verb checks.  ``IntervalPea.sample`` keeps one draw plan per bound, so two
+algebras over one group draw in turn from one rng, one algebra draws at
+several bounds, units sit far from 1 (a (1/3)Z head of 10**12/3 must plan
+without listing its grid) and heads are ``Aff`` or lex pairs; the
+``--corrupt`` control counts as with the reference sampler patched in.
+Digests pin the first 200 draws on those four algebras, on
+``gamma(lex(Z, Aff), (1, (2, 0)))`` and below lex heads that are lex pairs.
+Quadratic results built without validation equal, hash and print like the
+validating constructor's.
 """
 
 import hashlib
+import io
 import random
+import re
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
 from ordalg import groups as g
+from ordalg.cli import main
 from ordalg.parsing import parse_interval_pea
 from ordalg.pea import IntervalPea
 from ordalg.represent import build_lex_pea, make_shuffled
@@ -81,6 +92,16 @@ def test_interval_samples_on_the_trees_draw_as_the_reference():
             assert_same_draws(E.sample, lambda r: ref.sample_interval(desc, E.unit, r, 8), count=3)
 
 
+def test_element_and_positive_samples_on_the_trees_draw_as_the_reference():
+    # the lex tails draw from these; a lex head is an element flipped when negative
+    for desc in TREES:
+        for bound in (1, 5):
+            assert_same_draws(lambda r: desc.sample_element(r, bound),
+                              lambda r: ref.sample_element(desc, r, bound), count=3)
+            assert_same_draws(lambda r: desc.sample_positive(r, bound),
+                              lambda r: ref.sample_positive(desc, r, bound), count=3)
+
+
 QS2 = g.Scalar(ScalarSubgroup.quadratic(2))
 
 
@@ -117,6 +138,93 @@ def test_represent_algebra_samples_draw_as_the_reference(H, G, spec):
     shuffled, _ = make_shuffled(H, G, spec)
     for E in (shuffled, build_lex_pea(H, G)):
         assert_same_draws(E.sample, lambda r: ref.sample_interval(E.group, E.unit, r, 8), count=20)
+
+
+def assert_same_interleaved_draws(schedule, count=20):
+    """Draws of the (algebra, bound) pairs in turn from one rng, as the reference's."""
+    for seed in SEEDS:
+        r1, r2 = random.Random(seed), random.Random(seed)
+        for _ in range(count):
+            for E, bound in schedule:
+                got, want = E.sample(r1, bound), ref.sample_interval(E.group, E.unit, r2, bound)
+                assert got == want and repr(got) == repr(want), (seed, E, bound)
+                assert r1.getstate() == r2.getstate(), (seed, E, bound)
+
+
+@pytest.mark.parametrize(
+    "group, units",
+    [
+        (g.Lex(g.Scalar(ScalarSubgroup.cyclic(4)), g.ZZ), [(1, 0), (1, 4)]),
+        (g.Lex(g.QQ, g.IntVector(2)), [(1, (0, 0)), (Fraction(7, 3), (2, -3))]),
+        (g.Lex(QS2, g.ZZ), [(1, 0), (QuadraticNumber(3, 2, 2), 5)]),
+    ],
+    ids=["lex(Z/4, Z)", "lex(Q, Z^2)", "lex(Q[sqrt 2], Z)"],
+)
+def test_two_algebras_over_one_group_draw_alternately_as_the_reference(group, units):
+    # verify_isomorphism draws x and y from E, then a target from F, on one rng;
+    # each algebra keeps its own plan
+    E, F = (IntervalPea(group, u) for u in units)
+    assert_same_interleaved_draws([(E, 8), (E, 8), (F, 8)])
+
+
+def test_one_algebra_draws_at_several_bounds_as_the_reference():
+    # one plan per bound: 3, then 8, then 3 again
+    for E in (build_lex_pea(ScalarSubgroup.rationals(), g.IntVector(2)),
+              build_lex_pea(ScalarSubgroup.cyclic(3), g.ZZ),
+              parse_interval_pea("gamma(lex(Z, Aff), (1, (2, 0)))")):
+        assert_same_interleaved_draws([(E, 3), (E, 8), (E, 3)], count=10)
+
+
+@pytest.mark.parametrize(
+    "desc, unit",
+    [
+        # k_hi = 10**12: the (1/3)Z head is planned without listing its grid
+        (g.Lex(g.Scalar(ScalarSubgroup.cyclic(3)), g.ZZ), (Fraction(10**12, 3), 5)),
+        (g.Lex(g.QQ, g.ZZ), (Fraction(7, 3), -2)),
+        # 3 + 2*sqrt(2): the window of k = 0 holds m = 1..5
+        (g.Lex(QS2, g.IntVector(2)), (QuadraticNumber(3, 2, 2), (1, 0))),
+        (g.Lex(g.AffineQ(), g.ZZ), ((Fraction(3), Fraction(-1, 2)), 4)),
+        (g.Lex(g.AffineQ(), g.IntVector(2)), ((Fraction(5, 2), Fraction(3)), (1, 2))),
+        (g.Lex(g.Lex(g.ZZ, g.ZZ), g.ZZ), ((1, -3), 2)),
+        (g.Lex(g.Lex(g.AffineQ(), g.ZZ), g.AffineQ()),
+         (((Fraction(2), Fraction(1)), 0), (Fraction(1), Fraction(1)))),
+    ],
+    ids=["Z/3 head 10**12/3", "Q head 7/3", "Q[sqrt 2] head 3 + 2*sqrt(2)",
+         "lex(Aff, Z)", "lex(Aff, Z^2)", "lex(lex(Z, Z), Z)",
+         "lex(lex(Aff, Z), Aff)"],
+)
+def test_units_far_from_one_and_non_scalar_heads_draw_as_the_reference(desc, unit):
+    E = IntervalPea(desc, unit)
+    assert_same_draws(E.sample, lambda r: ref.sample_interval(desc, E.unit, r, 8), count=20)
+
+
+def test_affine_translation_bounds_draw_as_the_reference():
+    # no strong unit is a translation (1, b), so only sample_interval draws below one
+    desc = g.AffineQ()
+    for hi in ((Fraction(1), Fraction(5, 2)), (Fraction(1), Fraction(7, 3))):
+        assert_same_draws(lambda r: desc.sample_interval(hi, r, 8),
+                          lambda r: ref.sample_interval(desc, hi, r, 8), count=5)
+
+
+def test_the_corrupt_control_counts_as_with_the_reference_sampler(monkeypatch):
+    # the benchmark's negative control: every hom_failures count stays the reference's
+    argv = ["represent", "--H", "Z/4", "--G", "Z", "--shuffle", "translate(1)", "--corrupt",
+            "--samples", "100", "--seed"]
+
+    def counts():
+        out = []
+        for seed in range(10):
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                assert main(argv + [str(seed)]) == 1
+            out.append(re.search(r"hom_failures=(\d+)", buf.getvalue()).group(1))
+        return out
+
+    planned = counts()
+    monkeypatch.setattr(IntervalPea, "sample",
+                        lambda self, rng, bound=8: ref.sample_interval(self.group, self.unit, rng, bound))
+    assert planned == counts()
+    assert all(int(c) > 0 for c in planned)
 
 
 def draw_digest(values):
