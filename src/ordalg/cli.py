@@ -260,7 +260,7 @@ def cmd_represent(args, out):
         raise PreconditionError("--g0 and --shuffle cannot be combined: a shuffle re-encodes the unit (1, 0)")
     H = parse_subgroup(args.H)
     G = parse_descriptor(args.G)
-    if args.shuffle:
+    if args.shuffle is not None:
         E, _alpha = make_shuffled(H, G, parse_spec("shuffle", args.shuffle, G))
     elif args.g0 is not None:
         E = build_lex_pea(H, G, parse_element(G, args.g0))

@@ -138,21 +138,12 @@ class GroupDescriptor:
     # does only the bounded integer draws, as ``rng.randrange`` calls, and
     # a lookup or one value build.  ``IntervalPea`` keeps one interval plan
     # per bound; ``sample_interval`` builds one per call.  A lex plan draws
-    # its tails through ``_element_draw(bound)`` and ``_positive_draw(bound)``:
-    # these defaults call the samplers, and scalars and Z^k take fewer calls.
+    # its tails with the bottom's ``sample_element`` and ``sample_positive``.
 
     def sample_positive(self, rng, bound: int = 10):
         """A random element of the positive cone (a total order flips negatives)."""
         x = self.sample_element(rng, bound)
         return x if self._positive(x) else self.neg(x)
-
-    def _element_draw(self, bound):
-        sample = self.sample_element
-        return lambda rng: sample(rng, bound)
-
-    def _positive_draw(self, bound):
-        sample = self.sample_positive
-        return lambda rng: sample(rng, bound)
 
     def sample_interval(self, hi, rng, bound: int = 10):
         """A random element x with 0 <= x <= hi."""
@@ -290,20 +281,6 @@ class Scalar(GroupDescriptor):
         """A random element of the group, integer data bounded by ``bound``."""
         return self.H.sample(rng, bound)
 
-    def _element_draw(self, bound):
-        sample = self.H.sample
-        return lambda rng: sample(rng, bound)
-
-    def _positive_draw(self, bound):
-        # the rule of sample_positive: a total order flips negatives
-        element, zero = self._element_draw(bound), self.H.zero()
-
-        def draw(rng):
-            x = element(rng)
-            return x if _order_sign(x, zero) >= 0 else -x
-
-        return draw
-
     def _interval_draw(self, hi, bound):
         # callers pass hi > 0: a zero bound returns before it reaches here
         return self.H._between_draw(self.H.zero(), hi)
@@ -417,9 +394,6 @@ class IntVector(GroupDescriptor):
 
     def sample_positive(self, rng, bound: int = 10):
         return tuple([rng.randrange(bound + 1) for _ in range(self.k)])
-
-    def _positive_draw(self, bound):
-        return self._interval_draw((bound,) * self.k, bound)
 
     def _interval_draw(self, hi, bound):
         widths = tuple(v + 1 for v in hi)
@@ -542,11 +516,8 @@ class AffineQ(GroupDescriptor):
         a1, b1 = hi
         one = Fraction(1)
         if a1 == 1:  # [0, (1,b1)] = {(1, e): 0 <= e <= b1}
-            tails = tuple((one, b1 * Fraction(k, 16)) for k in range(17))
-            return lambda rng: tails[rng.randrange(17)]
-        # the interior heads 1 + (a1 - 1) * k/16 for k = 1..15
-        heads = tuple(one + (a1 - 1) * Fraction(k, 16) for k in range(1, 16))
-        ends, width, wide = (_AFF_ZERO, hi), bound + 1, 2 * bound + 1
+            return lambda rng: (one, b1 * Fraction(rng.randrange(17), 16))
+        ends, step, width, wide = (_AFF_ZERO, hi), a1 - 1, bound + 1, 2 * bound + 1
 
         def draw(rng):
             choice = rng.randrange(4)
@@ -556,8 +527,8 @@ class AffineQ(GroupDescriptor):
                 if rng.random() < 0.5:
                     return (one, Fraction(rng.randrange(width)))
                 return (a1, b1 - Fraction(rng.randrange(width)))
-            # interior head: any tail is allowed
-            c = heads[rng.randrange(15)]
+            # interior head 1 + (a1 - 1) * k/16 for k = 1..15: any tail is allowed
+            c = one + step * Fraction(1 + rng.randrange(15), 16)
             return (c, Fraction(rng.randrange(wide) - bound, 1 + rng.randrange(4)))
 
         return draw
@@ -798,15 +769,15 @@ class Lex(_Pair):
             tail = bottom._interval_draw(t_hi, bound)
             return lambda rng: (h_hi, tail(rng))
         head = top._head_draw(h_hi)
-        positive, element = bottom._positive_draw(bound), bottom._element_draw(bound)
+        positive, element = bottom.sample_positive, bottom.sample_element
         sub_right = bottom.sub_right
 
         def draw(rng):
             # the head draw says which end it hit: head values are not compared
             s, at_zero, at_hi = head(rng)
             if at_hi:  # tail must be <= hi tail: hi_tail - positive
-                return (s, sub_right(t_hi, positive(rng)))
-            return (s, positive(rng) if at_zero else element(rng))
+                return (s, sub_right(t_hi, positive(rng, bound)))
+            return (s, positive(rng, bound) if at_zero else element(rng, bound))
 
         return draw
 

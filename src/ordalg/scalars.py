@@ -330,25 +330,26 @@ class _Cyclic(ScalarSubgroup):
     def sample(self, rng, bound):
         return self._point(rng.randrange(2 * bound + 1) - bound)
 
+    def _floor_index(self, x) -> int:
+        """floor(x*n): the index k of the last grid point k/n <= x."""
+        return x.numerator * self.n // x.denominator
+
     def _between_draw(self, lo, hi):
-        n = self.n
-        k_lo = -(-lo.numerator * n // lo.denominator)  # ceil(lo*n)
-        k_hi = hi.numerator * n // hi.denominator  # floor(hi*n)
+        k_lo, k_hi = -self._floor_index(-lo), self._floor_index(hi)
         if k_lo > k_hi:
-            raise NoElementError(f"no point of (1/{n})Z inside [{lo}, {hi}]")
+            raise NoElementError(f"no point of (1/{self.n})Z inside [{lo}, {hi}]")
         point, width = self._point, k_hi - k_lo + 1
         return lambda rng: point(k_lo + rng.randrange(width))
 
     def _head_draw(self, hi):
-        # hi > 0 lies on the grid, so hi = k_hi / n; the grid is never listed,
-        # so a plan is O(1) however large k_hi is
-        n = self.n
-        k_hi = hi.numerator * n // hi.denominator
+        # hi > 0 lies on the grid at k_hi; the grid is never listed, so a
+        # plan is O(1) however large k_hi is
+        point, k_hi = self._point, self._floor_index(hi)
         width = k_hi + 1
 
         def draw(rng):
             k = rng.randrange(width)
-            return (k if n == 1 else Fraction(k, n)), k == 0, k == k_hi
+            return point(k), k == 0, k == k_hi
 
         return draw
 

@@ -568,9 +568,10 @@ def test_cli_represent_refuses_g0_beside_shuffle(monkeypatch):
         lines = output.splitlines()
         assert len(lines) == 2 and lines[1].startswith("#! verdict=error")
         assert "--g0" in lines[1] and "--shuffle" in lines[1]
-    # an empty --g0 is read, and refused, like any other element
-    code, output = run_cli("represent", "--H", "Z/2", "--G", "Z", "--g0", "", "--samples", "5")
-    assert code == 2 and output.startswith("error: 1:1: ")
+    # an empty --g0 or --shuffle is read, and refused, like any other spec
+    for option in ("--g0", "--shuffle"):
+        code, output = run_cli("represent", "--H", "Z/2", "--G", "Z", option, "", "--samples", "5")
+        assert code == 2 and output.startswith("error: 1:1: ")
 
 
 def test_cli_functor():
