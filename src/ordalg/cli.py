@@ -2,9 +2,8 @@
 
 Every verb prints human-readable lines plus machine-readable lines prefixed
 with ``#!`` carrying key=value verdicts and witnesses.  Runs are
-deterministic given identical inputs and --seed (ORDALG_SEED is the
-fallback seed source).  The exit code is 0 exactly when every requested
-verdict passes.
+deterministic given identical inputs and --seed, whose default is 0.
+The exit code is 0 exactly when every requested verdict passes.
 """
 
 from __future__ import annotations
@@ -311,7 +310,7 @@ grammars:
                 the k coordinates of a Z^k tail; the map is sampled once
 
 Machine-readable verdict lines are prefixed with `#!`; the exit code is 0
-exactly when all requested verdicts pass. ORDALG_SEED is the fallback seed.
+exactly when all requested verdicts pass.
 """
 
 
@@ -326,13 +325,13 @@ def _count(low):
     return count
 
 
-def _file_args(p, seed):
+def _file_args(p):
     p.add_argument("file")
 
 
 # the refinement instance; interpolate takes neither --level nor --box, and
 # only check-rdp takes --oracle
-def _instance_args(p, seed, refine=True, oracle=True):
+def _instance_args(p, refine=True, oracle=True):
     p.add_argument("--group", required=True)
     if refine:
         p.add_argument("--level", default="rdp", choices=["rdp0", "rdp", "rdp1", "rdp2"])
@@ -344,55 +343,46 @@ def _instance_args(p, seed, refine=True, oracle=True):
         p.add_argument("--box", type=_count(0), default=20)
 
 
-def _slices_args(p, seed):
+def _slices_args(p):
     p.add_argument("--pea", required=True, help="gamma(DESC, UNIT) or a table file")
     p.add_argument("--H", required=True)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int, default=0)
 
 
-def _represent_args(p, seed):
+def _represent_args(p):
     p.add_argument("--H", required=True)
     p.add_argument("--G", required=True)
     p.add_argument("--g0", default=None)
     p.add_argument("--shuffle", default=None)
     p.add_argument("--corrupt", action="store_true", help="negative control")
     p.add_argument("--samples", type=_count(1), default=300)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int, default=0)
 
 
-def _functor_args(p, seed):
+def _functor_args(p):
     p.add_argument("--hom", required=True, help="identity | scale(c) | permute(i,j,...)")
     p.add_argument("--G", required=True)
     p.add_argument("--H", required=True)
     p.add_argument("--samples", type=_count(1), default=100)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int, default=0)
 
 
-# verb -> (help, adds its arguments given the default seed, handler), in the
-# order of the help listing; main dispatches through it
+# verb -> (help, adds its arguments, handler), in the order of the help
+# listing; main dispatches through it
 VERBS = {
     "check-axioms": ("verify a finite algebra file", _file_args, cmd_check_axioms),
     "states": ("extremal states of a finite algebra file", _file_args, cmd_states),
     "ideals": ("ideals, flags and radicals of a finite algebra file", _file_args, cmd_ideals),
     "check-rdp": ("solve and verify a refinement instance", _instance_args, cmd_check_rdp),
     "oracle-rdp": ("exhaustive refinement search",
-                   lambda p, seed: _instance_args(p, seed, oracle=False), cmd_oracle_rdp),
+                   lambda p: _instance_args(p, oracle=False), cmd_oracle_rdp),
     "interpolate": ("find c with a1, a2 <= c <= b1, b2",
-                    lambda p, seed: _instance_args(p, seed, False, False), cmd_interpolate),
+                    lambda p: _instance_args(p, False, False), cmd_interpolate),
     "decompose": ("slice decomposition of an algebra", _slices_args, cmd_decompose),
     "classify-perfect": ("perfectness flag report", _slices_args, cmd_classify_perfect),
     "represent": ("verify the representation isomorphism", _represent_args, cmd_represent),
     "functor": ("functor-law checks for a lifted homomorphism", _functor_args, cmd_functor),
 }
-
-
-def _default_seed():
-    """The --seed default: ORDALG_SEED, or 0 when it is unset."""
-    value = os.environ.get("ORDALG_SEED", "0")
-    try:
-        return int(value)
-    except ValueError:
-        raise PreconditionError(f"ORDALG_SEED must be an integer, got {value!r}") from None
 
 
 def _usage_words(action):
@@ -465,37 +455,30 @@ def build_parser():
         epilog=GRAMMAR_HELP,
         formatter_class=_Formatter,
     )
-    seed = _default_seed()
     sub = parser.add_subparsers(dest="verb", required=True)
     for name, (help_text, add_arguments, _handler) in VERBS.items():
-        add_arguments(sub.add_parser(name, help=help_text, formatter_class=_Formatter), seed)
+        add_arguments(sub.add_parser(name, help=help_text, formatter_class=_Formatter))
     return parser
 
 
-@functools.lru_cache
-def _verb_parser(verb, seed):
-    """The parser of one verb alone, with ``seed`` as its --seed default.
-
-    lru_cache's default bound (128 entries) caps what distinct ORDALG_SEED
-    values can keep alive.
-    """
+@functools.cache
+def _verb_parser(verb):
+    """The parser of one verb alone."""
     parser = argparse.ArgumentParser(prog=f"ordalg {verb}", formatter_class=_Formatter)
-    VERBS[verb][1](parser, seed)
+    VERBS[verb][1](parser)
     return parser
 
 
 def _parse_args(argv):
     """argv read by the parser of its verb, which prints that verb's help and errors.
 
-    Each (verb, seed) parser is built once per process and reused, since
-    parsing leaves it unchanged and argparse reads COLUMNS only when it
-    prints.  ORDALG_SEED is read on every call, so a changed value is
-    honoured and a bad one fails every verb.  A missing or unknown verb and
-    leftover arguments go to build_parser, which prints them as the parser
-    of every verb and is built afresh each time.
+    Each verb's parser is built once per process and reused, since parsing
+    leaves it unchanged and argparse reads COLUMNS only when it prints.  A
+    missing or unknown verb and leftover arguments go to build_parser, which
+    prints them as the parser of every verb and is built afresh each time.
     """
     if argv and argv[0] in VERBS:
-        parser = _verb_parser(argv[0], _default_seed())
+        parser = _verb_parser(argv[0])
         args, extra = parser.parse_known_args(argv[1:], argparse.Namespace(verb=argv[0]))
         if not extra:
             return args

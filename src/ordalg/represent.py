@@ -74,9 +74,6 @@ class PhiMap:
         tails = self._tails[key] = (tail, G.neg(tail))
         return tails
 
-    def cyclic_entry(self, t):
-        return self.preimage((t, self._tail_group.zero()))
-
     def __call__(self, x):
         t, gx = x
         if self.corrupt:

@@ -162,9 +162,6 @@ class QuadraticNumber:
         a, b = self.a, self.b
         return _sign(a.numerator, a.denominator, b.numerator, b.denominator, self.d)
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
     def __lt__(self, other):
         return self._cmp(other) < 0
 
@@ -466,11 +463,11 @@ class _Quadratic(ScalarSubgroup):
         hp, hs, hr, hq = hi.a.numerator, hi.a.denominator, hi.b.numerator, hi.b.denominator
         windows = []
         for k in range(-8, 9):
-            # lo < m + k*sqrt(d) < hi for floor(lo - k*sqrt(d)) < m < ceil(hi - k*sqrt(d)),
-            # where ceil(hi - k*sqrt(d)) = -floor(k*sqrt(d) - hi)
-            m_lo = _floor(p, s, r - k * q, q, d) + 1
-            m_hi = -_floor(-hp, hs, k * hq - hr, hq, d)
-            windows.append((m_lo, m_hi - m_lo, k) if m_lo < m_hi else None)
+            # lo <= m + k*sqrt(d) <= hi for ceil(lo - k*sqrt(d)) <= m <= floor(hi - k*sqrt(d)),
+            # where ceil(lo - k*sqrt(d)) = -floor(k*sqrt(d) - lo)
+            m_lo = -_floor(-p, s, k * q - r, q, d)
+            m_hi = _floor(hp, hs, hr - k * hq, hq, d)
+            windows.append((m_lo, m_hi - m_lo + 1, k) if m_lo <= m_hi else None)
         windows = tuple(windows)
 
         def draw(rng):
@@ -484,9 +481,15 @@ class _Quadratic(ScalarSubgroup):
         return draw
 
     def _head_draw(self, hi):
-        # the between draw lands strictly inside (0, hi)
-        between = self._between_draw(self._zero, hi)
-        return lambda rng: (between(rng), False, False)
+        # the ends are read off the drawn (m, k): zero is (0, 0), hi is (hi.a, hi.b)
+        between, hi = self._between_draw(self._zero, hi), self.coerce(hi)
+        zero, top = (0, 0), (hi.a, hi.b)
+
+        def draw(rng):
+            s = between(rng)
+            return s, (s.a, s.b) == zero, (s.a, s.b) == top
+
+        return draw
 
 
 def _order_sign(x, y) -> int:

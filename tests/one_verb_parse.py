@@ -10,14 +10,12 @@ from contextlib import redirect_stderr, redirect_stdout
 import io
 
 from ordalg.cli import _parse_args, build_parser
-from ordalg.errors import PreconditionError
 
 
 def parse_outcome(parse, argv):
     """(namespace or failure, stdout, stderr) of ``parse(argv)``.
 
-    The failure is the exit code of a usage error or a help request, or
-    the message of a bad ORDALG_SEED.
+    The failure is the exit code of a usage error or a help request.
     """
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -25,8 +23,6 @@ def parse_outcome(parse, argv):
             result = vars(parse(list(argv)))
         except SystemExit as exc:
             result = ("exit", exc.code)
-        except PreconditionError as exc:
-            result = ("error", str(exc))
     return result, out.getvalue(), err.getvalue()
 
 

@@ -53,10 +53,10 @@ def sample_between(H, lo, hi, rng):
     for _ in range(40):
         k = rng.randint(-8, 8)
         kb = QuadraticNumber(Fraction(0), Fraction(k), H.d)
-        lo_m = quadratic_floor(lo - kb) + 1
-        hi_m = -quadratic_floor(-(hi - kb))  # ceil
-        if lo_m <= hi_m - 1:
-            m = rng.randint(lo_m, hi_m - 1)
+        lo_m = -quadratic_floor(-(lo - kb))  # ceil
+        hi_m = quadratic_floor(hi - kb)
+        if lo_m <= hi_m:
+            m = rng.randint(lo_m, hi_m)
             return QuadraticNumber(Fraction(m), Fraction(k), H.d)
     return pick_strictly_between(H, lo, hi)
 

@@ -892,21 +892,6 @@ def test_cli_oracle_rdp_non_scalar_discrete_heads():
         assert code == 0 and "#! oracle=found agree=True" in output
 
 
-def test_cli_bad_seed_variable_is_an_input_error(tmp_path, monkeypatch):
-    path = tmp_path / "chain.pea"
-    path.write_text(format_pea_file(finite_chain(2)))
-    monkeypatch.setenv("ORDALG_SEED", "abc")
-    code, output = run_cli("check-axioms", str(path))
-    assert code == 2
-    assert output == (
-        "error: ORDALG_SEED must be an integer, got 'abc'\n"
-        "#! verdict=error message=ORDALG_SEED_must_be_an_integer,_got_'abc'\n"
-    )
-    monkeypatch.setenv("ORDALG_SEED", "5")
-    code, output = run_cli("check-axioms", str(path))
-    assert code == 0
-
-
 @pytest.mark.parametrize("argv, message", [
     (("represent", "--H", "Q", "--G", "Z", "--samples", "0"),
      "argument --samples: must be at least 1, got 0"),

@@ -208,14 +208,13 @@ def run_case(argv):
 
 @pytest.fixture
 def table_dir(tmp_path, monkeypatch):
-    """A working directory holding the five table files, with ORDALG_SEED unset."""
+    """A working directory holding the five table files."""
     (tmp_path / "chain.pea").write_text(CHAIN_PEA, encoding="utf-8")
     (tmp_path / "bool.pea").write_text(BOOL_PEA, encoding="utf-8")
     (tmp_path / "cube3.pea").write_text(CUBE3_PEA, encoding="utf-8")
     (tmp_path / "hsum10.pea").write_text(HSUM10_PEA, encoding="utf-8")
     (tmp_path / "one.pea").write_text(ONE_PEA, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("ORDALG_SEED", raising=False)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

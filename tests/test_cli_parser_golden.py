@@ -67,7 +67,6 @@ def run_parser_case(argv):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_parser_output_is_golden(name, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("ORDALG_SEED", raising=False)
     out = run_parser_case(CASES[name])
     assert out.encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes()
 
@@ -87,62 +86,49 @@ ARGVS = {
 }
 
 
-@pytest.mark.parametrize("seed", [None, "7"])
 @pytest.mark.parametrize("name", sorted(ARGVS))
-def test_one_verb_parser_reads_as_the_full_parser(name, seed, monkeypatch):
-    argv = ARGVS[name]
-    if seed is None:
-        monkeypatch.delenv("ORDALG_SEED", raising=False)
-    else:
-        monkeypatch.setenv("ORDALG_SEED", seed)
-    assert_one_verb_parse_agrees(argv)
+def test_one_verb_parser_reads_as_the_full_parser(name):
+    assert_one_verb_parse_agrees(ARGVS[name])
 
 
 # usage errors and help requests: missing options, a bad type or choice,
-# leftover arguments, help after a verb, a prefix of --help, "--", no verb,
-# an unknown verb and a bad ORDALG_SEED
+# leftover arguments, help after a verb, a prefix of --help, "--", no verb
+# and an unknown verb
 FAILING = [
-    (["check-rdp"], None),
-    (["check-axioms"], None),
-    (["represent", "--H", "Q"], None),
-    (["check-rdp", "--group"], None),
-    (["functor", "--hom", "identity", "--G", "Z", "--H", "Q", "--samples", "x"], None),
-    (["represent", "--H", "Q", "--G", "Z", "--samples", "0"], None),
-    (["decompose", "--pea", "gamma(Z, 1)", "--H", "Z", "--seed", "x"], None),
-    (["check-rdp", *INSTANCE, "--level", "rdp3"], None),
-    (["check-rdp", "--b", "1"], None),
-    (["states", "a.pea", "b.pea"], None),
-    (["states", "x", "--bogus"], None),
-    (["interpolate", *INSTANCE, "--box", "3"], None),
-    (["check-rdp", *INSTANCE, "extra"], None),
-    (["ideals", "--bogus"], None),
-    (["states", "--help"], None),
-    (["states", "-h"], None),
-    (["check-rdp", "--group", "Z", "--help"], None),
-    (["functor", "--he"], None),
-    (["states", "--"], None),
-    (["states", "--", "a", "b"], None),
-    ([], None),
-    (["--help"], None),
-    (["--bogus"], None),
-    (["--", "states", "x"], None),
-    (["frobnicate"], None),
-    (["frobnicate", "--help"], None),
-    (["states", "x"], "abc"),
-    ([], "abc"),
+    ["check-rdp"],
+    ["check-axioms"],
+    ["represent", "--H", "Q"],
+    ["check-rdp", "--group"],
+    ["functor", "--hom", "identity", "--G", "Z", "--H", "Q", "--samples", "x"],
+    ["represent", "--H", "Q", "--G", "Z", "--samples", "0"],
+    ["decompose", "--pea", "gamma(Z, 1)", "--H", "Z", "--seed", "x"],
+    ["check-rdp", *INSTANCE, "--level", "rdp3"],
+    ["check-rdp", "--b", "1"],
+    ["states", "a.pea", "b.pea"],
+    ["states", "x", "--bogus"],
+    ["interpolate", *INSTANCE, "--box", "3"],
+    ["check-rdp", *INSTANCE, "extra"],
+    ["ideals", "--bogus"],
+    ["states", "--help"],
+    ["states", "-h"],
+    ["check-rdp", "--group", "Z", "--help"],
+    ["functor", "--he"],
+    ["states", "--"],
+    ["states", "--", "a", "b"],
+    [],
+    ["--help"],
+    ["--bogus"],
+    ["--", "states", "x"],
+    ["frobnicate"],
+    ["frobnicate", "--help"],
 ]
 
 
-@pytest.mark.parametrize("argv, seed", FAILING, ids=[" ".join(a) or "-" for a, _ in FAILING])
-def test_verb_parser_fails_as_the_full_parser(argv, seed, monkeypatch):
+@pytest.mark.parametrize("argv", FAILING, ids=[" ".join(a) or "-" for a in FAILING])
+def test_verb_parser_fails_as_the_full_parser(argv, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    if seed is None:
-        monkeypatch.delenv("ORDALG_SEED", raising=False)
-    else:
-        monkeypatch.setenv("ORDALG_SEED", seed)
     result, _out, _err = assert_one_verb_parse_agrees(argv)
-    bad_seed = ("error", "ORDALG_SEED must be an integer, got 'abc'")
-    assert result in (("exit", 0), ("exit", 2), bad_seed)
+    assert result in (("exit", 0), ("exit", 2))
 
 
 @pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse keeps an option with its value")
@@ -150,7 +136,7 @@ def test_usage_wraps_as_argparse_does_up_to_3_12(monkeypatch):
     # at every width, not only the goldens' 80 columns; the verb parsers of
     # build_parser print what each verb's own parser prints (above)
     def every_parser():
-        return [build_parser(), *(_verb_parser.__wrapped__(verb, 0) for verb in VERBS)]
+        return [build_parser(), *(_verb_parser.__wrapped__(verb) for verb in VERBS)]
 
     for columns in range(10, 161):
         monkeypatch.setenv("COLUMNS", str(columns))
@@ -169,7 +155,6 @@ def test_usage_wraps_as_argparse_does_up_to_3_12(monkeypatch):
 
 
 def test_verb_help_follows_the_columns_of_each_call(monkeypatch):
-    monkeypatch.delenv("ORDALG_SEED", raising=False)
     argv = ["check-rdp", "--help"]
     printed = []
     for columns in ("80", "120", "80"):
@@ -199,7 +184,6 @@ def test_a_usage_error_leaves_the_next_call_as_it_would_be_alone(
     (tmp_path / "chain.pea").write_text(CHAIN_PEA, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("ORDALG_SEED", raising=False)
     alone = []
     for argv in (failing, passing):
         _verb_parser.cache_clear()
@@ -210,36 +194,11 @@ def test_a_usage_error_leaves_the_next_call_as_it_would_be_alone(
     assert [run_parser_case(argv) for argv in (failing, passing)] == alone
 
 
-def test_seed_default_follows_ordalg_seed_across_calls(monkeypatch, capsys):
-    # the verbs that take --seed, then one that does not
-    argvs = [
-        ["decompose", "--pea", "gamma(Z, 1)", "--H", "Z"],
-        ["classify-perfect", "--pea", "gamma(Z, 1)", "--H", "Z"],
-        ["represent", "--H", "Q", "--G", "Z"],
-        ["functor", "--hom", "identity", "--G", "Z", "--H", "Q"],
-        ["states", "x"],
-    ]
-    bad_seed = "ORDALG_SEED must be an integer, got 'abc'"
-    for value in ("5", "7", "abc", "5"):
-        monkeypatch.setenv("ORDALG_SEED", value)
-        for argv in argvs:
-            result, _out, _err = assert_one_verb_parse_agrees(argv)
-            if value == "abc":
-                assert result == ("error", bad_seed)
-                assert main(list(argv)) == 2
-                assert capsys.readouterr().out == (
-                    f"error: {bad_seed}\n#! verdict=error message={bad_seed.replace(' ', '_')}\n"
-                )
-            else:
-                assert result.get("seed", int(value)) == int(value)
-
-
 @pytest.mark.parametrize("seed", [1, 7])
 @pytest.mark.parametrize("workload", ["finite", "interval"])
 def test_one_verb_parser_reads_the_benchmark_corpora(workload, seed, tmp_path, monkeypatch):
     # the refine and oracle corpora call the package, not the CLI
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    monkeypatch.delenv("ORDALG_SEED", raising=False)
     workloads = importlib.import_module("workloads")
     api, argvs = workloads.Api(), []
     api.cli = SimpleNamespace(main=lambda argv: argvs.append(argv) or 0)

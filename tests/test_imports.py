@@ -15,7 +15,9 @@ descriptor class defines the ``_linear_compare`` that ``_sign`` replaced.
 A sixth keeps the package's draws on the public ``random.Random`` API: no
 module reads a private attribute such as ``_randbelow``, so the draw plans'
 ``randrange`` calls equal the ``randint`` stream on every interpreter that
-the suite runs on.
+the suite runs on.  A seventh keeps the package off the process
+environment: no module reads ``os.environ`` or ``os.getenv``, so a run
+depends on its arguments alone.
 """
 
 import ast
@@ -190,4 +192,41 @@ def test_no_module_reads_a_private_random_attribute():
     reads = {
         path.name: random_private_reads(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")
     }
+    assert {name: found for name, found in reads.items() if found} == {}
+
+
+ENVIRONMENT_NAMES = frozenset({"environ", "environb", "getenv", "getenvb"})
+
+
+def environment_reads(source):
+    """(line, name) of each read of the process environment through ``os``, under any alias."""
+    tree = ast.parse(source)
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "os"
+    }
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            found.update((node.lineno, a.name) for a in node.names if a.name in ENVIRONMENT_NAMES)
+        elif (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES
+              and isinstance(node.value, ast.Name) and node.value.id in aliases):
+            found.add((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_the_scan_finds_an_environment_read():
+    assert environment_reads("import os\nseed = os.environ.get('SEED', '0')\n") == [(2, "environ")]
+    assert environment_reads("import os as o\nseed = o.getenv('SEED')\n") == [(2, "getenv")]
+    assert environment_reads("from os import environ, path\n") == [(1, "environ")]
+    assert environment_reads("import os\nos.dup2(os.open(os.devnull, os.O_WRONLY), 1)\n") == []
+    assert environment_reads("environ = {}\nenviron.get('SEED')\n") == []
+
+
+def test_no_module_reads_the_environment():
+    # --seed and the other options are the only inputs of a run
+    reads = {path.name: environment_reads(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
     assert {name: found for name, found in reads.items() if found} == {}

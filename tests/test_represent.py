@@ -67,7 +67,7 @@ def test_phi_identity_on_canonical():
 def test_phi_on_cyclic_entry():
     E = build_lex_pea(H4, Z, f(4))
     phi = phi_represent(E)
-    c = phi.cyclic_entry(Fraction(1, 2))
+    c = phi.preimage((Fraction(1, 2), Z.zero()))
     assert c == (Fraction(1, 2), f(2))
     assert phi(c) == (Fraction(1, 2), f(0))
 
@@ -119,7 +119,7 @@ def test_verify_isomorphism_clean(H, G, spec):
         x = shuffled.sample(rng)
         t, tail = x
         fx = phi(x)
-        assert fx == (t, G.sub_right(tail, phi.cyclic_entry(t)[1]))
+        assert fx == (t, G.sub_right(tail, phi.preimage((t, G.zero()))[1]))
         assert phi.preimage(fx) == x
         z = phi.target.sample(rng)
         assert phi(phi.preimage(z)) == z
@@ -208,7 +208,7 @@ def test_cyclic_entries_by_head_equal_the_integral_action(H, G, g0):
     phi = PhiMap(E, build_lex_pea(H, G))
     for _ in range(2):  # the second pass reads the kept entries
         for t in grid_points(H):
-            assert phi.cyclic_entry(t) == (t, _integral_action(G, g0, t))
+            assert phi.preimage((t, G.zero())) == (t, _integral_action(G, g0, t))
 
 
 @pytest.mark.parametrize(
@@ -231,7 +231,6 @@ def test_phi_keeps_entries_by_head_value(H, G, g0, heads):
             c_t = _integral_action(G, g0, t)
             assert phi((t, tail)) == (t, G.add(tail, G.neg(c_t)))
             assert phi.preimage((t, tail)) == (t, G.add(tail, c_t))
-            assert phi.cyclic_entry(t) == (t, c_t)
     # an int head and the equal Fraction head give equal images
     assert phi((1, G.zero())) == phi((f(1), G.zero())) == (1, G.neg(_integral_action(G, g0, 1)))
 
@@ -242,12 +241,10 @@ def test_missing_cyclic_entry_raises_on_every_call():
     half = Fraction(1, 2)
     for _ in range(2):
         with pytest.raises(PreconditionError):
-            phi.cyclic_entry(half)
-        with pytest.raises(PreconditionError):
             phi((half, f(0)))
         with pytest.raises(PreconditionError):
             phi.preimage((half, f(0)))
-    assert phi.cyclic_entry(f(1)) == (f(1), f(1))
+    assert phi.preimage((f(1), Z.zero())) == (f(1), f(1))
 
 
 def test_corrupted_phi_fails_after_the_clean_map_kept_its_entries():
@@ -552,7 +549,7 @@ def test_lattice_positive_negative_parts_of_slice_differences():
     rng = random.Random(31)
     for _ in range(150):
         x = E.sample(rng)
-        c = phi.cyclic_entry(x[0])
+        c = phi.preimage((x[0], Z2.zero()))
         diff = G.sub_right(x, c)
         pos = G.sub_right(g.join(G, x, c), c)  # (x v c) - c
         neg_part = G.sub_right(c, G.meet(x, c))  # c - (x ^ c)

@@ -181,7 +181,7 @@ def test_one_algebra_draws_at_several_bounds_as_the_reference():
         # k_hi = 10**12: the (1/3)Z head is planned without listing its grid
         (g.Lex(g.Scalar(ScalarSubgroup.cyclic(3)), g.ZZ), (Fraction(10**12, 3), 5)),
         (g.Lex(g.QQ, g.ZZ), (Fraction(7, 3), -2)),
-        # 3 + 2*sqrt(2): the window of k = 0 holds m = 1..5
+        # 3 + 2*sqrt(2): the window of k = 0 holds m = 0..5
         (g.Lex(QS2, g.IntVector(2)), (QuadraticNumber(3, 2, 2), (1, 0))),
         (g.Lex(g.AffineQ(), g.ZZ), ((Fraction(3), Fraction(-1, 2)), 4)),
         (g.Lex(g.AffineQ(), g.IntVector(2)), ((Fraction(5, 2), Fraction(3)), (1, 2))),
@@ -243,7 +243,7 @@ def draw_digest(values):
         (lambda: make_shuffled(ScalarSubgroup.cyclic(4), g.ZZ, ("translate", 1))[0],
          "11acaa7aae674e20"),
         (lambda: make_shuffled(ScalarSubgroup.quadratic(2), g.IntVector(2), ("permute", (1, 0)))[0],
-         "41476a73721bc1f0"),
+         "7b88ec0244ca60cb"),
         (lambda: parse_interval_pea("gamma(lex(Z, Aff), (1, (2, 0)))"), "a0526065beaa91f9"),
     ],
     ids=["lex(Q, Z)", "lex(Q, Z^2)", "lex(Z/4, Z) translate", "lex(Q[sqrt 2], Z^2)",
@@ -252,6 +252,17 @@ def draw_digest(values):
 def test_interval_draws_are_pinned(algebra, digest):
     E, rng = algebra(), random.Random(32)
     assert draw_digest([E.sample(rng) for _ in range(200)]) == digest
+
+
+def test_quadratic_heads_reach_both_ends_of_the_interval():
+    # the windows are closed, so the slices E_0 and E_1 are drawn, and a head
+    # drawn at 1 takes a tail below the unit's tail 0
+    E = build_lex_pea(ScalarSubgroup.quadratic(2), g.IntVector(2))
+    rng = random.Random(0)
+    draws = [E.sample(rng) for _ in range(5000)]
+    assert all(E.contains(x) for x in draws)
+    heads = {x[0] for x in draws}
+    assert E.zero[0] in heads and E.unit[0] in heads
 
 
 def test_lex_over_lex_heads_draws_are_pinned():
