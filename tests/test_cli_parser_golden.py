@@ -30,7 +30,7 @@ import pytest
 from ordalg import cli
 from ordalg.cli import VERBS, _verb_parser, build_parser, main
 
-from one_verb_parse import assert_one_verb_parse_agrees
+from one_verb_parse import assert_one_verb_parse_agrees, parse_outcome
 from test_cli_golden import CASES as GOLDEN_CASES, CHAIN_PEA
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_parser"
@@ -86,8 +86,21 @@ ARGVS = {
 }
 
 
+def ready_verb_parser(argv, cache):
+    """A verb parser built afresh ("cold") or one that has read argv once ("warm").
+
+    The verb parsers are cached on the claim that parsing leaves them
+    unchanged, so a warm one must read argv as a cold one does.
+    """
+    _verb_parser.cache_clear()
+    if cache == "warm":
+        parse_outcome(cli._parse_args, argv)
+
+
+@pytest.mark.parametrize("cache", ["cold", "warm"])
 @pytest.mark.parametrize("name", sorted(ARGVS))
-def test_one_verb_parser_reads_as_the_full_parser(name):
+def test_one_verb_parser_reads_as_the_full_parser(name, cache):
+    ready_verb_parser(ARGVS[name], cache)
     assert_one_verb_parse_agrees(ARGVS[name])
 
 
@@ -124,9 +137,11 @@ FAILING = [
 ]
 
 
+@pytest.mark.parametrize("cache", ["cold", "warm"])
 @pytest.mark.parametrize("argv", FAILING, ids=[" ".join(a) or "-" for a in FAILING])
-def test_verb_parser_fails_as_the_full_parser(argv, monkeypatch):
+def test_verb_parser_fails_as_the_full_parser(argv, cache, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
+    ready_verb_parser(argv, cache)
     result, _out, _err = assert_one_verb_parse_agrees(argv)
     assert result in (("exit", 0), ("exit", 2))
 
