@@ -109,8 +109,9 @@ class LexDecomposition:
 
 def _require_unit_head(E: IntervalPea):
     """The slices E_t = {(t, g)} index [0, 1] only under a unit (1, g0)."""
+    one = E.head_subgroup.one()  # first, so an interval without slices is refused
     head = E.unit[0]
-    if _order_sign(head, E.head_subgroup.one()) != 0:
+    if _order_sign(head, one) != 0:
         raise PreconditionError(
             f"lex slice decompositions need the unit head 1, got {format_scalar(head)}"
         )
@@ -149,10 +150,7 @@ def decomposition_from_state(E, s, H: ScalarSubgroup, allow_subset=False):
         proper = not H.is_dense and set(buckets) == {Fraction(k, H.n) for k in range(H.n + 1)}
         if not proper and not allow_subset:
             missing = "a dense set" if H.is_dense else "some grid points"
-            raise PreconditionError(
-                f"state range misses {missing} of [0,1] in {H}; "
-                "pass allow_subset=True for the empty-slice variant"
-            )
+            raise PreconditionError(f"state range misses {missing} of [0,1] in {H}")
         slices = tuple(
             sorted(((t, frozenset(m)) for t, m in buckets.items()), key=lambda p: p[0])
         )
@@ -162,26 +160,21 @@ def decomposition_from_state(E, s, H: ScalarSubgroup, allow_subset=False):
         if witness is not None:
             raise PreconditionError(f"state preimages violate a decomposition law: {witness}")
         return D
-    if isinstance(E, IntervalPea) and E.is_lex_scalar:
-        if not isinstance(s, FirstCoordinateState):
-            raise UnsupportedError("interval algebras use the first coordinate state")
-        _require_unit_head(E)
-        head_H = E.head_subgroup
-        grid = tuple(grid_points(H))
-        # every value s((t, g)) = t lies in H; a head over H itself has the same grid
-        t = _point_outside(grid if head_H == H else grid_points(head_H), head_H, H)
-        if t is not None:
-            x = E.group.format_element((t, E.tail_group.zero()))
-            raise PreconditionError(f"state is not valued in {H}: s({x}) = {format_scalar(t)}")
-        # every H index must be attained, else slices are empty
-        missing = _point_outside(grid, H, head_H)
-        if missing is not None and not allow_subset:
-            raise PreconditionError(
-                f"slice at t = {format_scalar(missing)} is empty; "
-                "pass allow_subset=True for the empty-slice variant"
-            )
-        return LexDecomposition(H, E, grid, missing is None)
-    raise UnsupportedError(f"unsupported algebra {E!r}")
+    if not isinstance(s, FirstCoordinateState):
+        raise UnsupportedError("interval algebras use the first coordinate state")
+    _require_unit_head(E)
+    head_H = E.head_subgroup
+    grid = tuple(grid_points(H))
+    # every value s((t, g)) = t lies in H; a head over H itself has the same grid
+    t = _point_outside(grid if head_H == H else grid_points(head_H), head_H, H)
+    if t is not None:
+        x = E.group.format_element((t, E.tail_group.zero()))
+        raise PreconditionError(f"state is not valued in {H}: s({x}) = {format_scalar(t)}")
+    # every H index must be attained, else slices are empty
+    missing = _point_outside(grid, H, head_H)
+    if missing is not None and not allow_subset:
+        raise PreconditionError(f"slice at t = {format_scalar(missing)} is empty")
+    return LexDecomposition(H, E, grid, missing is None)
 
 
 def state_from_decomposition(E, D):
@@ -547,11 +540,9 @@ def classify_perfect(E, H: ScalarSubgroup) -> PerfectReport:
         ordered_report, type_i, directness, cyc = _finite_slices(E, H)
         # torsion-freeness of an abstract ambient group is not determinable here
         missing, tf = None, None
-    elif isinstance(E, IntervalPea) and E.is_lex_scalar:
+    else:
         missing, ordered_report, type_i, directness, cyc = _lex_slices(E, H)
         tf = E.group.is_torsion_free()
-    else:
-        raise UnsupportedError(f"unsupported algebra {E!r}")
     is_perfect = ordered_report is not None and ordered_report.ordered
     one_div, strong_div, first_fail, unique = _divisibility_scan(E)
     sym = is_symmetric(E).symmetric

@@ -313,28 +313,30 @@ class IntervalPea:
 
     # -- lexicographic structure helpers ------------------------------------
 
-    @property
-    def is_lex_scalar(self):
-        return isinstance(self.group, g.Lex) and isinstance(self.group.top, g.Scalar)
+    @functools.cached_property
+    def _lex(self):
+        """(H, G, g0) for [0, (h, g0)] in Lex(Scalar(H), G), the intervals that
+        split into slices; the one refusal of every other interval."""
+        group = self.group
+        if not (isinstance(group, g.Lex) and isinstance(group.top, g.Scalar)):
+            raise UnsupportedError(
+                f"gamma({group}, {group.format_element(self.unit)}) is not an interval "
+                "of lex(H, G) with a scalar head H"
+            )
+        return group.top.H, group.bottom, self.unit[1]
 
     @property
     def head_subgroup(self) -> ScalarSubgroup:
-        if not self.is_lex_scalar:
-            raise UnsupportedError("not a scalar-headed lexicographic interval")
-        return self.group.top.H
+        return self._lex[0]
 
     @property
     def tail_group(self):
-        if not self.is_lex_scalar:
-            raise UnsupportedError("not a scalar-headed lexicographic interval")
-        return self.group.bottom
+        return self._lex[1]
 
     @property
     def tail_unit(self):
         """The bottom component g0 of the unit (1, g0)."""
-        if not self.is_lex_scalar:
-            raise UnsupportedError("not a scalar-headed lexicographic interval")
-        return self.unit[1]
+        return self._lex[2]
 
     def __repr__(self):
         return f"IntervalPea({self.group}, unit={self.group.format_element(self.unit)})"
@@ -452,17 +454,14 @@ def ideals_enumerate(E: FinitePea) -> IdealsReport:
 
 @dataclass(frozen=True)
 class SymbolicInfinitesimals:
-    """The slice {(0, g): g >= 0} of a scalar-headed lex interval."""
+    """The slice {(0, g): g >= 0} of an interval in Lex(Scalar(H), G)."""
 
-    pea: IntervalPea
+    H: ScalarSubgroup
+    G: g.GroupDescriptor
 
     def contains(self, x) -> bool:
         head, tail = x
-        H = self.pea.head_subgroup
-        return (
-            _order_sign(head, H.zero()) == 0
-            and g.positive_cone_member(self.pea.tail_group, tail)
-        )
+        return _order_sign(head, self.H.zero()) == 0 and g.positive_cone_member(self.G, tail)
 
     __contains__ = contains
 
@@ -478,9 +477,7 @@ def infinitesimals(E):
     """
     if isinstance(E, FinitePea):
         return {E.zero}
-    if isinstance(E, IntervalPea) and E.is_lex_scalar:
-        return SymbolicInfinitesimals(E)
-    raise UnsupportedError("infinitesimals need a finite algebra or a scalar-headed lex interval")
+    return SymbolicInfinitesimals(E.head_subgroup, E.tail_group)
 
 
 # ---------------------------------------------------------------------------
@@ -498,21 +495,19 @@ def cyclic_elements(E, n: int):
     """All a with na = 1, each flagged strong when central.
 
     Finite algebras search exhaustively and use commutation inside E as the
-    strength probe; interval algebras over Lex(Scalar(H), G) solve
-    n*(t, g) = unit exactly and test group-center membership.
+    strength probe; interval algebras, lex or not, solve n*x = unit
+    exactly and test group-center membership.
     """
     if n < 1:
         raise PreconditionError("order must be >= 1")
     if isinstance(E, FinitePea):
         return [CyclicElement(a, n, E._central(a)) for a in E.elements() if E.times(n, a) == E.one]
-    if isinstance(E, IntervalPea):
-        # all supported descriptors are torsion-free, so the root is unique
-        c = g.divide(E.group, E.unit, n)
-        if c is None or not E.contains(c):
-            return []
-        assert E.group.scale(c, n) == E.unit
-        return [CyclicElement(c, n, E.group.center_member(c))]
-    raise UnsupportedError(f"unsupported algebra {E!r}")
+    # all supported descriptors are torsion-free, so the root is unique
+    c = g.divide(E.group, E.unit, n)
+    if c is None or not E.contains(c):
+        return []
+    assert E.group.scale(c, n) == E.unit
+    return [CyclicElement(c, n, E.group.center_member(c))]
 
 
 @dataclass(frozen=True)
@@ -533,10 +528,8 @@ def is_symmetric(E) -> SymmetryVerdict:
     if isinstance(E, FinitePea):
         witness = next((a for a in E.elements() if E.lneg(a) != E.rneg(a)), None)
         return SymmetryVerdict(witness is None, witness)
-    if isinstance(E, IntervalPea) and E.is_lex_scalar:
-        y = E.tail_group._commutant(E.tail_unit)
-        return SymmetryVerdict(True) if y is None else SymmetryVerdict(False, (E.zero[0], y))
-    raise UnsupportedError(f"unsupported algebra {E!r}")
+    y = E.tail_group._commutant(E.tail_unit)
+    return SymmetryVerdict(True) if y is None else SymmetryVerdict(False, (E.zero[0], y))
 
 
 @dataclass(frozen=True)

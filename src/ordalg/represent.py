@@ -97,7 +97,7 @@ def phi_represent(E: IntervalPea) -> PhiMap:
     The algebra is classified first; the canonical target shares the tail
     group and carries the unit (1, 0).
     """
-    if not (isinstance(E, IntervalPea) and E.is_lex_scalar):
+    if not isinstance(E, IntervalPea):
         raise UnsupportedError("representation needs a scalar-headed lex interval")
     H = E.head_subgroup
     report = classify_perfect(E, H)

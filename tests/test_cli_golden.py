@@ -79,7 +79,9 @@ add 0 0 0
 # box misses the only table, which leaves the agreement inconclusive under
 # check-rdp and the verdict inconclusive under oracle-rdp; and the level
 # decompositions over Z/2 of 2^2 and of the ten-block sum, whose ordered
-# (1/2)Z-valued states are no extremal states
+# (1/2)Z-valued states are no extremal states; and the input errors of the
+# slice verbs: an interval that is no lex interval with a scalar head, and a
+# head that misses a slice of the requested grid
 CASES = {
     "01_check_axioms": ["check-axioms", "chain.pea"],
     "02_states": ["states", "chain.pea"],
@@ -194,6 +196,11 @@ CASES = {
     "44_represent_g0_beside_shuffle": [
         "represent", "--H", "Z/2", "--G", "Z", "--g0", "garbage", "--shuffle", "identity",
         "--samples", "5",
+    ],
+    "45_classify_perfect_not_lex": ["classify-perfect", "--pea", "gamma(Z, 3)", "--H", "Z/3"],
+    "46_decompose_not_lex": ["decompose", "--pea", "gamma(prod(Z, Z), (1, 1))", "--H", "Z/1"],
+    "47_decompose_head_misses_a_slice": [
+        "decompose", "--pea", "gamma(lex(Z/4, Z), (1, 0))", "--H", "Q",
     ],
 }
 

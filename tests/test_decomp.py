@@ -26,7 +26,8 @@ from ordalg.decomp import (
     find_cyclic_system,
     state_from_decomposition,
 )
-from ordalg.errors import PreconditionError
+from ordalg.errors import PreconditionError, UnsupportedError
+from ordalg.parsing import parse_interval_pea
 from ordalg.pea import (
     FinitePea,
     IntervalPea,
@@ -36,8 +37,10 @@ from ordalg.pea import (
     cyclic_elements,
     finite_chain,
     ideals_enumerate,
+    infinitesimals,
     is_symmetric,
 )
+from ordalg.represent import difference_group, phi_represent
 from ordalg.scalars import Ordering, QuadraticNumber, ScalarSubgroup, compare, grid_points
 from ordalg.states import FiniteState, FirstCoordinateState, states_finite
 
@@ -1017,3 +1020,27 @@ def test_one_element_algebra_answers_are_unchanged():
     )
     for H in (ScalarSubgroup.cyclic(1), H2, HQ, HR2):
         assert classify_perfect(E, H) == expected
+
+
+# intervals that do not split into slices: a scalar group, a product and Aff
+NOT_LEX = ["gamma(Z, 3)", "gamma(prod(Z, Z), (1, 1))", "gamma(Aff, (16, 5))"]
+SLICE_ENTRY_POINTS = {
+    "infinitesimals": infinitesimals,
+    "is_symmetric": is_symmetric,
+    "decomposition_from_state": lambda E: decomposition_from_state(E, FirstCoordinateState(E), H2),
+    "classify_perfect": lambda E: classify_perfect(E, H2),
+    "phi_represent": phi_represent,
+    "difference_group": lambda E: difference_group(E, [E.zero]),
+    "FirstCoordinateState.H": lambda E: FirstCoordinateState(E).H,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SLICE_ENTRY_POINTS))
+@pytest.mark.parametrize("spec", NOT_LEX)
+def test_an_interval_without_slices_gets_one_refusal(spec, entry):
+    # every entry point of the slice layer refuses it alike, naming the
+    # algebra as it is written, before it reads a coordinate of the unit
+    E = parse_interval_pea(spec)
+    with pytest.raises(UnsupportedError) as info:
+        SLICE_ENTRY_POINTS[entry](E)
+    assert str(info.value) == f"{spec} is not an interval of lex(H, G) with a scalar head H"
