@@ -19,10 +19,10 @@ from ordalg.decomp import (
 )
 from ordalg.pea import finite_chain
 from ordalg.represent import (
+    DifferenceGroup,
     GroupHom,
     PhiMap,
     build_lex_pea,
-    difference_group,
     functor_map,
     make_shuffled,
     phi_represent,
@@ -81,8 +81,8 @@ print()
 print("=== the bottom slice generates a directed group of differences ===")
 E3 = build_lex_pea(HQ, g.IntVector(2))
 grid = [(HQ.zero(), (i, j)) for i in range(4) for j in range(4)]
-dg, embed = difference_group(E3, grid)
-p = dg.add(embed((HQ.zero(), (1, 0))), dg.neg(embed((HQ.zero(), (0, 2)))))
+dg = DifferenceGroup(E3, grid)
+p = dg.add(dg.embed((HQ.zero(), (1, 0))), dg.neg(dg.embed((HQ.zero(), (0, 2)))))
 print(f"  [(1,0)] - [(0,2)] is positive: {dg.is_positive(p)} (it is (1, -2))")
 print(f"  cancellation: {dg.add(p, dg.neg(p)) == dg.zero}")
 

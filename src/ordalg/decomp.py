@@ -1,14 +1,17 @@
 """Decompositions of pseudo effect algebras into scalar-indexed slices.
 
 A decomposition over a scalar subgroup H partitions the algebra into
-nonempty slices (E_t : t in [0,1] of H) compatible with the negations
-(E_t maps to E_{1-t}) and with addition (sums land in the index sum).
-Finite algebras carry explicit slice sets, and their laws are checked
-exhaustively on the algebra's element bitsets: slice t gets the integer
-index t*L, L the common denominator of the indices, so each law is one pass
-over the members or the defined pairs with integer sums and bitset tests,
-and a witness is searched for only once a law fails.  An interval E = Gamma(Lex(Scalar(H'), G), (1, g0)) carries
-the symbolic slices E_t = {(t, g)} with a finite witness grid, and its laws
+nonempty slices (E_t : t in [0,1] of H), one at every point of [0,1] of H,
+compatible with the negations (E_t maps to E_{1-t}) and with addition (sums
+land in the index sum).  No decomposition this module returns has a void
+slice.  Finite algebras carry explicit slice sets over a discrete H = (1/n)Z
+(a dense H has infinitely many points), and their laws, a slice at every
+k/n among them, are checked exhaustively on the algebra's element bitsets: slice t gets the integer
+index t*n, so each law is one pass over the members or the defined pairs
+with integer sums and bitset tests, and a witness is searched for only once
+a law fails.  An interval E = Gamma(Lex(Scalar(H'), G), (1, g0)) carries
+the symbolic slices E_t = {(t, g)} with a finite witness grid, checked when
+made to have a slice at every point of [0,1] of H, and its laws
 are decided by head arithmetic, with no sampling.  For x = (s, gx) and
 y = (t, gy):
 
@@ -29,7 +32,8 @@ and, adding E_0, every tail at head t, so its sums reach the unit.  Every
 descriptor here is directed; the verdicts read ``is_directed`` all the same.
 Pseudo effect algebras of this kind are the unit intervals Gamma(G, u) of
 Dvurecenskij and Vetterlein ("Pseudoeffect algebras I/II", 2001).  All of
-this needs the unit head 1, which every lex decomposition path checks.
+this needs the unit head 1, which ``LexDecomposition`` checks, beside
+every head lying in H and every grid point of H being a head.
 
 States and decompositions determine each other: slices are state preimages
 and the slice index is the state value.  The checks in this module verify
@@ -57,7 +61,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
-from math import lcm
 
 from . import groups as g
 from .errors import PreconditionError, UnsupportedError
@@ -87,20 +90,34 @@ from .states import FiniteState, FirstCoordinateState
 
 @dataclass(frozen=True)
 class FiniteDecomposition:
+    """Explicit slices of a finite algebra over H = (1/n)Z, indexed in H (a
+    dense H has infinitely many points); the laws check a slice at each k/n."""
+
     H: ScalarSubgroup
     pea: FinitePea
     slices: tuple  # ((t, frozenset), ...) sorted by t
-    proper: bool  # False: the flagged variant where some slices stay empty
+
+    def __post_init__(self):
+        if self.H.is_dense:
+            raise PreconditionError(f"a finite algebra has no slice at every point of [0,1] in {self.H}")
+        for t, _ in self.slices:
+            if not self.H.contains(t):
+                raise PreconditionError(f"slice index {format_scalar(t)} is not in {self.H}")
 
 
 @dataclass(frozen=True)
 class LexDecomposition:
-    """Symbolic slices E_t = {(t, g)} of an interval over Lex(Scalar(H'), G)."""
+    """Symbolic slices E_t = {(t, g)} of an interval over Lex(Scalar(H'), G),
+    one at each point of [0,1]_H (``_missing_slice``)."""
 
     H: ScalarSubgroup
     pea: IntervalPea
     grid: tuple  # witness grid of [0,1]_H
-    proper: bool = True
+
+    def __post_init__(self):
+        missing = _missing_slice(self.pea, self.H, self.grid)
+        if missing is not None:
+            raise PreconditionError(f"slice at t = {format_scalar(missing)} is empty")
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +146,26 @@ def _point_outside(grid, S: ScalarSubgroup, T: ScalarSubgroup):
     return next((t for t in chain(grid, past) if not T.contains(t)), None)
 
 
-def decomposition_from_state(E, s, H: ScalarSubgroup, allow_subset=False):
-    """Slices as preimages of an H-valued state.
+def _missing_slice(E: IntervalPea, H: ScalarSubgroup, grid):
+    """A point of H's witness ``grid`` that no head of E attains, or None;
+    an E whose unit head is not 1 or with a head outside H is refused."""
+    _require_unit_head(E)
+    head_H = E.head_subgroup
+    if head_H == H:
+        return None
+    t = _point_outside(grid_points(head_H), head_H, H)
+    if t is not None:
+        x = E.group.format_element((t, E.tail_group.zero()))
+        raise PreconditionError(f"state is not valued in {H}: s({x}) = {format_scalar(t)}")
+    return _point_outside(grid, H, head_H)
 
-    A state value outside H is an error naming the element; attained values
-    that miss part of [0,1] of H are tolerated only with ``allow_subset``
-    (the empty-slice variant) and yield ``proper=False``.
+
+def decomposition_from_state(E, s, H: ScalarSubgroup):
+    """Slices as preimages of an H-valued state, one at each point of [0,1]_H.
+
+    A state value outside H is an error naming the element.  A point of
+    [0,1]_H that no element takes is an error too: a finite algebra needs
+    every k/n of H = (1/n)Z, and a dense H has too many points for it.
     """
     if isinstance(E, FinitePea):
         if not isinstance(s, FiniteState):
@@ -147,34 +178,18 @@ def decomposition_from_state(E, s, H: ScalarSubgroup, allow_subset=False):
         buckets = {}
         for a in E.elements():
             buckets.setdefault(H.coerce(s(a)), set()).add(a)
-        proper = not H.is_dense and set(buckets) == {Fraction(k, H.n) for k in range(H.n + 1)}
-        if not proper and not allow_subset:
-            missing = "a dense set" if H.is_dense else "some grid points"
-            raise PreconditionError(f"state range misses {missing} of [0,1] in {H}")
         slices = tuple(
             sorted(((t, frozenset(m)) for t, m in buckets.items()), key=lambda p: p[0])
         )
-        D = FiniteDecomposition(H, E, slices, proper)
-        # a caller's value table need not be a state
+        D = FiniteDecomposition(H, E, slices)
+        # a caller's value table need not be a state, nor take every k/n
         witness = _finite_type_ii_violation(D)
         if witness is not None:
             raise PreconditionError(f"state preimages violate a decomposition law: {witness}")
         return D
     if not isinstance(s, FirstCoordinateState):
         raise UnsupportedError("interval algebras use the first coordinate state")
-    _require_unit_head(E)
-    head_H = E.head_subgroup
-    grid = tuple(grid_points(H))
-    # every value s((t, g)) = t lies in H; a head over H itself has the same grid
-    t = _point_outside(grid if head_H == H else grid_points(head_H), head_H, H)
-    if t is not None:
-        x = E.group.format_element((t, E.tail_group.zero()))
-        raise PreconditionError(f"state is not valued in {H}: s({x}) = {format_scalar(t)}")
-    # every H index must be attained, else slices are empty
-    missing = _point_outside(grid, H, head_H)
-    if missing is not None and not allow_subset:
-        raise PreconditionError(f"slice at t = {format_scalar(missing)} is empty")
-    return LexDecomposition(H, E, grid, missing is None)
+    return LexDecomposition(H, E, tuple(grid_points(H)))
 
 
 def state_from_decomposition(E, D):
@@ -185,48 +200,30 @@ def state_from_decomposition(E, D):
             raise PreconditionError(f"decomposition law fails: {witness}")
         values = [None] * E.size
         for t, members in D.slices:
-            value = _index_value(t)
+            value = Fraction(D.H.coerce(t))
             for a in members:
                 values[a] = value
         if any(v is None for v in values):
             raise PreconditionError("slices do not cover the algebra")
         return FiniteState(tuple(values))
     if isinstance(D, LexDecomposition):
-        _require_unit_head(D.pea)  # the laws then hold by head arithmetic
-        return FirstCoordinateState(D.pea)
+        return FirstCoordinateState(D.pea)  # the laws hold by head arithmetic
     raise UnsupportedError(f"unsupported decomposition {D!r}")
 
 
-def _index_value(t):
-    """A rational index as a Fraction; a + b*sqrt(d) with b != 0 stays exact."""
-    if isinstance(t, QuadraticNumber):
-        return t if t.b != 0 else Fraction(t.a)
-    return Fraction(t)
-
-
 class _SliceBits:
-    """The slices of a finite decomposition as element bitsets, indexed by
-    integers k = t*L, where L is the least common denominator of the t.
+    """The slices of a finite decomposition over (1/n)Z as element bitsets,
+    indexed by the integers k = t*n, so the laws add and compare integers.
 
-    Rational indices give int keys, so the laws add and compare integers.
-    An index a + b*sqrt(d) with b != 0 makes every key a QuadraticNumber
-    with integer coefficients, which adds, compares and hashes exactly too.
     ``below(k)`` is the union of the slices with a key under k, ``above(k)``
     of those with a key over k.
     """
 
     def __init__(self, D: FiniteDecomposition):
-        ts = [_index_value(t) for t, _ in D.slices]
-        quad = next((t for t in ts if isinstance(t, QuadraticNumber)), None)
-        if quad is None:
-            self.L = lcm(*(t.denominator for t in ts))
-            self.keys = [t.numerator * (self.L // t.denominator) for t in ts]
-        else:
-            ts = [t if isinstance(t, QuadraticNumber) else QuadraticNumber(t, 0, quad.d) for t in ts]
-            self.L = lcm(*(Fraction(c).denominator for t in ts for c in (t.a, t.b)))
-            self.keys = [t * self.L for t in ts]
-        # -k + L: QuadraticNumber has no reflected subtraction
-        self.rest = [-k + self.L for k in self.keys]
+        H = D.H
+        self.L = H.n
+        self.keys = [int(H.coerce(t) * self.L) for t, _ in D.slices]
+        self.rest = [self.L - k for k in self.keys]
         self.slices = D.slices
         self.masks = [_mask(members) for _, members in D.slices]
         self._order = sorted(set(self.keys))
@@ -266,12 +263,13 @@ class _SliceBits:
 
 
 def _finite_type_ii_violation(D: FiniteDecomposition):
-    """The negation and addition laws; None if clean.
+    """The negation and addition laws, then a slice at each k/n; None if clean.
 
     Once the slices partition the algebra, each element carries its slice's
     key, and each law is one pass: over the elements for the negations, over
     the defined pairs for the sums.  Only a failing law searches for its
-    witness, the first violation in the order of the slices and members.
+    witness, the first violation in the order of the slices and members.  A
+    point k/n with no slice is reported last, as an empty slice.
     """
     E = D.pea
     covered = set()
@@ -302,13 +300,14 @@ def _finite_type_ii_violation(D: FiniteDecomposition):
     key = [keys[i] for i in pos]
     home = [k if k <= L else None for k in key]
     bad = {(x, y) for (x, y), z in E.table.items() if key[x] + key[y] != home[z]}
-    if not bad:
-        return None
-    i, j = min((pos[x], pos[y]) for x, y in bad)
-    (s, ms), (t, mt) = D.slices[i], D.slices[j]
-    x, y = next((x, y) for x in ms for y in mt if (x, y) in bad)
-    law = "sum above one" if keys[i] + keys[j] > L else "sum slice law"
-    return (law, (s, t, x, y))
+    if bad:
+        i, j = min((pos[x], pos[y]) for x, y in bad)
+        (s, ms), (t, mt) = D.slices[i], D.slices[j]
+        x, y = next((x, y) for x in ms for y in mt if (x, y) in bad)
+        law = "sum above one" if keys[i] + keys[j] > L else "sum slice law"
+        return (law, (s, t, x, y))
+    k = next((k for k in range(L + 1) if k not in last), None)
+    return None if k is None else ("empty slice", Fraction(k, L))
 
 
 # ---------------------------------------------------------------------------
@@ -419,24 +418,24 @@ def check_type_i(E, D) -> TypeIReport:
 def _unique_maximal(E: FinitePea, e0):
     """Whether e0 is the unique maximal ideal of E, and a detail when not.
 
-    Every proper ideal of a finite algebra lies in a maximal one, so e0 is
-    the unique maximal ideal exactly when it is a proper ideal and every x
-    outside it generates all of E.  An x above y generates at least what y
-    does, so the elements minimal outside e0 decide, and the detail names
-    the first of them that generates a proper ideal.
+    Every ideal other than E of a finite algebra lies in a maximal one, so
+    e0 is the unique maximal ideal exactly when it is an ideal other than E
+    and every x outside it generates all of E.  An x above y generates at
+    least what y does, so the elements minimal outside e0 decide, and the
+    detail names the first of them that generates an ideal other than E.
     """
     closure = _ideal_closure(E)
     everything, mask, grown = (1 << E.size) - 1, _mask(e0), 0
     for x in e0:
         grown = closure(grown, x)
     if not e0 or grown != mask or mask == everything:
-        return False, "E_0 is not a proper ideal"
+        return False, "E_0 is not an ideal other than E"
     bottom, down, outside = closure(0, E.zero), E._bits.down, everything & ~mask
     for x in E.elements():
         if down[x] & outside == 1 << x:  # x is minimal outside e0
             grown = closure(bottom, x)
             if grown != everything:
-                return False, f"{x} generates a proper ideal: {sorted(_members(grown))}"
+                return False, f"{x} generates an ideal other than E: {sorted(_members(grown))}"
     return True, ""
 
 
@@ -454,23 +453,20 @@ def find_cyclic_system(E, D, strong=False):
     """A grid family c_t in E_t with c_s + c_t = c_{s+t} and c_1 = 1, or None.
 
     A finite decomposition over Z/n tries the multiples of each cyclic element
-    of order n.  On a lex interval the family is c_t = (t, t*g0), additive by
-    construction, and None when some t*g0 does not exist in G; over Q that
-    takes every c_{1/n} = (1/n, g0/n), so g0 must be divisible.  A
-    decomposition that is not proper has an empty slice, with no c_t.
+    of order n; a hand-built one may lack the slice at some k/n (a law that
+    ``state_from_decomposition`` checks), and then has no c_{k/n}.  On a lex
+    interval, whose slices are never void, the family is c_t = (t, t*g0),
+    additive by construction, and None when some t*g0 does not exist in G;
+    over Q that takes every c_{1/n} = (1/n, g0/n), so g0 must be divisible.
     """
     if isinstance(D, FiniteDecomposition):
-        H = D.H
-        if H.is_dense or not D.proper:
-            return None  # a dense grid, or an empty slice: no c_t
-        index = dict(D.slices)
-        grid = [Fraction(k, H.n) for k in range(H.n + 1)]
-        for cand in cyclic_elements(E, H.n):
+        n, index = D.H.n, dict(D.slices)
+        for cand in cyclic_elements(E, n):
             if strong and not cand.strong:
                 continue
             entries, ck = [], E.zero  # ck = k * cand, one sum at a time
-            for t in grid:
-                if ck is None or ck not in index[t]:
+            for t in (Fraction(k, n) for k in range(n + 1)):
+                if ck is None or ck not in index.get(t, ()):
                     break
                 entries.append((t, ck))
                 ck = E.add(ck, cand.element)
@@ -484,7 +480,7 @@ def find_cyclic_system(E, D, strong=False):
         # unit; (t, tau(t)) lies in [0, (1, g0)] for every t in [0, 1], since
         # the lex order reads the head first and tau(0) = 0
         E, G, g0 = D.pea, D.pea.tail_group, D.pea.tail_unit
-        if not D.proper or (D.H._divisible and not G._divisible(g0)):
+        if D.H._divisible and not G._divisible(g0):
             return None
         entries = []
         for t in D.grid:
@@ -647,10 +643,10 @@ def _finite_slice_directed(E: FinitePea, members) -> bool:
 
 def _lex_slices(E: IntervalPea, H):
     """A slice the head misses, or None, and the slice verdicts."""
-    D = decomposition_from_state(E, FirstCoordinateState(E), H, allow_subset=True)
+    grid = tuple(grid_points(H))
+    missing = _missing_slice(E, H, grid)
     directness = E.tail_group.is_directed()  # slice directness, module docstring
-    if not D.proper:
-        # a head that misses a slice is not perfect over H
-        missing = _point_outside(D.grid, H, E.head_subgroup)
+    if missing is not None:  # a head that misses a slice is not perfect over H
         return missing, None, None, directness, None
+    D = LexDecomposition(H, E, grid)
     return None, check_ordered(E, D), check_type_i(E, D), directness, find_cyclic_system(E, D)

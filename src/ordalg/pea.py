@@ -410,8 +410,8 @@ def ideals_enumerate(E: FinitePea) -> IdealsReport:
     Ideals are element bitsets, each grown from a closed base by
     ``_ideal_closure``.  An ideal above a base holds an element minimal
     outside it, so growing every base by those alone reaches every ideal;
-    and a proper ideal is maximal exactly when each ideal grown from it is
-    the whole algebra, so maximality is read off the same growth.
+    and an ideal other than E is maximal exactly when each ideal grown from
+    it is the whole algebra, so maximality is read off the same growth.
     """
     down = E._bits.down
     everything = (1 << E.size) - 1

@@ -6,11 +6,12 @@ subtracting the cyclic-system entry of each slice, and ``PhiMap.preimage``
 adds it back.  ``verify_isomorphism`` stress-tests such a map on seeded
 samples (homomorphism, injectivity, order both ways) and probes
 surjectivity through the map's own preimage, or one the caller supplies.
-``difference_group`` builds the group of formal differences of the bottom
-slice from a grid of it: a class [a - b] is the group difference a - b and
-is positive exactly when b <= a.  ``functor_map`` lifts a sampled group
-homomorphism to interval-algebra homomorphisms; ``permute`` rules must
-permute the coordinates of a Z^k group.
+``DifferenceGroup`` builds the group of formal differences of the bottom
+slice from a grid of it, and its ``embed`` maps the slice into it: a class
+[a - b] is the group difference a - b and is positive exactly when b <= a.
+``functor_map`` lifts a sampled group homomorphism to interval-algebra
+homomorphisms; ``permute`` rules must permute the coordinates of a Z^k
+group.
 """
 
 from __future__ import annotations
@@ -311,17 +312,6 @@ class DifferenceGroup:
 
     def leq(self, p, q) -> bool:
         return self.is_positive(self.add(q, self.neg(p)))
-
-
-def difference_group(E, grid):
-    """Difference group of the bottom slice, seeded by a grid, plus the embedding.
-
-    Returns (group, embed); refuses grid points outside the bottom slice and
-    errors on non-commutative slices, which are out of range for this
-    construction.
-    """
-    dg = DifferenceGroup(E, grid)
-    return dg, dg.embed
 
 
 # ---------------------------------------------------------------------------

@@ -68,13 +68,14 @@ def scan_is_normal_ideal(E, ideal):
 
 
 def subset_maximal(ideals, everything):
-    """The proper ideals that no other proper ideal contains."""
-    proper = [i for i in ideals if i != everything]
-    return [i for i in proper if not any(i < j for j in proper)]
+    """The ideals other than E that no other such ideal contains."""
+    short = [i for i in ideals if i != everything]
+    return [i for i in short if not any(i < j for j in short)]
 
 
 def type_ii_violation(D):
-    """The negation and addition laws, pair by pair; None if clean."""
+    """The negation and addition laws, pair by pair, then a slice at every
+    grid point k/n of H = (1/n)Z; None if clean."""
     E, H = D.pea, D.H
     one = H.one()
     index = {t: members for t, members in D.slices}
@@ -105,6 +106,9 @@ def type_ii_violation(D):
                     target = index.get(s + t)
                     if target is None or z not in target:
                         return ("sum slice law", (s, t, x, y))
+    for k in range(H.n + 1):
+        if Fraction(k, H.n) not in index:
+            return ("empty slice", Fraction(k, H.n))
     return None
 
 
@@ -165,12 +169,12 @@ def check_type_i(E, D, ideals):
                     sums_ok = False
     index = {t: m for t, m in D.slices}
     e0 = index.get(D.H.zero(), frozenset())
-    # e0 is the unique maximal ideal exactly when it is a proper ideal and
-    # every x outside it generates all of E; the detail names the first
-    # element minimal outside e0 among those that do not
+    # e0 is the unique maximal ideal exactly when it is an ideal other than
+    # E and every x outside it generates all of E; the detail names the
+    # first element minimal outside e0 among those that do not
     everything = frozenset(E.elements())
     if e0 not in ideals or e0 == everything:
-        unique_max, detail = False, "E_0 is not a proper ideal"
+        unique_max, detail = False, "E_0 is not an ideal other than E"
     else:
         leq = order_matrix(E)
         outside = [x for x in E.elements() if x not in e0]
@@ -178,7 +182,7 @@ def check_type_i(E, D, ideals):
         unique_max, detail = not failing, ""
         if failing:
             x = next(x for x in failing if not any(leq[y][x] for y in outside if y != x))
-            detail = f"{x} generates a proper ideal: {sorted(generated_ideal(x, ideals))}"
+            detail = f"{x} generates an ideal other than E: {sorted(generated_ideal(x, ideals))}"
     idem = {E.add(x, y) for x in e0 for y in e0 if E.defined(x, y)} == set(e0)
     return TypeIReport(sums_ok and unique_max, sums_ok, unique_max, idem, detail)
 
@@ -204,10 +208,7 @@ def commutes_with_all(E, a):
 
 
 def find_cyclic_system(E, D, strong=False):
-    H = D.H
-    if H.is_dense:
-        return None
-    n = H.n
+    n = D.H.n
     for cand in cyclic_elements(E, n):
         if strong and not cand.strong:
             continue
@@ -215,7 +216,7 @@ def find_cyclic_system(E, D, strong=False):
         ok = True
         for k in range(n + 1):
             ck = E.times(k, cand.element)
-            if ck is None or ck not in dict(D.slices)[Fraction(k, n)]:
+            if ck is None or ck not in dict(D.slices).get(Fraction(k, n), ()):
                 ok = False
                 break
             entries.append((Fraction(k, n), ck))

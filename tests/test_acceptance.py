@@ -26,10 +26,10 @@ from ordalg.pea import (
     infinitesimals,
 )
 from ordalg.represent import (
+    DifferenceGroup,
     GroupHom,
     PhiMap,
     build_lex_pea,
-    difference_group,
     functor_map,
     hom_compose,
     make_shuffled,
@@ -373,16 +373,16 @@ def test_criterion_10_representation():
 def test_criterion_11_difference_group():
     E = build_lex_pea(HQ, Z2)
     grid = [(HQ.zero(), (i, j)) for i in range(6) for j in range(6)]
-    dg, embed = difference_group(E, grid)
+    dg = DifferenceGroup(E, grid)
     ok = True
-    embedded = {embed(x) for x in dg.grid}
+    embedded = {dg.embed(x) for x in dg.grid}
     for x in dg.grid:
-        cls = embed(x)
+        cls = dg.embed(x)
         if dg.add(cls, dg.neg(cls)) != dg.zero:
             ok = False
     for x in dg.grid:
         for y in dg.grid:
-            cls = dg.add(embed(x), dg.neg(embed(y)))
+            cls = dg.add(dg.embed(x), dg.neg(dg.embed(y)))
             if dg.is_positive(cls) != (cls in embedded):
                 ok = False
     record(11, "grid differences cancel and the cone is the embedded slice", ok)

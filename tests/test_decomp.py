@@ -3,6 +3,7 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -40,8 +41,8 @@ from ordalg.pea import (
     infinitesimals,
     is_symmetric,
 )
-from ordalg.represent import difference_group, phi_represent
-from ordalg.scalars import Ordering, QuadraticNumber, ScalarSubgroup, compare, grid_points
+from ordalg.represent import DifferenceGroup, phi_represent
+from ordalg.scalars import Ordering, ScalarSubgroup, compare, format_scalar, grid_points
 from ordalg.states import FiniteState, FirstCoordinateState, states_finite
 
 import finite_slices as ref
@@ -70,7 +71,6 @@ def test_chain_state_preimages():
     E = finite_chain(2)
     s = states_finite(E)[0]
     D = decomposition_from_state(E, s, H2)
-    assert D.proper
     assert dict(D.slices) == {
         Fraction(0): frozenset({0}),
         Fraction(1, 2): frozenset({1}),
@@ -86,13 +86,13 @@ def test_state_outside_subgroup_is_error():
     assert "1/2" in str(err.value)
 
 
-def test_subset_variant_needs_flag():
+def test_a_state_that_misses_a_grid_point_is_refused():
     E = boolean_algebra(2)
-    s = states_finite(E)[0]  # values {0, 1} only
-    with pytest.raises(PreconditionError):
+    s = states_finite(E)[0]  # values {0, 1} only: no slice at 1/2
+    with pytest.raises(PreconditionError, match=r"\('empty slice', Fraction\(1, 2\)\)"):
         decomposition_from_state(E, s, H2)
-    D = decomposition_from_state(E, s, H2, allow_subset=True)
-    assert not D.proper
+    with pytest.raises(PreconditionError, match="no slice at every point of"):
+        decomposition_from_state(E, s, HQ)
 
 
 def test_round_trip_finite():
@@ -109,7 +109,6 @@ def test_round_trip_finite():
 def test_lex_symbolic_decomposition():
     E = lex_pea(HQ, Z, f(0))
     D = decomposition_from_state(E, FirstCoordinateState(E), HQ)
-    assert D.proper
     assert lex_type_ii_violation(D, random.Random(1)) is None
     s = state_from_decomposition(E, D)
     assert s((Fraction(1, 3), f(7))) == Fraction(1, 3)
@@ -131,10 +130,38 @@ def test_broken_decomposition_rejected():
             (Fraction(1, 2), frozenset()),
             (Fraction(1), frozenset({2})),
         ),
-        True,
     )
     with pytest.raises(PreconditionError):
         state_from_decomposition(E, bad)
+
+
+def test_a_missing_grid_slice_leaves_no_cyclic_system():
+    # 0 and 1 of the 2-chain both at 0 leave no slice at 1/2; the search,
+    # which reads the slice at every k/n, finds no c_{1/2} there instead of
+    # failing on the lookup
+    E = finite_chain(2)
+    D = FiniteDecomposition(H2, E, ((f(0), frozenset({0, 1})), (f(1), frozenset({2}))))
+    assert find_cyclic_system(E, D) is None
+    assert find_cyclic_system(E, D, strong=True) is None
+    assert ref.find_cyclic_system(E, D) is None
+
+
+def test_slices_that_miss_a_grid_point_have_no_state():
+    # the 1-chain sliced at 0 and 1 over Z/2 keeps every law but has no slice
+    # at 1/2, so no Z/2-valued state gives it back, and it has none itself
+    E = finite_chain(1)
+    D = FiniteDecomposition(H2, E, ((f(0), frozenset({0})), (f(1), frozenset({1}))))
+    assert decomp._finite_type_ii_violation(D) == ("empty slice", Fraction(1, 2))
+    with pytest.raises(PreconditionError, match="empty slice"):
+        state_from_decomposition(E, D)
+
+
+def test_finite_slices_need_a_discrete_subgroup_and_indices_in_it():
+    E = finite_chain(1)
+    with pytest.raises(PreconditionError, match="no slice at every point of"):
+        FiniteDecomposition(HQ, E, ((f(0), frozenset({0})), (f(1), frozenset({1}))))
+    with pytest.raises(PreconditionError, match="slice index 1/3 is not in Z/2"):
+        FiniteDecomposition(H2, E, ((f(0), frozenset({0})), (Fraction(1, 3), frozenset({1}))))
 
 
 def test_check_ordered_finite_chain():
@@ -151,7 +178,7 @@ def test_check_ordered_finite_chain():
 def test_check_ordered_boolean_fails():
     E = boolean_algebra(2)
     s = states_finite(E)[0]
-    D = decomposition_from_state(E, s, ScalarSubgroup.cyclic(1), allow_subset=True)
+    D = decomposition_from_state(E, s, ScalarSubgroup.cyclic(1))
     # atoms with state one-half would be needed; with {0,1} values, the
     # nontrivial kernel makes slices incomparable
     report = check_ordered(E, D)
@@ -178,9 +205,7 @@ def test_type_i_finite():
 
 def test_type_i_boolean_two_maximal_ideals():
     E = boolean_algebra(2)
-    D = decomposition_from_state(
-        E, states_finite(E)[0], ScalarSubgroup.cyclic(1), allow_subset=True
-    )
+    D = decomposition_from_state(E, states_finite(E)[0], ScalarSubgroup.cyclic(1))
     report = check_type_i(E, D)
     assert not report.e0_unique_maximal
 
@@ -218,14 +243,16 @@ def test_cyclic_system_translated_unit():
     assert entries[Fraction(1)] == E.one
 
 
-def test_cyclic_system_of_an_empty_slice_is_none():
+def test_a_lex_decomposition_with_an_empty_slice_is_refused():
     # gamma(lex(Z/2, Z), (1, 0)) read over Z/4 has empty slices at 1/4 and
-    # 3/4: no element of E has those heads, so there is no c_t there
+    # 3/4: no element of E has those heads.  Built by hand it would get a
+    # strong cyclic system with entries at heads outside Z/2, and ordered
+    # and type I verdicts; it is refused where it is made
     E = lex_pea(ScalarSubgroup.cyclic(2), Z, 0)
-    D = decomposition_from_state(E, FirstCoordinateState(E), H4, allow_subset=True)
-    assert not D.proper
-    assert find_cyclic_system(E, D) is None
-    assert find_cyclic_system(E, D, strong=True) is None
+    with pytest.raises(PreconditionError, match="slice at t = 1/4 is empty"):
+        LexDecomposition(H4, E, grid_points(H4))
+    with pytest.raises(PreconditionError, match="slice at t = 1/4 is empty"):
+        decomposition_from_state(E, FirstCoordinateState(E), H4)
     assert classify_perfect(E, H4).missing_slice == Fraction(1, 4)
 
 
@@ -233,9 +260,9 @@ def cyclic_system_by_scan(E, D, strong=False):
     """The lex branch of ``find_cyclic_system`` as it once was: each entry is
     checked to lie in E, and additivity on grid pairs by a scan of all
     entries.  The package takes both from the construction of c_t.  A head
-    outside the head subgroup is an empty slice (``E.contains`` reads the
-    order alone), so it has no c_t.  Over Q the entries c_{1/n} past the
-    grid are checked up to n = 128."""
+    outside the head subgroup would be an empty slice (``E.contains`` reads
+    the order alone), with no c_t.  Over Q the entries c_{1/n} past the grid
+    are checked up to n = 128."""
     E, H = D.pea, D.H
     # over Q every c_{1/n} = (1/n, g0/n) is needed, also past the grid
     if H == HQ and any(
@@ -273,10 +300,23 @@ PROD_Z_AFF = g.Product(Z, AFF)
 LEX_Z_AFF = g.Lex(Z, AFF)
 
 
+def assert_never_void(E, D):
+    """D has a nonempty slice at each of its grid points, and its state
+    gives D back."""
+    if isinstance(D, LexDecomposition):
+        # (t, 0) lies in E for every head t in [0, 1]
+        assert all(E.head_subgroup.contains(t) for t in D.grid), (E, D.H)
+    else:
+        n, index = D.H.n, dict(D.slices)
+        assert all(index.get(Fraction(k, n)) for k in range(n + 1)), (E, D.slices)
+    assert decomposition_from_state(E, state_from_decomposition(E, D), D.H) == D
+
+
 def seeded_lex_decompositions(rng, count):
-    """Lex intervals over Q, Z/n and Q[sqrt 2] heads (Z/n also read over a
-    finer grid) and Z, Z^2, Aff, prod(Z, Aff) and lex(Z, Aff) tails, with
-    central and non-central Aff units; some units are not divisible."""
+    """Lex intervals over Q, Z/n and Q[sqrt 2] heads and Z, Z^2, Aff,
+    prod(Z, Aff) and lex(Z, Aff) tails, with central and non-central Aff
+    units; some units are not divisible.  A Z/n head read over a finer grid
+    misses a slice, and is refused."""
     aff = lambda: rng.choice(((f(1), f(0)), (f(2), f(0)), (f(64), f(rng.randint(-3, 3)))))
     units = {
         Z: lambda: f(rng.choice((0, 60, -120, rng.randint(-3, 3)))),
@@ -289,10 +329,15 @@ def seeded_lex_decompositions(rng, count):
         head = rng.choice((HQ, HR2, *(ScalarSubgroup.cyclic(n) for n in range(1, 7))))
         G = rng.choice(tuple(units))
         E = lex_pea(head, G, units[G]())
-        H, allow = head, False
         if not head.is_dense and rng.random() < 0.3:
-            H, allow = ScalarSubgroup.cyclic(head.n * rng.randint(2, 3)), True
-        yield decomposition_from_state(E, FirstCoordinateState(E), H, allow_subset=allow)
+            H = ScalarSubgroup.cyclic(head.n * rng.randint(2, 3))
+            missing = format_scalar(Fraction(1, H.n))
+            with pytest.raises(PreconditionError, match=f"slice at t = {missing} is empty"):
+                decomposition_from_state(E, FirstCoordinateState(E), H)
+            continue
+        D = decomposition_from_state(E, FirstCoordinateState(E), head)
+        assert_never_void(E, D)
+        yield D
 
 
 def test_keyed_cyclic_system_check_agrees_with_the_scan():
@@ -598,8 +643,6 @@ def test_q_head_values_past_the_grid_are_checked():
     E = lex_pea(H60, Z, f(0))
     with pytest.raises(PreconditionError, match="slice at t = 1/7 is empty"):
         decomposition_from_state(E, FirstCoordinateState(E), HQ)
-    D = decomposition_from_state(E, FirstCoordinateState(E), HQ, allow_subset=True)
-    assert not D.proper
     report = classify_perfect(E, HQ)
     assert not report.is_h_perfect and report.missing_slice == Fraction(1, 7)
 
@@ -623,7 +666,7 @@ NOT_A_STATE = ("0", "1/2", "1/2", "3/4", "1")
 def test_state_preimages_that_break_a_law_are_a_precondition_error():
     s = FiniteState(tuple(map(Fraction, NOT_A_STATE)))
     with pytest.raises(PreconditionError, match="negation law"):
-        decomposition_from_state(finite_chain(4), s, H4, allow_subset=True)
+        decomposition_from_state(finite_chain(4), s, H4)
 
 
 def test_state_preimage_laws_are_checked_under_optimisation():
@@ -637,7 +680,7 @@ def test_state_preimage_laws_are_checked_under_optimisation():
         "from ordalg.states import FiniteState\n"
         "try:\n"
         f"    s = FiniteState(tuple(map(Fraction, {NOT_A_STATE!r})))\n"
-        "    decomposition_from_state(finite_chain(4), s, ScalarSubgroup.cyclic(4), allow_subset=True)\n"
+        "    decomposition_from_state(finite_chain(4), s, ScalarSubgroup.cyclic(4))\n"
         "except PreconditionError as err:\n"
         "    print(err)\n"
     )
@@ -725,7 +768,8 @@ def test_state_extends_to_group_functional():
 def test_decided_lex_verdicts_agree_with_sampled_probes():
     # the decided flags and the test-side probes (lex_probes) agree on random
     # lex intervals: discrete, rational and quadratic heads, the property
-    # trees as tails, a random unit tail, proper and empty-slice variants
+    # trees as tails, a random unit tail; read over a larger H, whose grid
+    # the head misses, each is refused
     from lex_probes import (
         sampled_ordered_report,
         sampled_type_i_report,
@@ -744,21 +788,26 @@ def test_decided_lex_verdicts_agree_with_sampled_probes():
         (HS2, ()),
     )
     tails = rng.sample(TREES, 4) + [AFF, g.Product(Z, AFF)]
-    checked = subsets = 0
+    checked = refused = 0
     for head, supersets in heads:
         for G in tails:
             E = lex_pea(head, G, sample_element(G, rng, 3))
-            for H, allow in ((head, False),) + tuple((K, True) for K in supersets):
-                D = decomposition_from_state(E, FirstCoordinateState(E), H, allow_subset=allow)
-                subsets += not D.proper
-                assert state_from_decomposition(E, D) == FirstCoordinateState(E)
-                assert lex_type_ii_violation(D, rng, rounds=30) is None
-                assert sampled_ordered_report(E, D, rng, rounds=30) == check_ordered(E, D)
-                assert sampled_type_i_report(E, D, rng, rounds=20) == check_type_i(E, D)
-                directed = slices_directed_probe(E, D, rng, rounds=20)
-                assert directed == classify_perfect(E, H).directness
-                checked += 1
-    assert checked == 54 and subsets == 24
+            D = decomposition_from_state(E, FirstCoordinateState(E), head)
+            assert_never_void(E, D)
+            assert state_from_decomposition(E, D) == FirstCoordinateState(E)
+            assert lex_type_ii_violation(D, rng, rounds=30) is None
+            assert sampled_ordered_report(E, D, rng, rounds=30) == check_ordered(E, D)
+            assert sampled_type_i_report(E, D, rng, rounds=20) == check_type_i(E, D)
+            directed = slices_directed_probe(E, D, rng, rounds=20)
+            assert directed == classify_perfect(E, head).directness
+            checked += 1
+            for H in supersets:
+                missing = format_scalar(decomp._point_outside(grid_points(H), H, head))
+                with pytest.raises(PreconditionError, match=re.escape(f"slice at t = {missing} is empty")):
+                    decomposition_from_state(E, FirstCoordinateState(E), H)
+                assert classify_perfect(E, H).directness == directed
+                refused += 1
+    assert checked == 30 and refused == 24
 
 
 def test_unit_head_other_than_one_is_a_precondition_error():
@@ -773,13 +822,13 @@ def test_unit_head_other_than_one_is_a_precondition_error():
         with pytest.raises(PreconditionError, match=message):
             decomposition_from_state(E, FirstCoordinateState(E), H)
         with pytest.raises(PreconditionError, match=message):
-            decomposition_from_state(E, FirstCoordinateState(E), other, allow_subset=True)
+            decomposition_from_state(E, FirstCoordinateState(E), other)
         with pytest.raises(PreconditionError, match=message):
             classify_perfect(E, H)  # the branch that decomposes
         with pytest.raises(PreconditionError, match=message):
             classify_perfect(E, other)  # the branch that reports a missing slice
         with pytest.raises(PreconditionError, match=message):
-            state_from_decomposition(E, LexDecomposition(H, E, (f(0), f(1))))
+            LexDecomposition(H, E, (f(0), f(1)))
 
 
 # -- bitset kernels against the element-pair reference (tests/finite_slices.py)
@@ -807,12 +856,22 @@ def assert_kernels_match(E, D, ideals):
     return ordered
 
 
+def preimages(E, s, H):
+    """The slices s^-1(t) over H, built by hand: no law is checked, so a
+    grid point that s misses has no slice."""
+    buckets = {}
+    for a in E.elements():
+        buckets.setdefault(s(a), set()).add(a)
+    return sliced(E, H, *sorted(buckets.items()))
+
+
 def test_finite_kernels_match_the_element_pair_reference():
     # every extremal state of every stock table and relabelling, read over
-    # Z/L (L the least common denominator of its values), over Z/2L with the
-    # grid points it misses, and over Z[sqrt 2] when its values are 0 and 1
-    # (the 3-chain beside k blocks of 2^2 adds slices in thirds)
-    seen = {"ordered": 0, "unordered": 0, "cyclic": 0, "asymmetric": 0}
+    # Z/L (L the least common denominator of its values) and over Z/2L with
+    # the grid points it misses, as hand-built preimages (the 3-chain beside
+    # k blocks of 2^2 adds slices in thirds); decomposition_from_state takes
+    # exactly those that keep every law and have a slice at every k/n
+    seen = {"ordered": 0, "unordered": 0, "cyclic": 0, "asymmetric": 0, "refused": 0}
     rng = random.Random("thirds")
     thirds = [horizontal_sum(k, 3) for k in (1, 2, 3)]
     thirds += [relabel(*struct, rng) for struct in thirds]
@@ -826,11 +885,11 @@ def test_finite_kernels_match_the_element_pair_reference():
         ]
         for s in states_finite(E):
             L = lcm(*(v.denominator for v in s.values))
-            subgroups = [ScalarSubgroup.cyclic(L), ScalarSubgroup.cyclic(2 * L)]
-            if L == 1:
-                subgroups.append(ScalarSubgroup.quadratic(2))
-            for H in subgroups:
-                D = decomposition_from_state(E, s, H, allow_subset=True)
+            for H in (ScalarSubgroup.cyclic(L), ScalarSubgroup.cyclic(2 * L)):
+                D = preimages(E, s, H)
+                clean = decomp._finite_type_ii_violation(D) is None
+                assert outcome(decomposition_from_state, E, s, H) == (D if clean else PreconditionError)
+                seen["refused"] += not clean
                 report = assert_kernels_match(E, D, ideals)
                 seen["ordered" if report.ordered else "unordered"] += 1
                 seen["cyclic"] += find_cyclic_system(E, D) is not None
@@ -839,14 +898,10 @@ def test_finite_kernels_match_the_element_pair_reference():
 
 def sliced(E, H, *slices):
     """A hand-built decomposition of E: (index, members) pairs, in order."""
-    return FiniteDecomposition(H, E, tuple((t, frozenset(m)) for t, m in slices), True)
+    return FiniteDecomposition(H, E, tuple((t, frozenset(m)) for t, m in slices))
 
 
-def root2(a, b):
-    return QuadraticNumber(a, b, 2)
-
-
-E2, E3, E4, E22 = finite_chain(2), finite_chain(3), finite_chain(4), boolean_algebra(2)
+E1, E2, E3, E4 = finite_chain(1), finite_chain(2), finite_chain(3), finite_chain(4)
 HALF, QUARTER, THIRD = Fraction(1, 2), Fraction(1, 4), Fraction(1, 3)
 HAND_BUILT = [
     ("empty slice", sliced(E2, H2, (f(0), {0, 1}), (HALF, ()), (f(1), {2}))),
@@ -854,7 +909,8 @@ HAND_BUILT = [
     ("cover", sliced(E2, H2, (f(0), {0}), (f(1), {2}))),
     ("negation law", sliced(E2, H2, (f(0), {0}), (HALF, {2}), (f(1), {1}))),
     # 1 + 1 = 2 at 2/3 + 2/3, and at 1/4 + 1/4, where no slice lies
-    ("sum above one", sliced(E3, H4, (f(0), {0}), (THIRD, {2}), (2 * THIRD, {1}), (f(1), {3}))),
+    ("sum above one",
+     sliced(E3, ScalarSubgroup.cyclic(3), (f(0), {0}), (THIRD, {2}), (2 * THIRD, {1}), (f(1), {3}))),
     ("sum slice law", sliced(E3, H4, (f(0), {0}), (QUARTER, {1}), (3 * QUARTER, {2}), (f(1), {3}))),
     # ordered, with sums past one; in the first, E_1/2 + E_1/2 is not E_1
     ("negation law", sliced(E4, H2, (f(0), {0}), (HALF, {1, 2}), (f(1), {3, 4}))),
@@ -862,10 +918,9 @@ HAND_BUILT = [
     # two slices at 3/4: a lookup by index finds the second, which misses lneg(1) = 3
     ("negation law", sliced(E4, H4, (f(0), {0}), (QUARTER, {1}), (3 * QUARTER, {3}),
                             (3 * QUARTER, {2}), (f(1), {4}))),
-    ("negation law", sliced(E22, HR2, (root2(0, 0), {0}), (root2(-1, 1), {1, 2}), (root2(1, 0), {3}))),
-    # sqrt 2 - 1 and 2 - sqrt 2 hold the atoms of 2^2
-    (None, sliced(E22, HR2, (root2(0, 0), {0}), (root2(-1, 1), {1}), (root2(2, -1), {2}),
-                  (root2(1, 0), {3}))),
+    # every law holds, but no slice lies at 1/2
+    ("empty slice", sliced(E1, H2, (f(0), {0}), (f(1), {1}))),
+    (None, sliced(E4, H4, *((Fraction(k, 4), {k}) for k in range(5)))),
 ]
 
 
@@ -874,23 +929,6 @@ def test_hand_built_decompositions_match_the_reference(kind, D):
     witness = ref.type_ii_violation(D)
     assert (witness and witness[0]) == kind
     assert_kernels_match(D.pea, D, [i.members for i in ideals_enumerate(D.pea).ideals])
-
-
-def test_round_trip_over_a_quadratic_subgroup():
-    # rational indices come back as Fractions, irrational ones stay exact
-    E = boolean_algebra(1)
-    s = states_finite(E)[0]
-    D = decomposition_from_state(E, s, HR2, allow_subset=True)
-    back = state_from_decomposition(E, D)
-    assert back.values == s.values and {type(v) for v in back.values} == {Fraction}
-    assert decomposition_from_state(E, back, HR2, allow_subset=True) == D
-    # sqrt 2 - 1 and 2 - sqrt 2 hold the atoms of 2^2
-    D = HAND_BUILT[-1][1]
-    s = state_from_decomposition(E22, D)
-    assert s.values == (f(0), root2(-1, 1), root2(2, -1), f(1))
-    assert [type(v) for v in s.values] == [Fraction, QuadraticNumber, QuadraticNumber, Fraction]
-    back = decomposition_from_state(E22, s, HR2, allow_subset=True)
-    assert back.slices == D.slices and not back.proper
 
 
 def seeded_slicing(E, rng):
@@ -931,7 +969,8 @@ def test_finite_kernels_match_the_reference_on_seeded_slicings():
             kinds.add(witness and witness[0])
             report = assert_kernels_match(E, D, ideals)
             ordered.add(report.ordered)
-    assert kinds == {None, "negation law", "sum above one", "sum slice law"}, kinds
+    # a slicing that keeps every law yet misses some k/n reports an empty slice
+    assert kinds == {None, "negation law", "sum above one", "sum slice law", "empty slice"}, kinds
     assert ordered == {True, False}
 
 
@@ -971,6 +1010,29 @@ def test_h_perfectness_matches_every_grid_state():
     assert sum(n == 2 for _, n in perfect) == 11
 
 
+def test_grid_states_give_decompositions_exactly_when_onto():
+    # every (1/n)Z-valued state of every small table: one that takes every
+    # k/n gives a decomposition with a slice at each k/n, whose state gives
+    # it back; one that misses a k/n is refused there
+    onto = refused = 0
+    for name, E in SMALL_TABLES:
+        for n in range(1, 7):
+            H = ScalarSubgroup.cyclic(n)
+            for values in ref.grid_states(E, n):
+                s = FiniteState(values)
+                missing = next((Fraction(k, n) for k in range(n + 1) if Fraction(k, n) not in values), None)
+                if missing is None:
+                    D = decomposition_from_state(E, s, H)
+                    assert_never_void(E, D)
+                    assert state_from_decomposition(E, D).values == values, (name, n)
+                    onto += 1
+                else:
+                    with pytest.raises(PreconditionError, match=re.escape(repr(("empty slice", missing)))):
+                        decomposition_from_state(E, s, H)
+                    refused += 1
+    assert (onto, refused) == (408, 916)
+
+
 def test_classify_perfect_never_enumerates_the_state_polytope(monkeypatch):
     def refuse(*args):
         raise AssertionError("the state polytope was enumerated")
@@ -1007,7 +1069,7 @@ def test_type_i_reads_generated_ideals_without_listing_them(monkeypatch):
     E = FinitePea(*hsum_table(10))
     report = classify_perfect(E, H2)
     assert report.is_h_perfect and report.type_i == TypeIReport(
-        False, True, False, True, "2 generates a proper ideal: [0, 2]"
+        False, True, False, True, "2 generates an ideal other than E: [0, 2]"
     )
 
 
@@ -1030,7 +1092,7 @@ SLICE_ENTRY_POINTS = {
     "decomposition_from_state": lambda E: decomposition_from_state(E, FirstCoordinateState(E), H2),
     "classify_perfect": lambda E: classify_perfect(E, H2),
     "phi_represent": phi_represent,
-    "difference_group": lambda E: difference_group(E, [E.zero]),
+    "DifferenceGroup": lambda E: DifferenceGroup(E, [E.zero]),
     "FirstCoordinateState.H": lambda E: FirstCoordinateState(E).H,
 }
 

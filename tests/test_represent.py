@@ -16,7 +16,6 @@ from ordalg.represent import (
     PeaHom,
     PhiMap,
     build_lex_pea,
-    difference_group,
     functor_map,
     hom_compose,
     hom_verify,
@@ -284,23 +283,23 @@ def grid_e0(E, bound):
 
 def test_difference_group_of_lattice_slice():
     E = build_lex_pea(HQ, Z2)
-    dg, embed = difference_group(E, grid_e0(E, 5))
+    dg = DifferenceGroup(E, grid_e0(E, 5))
     zero = dg.zero
     # cancellation holds on all grid pairs
     for x in dg.grid:
-        cls = embed(x)
+        cls = dg.embed(x)
         assert dg.add(cls, dg.neg(cls)) == zero
     # the positive cone is exactly the embedded slice
-    embedded = {embed(x) for x in dg.grid}
+    embedded = {dg.embed(x) for x in dg.grid}
     for x in dg.grid:
         for y in dg.grid:
-            cls = dg.add(embed(x), dg.neg(embed(y)))
+            cls = dg.add(dg.embed(x), dg.neg(dg.embed(y)))
             assert dg.is_positive(cls) == (cls in embedded)
 
 
 def test_difference_group_matches_vector_group():
     E = build_lex_pea(HQ, Z2)
-    dg, embed = difference_group(E, grid_e0(E, 3))
+    dg = DifferenceGroup(E, grid_e0(E, 3))
 
     def to_vector(cls):
         return tuple(p - m for p, m in zip(cls.plus[1], cls.minus[1]))
@@ -308,7 +307,7 @@ def test_difference_group_matches_vector_group():
     seen = {}
     for x in dg.grid:
         for y in dg.grid:
-            cls = dg.add(embed(x), dg.neg(embed(y)))
+            cls = dg.add(dg.embed(x), dg.neg(dg.embed(y)))
             vec = to_vector(cls)
             if vec in seen:
                 assert seen[vec] == cls
@@ -349,8 +348,8 @@ def test_difference_classes_keyed_like_the_scan(G, hi):
 
 def test_difference_group_positivity_past_the_grid():
     E = build_lex_pea(HQ, Z)
-    dg, embed = difference_group(E, [(HQ.zero(), f(k)) for k in range(3)])
-    two = embed((HQ.zero(), f(2)))
+    dg = DifferenceGroup(E, [(HQ.zero(), f(k)) for k in range(3)])
+    two = dg.embed((HQ.zero(), f(2)))
     four = dg.add(two, two)  # [(0, 4) - 0] lies past the grid
     assert dg.is_positive(four)
     assert dg.leq(dg.zero, four)
@@ -361,13 +360,13 @@ def test_difference_group_refuses_a_finite_grid_past_zero():
     from ordalg.pea import finite_chain
 
     with pytest.raises(PreconditionError, match="grid point 1 "):
-        difference_group(finite_chain(4), [0, 1])
+        DifferenceGroup(finite_chain(4), [0, 1])
 
 
 def test_difference_group_refuses_a_grid_point_outside_the_bottom_slice():
     E = build_lex_pea(HQ, Z)
     with pytest.raises(PreconditionError, match=r"grid point \(1/2, 0\) "):
-        difference_group(E, [(HQ.zero(), f(1)), (Fraction(1, 2), f(0))])
+        DifferenceGroup(E, [(HQ.zero(), f(1)), (Fraction(1, 2), f(0))])
 
 
 @pytest.mark.parametrize(
@@ -379,8 +378,8 @@ def test_difference_group_agrees_with_the_tail_group(H, G, hi):
     # sums and negations of grid classes reach past the grid; the tail group
     # decides each class by the difference of its tails
     E = build_lex_pea(H, G)
-    dg, embed = difference_group(E, [(H.zero(), x) for x in enumerate_interval(G, hi)])
-    classes = [embed(x) for x in dg.grid]
+    dg = DifferenceGroup(E, [(H.zero(), x) for x in enumerate_interval(G, hi)])
+    classes = [dg.embed(x) for x in dg.grid]
     rng = random.Random(36)
     for _ in range(200):
         p = rng.choice(classes)
@@ -415,12 +414,12 @@ def test_functor_lift_restricted_to_the_bottom_slice_gives_the_homomorphism_back
     Eh = functor_map(h, HQ)
     source, target = Eh.source, Eh.target
     grid = [(HQ.zero(), x) for x in enumerate_interval(G, hi)]
-    dg, embed = difference_group(source, grid)
-    dh, _ = difference_group(target, [Eh(x) for x in grid])
+    dg = DifferenceGroup(source, grid)
+    dh = DifferenceGroup(target, [Eh(x) for x in grid])
     images = {}
     for a in grid:
         for b in grid:
-            cls = dg.add(embed(a), dg.neg(embed(b)))
+            cls = dg.add(dg.embed(a), dg.neg(dg.embed(b)))
             image = dh.make(Eh(cls.plus), Eh(cls.minus))
             assert images.setdefault(cls, image) == image
             difference = source.group.sub_right(cls.plus, cls.minus)
@@ -430,7 +429,7 @@ def test_functor_lift_restricted_to_the_bottom_slice_gives_the_homomorphism_back
 
 def test_difference_group_trivial():
     E = build_lex_pea(HQ, Z)
-    dg, embed = difference_group(E, [(HQ.zero(), f(0))])
+    dg = DifferenceGroup(E, [(HQ.zero(), f(0))])
     assert dg.add(dg.zero, dg.zero) == dg.zero
 
 
@@ -438,7 +437,7 @@ def test_difference_group_of_finite_bottom_slice_is_trivial():
     from ordalg.pea import finite_chain
 
     E = finite_chain(2)
-    dg, embed = difference_group(E, [E.zero])  # the bottom slice is {0}
+    dg = DifferenceGroup(E, [E.zero])  # the bottom slice is {0}
     assert dg.add(dg.zero, dg.zero) == dg.zero
     assert dg.neg(dg.zero) == dg.zero
     assert dg.is_positive(dg.zero)
@@ -454,7 +453,7 @@ def test_difference_group_rejects_noncommutative():
         (f(0), (f(1), f(1))),
     ]
     with pytest.raises(UnsupportedError):
-        difference_group(E, grid)
+        DifferenceGroup(E, grid)
 
 
 # ---------------------------------------------------------------------------
